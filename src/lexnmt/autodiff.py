@@ -199,15 +199,11 @@ def matmat(A: Tensor, B: Tensor) -> Tensor:
     return out
 
 
-def const_matvec(L, a: Tensor) -> Tensor:
-    """L @ a where L is a constant (dense or scipy.sparse) matrix."""
-    y = L @ a.value
-    out = Tensor(np.asarray(y).ravel() if y.ndim > 1 else y, (a,))
+def const_matvec(L: np.ndarray, a: Tensor) -> Tensor:
+    """L @ a for a constant dense matrix L that receives no gradient."""
+    out = Tensor(L @ a.value, (a,))
     if out._parents:
-        def bwd(g):
-            da = L.T @ g
-            _accum(a, np.asarray(da).ravel() if da.ndim > 1 else da)
-        out._backward = bwd
+        out._backward = lambda g: _accum(a, L.T @ g)
     return out
 
 

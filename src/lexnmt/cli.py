@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .corpus import (Vocabulary, apply_bpe, build_vocab, encode_pairs,
 from .decode import beam_search, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
-from .model import (build_lexicon_matrix, init_params, load_checkpoint,
+from .model import (_lexicon_matrix, init_params, load_checkpoint,
                     save_checkpoint)
 from .train import (MrtSettings, TrainConfig, sample_translation, train_ml,
                     train_mrt)
@@ -120,7 +119,6 @@ def _build_parser():
                    help="hypothesis length cap (default 2*|F|+10)")
     p.add_argument("--output", help="write translations here instead of stdout")
     p.add_argument("--scores", help="side file of per-sentence log scores")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_decode)
 
     p = subparsers["score"] = sub.add_parser(
@@ -237,20 +235,24 @@ def _cmd_align(args):
     return 0
 
 
-def _load_data(args):
-    src_vocab = Vocabulary.load(args.src_vocab)
-    tgt_vocab = Vocabulary.load(args.tgt_vocab)
+def _load_data(args, src_vocab, tgt_vocab):
+    """Encoded train and dev pairs, and the lexicon table if one is given."""
     train = encode_pairs(*read_parallel(args.train_src, args.train_tgt),
                          src_vocab, tgt_vocab)
     dev = encode_pairs(*read_parallel(args.dev_src, args.dev_tgt),
                        src_vocab, tgt_vocab)
-    return src_vocab, tgt_vocab, train, dev
+    return train, dev, _load_optional_lexicon(args, src_vocab, tgt_vocab)
+
+
+def _load_optional_lexicon(args, src_vocab, tgt_vocab):
+    return (load_lexicon(args.lexicon, src_vocab, tgt_vocab)
+            if args.lexicon else None)
 
 
 def _cmd_train(args):
-    src_vocab, tgt_vocab, train, dev = _load_data(args)
-    lexicon = (load_lexicon(args.lexicon, src_vocab, tgt_vocab)
-               if args.lexicon else None)
+    src_vocab = Vocabulary.load(args.src_vocab)
+    tgt_vocab = Vocabulary.load(args.tgt_vocab)
+    train, dev, lexicon = _load_data(args, src_vocab, tgt_vocab)
     params = init_params(
         len(src_vocab), len(tgt_vocab), d_emb=args.d_emb, d_hid=args.d_hid,
         attention=args.attention, attn_dim=args.attn_dim,
@@ -274,12 +276,7 @@ def _cmd_train(args):
 
 def _cmd_mrt_train(args):
     params, src_vocab, tgt_vocab = load_checkpoint(args.init)
-    train = encode_pairs(*read_parallel(args.train_src, args.train_tgt),
-                         src_vocab, tgt_vocab)
-    dev = encode_pairs(*read_parallel(args.dev_src, args.dev_tgt),
-                       src_vocab, tgt_vocab)
-    lexicon = (load_lexicon(args.lexicon, src_vocab, tgt_vocab)
-               if args.lexicon else None)
+    train, dev, lexicon = _load_data(args, src_vocab, tgt_vocab)
     config = TrainConfig(
         lr_schedule=(args.lr, args.lr / 2, args.lr / 4),
         clip_norm=args.clip_norm, seed=args.seed,
@@ -316,12 +313,19 @@ def _source_ids(line, bpe, src_vocab):
     return src_vocab.encode(tokens)
 
 
+def _target_text(ids, bpe, tgt_vocab):
+    """Output text of target ids, without the trailing sentence end."""
+    ids = list(ids)
+    if ids and ids[-1] == tgt_vocab.eos_id:
+        ids.pop()
+    words = tgt_vocab.decode(ids)
+    return " ".join(invert_bpe(words) if bpe is not None else words)
+
+
 def _cmd_decode(args):
     models, src_vocab, tgt_vocab = _load_models(args.checkpoint)
     bpe = load_bpe(args.bpe) if args.bpe else None
-    lexicon = (load_lexicon(args.lexicon, src_vocab, tgt_vocab)
-               if args.lexicon else None)
-    lines = read_lines(args.input)
+    lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
 
     def translate_line(line):
         ids = _source_ids(line, bpe, src_vocab)
@@ -330,19 +334,10 @@ def _cmd_decode(args):
         hyp = beam_search(models, ids, beam_size=args.beam,
                           word_penalty=args.word_penalty,
                           max_len=args.max_len, lexicon=lexicon)
-        tokens = list(hyp.tokens)
-        if tokens and tokens[-1] == tgt_vocab.eos_id:
-            tokens = tokens[:-1]
-        words = invert_bpe(tgt_vocab.decode(tokens)) if bpe is not None \
-            else tgt_vocab.decode(tokens)
-        return " ".join(words), score_hypothesis(hyp, args.word_penalty), \
-            hyp.complete
+        return (_target_text(hyp.tokens, bpe, tgt_vocab),
+                score_hypothesis(hyp, args.word_penalty), hyp.complete)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(translate_line, lines))
-    else:
-        results = [translate_line(line) for line in lines]
+    results = [translate_line(line) for line in read_lines(args.input)]
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -377,8 +372,7 @@ def _cmd_score(args):
 def _cmd_sample(args):
     params, src_vocab, tgt_vocab = load_checkpoint(args.checkpoint)
     bpe = load_bpe(args.bpe) if args.bpe else None
-    lexicon = (load_lexicon(args.lexicon, src_vocab, tgt_vocab)
-               if args.lexicon else None)
+    lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -389,15 +383,11 @@ def _cmd_sample(args):
             if not ids:
                 out.write("\n" * args.samples)
                 continue
-            mat = (build_lexicon_matrix(ids, lexicon, len(tgt_vocab))
-                   if lexicon is not None else None)
+            mat = _lexicon_matrix(params, ids, lexicon)
             for k in range(args.samples):
-                drawn = sample_translation(params, ids, args.max_len, rng, mat)
-                if drawn and drawn[-1] == tgt_vocab.eos_id:
-                    drawn = drawn[:-1]
-                words = (invert_bpe(tgt_vocab.decode(drawn))
-                         if bpe is not None else tgt_vocab.decode(drawn))
-                text = " ".join(words)
+                text = _target_text(
+                    sample_translation(params, ids, args.max_len, rng, mat),
+                    bpe, tgt_vocab)
                 out.write(f"{k}\t{text}\n" if args.samples > 1 else text + "\n")
     finally:
         if out is not sys.stdout:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DecoderState, EncoderOutput, ModelParams,
-                    _lexicon_matrices, decoder_step, encode,
-                    init_decoder_state)
+from .model import (DecoderState, _as_model_list, _length_cap,
+                    _lexicon_matrix, decoder_step, encode,
+                    ensemble_distribution, init_decoder_state)
 
 
 @dataclass(frozen=True)
@@ -29,32 +29,6 @@ class Hypothesis:
 
 def score_hypothesis(hyp: Hypothesis, word_penalty: float) -> float:
     return hyp.logprob + word_penalty * len(hyp.tokens)
-
-
-def ensemble_distribution(distributions) -> np.ndarray:
-    """Arithmetic mean of per-model next-word distributions."""
-    distributions = [np.asarray(d, dtype=float) for d in distributions]
-    if not distributions:
-        raise ValueError("need at least one distribution")
-    size = distributions[0].shape
-    for d in distributions[1:]:
-        if d.shape != size:
-            raise ValueError("ensemble members have mismatched vocabulary sizes")
-    return sum(distributions) / len(distributions)
-
-
-def _as_models(models) -> list[ModelParams]:
-    if isinstance(models, ModelParams):
-        return [models]
-    models = list(models)
-    if not models:
-        raise ValueError("need at least one model")
-    first = models[0]
-    for m in models[1:]:
-        if (m.tgt_vocab_size != first.tgt_vocab_size
-                or m.tgt_eos != first.tgt_eos):
-            raise ValueError("ensemble members have mismatched target vocabularies")
-    return models
 
 
 def _order_key(scored):
@@ -75,20 +49,19 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
     returned.  Only if no completion was ever recorded does the best partial
     come back with ``complete=False``.
     """
-    models = _as_models(models)
+    models = _as_model_list(models)
     F = tuple(F)
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if not F:
         raise ValueError("source sentence is empty")
-    if max_len is None:
-        max_len = 2 * len(F) + 10
+    max_len = _length_cap(F, max_len)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
 
     eos = models[0].tgt_eos
     encs = [encode(F, m) for m in models]
-    mats = _lexicon_matrices(models, F, lexicon)
+    mats = [_lexicon_matrix(m, F, lexicon) for m in models]
     init = tuple(init_decoder_state(enc, m) for enc, m in zip(encs, models))
 
     beam = [Hypothesis((), 0.0, init, False)]
@@ -98,16 +71,12 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
         candidates: list[tuple[float, Hypothesis]] = []
         for hyp in beam:
             prev = hyp.tokens[-1] if hyp.tokens else eos
-            states = []
-            dists = []
-            for k, m in enumerate(models):
-                st, probs = decoder_step(prev, hyp.states[k], encs[k], m,
-                                         lexicon=mats[k])
-                states.append(st)
-                dists.append(probs)
-            states = tuple(states)
+            steps = [decoder_step(prev, hyp.states[k], encs[k], m,
+                                  lexicon=mats[k])
+                     for k, m in enumerate(models)]
+            states = tuple(st for st, _ in steps)
             with np.errstate(divide="ignore"):
-                logp = np.log(ensemble_distribution(dists))
+                logp = np.log(ensemble_distribution([p for _, p in steps]))
 
             done = Hypothesis(hyp.tokens + (eos,), hyp.logprob + logp[eos],
                               None, True)
@@ -133,14 +102,9 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
                     <= score_hypothesis(best_complete, word_penalty)):
                 return best_complete
 
-    if best_complete is not None:
-        if not beam or (score_hypothesis(beam[0], word_penalty)
-                        <= score_hypothesis(best_complete, word_penalty)):
-            return best_complete
-        # Length cap hit with a partial still ahead; completed wins anyway
-        # since only finished translations are usable output.
-        return best_complete
-    return beam[0]
+    # Length cap hit: a completion wins even over a partial still ahead,
+    # since only finished translations are usable output.
+    return best_complete if best_complete is not None else beam[0]
 
 
 def greedy_decode(models, F, max_len: int | None = None,
@@ -152,8 +116,8 @@ def greedy_decode(models, F, max_len: int | None = None,
 def translate(models, F, beam_size: int = 5, word_penalty: float = 0.0,
               max_len: int | None = None, lexicon=None) -> list[int]:
     """Beam-search F and return content ids (sentence-end stripped)."""
+    models = _as_model_list(models)
     hyp = beam_search(models, F, beam_size, word_penalty, max_len, lexicon)
-    models = _as_models(models)
     tokens = list(hyp.tokens)
     if hyp.complete and tokens and tokens[-1] == models[0].tgt_eos:
         tokens.pop()

@@ -4,21 +4,21 @@ A bidirectional coupled-gate LSTM encodes the source into per-word columns R;
 the decoder LSTM consumes [embed(previous word); previous context], attends
 over R (dot product or MLP similarity), and emits the next-word distribution
 softmax(W_s eta + b_s), optionally biased by log(L_F a + epsilon) where L_F
-holds lexical translation probabilities for the source words.
+is a dense (|V_e|, |F|) slice of the lexical translation probabilities for the
+source words.
 
-Public operations (``encode``, ``attend``, ``decoder_step``,
-``sentence_logprob``) take and return plain numpy values and run without
-gradient recording; training code uses the underlying graph functions through
-:class:`GraphParams`.
+The model is written once, as graph functions over :class:`GraphParams`.
+Training records gradients through them; the public operations (``lstm_step``,
+``encode``, ``attend``, ``decoder_step``, ``sentence_logprob``) run the same
+functions without gradient recording and take and return plain numpy values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from .align import LexiconTable
@@ -180,6 +180,9 @@ class EncoderOutput:
 
 @dataclass
 class DecoderState:
+    """Decoder hidden and cell state and the last attention context: arrays
+    in the public operations, graph tensors inside the graph functions."""
+
     hidden: np.ndarray
     cell: np.ndarray
     context: np.ndarray
@@ -189,16 +192,7 @@ class _EncGraph:
     def __init__(self, R, init_state, mlp_proj=None):
         self.R = R
         self.init_state = init_state
-        self.mlp_proj = mlp_proj  # W1[:, r-part] @ R, shared across steps
-
-
-class _DecStateG:
-    __slots__ = ("hidden", "cell", "context")
-
-    def __init__(self, hidden, cell, context):
-        self.hidden = hidden
-        self.cell = cell
-        self.context = context
+        self.mlp_proj = mlp_proj  # W1[:, r-part] @ R for MLP attention, else None
 
 
 def _lstm_g(W, b, x, h, c):
@@ -248,8 +242,15 @@ def _encode_g(gp: GraphParams, F) -> _EncGraph:
     return _EncGraph(R, init_state, proj)
 
 
-def _attend_g(gp: GraphParams, h, enc: _EncGraph):
-    if gp.hp.attention == "dot":
+def _matrix_enc_g(gp: GraphParams | None, R) -> _EncGraph:
+    """Graph view of a raw encoder matrix; ``gp`` None means dot attention."""
+    R = ad.Tensor(R)
+    mlp = gp is not None and gp.hp.attention == "mlp"
+    return _EncGraph(R, None, ad.matmat(gp.w1_r, R) if mlp else None)
+
+
+def _attend_g(gp: GraphParams | None, h, enc: _EncGraph):
+    if enc.mlp_proj is None:
         scores = ad.matTvec(enc.R, h)
     else:
         m = ad.tanh(ad.addcol(enc.mlp_proj, ad.matvec(gp.w1_h, h)))
@@ -258,14 +259,12 @@ def _attend_g(gp: GraphParams, h, enc: _EncGraph):
     return a, ad.matvec(enc.R, a)
 
 
-def _init_state_g(gp: GraphParams, enc: _EncGraph) -> _DecStateG:
-    dec = gp.hp.dec_hid
-    return _DecStateG(enc.init_state,
-                      ad.Tensor(np.zeros(dec)),
-                      ad.Tensor(np.zeros(dec)))
+def _init_state_g(gp: GraphParams, enc: _EncGraph) -> DecoderState:
+    zero = np.zeros(gp.hp.dec_hid)
+    return DecoderState(enc.init_state, ad.Tensor(zero), ad.Tensor(zero))
 
 
-def _decoder_step_g(gp: GraphParams, prev_word: int, state: _DecStateG,
+def _decoder_step_g(gp: GraphParams, prev_word: int, state: DecoderState,
                     enc: _EncGraph, lexicon_matrix=None, epsilon=None):
     """One decoder step; returns (new state, logits tensor, attention tensor)."""
     x = ad.concat([ad.row(gp.t["tgt_emb"], prev_word), state.context])
@@ -276,21 +275,65 @@ def _decoder_step_g(gp: GraphParams, prev_word: int, state: _DecStateG,
     if lexicon_matrix is not None:
         p_lex = ad.const_matvec(lexicon_matrix, a)
         logits = ad.add(logits, ad.log_add_eps(p_lex, epsilon))
-    return _DecStateG(h, c, ctx), logits, a
+    return DecoderState(h, c, ctx), logits, a
+
+
+def _teacher_forced_g(gp: GraphParams, F, E, lexicon_matrix=None):
+    """Yield the logits of each step of E, feeding the reference words."""
+    enc = _encode_g(gp, F)
+    state = _init_state_g(gp, enc)
+    prev = gp.hp.tgt_eos
+    for e in E:
+        state, logits, _ = _decoder_step_g(gp, prev, state, enc,
+                                           lexicon_matrix, gp.hp.epsilon)
+        yield logits
+        prev = e
 
 
 def _sentence_logprob_g(gp: GraphParams, F, E, lexicon_matrix=None):
     """Teacher-forced log-probability of E (which must end with the eos id)."""
-    enc = _encode_g(gp, F)
-    state = _init_state_g(gp, enc)
-    prev = gp.hp.tgt_eos
-    terms = []
-    for e in E:
-        state, logits, _ = _decoder_step_g(gp, prev, state, enc,
-                                           lexicon_matrix, gp.hp.epsilon)
-        terms.append(ad.pick(ad.log_softmax_vec(logits), e))
-        prev = e
+    terms = [ad.pick(ad.log_softmax_vec(logits), e)
+             for e, logits in zip(E, _teacher_forced_g(gp, F, E, lexicon_matrix))]
     return ad.sumall(ad.stack_scalars(terms))
+
+
+def _as_model_list(models) -> list[ModelParams]:
+    """One model, or a non-empty ensemble sharing one target vocabulary."""
+    if isinstance(models, ModelParams):
+        return [models]
+    models = list(models)
+    if not models:
+        raise ValueError("need at least one model")
+    if len({(m.tgt_vocab_size, m.tgt_eos) for m in models}) > 1:
+        raise ValueError("ensemble members have a mismatched target vocabulary")
+    return models
+
+
+def _check_epsilon(epsilon):
+    if epsilon is None or epsilon <= 0:
+        raise ValueError(
+            "lexicon bias requires epsilon > 0 to prevent zero probabilities "
+            "from becoming -inf under the log")
+
+
+def _lexicon_matrix(params: ModelParams, F, lexicon):
+    """L_F of one source sentence for one model, or None without a table.
+
+    A lexicon-trained model without a table would silently score unbiased,
+    so that mismatch is an error.
+    """
+    if lexicon is None:
+        if params.use_lexicon:
+            raise ValueError(
+                "model was trained with lexicon bias; a lexicon table is required")
+        return None
+    _check_epsilon(params.epsilon)
+    return build_lexicon_matrix(F, lexicon, params.tgt_vocab_size)
+
+
+def _length_cap(F, max_len: int | None) -> int:
+    """``max_len``, or the default cap 2*|F| + 10 on hypotheses and samples."""
+    return 2 * len(F) + 10 if max_len is None else max_len
 
 
 # ---------------------------------------------------------------------------
@@ -338,40 +381,31 @@ def attend(h: np.ndarray, R: np.ndarray, kind: str,
         if h.shape[0] != R.shape[0]:
             raise ValueError(
                 f"dimension mismatch: h has {h.shape[0]}, columns have {R.shape[0]}")
-        scores = R.T @ h
     elif kind == "mlp":
         W1 = params.tensors["attn_W1"]
-        w2 = params.tensors["attn_w2"]
         if W1.shape[1] != h.shape[0] + R.shape[0]:
             raise ValueError(
                 f"dimension mismatch: attn_W1 {W1.shape} vs [h; r] size "
                 f"{h.shape[0] + R.shape[0]}")
-        m = np.tanh(W1[:, :h.shape[0]] @ h[:, None] + W1[:, h.shape[0]:] @ R)
-        scores = m.T @ w2
     else:
         raise ValueError(f"unknown attention kind: {kind!r}")
-    z = np.exp(scores - scores.max())
-    a = z / z.sum()
-    return a, R @ a
+    with ad.no_grad():
+        gp = GraphParams(params) if kind == "mlp" else None
+        a, ctx = _attend_g(gp, ad.Tensor(h), _matrix_enc_g(gp, R))
+    return a.value, ctx.value
 
 
-def build_lexicon_matrix(F, table: LexiconTable, tgt_vocab) -> sp.csr_matrix:
-    """Sparse (|V_e|, |F|) matrix; column j holds p(e | f_j), zero if unknown."""
+def build_lexicon_matrix(F, table: LexiconTable, tgt_vocab) -> np.ndarray:
+    """Dense (|V_e|, |F|) matrix; column j holds p(e | f_j), zero if unknown."""
     size = tgt_vocab if isinstance(tgt_vocab, int) else len(tgt_vocab)
-    rows, cols, vals = [], [], []
+    L = np.zeros((size, len(F)))
     for j, f in enumerate(F):
-        for e, p in table.entries.get(f, {}).items():
-            rows.append(e)
-            cols.append(j)
-            vals.append(p)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, len(F)))
-
-
-def _check_epsilon(epsilon):
-    if epsilon is None or epsilon <= 0:
-        raise ValueError(
-            "lexicon bias requires epsilon > 0 to prevent zero probabilities "
-            "from becoming -inf under the log")
+        dist = table.entries.get(f, {})
+        if not all(0 <= e < size for e in dist):
+            raise ValueError(f"lexicon entry of source id {f} outside the "
+                             "target vocabulary")
+        L[list(dist), j] = list(dist.values())
+    return L
 
 
 def decoder_step(prev_word: int, state: DecoderState, R, params: ModelParams,
@@ -389,39 +423,23 @@ def decoder_step(prev_word: int, state: DecoderState, R, params: ModelParams,
         _check_epsilon(epsilon)
     with ad.no_grad():
         gp = GraphParams(params)
-        enc = _EncGraph(ad.Tensor(R), None,
-                        ad.matmat(gp.w1_r, ad.Tensor(R))
-                        if params.attention == "mlp" else None)
-        st = _DecStateG(ad.Tensor(state.hidden), ad.Tensor(state.cell),
-                        ad.Tensor(state.context))
-        st, logits, _ = _decoder_step_g(gp, prev_word, st, enc, lexicon, epsilon)
+        st = DecoderState(ad.Tensor(state.hidden), ad.Tensor(state.cell),
+                          ad.Tensor(state.context))
+        st, logits, _ = _decoder_step_g(gp, prev_word, st, _matrix_enc_g(gp, R),
+                                        lexicon, epsilon)
         probs = ad.softmax_vec(logits)
     return (DecoderState(st.hidden.value, st.cell.value, st.context.value),
             probs.value)
 
 
-def _as_model_list(models):
-    if isinstance(models, ModelParams):
-        return [models]
-    models = list(models)
-    if not models:
-        raise ValueError("need at least one model")
-    return models
-
-
-def _lexicon_matrices(models, F, lexicon):
-    """Per-model L_F (or None), honoring each model's use_lexicon flag."""
-    mats = []
-    for m in models:
-        if lexicon is None:
-            if m.use_lexicon:
-                raise ValueError(
-                    "model was trained with lexicon bias; a lexicon table is required")
-            mats.append(None)
-        else:
-            _check_epsilon(m.epsilon)
-            mats.append(build_lexicon_matrix(F, lexicon, m.tgt_vocab_size))
-    return mats
+def ensemble_distribution(distributions) -> np.ndarray:
+    """Arithmetic mean of per-model next-word distributions."""
+    distributions = [np.asarray(d, dtype=float) for d in distributions]
+    if not distributions:
+        raise ValueError("need at least one distribution")
+    if any(d.shape != distributions[0].shape for d in distributions):
+        raise ValueError("ensemble members have mismatched vocabulary sizes")
+    return sum(distributions) / len(distributions)
 
 
 def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float:
@@ -430,26 +448,17 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     ``E`` must end with the target sentence-end id.
     """
     models = _as_model_list(models)
-    sizes = {m.tgt_vocab_size for m in models}
-    if len(sizes) != 1:
-        raise ValueError("ensemble members must share a target vocabulary")
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
-    mats = _lexicon_matrices(models, F, lexicon)
     with ad.no_grad():
-        gps = [GraphParams(m) for m in models]
-        encs = [_encode_g(gp, F) for gp in gps]
-        states = [_init_state_g(gp, enc) for gp, enc in zip(gps, encs)]
-        prev = models[0].tgt_eos
+        steps = [_teacher_forced_g(GraphParams(m), F, E,
+                                   _lexicon_matrix(m, F, lexicon))
+                 for m in models]
         total = 0.0
-        for e in E:
-            step_probs = np.zeros(models[0].tgt_vocab_size)
-            for k, gp in enumerate(gps):
-                states[k], logits, _ = _decoder_step_g(
-                    gp, prev, states[k], encs[k], mats[k], gp.hp.epsilon)
-                step_probs += ad.softmax_vec(logits).value
-            total += float(np.log(step_probs[e] / len(gps)))
-            prev = e
+        for e, *logits in zip(E, *steps):
+            probs = ensemble_distribution([ad.softmax_vec(lg).value
+                                           for lg in logits])
+            total += float(np.log(probs[e]))
     return total
 
 
@@ -493,6 +502,7 @@ def load_checkpoint(path):
         header = json.loads(header_bytes)
     except (ValueError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header") from e
+    _check_header(path, header)
     hyper = header["hyper"]
     tensors = {}
     offset = 0
@@ -511,3 +521,34 @@ def load_checkpoint(path):
     params = ModelParams(tensors=tensors, **hyper)
     return (params, Vocabulary(header["src_vocab"]),
             Vocabulary(header["tgt_vocab"]))
+
+
+_HYPER_TYPES = {f.name: {"int": int, "str": str, "bool": bool,
+                         "float": (int, float)}[f.type]
+                for f in fields(ModelParams) if f.name != "tensors"}
+
+
+def _check_header(path, header):
+    """Raise DataError unless the parsed header has the layout save writes."""
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    for key in ("hyper", "tensors", "src_vocab", "tgt_vocab"):
+        if key not in header:
+            raise DataError(f"{path}: checkpoint header lacks '{key}'")
+    hyper = header["hyper"]
+    if not (isinstance(hyper, dict) and set(hyper) == set(_HYPER_TYPES)
+            and all(isinstance(hyper[k], t) for k, t in _HYPER_TYPES.items())):
+        raise DataError(f"{path}: checkpoint hyperparameters must be exactly "
+                        f"{sorted(_HYPER_TYPES)}, typed as in ModelParams")
+    for key in ("src_vocab", "tgt_vocab"):
+        if not (isinstance(header[key], list)
+                and all(isinstance(t, str) for t in header[key])):
+            raise DataError(f"{path}: '{key}' must be a list of tokens")
+    entries = header["tensors"]
+    if not isinstance(entries, list) or not all(
+            isinstance(t, dict) and isinstance(t.get("name"), str)
+            and isinstance(t.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in t["shape"])
+            for t in entries):
+        raise DataError(f"{path}: tensor entries need a string name and a "
+                        "shape of non-negative integers")

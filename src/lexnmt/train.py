@@ -23,8 +23,8 @@ from . import autodiff as ad
 from .errors import DataError, NumericalError
 from .metrics import mrt_error, sbleu
 from .model import (GraphParams, ModelParams, _decoder_step_g, _encode_g,
-                    _init_state_g, _sentence_logprob_g, build_lexicon_matrix,
-                    save_checkpoint)
+                    _init_state_g, _length_cap, _lexicon_matrix,
+                    _sentence_logprob_g, _teacher_forced_g, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -120,17 +120,6 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
     return tuple(pair.target) + (params.tgt_eos,)
 
 
-def _lexicon_matrix(params: ModelParams, F, lexicon):
-    """L_F for one source sentence, or None; a lexicon-trained model without a
-    table would silently score unbiased, so that mismatch is an error."""
-    if lexicon is None:
-        if params.use_lexicon:
-            raise ValueError(
-                "model was trained with lexicon bias; a lexicon table is required")
-        return None
-    return build_lexicon_matrix(F, lexicon, params.tgt_vocab_size)
-
-
 def nll_loss(params: ModelParams, batch, lexicon=None):
     """Total negative log-likelihood of a batch and its parameter gradients."""
     batch = list(batch)
@@ -172,17 +161,12 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
     total = 0
     with ad.no_grad():
         for pair in pairs:
-            gp = GraphParams(params)
             mat = _lexicon_matrix(params, pair.source, lexicon)
-            enc = _encode_g(gp, pair.source)
-            state = _init_state_g(gp, enc)
-            prev = params.tgt_eos
-            for e in _target_with_eos(params, pair):
-                state, logits, _ = _decoder_step_g(gp, prev, state, enc, mat,
-                                                   params.epsilon)
+            E = _target_with_eos(params, pair)
+            for e, logits in zip(E, _teacher_forced_g(GraphParams(params),
+                                                      pair.source, E, mat)):
                 correct += int(np.argmax(logits.value) == e)
                 total += 1
-                prev = e
     return correct / total
 
 
@@ -239,6 +223,36 @@ def mrt_expected_error(logprobs, errors, alpha: float) -> float:
     return float(mrt_weights(logprobs, alpha) @ np.asarray(errors, dtype=float))
 
 
+class _EmptySamples(ValueError):
+    """Every distinct sample of a sentence is the bare sentence end."""
+
+
+def _draw_samples(params: ModelParams, F, num_samples: int, rng,
+                  max_sample_len: int | None, mat) -> list[tuple[int, ...]]:
+    """``num_samples`` ancestral samples of F, in draw order."""
+    max_len = _length_cap(F, max_sample_len)
+    return [tuple(sample_translation(params, F, max_len, rng, mat))
+            for _ in range(num_samples)]
+
+
+def _distinct_samples(params: ModelParams, F, num_samples: int, rng,
+                      max_sample_len: int | None, mat) -> list[tuple[int, ...]]:
+    """Draw samples of F and collapse duplicates, keeping first-draw order."""
+    return list(dict.fromkeys(
+        _draw_samples(params, F, num_samples, rng, max_sample_len, mat)))
+
+
+def _expected_error_g(gp: GraphParams, F, E_ref, samples, alpha: float, mat):
+    """Expected error 1 - SBLEU over ``samples``, weighted by P^alpha
+    renormalized over the sample set."""
+    ref = tuple(E_ref)
+    errors = np.array([mrt_error(ref, _strip_eos(s, gp.hp.tgt_eos))
+                       for s in samples])
+    logps = [_sentence_logprob_g(gp, F, s, mat) for s in samples]
+    weights = ad.softmax_vec(ad.scale(ad.stack_scalars(logps), alpha))
+    return ad.dotprod(weights, ad.Tensor(errors))
+
+
 def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
                     lexicon=None):
     """Expected error over a fixed sample set, with exact gradients through
@@ -247,13 +261,8 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
     if not samples:
         raise ValueError("sample set must be non-empty")
     mat = _lexicon_matrix(params, F, lexicon)
-    ref = tuple(E_ref)
-    errors = np.array([mrt_error(ref, _strip_eos(s, params.tgt_eos))
-                       for s in samples])
     gp = GraphParams(params)
-    logps = [_sentence_logprob_g(gp, F, s, mat) for s in samples]
-    weights = ad.softmax_vec(ad.scale(ad.stack_scalars(logps), alpha))
-    loss = ad.dotprod(weights, ad.Tensor(errors))
+    loss = _expected_error_g(gp, F, E_ref, samples, alpha, mat)
     ad.backward(loss)
     return float(loss.value), gp.grads()
 
@@ -268,13 +277,10 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
         raise ValueError("alpha must be > 0")
     if rng is None:
         raise ValueError("an rng is required for sampling")
-    max_len = max_sample_len if max_sample_len is not None else 2 * len(F) + 10
     mat = _lexicon_matrix(params, F, lexicon)
-    drawn = [tuple(sample_translation(params, F, max_len, rng, mat))
-             for _ in range(num_samples)]
-    samples = list(dict.fromkeys(drawn))
+    samples = _distinct_samples(params, F, num_samples, rng, max_sample_len, mat)
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in samples):
-        raise ValueError("all sampled translations are empty")
+        raise _EmptySamples("all sampled translations are empty")
     return mrt_loss_frozen(params, F, E_ref, samples, alpha, lexicon)
 
 
@@ -283,11 +289,9 @@ def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
     """Mean SBLEU of ancestral samples against their references."""
     scores = []
     for pair in pairs:
-        max_len = (max_sample_len if max_sample_len is not None
-                   else 2 * len(pair.source) + 10)
         mat = _lexicon_matrix(params, pair.source, lexicon)
-        for _ in range(num_samples):
-            s = sample_translation(params, pair.source, max_len, rng, mat)
+        for s in _draw_samples(params, pair.source, num_samples, rng,
+                               max_sample_len, mat):
             scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
     return float(np.mean(scores))
 
@@ -422,19 +426,12 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
     values = []
     with ad.no_grad():
         for pair in pairs:
-            max_len = (mrt.max_sample_len if mrt.max_sample_len is not None
-                       else 2 * len(pair.source) + 10)
             mat = _lexicon_matrix(params, pair.source, lexicon)
-            drawn = [tuple(sample_translation(params, pair.source, max_len,
-                                              rng, mat))
-                     for _ in range(mrt.num_samples)]
-            samples = list(dict.fromkeys(drawn))
-            gp = GraphParams(params)
-            logps = [float(_sentence_logprob_g(gp, pair.source, s, mat).value)
-                     for s in samples]
-            errors = [mrt_error(pair.target, _strip_eos(s, params.tgt_eos))
-                      for s in samples]
-            values.append(mrt_expected_error(logps, errors, mrt.alpha))
+            samples = _distinct_samples(params, pair.source, mrt.num_samples,
+                                        rng, mrt.max_sample_len, mat)
+            values.append(float(_expected_error_g(
+                GraphParams(params), pair.source, pair.target, samples,
+                mrt.alpha, mat).value))
     return float(np.mean(values))
 
 
@@ -462,14 +459,20 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
         epoch_losses = []
         for i in rng.permutation(len(train_pairs)):
             pair = train_pairs[i]
-            loss, grads = mrt_loss(
-                params, pair.source, pair.target, num_samples=mrt.num_samples,
-                alpha=mrt.alpha, rng=rng, max_sample_len=mrt.max_sample_len,
-                lexicon=lexicon)
-            if not math.isfinite(loss):
-                raise NumericalError(f"non-finite loss on sentence {i}")
-            clip_gradients(grads, config.clip_norm)
-            adam_update(params, grads, opt, config.initial_lr)
+            try:
+                loss, grads = mrt_loss(
+                    params, pair.source, pair.target,
+                    num_samples=mrt.num_samples, alpha=mrt.alpha, rng=rng,
+                    max_sample_len=mrt.max_sample_len, lexicon=lexicon)
+            except _EmptySamples:
+                # every sample scores SBLEU 0, so the expected error is 1
+                # whatever the weights, and there is no gradient to follow
+                loss = 1.0
+            else:
+                if not math.isfinite(loss):
+                    raise NumericalError(f"non-finite loss on sentence {i}")
+                clip_gradients(grads, config.clip_norm)
+                adam_update(params, grads, opt, config.initial_lr)
             epoch_losses.append(loss)
             sentences_seen += 1
         dev_err = expected_sampled_error(

@@ -128,18 +128,13 @@ def test_decode_line_alignment_and_scores(pipeline, tmp_path, capsys):
     assert all(float(s) <= 0.0 or s == "0.000000" for s in score_lines)
 
 
-def test_decode_to_stdout_with_threads(pipeline, tmp_path, capsys):
+def test_decode_to_stdout(pipeline, tmp_path, capsys):
     inp = tmp_path / "input.txt"
     inp.write_text("uno\ndos tres\nseis\n", encoding="utf-8")
-    base = ["decode", "--input", str(inp),
-            "--checkpoint", str(pipeline["ckpt"]),
-            "--bpe", str(pipeline["data"] / "bpe.merges")]
-    assert main(base) == 0
-    serial = capsys.readouterr().out
-    assert main(base + ["--threads", "3"]) == 0
-    threaded = capsys.readouterr().out
-    assert serial == threaded
-    assert serial.count("\n") == 3
+    assert main(["decode", "--input", str(inp),
+                 "--checkpoint", str(pipeline["ckpt"]),
+                 "--bpe", str(pipeline["data"] / "bpe.merges")]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 def test_decode_ensemble_and_lexicon(pipeline, tmp_path, capsys):
@@ -167,6 +162,53 @@ def test_decode_rejects_mismatched_ensemble(pipeline, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "vocabulary differs" in err and "Traceback" not in err
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _with_first_tensor(header, **fields):
+    entry = {k: v for k, v in {**header["tensors"][0], **fields}.items()
+             if v is not None}
+    return {**header, "tensors": [entry] + header["tensors"][1:]}
+
+
+HEADER_MUTATIONS = {
+    "not-an-object": lambda h: [h],
+    "no-hyper": lambda h: _without(h, "hyper"),
+    "hyper-not-an-object": lambda h: {**h, "hyper": [1, 2]},
+    "missing-hyper-key": lambda h: {**h, "hyper": _without(h["hyper"],
+                                                           "epsilon")},
+    "unknown-hyper-key": lambda h: {**h, "hyper": {**h["hyper"],
+                                                   "dropout": 0.1}},
+    "hyper-wrong-type": lambda h: {**h, "hyper": {**h["hyper"], "d_hid": "8"}},
+    "no-tensors": lambda h: _without(h, "tensors"),
+    "no-src-vocab": lambda h: _without(h, "src_vocab"),
+    "no-tgt-vocab": lambda h: _without(h, "tgt_vocab"),
+    "vocab-not-a-list": lambda h: {**h, "tgt_vocab": 7},
+    "tensors-not-a-list": lambda h: {**h, "tensors": {"name": "x"}},
+    "tensor-name-not-a-string": lambda h: _with_first_tensor(h, name=3),
+    "tensor-without-name": lambda h: _with_first_tensor(h, name=None),
+    "tensor-without-shape": lambda h: _with_first_tensor(h, shape=None),
+    "shape-not-a-list": lambda h: _with_first_tensor(h, shape="8"),
+    "negative-dimension": lambda h: _with_first_tensor(h, shape=[-1, 8]),
+    "fractional-dimension": lambda h: _with_first_tensor(h, shape=[1.5]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+def test_decode_rejects_malformed_checkpoint_header(pipeline, tmp_path, capsys,
+                                                    mutation):
+    magic, header, blob = pipeline["ckpt"].read_bytes().split(b"\n", 2)
+    header = HEADER_MUTATIONS[mutation](json.loads(header))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+    inp = tmp_path / "input.txt"
+    inp.write_text("uno\n", encoding="utf-8")
+    assert main(["decode", "--input", str(inp), "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
 
 
 def test_score_perfect_match(pipeline, tmp_path, capsys):
@@ -243,6 +285,31 @@ def test_mrt_train_from_checkpoint(pipeline, tmp_path, capsys):
         (run / "trainlog.jsonl").read_text().splitlines()[0])["header"]
     assert header["mode"] == "mrt"
     assert header["mrt"]["num_samples"] == 3
+
+
+def test_mrt_train_skips_sentences_whose_samples_are_all_empty(
+        pipeline, tmp_path, capsys):
+    # a huge sentence-end bias makes every sample the bare sentence end
+    params, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
+    params.tensors["softmax_b"][params.tgt_eos] = 50.0
+    init = tmp_path / "eos.ckpt"
+    save_checkpoint(init, params, src_vocab, tgt_vocab)
+    run = tmp_path / "mrt_run"
+    data = pipeline["data"]
+    assert main(["mrt-train",
+                 "--train-src", str(data / "dev.src"),
+                 "--train-tgt", str(data / "dev.tgt"),
+                 "--dev-src", str(data / "dev.src"),
+                 "--dev-tgt", str(data / "dev.tgt"),
+                 "--init", str(init), "--run-dir", str(run),
+                 "--samples", "3", "--alpha", "1.0", "--mrt-epochs", "2",
+                 "--max-sample-len", "8", "--seed", "2"]) == 0
+    lines = (run / "trainlog.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    assert len(records) == 2
+    for r in records:
+        assert 0.0 <= r["expected_error"] <= 1.0
+        assert 0.0 <= r["dev_expected_error"] <= 1.0
 
 
 # ---------------------------------------------------------------------------

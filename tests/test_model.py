@@ -162,14 +162,23 @@ def test_decoder_step_matches_oracle(attention):
         prev = word
 
 
-def test_decoder_step_accepts_raw_matrix():
-    params = tiny_model(seed=8)
-    enc = encode((2, 3), params)
+@pytest.mark.parametrize("attention,use_lexicon",
+                         [("dot", False), ("mlp", False), ("mlp", True)],
+                         ids=["dot", "mlp", "mlp-lexicon"])
+def test_decoder_step_accepts_raw_matrix(attention, use_lexicon):
+    params = tiny_model(attention=attention, seed=8)
+    F = (2, 3)
+    table = random_lexicon(np.random.default_rng(8), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    L = (build_lexicon_matrix(F, table, params.tgt_vocab_size)
+         if use_lexicon else None)
+    enc = encode(F, params)
     state = init_decoder_state(enc, params)
-    s1, p1 = decoder_step(1, state, enc, params)
-    s2, p2 = decoder_step(1, state, enc.R, params)
+    s1, p1 = decoder_step(1, state, enc, params, lexicon=L)
+    s2, p2 = decoder_step(1, state, enc.R, params, lexicon=L)
     assert np.array_equal(p1, p2)
     assert np.array_equal(s1.hidden, s2.hidden)
+    assert np.array_equal(s1.context, s2.context)
 
 
 def test_decoder_step_lexicon_bias_matches_oracle():
@@ -288,13 +297,16 @@ def test_ensemble_requires_shared_target_vocab():
 def test_build_lexicon_matrix_layout():
     table = LexiconTable({3: {1: 0.7, 2: 0.2}, 9: {0: 1.0}})
     L = build_lexicon_matrix((3, 5, 3), table, 6)
+    assert isinstance(L, np.ndarray) and L.dtype == np.float64
     assert L.shape == (6, 3)
-    dense = L.toarray()
     col = np.zeros(6)
     col[1], col[2] = 0.7, 0.2
-    assert np.array_equal(dense[:, 0], col)
-    assert not dense[:, 1].any()  # source word 5 has no entry
-    assert np.array_equal(dense[:, 2], col)  # repeated word, repeated column
+    assert np.array_equal(L[:, 0], col)
+    assert not L[:, 1].any()  # source word 5 has no entry
+    assert np.array_equal(L[:, 2], col)  # repeated word, repeated column
+    for bad in (6, -1):
+        with pytest.raises(ValueError, match="outside the target vocabulary"):
+            build_lexicon_matrix((3,), LexiconTable({3: {bad: 0.5}}), 6)
 
 
 # ---------------------------------------------------------------------------
