@@ -104,16 +104,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value - b.value, (a, b))
-    if out._parents:
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, -g)
-        out._backward = bwd
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.value * b.value, (a, b))
     if out._parents:

@@ -23,8 +23,7 @@ from .corpus import (Vocabulary, apply_bpe, build_vocab, encode_pairs,
 from .decode import beam_search, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
-from .model import (_lexicon_matrix, init_params, load_checkpoint,
-                    save_checkpoint)
+from .model import init_params, load_checkpoint, save_checkpoint
 from .train import (MrtSettings, TrainConfig, sample_translation, train_ml,
                     train_mrt)
 
@@ -383,10 +382,9 @@ def _cmd_sample(args):
             if not ids:
                 out.write("\n" * args.samples)
                 continue
-            mat = _lexicon_matrix(params, ids, lexicon)
             for k in range(args.samples):
                 text = _target_text(
-                    sample_translation(params, ids, args.max_len, rng, mat),
+                    sample_translation(params, ids, args.max_len, rng, lexicon),
                     bpe, tgt_vocab)
                 out.write(f"{k}\t{text}\n" if args.samples > 1 else text + "\n")
     finally:

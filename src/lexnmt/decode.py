@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DecoderState, _as_model_list, _length_cap,
-                    _lexicon_matrix, decoder_step, encode,
-                    ensemble_distribution, init_decoder_state)
+from . import autodiff as ad
+from .model import (DecoderState, GraphParams, _as_model_list, _init_state_g,
+                    _length_cap, _source_context, _step_probs,
+                    ensemble_distribution)
 
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """tokens includes the trailing sentence-end id once complete."""
+    """tokens includes the trailing sentence-end id once complete; states
+    holds each member's graph decoder state, None once complete."""
     tokens: tuple[int, ...]
     logprob: float
     states: tuple[DecoderState, ...] | None
@@ -38,6 +40,7 @@ def _order_key(scored):
     return (-score, len(hyp.tokens), hyp.tokens)
 
 
+@ad.no_grad()
 def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
                 max_len: int | None = None, lexicon=None) -> Hypothesis:
     """Return the best-scoring hypothesis for source sentence F.
@@ -60,20 +63,19 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
         raise ValueError("max_len must be >= 1")
 
     eos = models[0].tgt_eos
-    encs = [encode(F, m) for m in models]
-    mats = [_lexicon_matrix(m, F, lexicon) for m in models]
-    init = tuple(init_decoder_state(enc, m) for enc, m in zip(encs, models))
+    gps = [GraphParams(m) for m in models]
+    encs = [_source_context(gp, F, lexicon) for gp in gps]
+    init = tuple(_init_state_g(gp, enc) for gp, enc in zip(gps, encs))
 
     beam = [Hypothesis((), 0.0, init, False)]
-    best_complete: Hypothesis | None = None
+    best_complete, best_key = None, None
 
     while beam and len(beam[0].tokens) < max_len:
         candidates: list[tuple[float, Hypothesis]] = []
         for hyp in beam:
             prev = hyp.tokens[-1] if hyp.tokens else eos
-            steps = [decoder_step(prev, hyp.states[k], encs[k], m,
-                                  lexicon=mats[k])
-                     for k, m in enumerate(models)]
+            steps = [_step_probs(gp, prev, hyp.states[k], encs[k])
+                     for k, gp in enumerate(gps)]
             states = tuple(st for st, _ in steps)
             with np.errstate(divide="ignore"):
                 logp = np.log(ensemble_distribution([p for _, p in steps]))
@@ -81,10 +83,8 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
             done = Hypothesis(hyp.tokens + (eos,), hyp.logprob + logp[eos],
                               None, True)
             key = _order_key((score_hypothesis(done, word_penalty), done))
-            if best_complete is None or key < _order_key(
-                    (score_hypothesis(best_complete, word_penalty),
-                     best_complete)):
-                best_complete = done
+            if best_complete is None or key < best_key:
+                best_complete, best_key = done, key
 
             scores = hyp.logprob + logp
             live = np.flatnonzero(np.arange(len(logp)) != eos)

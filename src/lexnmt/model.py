@@ -8,15 +8,20 @@ is a dense (|V_e|, |F|) slice of the lexical translation probabilities for the
 source words.
 
 The model is written once, as graph functions over :class:`GraphParams`.
-Training records gradients through them; the public operations (``lstm_step``,
-``encode``, ``attend``, ``decoder_step``, ``sentence_logprob``) run the same
-functions without gradient recording and take and return plain numpy values.
+Everything that depends only on the source sentence (R, the decoder's initial
+state, the MLP projection W1_r R and L_F) is built once per model and sentence
+by :func:`_source_context`; teacher forcing, sampling, minimum-risk scoring and
+beam search all step from that one context.  Training records gradients
+through the graph functions; the public operations (``lstm_step``, ``encode``,
+``attend``, ``decoder_step``, ``sentence_logprob``) run the same functions
+without gradient recording and take and return plain numpy values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,30 +129,18 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
     """Fresh parameters with uniform(-init_scale, init_scale) weights, zero biases."""
     if attention not in ATTENTION_KINDS:
         raise ValueError(f"unknown attention kind: {attention!r}")
-    hp = _Hyper(d_emb, d_hid, attn_dim if attn_dim is not None else d_hid,
-                attention, src_vocab_size, tgt_vocab_size)
+    hyper = dict(d_emb=d_emb, d_hid=d_hid, attention=attention,
+                 attn_dim=attn_dim if attn_dim is not None else d_hid,
+                 src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size)
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name, shape in expected_shapes(hp).items():
+    for name, shape in expected_shapes(SimpleNamespace(**hyper)).items():
         if name.endswith("_b"):
             tensors[name] = np.zeros(shape)
         else:
             tensors[name] = rng.uniform(-init_scale, init_scale, shape)
-    return ModelParams(
-        d_emb=d_emb, d_hid=d_hid, attn_dim=hp.attn_dim, attention=attention,
-        src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size,
-        src_eos=src_eos, tgt_eos=tgt_eos, use_lexicon=use_lexicon,
-        epsilon=epsilon, tensors=tensors)
-
-
-@dataclass
-class _Hyper:
-    d_emb: int
-    d_hid: int
-    attn_dim: int
-    attention: str
-    src_vocab_size: int
-    tgt_vocab_size: int
+    return ModelParams(**hyper, src_eos=src_eos, tgt_eos=tgt_eos,
+                       use_lexicon=use_lexicon, epsilon=epsilon, tensors=tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +174,22 @@ class EncoderOutput:
 @dataclass
 class DecoderState:
     """Decoder hidden and cell state and the last attention context: arrays
-    in the public operations, graph tensors inside the graph functions."""
+    in the public operations, graph tensors inside the graph functions and
+    in the hypotheses of beam search."""
 
     hidden: np.ndarray
     cell: np.ndarray
     context: np.ndarray
 
 
+@dataclass
 class _EncGraph:
-    def __init__(self, R, init_state, mlp_proj=None):
-        self.R = R
-        self.init_state = init_state
-        self.mlp_proj = mlp_proj  # W1[:, r-part] @ R for MLP attention, else None
+    """Per-sentence source context of one model, shared by every decoder step."""
+
+    R: ad.Tensor
+    init_state: ad.Tensor | None
+    mlp_proj: ad.Tensor | None = None  # W1[:, r-part] @ R for MLP attention
+    lexicon_matrix: np.ndarray | None = None  # dense L_F; None: no bias
 
 
 def _lstm_g(W, b, x, h, c):
@@ -242,11 +239,19 @@ def _encode_g(gp: GraphParams, F) -> _EncGraph:
     return _EncGraph(R, init_state, proj)
 
 
-def _matrix_enc_g(gp: GraphParams | None, R) -> _EncGraph:
+def _source_context(gp: GraphParams, F, lexicon) -> _EncGraph:
+    """Encode F and attach its L_F: the one build of a sentence's context."""
+    enc = _encode_g(gp, F)
+    enc.lexicon_matrix = _lexicon_matrix(gp.hp, F, lexicon)
+    return enc
+
+
+def _matrix_enc_g(gp: GraphParams | None, R, lexicon_matrix=None) -> _EncGraph:
     """Graph view of a raw encoder matrix; ``gp`` None means dot attention."""
     R = ad.Tensor(R)
     mlp = gp is not None and gp.hp.attention == "mlp"
-    return _EncGraph(R, None, ad.matmat(gp.w1_r, R) if mlp else None)
+    return _EncGraph(R, None, ad.matmat(gp.w1_r, R) if mlp else None,
+                     lexicon_matrix)
 
 
 def _attend_g(gp: GraphParams | None, h, enc: _EncGraph):
@@ -265,35 +270,46 @@ def _init_state_g(gp: GraphParams, enc: _EncGraph) -> DecoderState:
 
 
 def _decoder_step_g(gp: GraphParams, prev_word: int, state: DecoderState,
-                    enc: _EncGraph, lexicon_matrix=None, epsilon=None):
+                    enc: _EncGraph):
     """One decoder step; returns (new state, logits tensor, attention tensor)."""
     x = ad.concat([ad.row(gp.t["tgt_emb"], prev_word), state.context])
     h, c = _lstm_g(gp.t["dec_W"], gp.t["dec_b"], x, state.hidden, state.cell)
     a, ctx = _attend_g(gp, h, enc)
     eta = ad.add(ad.matvec(gp.t["out_W"], ad.concat([h, ctx])), gp.t["out_b"])
     logits = ad.add(ad.matvec(gp.t["softmax_W"], eta), gp.t["softmax_b"])
-    if lexicon_matrix is not None:
-        p_lex = ad.const_matvec(lexicon_matrix, a)
-        logits = ad.add(logits, ad.log_add_eps(p_lex, epsilon))
+    if enc.lexicon_matrix is not None:
+        p_lex = ad.const_matvec(enc.lexicon_matrix, a)
+        logits = ad.add(logits, ad.log_add_eps(p_lex, gp.hp.epsilon))
     return DecoderState(h, c, ctx), logits, a
 
 
-def _teacher_forced_g(gp: GraphParams, F, E, lexicon_matrix=None):
+def _step_probs(gp: GraphParams, prev_word: int, state: DecoderState,
+                enc: _EncGraph):
+    """One decoder step as (new state, next-word probability array)."""
+    state, logits, _ = _decoder_step_g(gp, prev_word, state, enc)
+    return state, ad.softmax_vec(logits).value
+
+
+def _check_target_ids(E, vocab_size: int):
+    if not all(0 <= e < vocab_size for e in E):
+        raise ValueError(f"target id outside vocabulary in {list(E)}")
+
+
+def _teacher_forced_g(gp: GraphParams, enc: _EncGraph, E):
     """Yield the logits of each step of E, feeding the reference words."""
-    enc = _encode_g(gp, F)
+    _check_target_ids(E, gp.hp.tgt_vocab_size)
     state = _init_state_g(gp, enc)
     prev = gp.hp.tgt_eos
     for e in E:
-        state, logits, _ = _decoder_step_g(gp, prev, state, enc,
-                                           lexicon_matrix, gp.hp.epsilon)
+        state, logits, _ = _decoder_step_g(gp, prev, state, enc)
         yield logits
         prev = e
 
 
-def _sentence_logprob_g(gp: GraphParams, F, E, lexicon_matrix=None):
+def _sentence_logprob_g(gp: GraphParams, enc: _EncGraph, E):
     """Teacher-forced log-probability of E (which must end with the eos id)."""
     terms = [ad.pick(ad.log_softmax_vec(logits), e)
-             for e, logits in zip(E, _teacher_forced_g(gp, F, E, lexicon_matrix))]
+             for e, logits in zip(E, _teacher_forced_g(gp, enc, E))]
     return ad.sumall(ad.stack_scalars(terms))
 
 
@@ -310,7 +326,7 @@ def _as_model_list(models) -> list[ModelParams]:
 
 
 def _check_epsilon(epsilon):
-    if epsilon is None or epsilon <= 0:
+    if epsilon <= 0:
         raise ValueError(
             "lexicon bias requires epsilon > 0 to prevent zero probabilities "
             "from becoming -inf under the log")
@@ -409,27 +425,25 @@ def build_lexicon_matrix(F, table: LexiconTable, tgt_vocab) -> np.ndarray:
 
 
 def decoder_step(prev_word: int, state: DecoderState, R, params: ModelParams,
-                 lexicon=None, epsilon: float | None = None):
+                 lexicon=None):
     """Advance the decoder one step; returns (DecoderState, probabilities).
 
     ``R`` may be an :class:`EncoderOutput` or the raw encoder matrix.
-    ``lexicon`` is a precomputed L_F matrix for the current source sentence.
+    ``lexicon`` is a precomputed L_F matrix for the current source sentence;
+    the bias uses ``params.epsilon``.
     """
     if isinstance(R, EncoderOutput):
         R = R.R
+    _check_target_ids((prev_word,), params.tgt_vocab_size)
     if lexicon is not None:
-        if epsilon is None:
-            epsilon = params.epsilon
-        _check_epsilon(epsilon)
+        _check_epsilon(params.epsilon)
     with ad.no_grad():
         gp = GraphParams(params)
         st = DecoderState(ad.Tensor(state.hidden), ad.Tensor(state.cell),
                           ad.Tensor(state.context))
-        st, logits, _ = _decoder_step_g(gp, prev_word, st, _matrix_enc_g(gp, R),
-                                        lexicon, epsilon)
-        probs = ad.softmax_vec(logits)
-    return (DecoderState(st.hidden.value, st.cell.value, st.context.value),
-            probs.value)
+        st, probs = _step_probs(gp, prev_word, st,
+                                _matrix_enc_g(gp, R, lexicon))
+    return DecoderState(st.hidden.value, st.cell.value, st.context.value), probs
 
 
 def ensemble_distribution(distributions) -> np.ndarray:
@@ -451,9 +465,9 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
     with ad.no_grad():
-        steps = [_teacher_forced_g(GraphParams(m), F, E,
-                                   _lexicon_matrix(m, F, lexicon))
-                 for m in models]
+        gps = [GraphParams(m) for m in models]
+        steps = [_teacher_forced_g(gp, _source_context(gp, F, lexicon), E)
+                 for gp in gps]
         total = 0.0
         for e, *logits in zip(E, *steps):
             probs = ensemble_distribution([ad.softmax_vec(lg).value

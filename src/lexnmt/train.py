@@ -22,9 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DataError, NumericalError
 from .metrics import mrt_error, sbleu
-from .model import (GraphParams, ModelParams, _decoder_step_g, _encode_g,
-                    _init_state_g, _length_cap, _lexicon_matrix,
-                    _sentence_logprob_g, _teacher_forced_g, save_checkpoint)
+from .model import (GraphParams, ModelParams, _init_state_g, _length_cap,
+                    _sentence_logprob_g, _source_context, _step_probs,
+                    _teacher_forced_g, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -129,9 +129,8 @@ def nll_loss(params: ModelParams, batch, lexicon=None):
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     for pair in batch:
         gp = GraphParams(params)
-        mat = _lexicon_matrix(params, pair.source, lexicon)
-        lp = _sentence_logprob_g(gp, pair.source, _target_with_eos(params, pair),
-                                 mat)
+        enc = _source_context(gp, pair.source, lexicon)
+        lp = _sentence_logprob_g(gp, enc, _target_with_eos(params, pair))
         loss = ad.scale(lp, -1.0)
         ad.backward(loss)
         total += float(loss.value)
@@ -145,11 +144,11 @@ def corpus_nll(params: ModelParams, pairs, lexicon=None) -> float:
     total = 0.0
     tokens = 0
     with ad.no_grad():
+        gp = GraphParams(params)
         for pair in pairs:
-            gp = GraphParams(params)
-            mat = _lexicon_matrix(params, pair.source, lexicon)
+            enc = _source_context(gp, pair.source, lexicon)
             E = _target_with_eos(params, pair)
-            total -= float(_sentence_logprob_g(gp, pair.source, E, mat).value)
+            total -= float(_sentence_logprob_g(gp, enc, E).value)
             tokens += len(E)
     return total / tokens
 
@@ -160,11 +159,11 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
     correct = 0
     total = 0
     with ad.no_grad():
+        gp = GraphParams(params)
         for pair in pairs:
-            mat = _lexicon_matrix(params, pair.source, lexicon)
+            enc = _source_context(gp, pair.source, lexicon)
             E = _target_with_eos(params, pair)
-            for e, logits in zip(E, _teacher_forced_g(GraphParams(params),
-                                                      pair.source, E, mat)):
+            for e, logits in zip(E, _teacher_forced_g(gp, enc, E)):
                 correct += int(np.argmax(logits.value) == e)
                 total += 1
     return correct / total
@@ -174,36 +173,36 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
 # sampling and minimum risk
 # ---------------------------------------------------------------------------
 
+def _sample_g(gp: GraphParams, enc, max_len: int, rng) -> list[int]:
+    """One ancestral sample from a source context, without gradient recording."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    out = []
+    with ad.no_grad():
+        state = _init_state_g(gp, enc)
+        prev = gp.hp.tgt_eos
+        for _ in range(max_len):
+            state, probs = _step_probs(gp, prev, state, enc)
+            cum = np.cumsum(probs)
+            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            idx = min(idx, len(probs) - 1)
+            out.append(idx)
+            if idx == gp.hp.tgt_eos:
+                break
+            prev = idx
+    return out
+
+
 def sample_translation(params: ModelParams, F, max_len: int, rng,
-                       lexicon_matrix=None) -> list[int]:
+                       lexicon=None) -> list[int]:
     """Ancestral sample from the per-step output distributions.
 
     The sentence-end id terminates and is included in the returned sequence;
     a sample that reaches ``max_len`` without drawing it is returned as-is.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if params.use_lexicon and lexicon_matrix is None:
-        raise ValueError(
-            "model was trained with lexicon bias; a lexicon table is required")
-    out = []
     with ad.no_grad():
         gp = GraphParams(params)
-        enc = _encode_g(gp, F)
-        state = _init_state_g(gp, enc)
-        prev = params.tgt_eos
-        for _ in range(max_len):
-            state, logits, _ = _decoder_step_g(gp, prev, state, enc,
-                                               lexicon_matrix, params.epsilon)
-            probs = ad.softmax_vec(logits).value
-            cum = np.cumsum(probs)
-            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            idx = min(idx, len(probs) - 1)
-            out.append(idx)
-            if idx == params.tgt_eos:
-                break
-            prev = idx
-    return out
+        return _sample_g(gp, _source_context(gp, F, lexicon), max_len, rng)
 
 
 def _strip_eos(sample, eos: int) -> tuple[int, ...]:
@@ -227,28 +226,20 @@ class _EmptySamples(ValueError):
     """Every distinct sample of a sentence is the bare sentence end."""
 
 
-def _draw_samples(params: ModelParams, F, num_samples: int, rng,
-                  max_sample_len: int | None, mat) -> list[tuple[int, ...]]:
-    """``num_samples`` ancestral samples of F, in draw order."""
+def _draw_samples(gp: GraphParams, enc, F, num_samples: int, rng,
+                  max_sample_len: int | None) -> list[tuple[int, ...]]:
+    """``num_samples`` ancestral samples of F from its context, in draw order."""
     max_len = _length_cap(F, max_sample_len)
-    return [tuple(sample_translation(params, F, max_len, rng, mat))
-            for _ in range(num_samples)]
+    return [tuple(_sample_g(gp, enc, max_len, rng)) for _ in range(num_samples)]
 
 
-def _distinct_samples(params: ModelParams, F, num_samples: int, rng,
-                      max_sample_len: int | None, mat) -> list[tuple[int, ...]]:
-    """Draw samples of F and collapse duplicates, keeping first-draw order."""
-    return list(dict.fromkeys(
-        _draw_samples(params, F, num_samples, rng, max_sample_len, mat)))
-
-
-def _expected_error_g(gp: GraphParams, F, E_ref, samples, alpha: float, mat):
-    """Expected error 1 - SBLEU over ``samples``, weighted by P^alpha
-    renormalized over the sample set."""
+def _expected_error_g(gp: GraphParams, enc, E_ref, samples, alpha: float):
+    """Expected error 1 - SBLEU over ``samples``, all scored against ``enc``,
+    weighted by P^alpha renormalized over the sample set."""
     ref = tuple(E_ref)
     errors = np.array([mrt_error(ref, _strip_eos(s, gp.hp.tgt_eos))
                        for s in samples])
-    logps = [_sentence_logprob_g(gp, F, s, mat) for s in samples]
+    logps = [_sentence_logprob_g(gp, enc, s) for s in samples]
     weights = ad.softmax_vec(ad.scale(ad.stack_scalars(logps), alpha))
     return ad.dotprod(weights, ad.Tensor(errors))
 
@@ -260,9 +251,9 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
     samples = [tuple(s) for s in samples]
     if not samples:
         raise ValueError("sample set must be non-empty")
-    mat = _lexicon_matrix(params, F, lexicon)
     gp = GraphParams(params)
-    loss = _expected_error_g(gp, F, E_ref, samples, alpha, mat)
+    enc = _source_context(gp, F, lexicon)
+    loss = _expected_error_g(gp, enc, E_ref, samples, alpha)
     ad.backward(loss)
     return float(loss.value), gp.grads()
 
@@ -277,22 +268,28 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
         raise ValueError("alpha must be > 0")
     if rng is None:
         raise ValueError("an rng is required for sampling")
-    mat = _lexicon_matrix(params, F, lexicon)
-    samples = _distinct_samples(params, F, num_samples, rng, max_sample_len, mat)
+    gp = GraphParams(params)
+    enc = _source_context(gp, F, lexicon)
+    samples = list(dict.fromkeys(  # first-draw order
+        _draw_samples(gp, enc, F, num_samples, rng, max_sample_len)))
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in samples):
         raise _EmptySamples("all sampled translations are empty")
-    return mrt_loss_frozen(params, F, E_ref, samples, alpha, lexicon)
+    loss = _expected_error_g(gp, enc, E_ref, samples, alpha)
+    ad.backward(loss)
+    return float(loss.value), gp.grads()
 
 
 def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
                        max_sample_len: int | None = None, lexicon=None) -> float:
     """Mean SBLEU of ancestral samples against their references."""
     scores = []
-    for pair in pairs:
-        mat = _lexicon_matrix(params, pair.source, lexicon)
-        for s in _draw_samples(params, pair.source, num_samples, rng,
-                               max_sample_len, mat):
-            scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
+    with ad.no_grad():
+        gp = GraphParams(params)
+        for pair in pairs:
+            enc = _source_context(gp, pair.source, lexicon)
+            for s in _draw_samples(gp, enc, pair.source, num_samples, rng,
+                                   max_sample_len):
+                scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
     return float(np.mean(scores))
 
 
@@ -425,13 +422,13 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
     """Mean per-sentence expected error over fresh samples (no gradients)."""
     values = []
     with ad.no_grad():
+        gp = GraphParams(params)
         for pair in pairs:
-            mat = _lexicon_matrix(params, pair.source, lexicon)
-            samples = _distinct_samples(params, pair.source, mrt.num_samples,
-                                        rng, mrt.max_sample_len, mat)
+            enc = _source_context(gp, pair.source, lexicon)
+            samples = list(dict.fromkeys(_draw_samples(
+                gp, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len)))
             values.append(float(_expected_error_g(
-                GraphParams(params), pair.source, pair.target, samples,
-                mrt.alpha, mat).value))
+                gp, enc, pair.target, samples, mrt.alpha).value))
     return float(np.mean(values))
 
 

@@ -1,5 +1,7 @@
 """Shared builders for synthetic tasks and random model inputs."""
 
+import sys
+
 import numpy as np
 
 from lexnmt.align import LexiconTable
@@ -51,3 +53,21 @@ def random_lexicon(rng, src_size, tgt_size, fanout=4, mass=0.9):
 def tiny_model(src_size=6, tgt_size=7, d=3, attention="dot", seed=0, **kw):
     return init_params(src_size, tgt_size, d_emb=d, d_hid=d,
                        attention=attention, seed=seed, **kw)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``, under each name
+    a ``lexnmt`` module binds to it (imports included)."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "lexnmt" or mod_name.startswith("lexnmt."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -74,6 +74,7 @@ def _greedy_bleu(params, pairs, word_penalty=0.0, beam_size=1):
 # 1. gradient correctness
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_gradients_match_central_finite_differences():
     # per-tensor relative error ||num - ana|| / max(||num||, ||ana||) < 1e-4
     # over a fixed random subsample of >= 40 coordinates per tensor; the
@@ -183,6 +184,7 @@ def test_metrics_match_brute_force_oracle():
 # 4. copy-task convergence
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_copy_task_convergence(trained_a, copy_task):
     best, records, elapsed = trained_a
     _, dev = copy_task
@@ -199,6 +201,7 @@ def test_copy_task_convergence(trained_a, copy_task):
 # 5. the lexicon bias speeds up dictionary translation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_lexicon_reaches_90_percent_no_slower():
     perm = word_permutation(np.random.default_rng(99), vocab=VOCAB)
     table = perfect_lexicon(perm)
@@ -237,6 +240,7 @@ def test_lexicon_reaches_90_percent_no_slower():
 # 6. word penalty: affine score, never-shorter output
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_word_penalty_is_affine_and_lengthens_output(trained_a, copy_task):
     # dyadic penalties and log-probabilities make the identity bitwise exact;
     # for non-dyadic penalties the one rounding in the add leaves at most a
@@ -266,6 +270,7 @@ def test_word_penalty_is_affine_and_lengthens_output(trained_a, copy_task):
 # 7. minimum-risk fine-tuning helps
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_mrt_improves_greedy_bleu_without_hurting_samples():
     improved = 0
     for seed in range(5):
@@ -313,6 +318,7 @@ def test_mrt_improves_greedy_bleu_without_hurting_samples():
 # 8. ensembling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_ensemble_identity_and_member_floor(trained_a, trained_b, copy_task):
     a, _, _ = trained_a
     b, _, _ = trained_b

@@ -49,7 +49,6 @@ L_CONST = np.abs(RNG.normal(size=(6, 4))) * 0.2
 
 CASES = {
     "add": (lambda a, b: ad.add(a, b), [(5,), (5,)]),
-    "sub": (lambda a, b: ad.sub(a, b), [(5,), (5,)]),
     "mul": (lambda a, b: ad.mul(a, b), [(5,), (5,)]),
     "scale": (lambda a: ad.scale(a, -1.7), [(5,)]),
     "one_minus": (lambda a: ad.one_minus(a), [(5,)]),

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import lexnmt.decode as decode_mod
+import lexnmt.model as model_mod
 from lexnmt.decode import (Hypothesis, beam_search, ensemble_distribution,
                            greedy_decode, score_hypothesis, translate)
 from lexnmt.model import (decoder_step, encode, init_decoder_state,
                           init_params)
 
-from helpers import tiny_model
+from helpers import count_calls, random_lexicon, tiny_model
 from oracles import argmax_hypothesis, enumerate_complete
 
 
@@ -101,15 +102,15 @@ def test_tie_break_prefers_lexicographically_smaller(monkeypatch):
         (3,): np.array([0.1, 0.3, 0.3, 0.3]),
     }
 
-    def fake_step(prev, state, enc, params, lexicon=None):
+    def fake_step(gp, prev, state, enc):
         prefix = state if prev == eos and not state else state + (prev,)
         probs = table.get(prefix, np.array([1.0, 0.0, 0.0, 0.0]))
         return prefix, probs
 
     model = _tiny(3)
-    monkeypatch.setattr(decode_mod, "encode", lambda F, m: None)
-    monkeypatch.setattr(decode_mod, "init_decoder_state", lambda e, m: ())
-    monkeypatch.setattr(decode_mod, "decoder_step", fake_step)
+    monkeypatch.setattr(decode_mod, "_source_context", lambda gp, F, lex: None)
+    monkeypatch.setattr(decode_mod, "_init_state_g", lambda gp, e: ())
+    monkeypatch.setattr(decode_mod, "_step_probs", fake_step)
     best = beam_search(model, (1,), beam_size=4, max_len=5)
     assert best.tokens == (1, eos)
     assert best.logprob == pytest.approx(np.log(0.25) + np.log(0.9))
@@ -121,11 +122,10 @@ def test_shorter_hypothesis_wins_exact_score_tie(monkeypatch):
     eos = 0
     V = 4
     uniform = np.full(V, 1.0 / V)
-    monkeypatch.setattr(decode_mod, "encode", lambda F, m: None)
-    monkeypatch.setattr(decode_mod, "init_decoder_state", lambda e, m: ())
-    monkeypatch.setattr(decode_mod, "decoder_step",
-                        lambda prev, state, enc, params, lexicon=None:
-                        ((), uniform))
+    monkeypatch.setattr(decode_mod, "_source_context", lambda gp, F, lex: None)
+    monkeypatch.setattr(decode_mod, "_init_state_g", lambda gp, e: ())
+    monkeypatch.setattr(decode_mod, "_step_probs",
+                        lambda gp, prev, state, enc: ((), uniform))
     model = _tiny(3)
     best = beam_search(model, (1, 2), beam_size=6, max_len=6,
                        word_penalty=float(np.log(V)))
@@ -178,6 +178,29 @@ def test_ensemble_of_identical_models_equals_single():
     double = beam_search([model, model.copy()], F, beam_size=4)
     assert double.tokens == single.tokens
     assert double.logprob == single.logprob  # mean of equal halves is exact
+
+
+def test_ensemble_builds_one_context_per_member(monkeypatch):
+    # parameters are wrapped, the source encoded and L_F built once per member
+    # and sentence, however many decoder steps the search takes
+    a = _tiny(11, use_lexicon=True)
+    b = _tiny(12, use_lexicon=True)
+    table = random_lexicon(np.random.default_rng(11), 4, 4)
+    wraps = []
+    wrap = model_mod.GraphParams.__init__
+    monkeypatch.setattr(model_mod.GraphParams, "__init__",
+                        lambda gp, params: wraps.append(params)
+                        or wrap(gp, params))
+    encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+    builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
+    steps = count_calls(monkeypatch, model_mod, "_decoder_step_g")
+    for m in (a, b):  # sentence end suppressed: search runs to the cap
+        m.tensors["softmax_b"][m.tgt_eos] = -40.0
+    beam_search([a, b], (1, 3, 2), beam_size=3, max_len=6, lexicon=table)
+    assert len(steps) == 2 * (1 + 3 * 5)
+    assert [id(p) for p in wraps] == [id(a), id(b)]
+    assert len(encodes) == 2
+    assert len(builds) == 2
 
 
 def test_ensemble_rejects_mismatched_targets():

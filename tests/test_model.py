@@ -10,6 +10,7 @@ from lexnmt.model import (ModelParams, build_lexicon_matrix, decoder_step,
                           encode, attend, expected_shapes, init_decoder_state,
                           init_params, load_checkpoint, lstm_step,
                           save_checkpoint, sentence_logprob)
+from lexnmt.train import mrt_loss_frozen
 
 from helpers import random_lexicon, tiny_model
 from oracles import (ref_attention, ref_encode, ref_sentence_logprob,
@@ -216,8 +217,9 @@ def test_decoder_step_rejects_nonpositive_epsilon():
     enc = encode((1,), params)
     state = init_decoder_state(enc, params)
     for bad in (0.0, -1e-9):
+        params.epsilon = bad
         with pytest.raises(ValueError, match="epsilon > 0"):
-            decoder_step(0, state, enc, params, lexicon=L, epsilon=bad)
+            decoder_step(0, state, enc, params, lexicon=L)
 
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
@@ -248,6 +250,26 @@ def test_sentence_logprob_requires_terminal_eos():
         sentence_logprob(params, (1, 2), (3, 4))
     with pytest.raises(ValueError, match="sentence-end"):
         sentence_logprob(params, (1, 2), ())
+
+
+@pytest.mark.parametrize("which", ["minus-one", "vocab-size"])
+@pytest.mark.parametrize("entry", ["sentence_logprob", "mrt_loss_frozen",
+                                   "decoder_step"])
+def test_target_ids_outside_vocabulary_are_rejected(entry, which):
+    # -1 would silently read the last embedding row and V would raise an
+    # IndexError deep in the step; both are refused up front
+    params = tiny_model(seed=22)
+    eos = params.tgt_eos
+    bad = {"minus-one": -1, "vocab-size": params.tgt_vocab_size}[which]
+    F = (1, 2)
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        if entry == "sentence_logprob":
+            sentence_logprob(params, F, (bad, eos))
+        elif entry == "mrt_loss_frozen":
+            mrt_loss_frozen(params, F, (3,), [(bad, eos)], alpha=1.0)
+        else:
+            enc = encode(F, params)
+            decoder_step(bad, init_decoder_state(enc, params), enc, params)
 
 
 def test_lexicon_model_requires_table():

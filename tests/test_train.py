@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import lexnmt.model as model_mod
 import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
 from lexnmt.errors import DataError, NumericalError
@@ -18,7 +19,7 @@ from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           sample_translation, token_accuracy, train_ml,
                           train_mrt)
 
-from helpers import copy_pairs, tiny_model
+from helpers import copy_pairs, count_calls, random_lexicon, tiny_model
 from oracles import ref_adam_sequence
 
 
@@ -209,8 +210,7 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     eos = params.tgt_eos
     fixed = [(3, eos), (3, eos), (2, 4, eos), (3, eos)]
     draws = iter(fixed)
-    monkeypatch.setattr(train_mod, "sample_translation",
-                        lambda *a, **k: next(draws))
+    monkeypatch.setattr(train_mod, "_sample_g", lambda *a, **k: next(draws))
     loss, grads = mrt_loss(params, (1, 2), (3,), num_samples=4, alpha=0.5,
                            rng=np.random.default_rng(0))
     want_loss, want_grads = mrt_loss_frozen(params, (1, 2), (3,),
@@ -219,6 +219,25 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     for name in grads:
         assert np.allclose(grads[name], want_grads[name], rtol=1e-12,
                            atol=1e-15)
+
+
+def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
+    # the N draws and the scoring of every distinct sample share one source
+    # context: one encoder pass and one L_F per sentence
+    params = tiny_model(seed=51, use_lexicon=True, init_scale=0.5)
+    table = random_lexicon(np.random.default_rng(51), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+    builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
+    draws = count_calls(monkeypatch, train_mod, "_sample_g")
+    scored = count_calls(monkeypatch, train_mod, "_expected_error_g")
+    mrt_loss(params, (1, 2, 3), (3, 4), num_samples=6, alpha=0.5,
+             rng=np.random.default_rng(5), lexicon=table)
+    assert len(draws) == 6
+    _, _, _, distinct, _ = scored[0]
+    assert len(distinct) >= 2
+    assert len(encodes) == 1
+    assert len(builds) == 1
 
 
 def test_mrt_loss_validation(monkeypatch):
@@ -230,10 +249,28 @@ def test_mrt_loss_validation(monkeypatch):
         mrt_loss(params, (1,), (2,), alpha=0.0, rng=rng)
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
-    monkeypatch.setattr(train_mod, "sample_translation",
+    monkeypatch.setattr(train_mod, "_sample_g",
                         lambda *a, **k: (params.tgt_eos,))
     with pytest.raises(ValueError, match="empty"):
         mrt_loss(params, (1,), (2,), num_samples=4, rng=rng)
+
+
+def test_mean_sampled_sbleu_equals_public_sampling_loop():
+    params = tiny_model(seed=52, use_lexicon=True, init_scale=0.5)
+    table = random_lexicon(np.random.default_rng(52), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    pairs = [SentencePair((1, 2), (3, 4)), SentencePair((5,), (2,))]
+    got = mean_sampled_sbleu(params, pairs, 3, np.random.default_rng(6),
+                             max_sample_len=6, lexicon=table)
+    rng = np.random.default_rng(6)
+    scores = []
+    for pair in pairs:
+        for _ in range(3):
+            s = sample_translation(params, pair.source, 6, rng, table)
+            if s[-1] == params.tgt_eos:
+                s = s[:-1]
+            scores.append(sbleu(tuple(s), pair.target))
+    assert got == float(np.mean(scores))
 
 
 def test_mean_sampled_sbleu_range():
