@@ -15,23 +15,21 @@ from .corpus import (BpeModel, SentencePair, Vocabulary, apply_bpe, build_vocab,
 from .decode import Hypothesis, beam_search, ensemble_distribution, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, mrt_error, sbleu
-from .model import (ModelParams, attend, build_lexicon_matrix, decoder_step,
-                    encode, init_params, load_checkpoint, lstm_step,
-                    save_checkpoint, sentence_logprob)
+from .model import (ModelParams, build_lexicon_matrix, init_params,
+                    load_checkpoint, save_checkpoint, sentence_logprob)
 from .train import (MrtSettings, TrainConfig, adam_update, clip_gradients,
-                    mrt_loss, mrt_loss_frozen, nll_loss, sample_translation,
+                    mrt_loss, mrt_loss_frozen, nll_loss, sample_translations,
                     train_ml, train_mrt)
 
 __all__ = [
     "BpeModel", "DataError", "Hypothesis", "LexiconTable", "ModelParams",
     "MrtSettings", "NumericalError", "SentencePair", "TrainConfig",
-    "Vocabulary", "adam_update", "apply_bpe", "attend", "beam_search", "bleu",
-    "build_lexicon_matrix", "build_vocab", "clip_gradients", "decoder_step",
-    "encode", "encode_pairs", "ensemble_distribution", "ibm1_train",
-    "init_params", "invert_bpe", "learn_bpe", "length_ratio",
-    "load_checkpoint", "load_lexicon", "lstm_step", "make_minibatches",
-    "mrt_error", "mrt_loss", "mrt_loss_frozen", "nll_loss",
-    "normalize_halfwidth", "prune_lexicon", "sample_translation",
-    "save_checkpoint", "save_lexicon", "sbleu", "score_hypothesis",
-    "sentence_logprob", "train_ml", "train_mrt",
+    "Vocabulary", "adam_update", "apply_bpe", "beam_search", "bleu",
+    "build_lexicon_matrix", "build_vocab", "clip_gradients", "encode_pairs",
+    "ensemble_distribution", "ibm1_train", "init_params", "invert_bpe",
+    "learn_bpe", "length_ratio", "load_checkpoint", "load_lexicon",
+    "make_minibatches", "mrt_error", "mrt_loss", "mrt_loss_frozen",
+    "nll_loss", "normalize_halfwidth", "prune_lexicon",
+    "sample_translations", "save_checkpoint", "save_lexicon", "sbleu",
+    "score_hypothesis", "sentence_logprob", "train_ml", "train_mrt",
 ]

@@ -59,10 +59,14 @@ class Tensor:
         return f"Tensor(shape={self.value.shape})"
 
 
-def _accum(t: Tensor, g):
+def _accum(t: Tensor, g, index=None):
+    """Add g to t.grad, or to t.grad[index], allocating a zero gradient first."""
     if t.grad is None:
         t.grad = np.zeros_like(t.value)
-    t.grad += g
+    if index is None:
+        t.grad += g
+    else:
+        t.grad[index] += g
 
 
 def backward(root: Tensor):
@@ -212,11 +216,7 @@ def cols_slice(M: Tensor, start: int, stop: int) -> Tensor:
     """Column slice M[:, start:stop] with scatter-add backward."""
     out = Tensor(M.value[:, start:stop].copy(), (M,))
     if out._parents:
-        def bwd(g):
-            if M.grad is None:
-                M.grad = np.zeros_like(M.value)
-            M.grad[:, start:stop] += g
-        out._backward = bwd
+        out._backward = lambda g: _accum(M, g, np.s_[:, start:stop])
     return out
 
 
@@ -224,11 +224,7 @@ def vec_slice(x: Tensor, start: int, stop: int) -> Tensor:
     """Slice x[start:stop] of a 1-D tensor with scatter-add backward."""
     out = Tensor(x.value[start:stop].copy(), (x,))
     if out._parents:
-        def bwd(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[start:stop] += g
-        out._backward = bwd
+        out._backward = lambda g: _accum(x, g, slice(start, stop))
     return out
 
 
@@ -277,11 +273,7 @@ def row(M: Tensor, i: int) -> Tensor:
     """Row lookup M[i], the embedding access pattern."""
     out = Tensor(M.value[i].copy(), (M,))
     if out._parents:
-        def bwd(g):
-            if M.grad is None:
-                M.grad = np.zeros_like(M.value)
-            M.grad[i] += g
-        out._backward = bwd
+        out._backward = lambda g: _accum(M, g, i)
     return out
 
 
@@ -289,11 +281,7 @@ def pick(x: Tensor, i: int) -> Tensor:
     """Scalar element x[i]."""
     out = Tensor(x.value[i], (x,))
     if out._parents:
-        def bwd(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[i] += g
-        out._backward = bwd
+        out._backward = lambda g: _accum(x, g, i)
     return out
 
 

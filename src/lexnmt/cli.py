@@ -24,7 +24,7 @@ from .decode import beam_search, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
 from .model import init_params, load_checkpoint, save_checkpoint
-from .train import (MrtSettings, TrainConfig, sample_translation, train_ml,
+from .train import (MrtSettings, TrainConfig, sample_translations, train_ml,
                     train_mrt)
 
 
@@ -35,6 +35,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+class _Repeated(argparse.Action):
+    """A repeatable flag collected into a list; its first use on the command
+    line replaces a list given by the config file."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        items = [] if items is self.default else items
+        setattr(namespace, self.dest, items + [values])
 
 
 def _build_parser():
@@ -108,7 +118,7 @@ def _build_parser():
     p = subparsers["decode"] = sub.add_parser(
         "decode", help="beam-search translation of a text file")
     p.add_argument("--input", required=True)
-    p.add_argument("--checkpoint", action="append", required=True,
+    p.add_argument("--checkpoint", action=_Repeated, required=True,
                    help="model checkpoint; repeat to ensemble")
     p.add_argument("--bpe", help="merge file from preprocess")
     p.add_argument("--lexicon")
@@ -153,12 +163,14 @@ def _add_data_flags(p, vocab_flags: bool = True):
         p.add_argument("--tgt-vocab", required=True)
 
 
-def _apply_config(parser, subparsers, argv):
+def _apply_config(parser, subparsers, argv) -> dict[str, str]:
+    """Install --config values as flag defaults; returns, per subcommand, the
+    error of its first value that does not fit its flag."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config is None:
-        return
+        return {}
     try:
         with open(known.config, encoding="utf-8") as f:
             values = json.load(f)
@@ -169,13 +181,34 @@ def _apply_config(parser, subparsers, argv):
     if not isinstance(values, dict):
         raise DataError(f"{known.config}: config must be a JSON object")
     all_dests = set()
-    for sp in subparsers.values():
-        dests = {a.dest for a in sp._actions}
-        all_dests |= dests
-        sp.set_defaults(**{k: v for k, v in values.items() if k in dests})
+    errors = {}
+    for name, sp in subparsers.items():
+        for action in sp._actions:
+            all_dests.add(action.dest)
+            if action.dest in values:
+                try:
+                    action.default = _config_value(action, values[action.dest])
+                except DataError as e:
+                    errors.setdefault(name, f"{known.config}: {e}")
     unknown = set(values) - all_dests
     if unknown:
         raise _UsageError(f"unknown config key: {sorted(unknown)[0]}")
+    return errors
+
+
+def _config_value(action, value):
+    """A config value as a flag default, or DataError if its type does not
+    fit the flag.  A string is flag text, parsed as on the command line."""
+    if isinstance(action, _Repeated):
+        items = [value] if isinstance(value, str) else value
+        if isinstance(items, list) and all(isinstance(v, str) for v in items):
+            return items
+    elif isinstance(value, str):
+        return value
+    elif type(value) in {int: (int,), float: (int, float)}.get(action.type, ()):
+        return action.type(value)
+    raise DataError(f"config key '{action.dest}': {json.dumps(value)} does "
+                    f"not fit {action.option_strings[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +415,10 @@ def _cmd_sample(args):
             if not ids:
                 out.write("\n" * args.samples)
                 continue
-            for k in range(args.samples):
-                text = _target_text(
-                    sample_translation(params, ids, args.max_len, rng, lexicon),
-                    bpe, tgt_vocab)
+            samples = sample_translations(params, ids, args.samples,
+                                          args.max_len, rng, lexicon)
+            for k, sample in enumerate(samples):
+                text = _target_text(sample, bpe, tgt_vocab)
                 out.write(f"{k}\t{text}\n" if args.samples > 1 else text + "\n")
     finally:
         if out is not sys.stdout:
@@ -400,11 +433,13 @@ def _cmd_sample(args):
 def run_command(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
-    _apply_config(parser, subparsers, argv)
+    config_errors = _apply_config(parser, subparsers, argv)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()
         return 1
+    if args.command in config_errors:
+        raise DataError(config_errors[args.command])
     return args.func(args)
 
 

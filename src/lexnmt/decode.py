@@ -22,7 +22,7 @@ from .model import (DecoderState, GraphParams, _as_model_list, _init_state_g,
 @dataclass(frozen=True)
 class Hypothesis:
     """tokens includes the trailing sentence-end id once complete; states
-    holds each member's graph decoder state, None once complete."""
+    holds each ensemble member's decoder state, None once complete."""
     tokens: tuple[int, ...]
     logprob: float
     states: tuple[DecoderState, ...] | None

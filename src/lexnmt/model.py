@@ -12,9 +12,8 @@ Everything that depends only on the source sentence (R, the decoder's initial
 state, the MLP projection W1_r R and L_F) is built once per model and sentence
 by :func:`_source_context`; teacher forcing, sampling, minimum-risk scoring and
 beam search all step from that one context.  Training records gradients
-through the graph functions; the public operations (``lstm_step``, ``encode``,
-``attend``, ``decoder_step``, ``sentence_logprob``) run the same functions
-without gradient recording and take and return plain numpy values.
+through the graph functions; scoring, sampling and search run the same
+functions without gradient recording.
 """
 
 from __future__ import annotations
@@ -164,22 +163,12 @@ class GraphParams:
 
 
 @dataclass
-class EncoderOutput:
-    """Encoded source: R has one column of width 2*d_hid per source word."""
-
-    R: np.ndarray
-    init_state: np.ndarray
-
-
-@dataclass
 class DecoderState:
-    """Decoder hidden and cell state and the last attention context: arrays
-    in the public operations, graph tensors inside the graph functions and
-    in the hypotheses of beam search."""
+    """Decoder hidden and cell state and the last attention context."""
 
-    hidden: np.ndarray
-    cell: np.ndarray
-    context: np.ndarray
+    hidden: ad.Tensor
+    cell: ad.Tensor
+    context: ad.Tensor
 
 
 @dataclass
@@ -187,7 +176,7 @@ class _EncGraph:
     """Per-sentence source context of one model, shared by every decoder step."""
 
     R: ad.Tensor
-    init_state: ad.Tensor | None
+    init_state: ad.Tensor
     mlp_proj: ad.Tensor | None = None  # W1[:, r-part] @ R for MLP attention
     lexicon_matrix: np.ndarray | None = None  # dense L_F; None: no bias
 
@@ -246,15 +235,7 @@ def _source_context(gp: GraphParams, F, lexicon) -> _EncGraph:
     return enc
 
 
-def _matrix_enc_g(gp: GraphParams | None, R, lexicon_matrix=None) -> _EncGraph:
-    """Graph view of a raw encoder matrix; ``gp`` None means dot attention."""
-    R = ad.Tensor(R)
-    mlp = gp is not None and gp.hp.attention == "mlp"
-    return _EncGraph(R, None, ad.matmat(gp.w1_r, R) if mlp else None,
-                     lexicon_matrix)
-
-
-def _attend_g(gp: GraphParams | None, h, enc: _EncGraph):
+def _attend_g(gp: GraphParams, h, enc: _EncGraph):
     if enc.mlp_proj is None:
         scores = ad.matTvec(enc.R, h)
     else:
@@ -290,14 +271,10 @@ def _step_probs(gp: GraphParams, prev_word: int, state: DecoderState,
     return state, ad.softmax_vec(logits).value
 
 
-def _check_target_ids(E, vocab_size: int):
-    if not all(0 <= e < vocab_size for e in E):
-        raise ValueError(f"target id outside vocabulary in {list(E)}")
-
-
 def _teacher_forced_g(gp: GraphParams, enc: _EncGraph, E):
     """Yield the logits of each step of E, feeding the reference words."""
-    _check_target_ids(E, gp.hp.tgt_vocab_size)
+    if not all(0 <= e < gp.hp.tgt_vocab_size for e in E):
+        raise ValueError(f"target id outside vocabulary in {list(E)}")
     state = _init_state_g(gp, enc)
     prev = gp.hp.tgt_eos
     for e in E:
@@ -325,13 +302,6 @@ def _as_model_list(models) -> list[ModelParams]:
     return models
 
 
-def _check_epsilon(epsilon):
-    if epsilon <= 0:
-        raise ValueError(
-            "lexicon bias requires epsilon > 0 to prevent zero probabilities "
-            "from becoming -inf under the log")
-
-
 def _lexicon_matrix(params: ModelParams, F, lexicon):
     """L_F of one source sentence for one model, or None without a table.
 
@@ -343,7 +313,10 @@ def _lexicon_matrix(params: ModelParams, F, lexicon):
             raise ValueError(
                 "model was trained with lexicon bias; a lexicon table is required")
         return None
-    _check_epsilon(params.epsilon)
+    if params.epsilon <= 0:
+        raise ValueError(
+            "lexicon bias requires epsilon > 0 to prevent zero probabilities "
+            "from becoming -inf under the log")
     return build_lexicon_matrix(F, lexicon, params.tgt_vocab_size)
 
 
@@ -356,61 +329,6 @@ def _length_cap(F, max_len: int | None) -> int:
 # public operations
 # ---------------------------------------------------------------------------
 
-def lstm_step(x: np.ndarray, state: tuple[np.ndarray, np.ndarray],
-              W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled-gate LSTM step on raw arrays; returns (hidden, cell)."""
-    x = np.asarray(x, dtype=float)
-    hidden, cell = (np.asarray(s, dtype=float) for s in state)
-    n = hidden.shape[0]
-    if W.shape != (3 * n, x.shape[0] + n) or b.shape != (3 * n,) \
-            or cell.shape != (n,):
-        raise ValueError(
-            f"dimension mismatch: W {W.shape}, b {b.shape}, x {x.shape}, "
-            f"state ({hidden.shape}, {cell.shape})")
-    with ad.no_grad():
-        h, c = _lstm_g(ad.Tensor(W), ad.Tensor(b), ad.Tensor(x),
-                       ad.Tensor(hidden), ad.Tensor(cell))
-    return h.value, c.value
-
-
-def encode(F, params: ModelParams) -> EncoderOutput:
-    """Run the bidirectional encoder; attention sees exactly len(F) columns."""
-    with ad.no_grad():
-        enc = _encode_g(GraphParams(params), F)
-    return EncoderOutput(R=enc.R.value, init_state=enc.init_state.value)
-
-
-def init_decoder_state(enc: EncoderOutput, params: ModelParams) -> DecoderState:
-    dec = params.dec_hid
-    return DecoderState(hidden=enc.init_state.copy(),
-                        cell=np.zeros(dec), context=np.zeros(dec))
-
-
-def attend(h: np.ndarray, R: np.ndarray, kind: str,
-           params: ModelParams | None = None):
-    """Similarity + softmax + context; returns (attention vector, context)."""
-    h = np.asarray(h, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[1] == 0:
-        raise ValueError("R must be a non-empty matrix of source columns")
-    if kind == "dot":
-        if h.shape[0] != R.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: h has {h.shape[0]}, columns have {R.shape[0]}")
-    elif kind == "mlp":
-        W1 = params.tensors["attn_W1"]
-        if W1.shape[1] != h.shape[0] + R.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: attn_W1 {W1.shape} vs [h; r] size "
-                f"{h.shape[0] + R.shape[0]}")
-    else:
-        raise ValueError(f"unknown attention kind: {kind!r}")
-    with ad.no_grad():
-        gp = GraphParams(params) if kind == "mlp" else None
-        a, ctx = _attend_g(gp, ad.Tensor(h), _matrix_enc_g(gp, R))
-    return a.value, ctx.value
-
-
 def build_lexicon_matrix(F, table: LexiconTable, tgt_vocab) -> np.ndarray:
     """Dense (|V_e|, |F|) matrix; column j holds p(e | f_j), zero if unknown."""
     size = tgt_vocab if isinstance(tgt_vocab, int) else len(tgt_vocab)
@@ -422,28 +340,6 @@ def build_lexicon_matrix(F, table: LexiconTable, tgt_vocab) -> np.ndarray:
                              "target vocabulary")
         L[list(dist), j] = list(dist.values())
     return L
-
-
-def decoder_step(prev_word: int, state: DecoderState, R, params: ModelParams,
-                 lexicon=None):
-    """Advance the decoder one step; returns (DecoderState, probabilities).
-
-    ``R`` may be an :class:`EncoderOutput` or the raw encoder matrix.
-    ``lexicon`` is a precomputed L_F matrix for the current source sentence;
-    the bias uses ``params.epsilon``.
-    """
-    if isinstance(R, EncoderOutput):
-        R = R.R
-    _check_target_ids((prev_word,), params.tgt_vocab_size)
-    if lexicon is not None:
-        _check_epsilon(params.epsilon)
-    with ad.no_grad():
-        gp = GraphParams(params)
-        st = DecoderState(ad.Tensor(state.hidden), ad.Tensor(state.cell),
-                          ad.Tensor(state.context))
-        st, probs = _step_probs(gp, prev_word, st,
-                                _matrix_enc_g(gp, R, lexicon))
-    return DecoderState(st.hidden.value, st.cell.value, st.context.value), probs
 
 
 def ensemble_distribution(distributions) -> np.ndarray:

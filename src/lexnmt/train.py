@@ -193,18 +193,6 @@ def _sample_g(gp: GraphParams, enc, max_len: int, rng) -> list[int]:
     return out
 
 
-def sample_translation(params: ModelParams, F, max_len: int, rng,
-                       lexicon=None) -> list[int]:
-    """Ancestral sample from the per-step output distributions.
-
-    The sentence-end id terminates and is included in the returned sequence;
-    a sample that reaches ``max_len`` without drawing it is returned as-is.
-    """
-    with ad.no_grad():
-        gp = GraphParams(params)
-        return _sample_g(gp, _source_context(gp, F, lexicon), max_len, rng)
-
-
 def _strip_eos(sample, eos: int) -> tuple[int, ...]:
     sample = tuple(sample)
     return sample[:-1] if sample and sample[-1] == eos else sample
@@ -231,6 +219,19 @@ def _draw_samples(gp: GraphParams, enc, F, num_samples: int, rng,
     """``num_samples`` ancestral samples of F from its context, in draw order."""
     max_len = _length_cap(F, max_sample_len)
     return [tuple(_sample_g(gp, enc, max_len, rng)) for _ in range(num_samples)]
+
+
+def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
+                        rng, lexicon=None) -> list[tuple[int, ...]]:
+    """``num_samples`` ancestral samples of F, in draw order, from one encoding.
+
+    The sentence-end id terminates a sample and is included in it; a sample
+    that reaches ``max_len`` without drawing it is returned as-is.
+    """
+    with ad.no_grad():
+        gp = GraphParams(params)
+        return _draw_samples(gp, _source_context(gp, F, lexicon), F,
+                             num_samples, rng, max_len)
 
 
 def _expected_error_g(gp: GraphParams, enc, E_ref, samples, alpha: float):

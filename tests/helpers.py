@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 
+from lexnmt import autodiff as ad
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import SentencePair
-from lexnmt.model import init_params
+from lexnmt.model import (GraphParams, _init_state_g, _source_context,
+                          _step_probs, init_params)
 
 
 def copy_pairs(rng, n, vocab=20, lmin=1, lmax=6):
@@ -71,3 +73,26 @@ def count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def graph_stepper(models, F, lexicon=None):
+    """``(start, step)`` over the graph core that beam search runs.
+
+    ``start()`` returns each member's initial decoder state; ``step(k, prev,
+    state)`` advances member k and returns (new state, probability array).
+    Each member is encoded once, with its L_F, and nothing records gradients.
+    """
+    if not isinstance(models, (list, tuple)):
+        models = [models]
+    with ad.no_grad():
+        gps = [GraphParams(m) for m in models]
+        encs = [_source_context(gp, F, lexicon) for gp in gps]
+
+    def start():
+        return tuple(_init_state_g(gp, enc) for gp, enc in zip(gps, encs))
+
+    @ad.no_grad()
+    def step(k, prev, state):
+        return _step_probs(gps[k], prev, state, encs[k])
+
+    return start, step

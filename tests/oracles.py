@@ -196,27 +196,26 @@ def ref_sentence_logprob(params, F, E, lexicon=None):
 # exhaustive search (independent of beam_search)
 # ---------------------------------------------------------------------------
 
-def enumerate_complete(models, F, max_len, decoder_step, encode,
-                       init_decoder_state):
+def enumerate_complete(models, max_len, start, step):
     """All complete sequences up to max_len total tokens with their logprobs.
 
-    Model evaluation reuses the library's decoder_step so that scores are
-    bit-comparable; the search itself is an exhaustive scan.
+    Model evaluation is the library's own step (``start()`` gives the members'
+    initial states, ``step(k, prev, state)`` advances member k and returns
+    the new state and its probabilities), so scores are bit-comparable; the
+    search itself is an exhaustive scan.
     """
     if not isinstance(models, (list, tuple)):
         models = [models]
     eos = models[0].tgt_eos
-    encs = [encode(F, m) for m in models]
-    inits = tuple(init_decoder_state(enc, m) for enc, m in zip(encs, models))
     out = []
-    stack = [((), 0.0, inits)]
+    stack = [((), 0.0, start())]
     while stack:
         tokens, lp, states = stack.pop()
         prev = tokens[-1] if tokens else eos
         new_states = []
         dist = np.zeros(models[0].tgt_vocab_size)
-        for k, m in enumerate(models):
-            st, probs = decoder_step(prev, states[k], encs[k], m)
+        for k in range(len(models)):
+            st, probs = step(k, prev, states[k])
             new_states.append(st)
             dist += probs
         dist /= len(models)

@@ -21,8 +21,8 @@ from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           mean_sampled_sbleu, mrt_loss_frozen, nll_loss,
                           token_accuracy, train_ml, train_mrt)
 
-from helpers import (copy_pairs, dict_pairs, perfect_lexicon, random_lexicon,
-                     tiny_model, word_permutation)
+from helpers import (copy_pairs, dict_pairs, graph_stepper, perfect_lexicon,
+                     random_lexicon, tiny_model, word_permutation)
 from oracles import (argmax_hypothesis, enumerate_complete, ref_bleu,
                      ref_ibm1, ref_sbleu)
 
@@ -133,8 +133,6 @@ def test_gradients_match_central_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_beam_search_matches_exhaustive_argmax_on_100_models():
-    from lexnmt.model import decoder_step, encode, init_decoder_state
-
     agree = 0
     trials = 0
     for seed in range(100):
@@ -146,8 +144,8 @@ def test_beam_search_matches_exhaustive_argmax_on_100_models():
         F = tuple(int(x) for x in rng.integers(0, 4, int(rng.integers(1, 4))))
         max_len = int(rng.integers(2, 6))  # max_len <= 5
         beam = (tgt_size - 1) ** max_len  # covers every live prefix
-        complete = enumerate_complete(model, F, max_len, decoder_step, encode,
-                                      init_decoder_state)
+        complete = enumerate_complete(model, max_len,
+                                      *graph_stepper(model, F))
         for penalty in (0.0, 0.8):
             got = beam_search(model, F, beam_size=beam, word_penalty=penalty,
                               max_len=max_len)

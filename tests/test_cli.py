@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import lexnmt.cli as cli_mod
+import lexnmt.model as model_mod
 from lexnmt.cli import main
 from lexnmt.errors import NumericalError
 from lexnmt.model import load_checkpoint, save_checkpoint
 
-from helpers import tiny_model
+from helpers import count_calls, tiny_model
 
 SRC_WORDS = ["uno", "dos", "tres", "cuatro", "cinco", "seis"]
 TGT_WORDS = ["one", "two", "three", "four", "five", "six"]
@@ -242,6 +243,22 @@ def test_sample_formats(pipeline, tmp_path, capsys):
     assert [line.split("\t")[0] for line in multi] == ["0", "1", "0", "1"]
 
 
+def test_sample_encodes_each_line_once(pipeline, tmp_path, monkeypatch,
+                                       capsys):
+    # the --samples draws of a line share one encoding and one L_F
+    encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+    builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
+    inp = tmp_path / "input.txt"
+    inp.write_text("uno dos\n\ntres cuatro\n", encoding="utf-8")
+    assert main(["sample", "--input", str(inp),
+                 "--checkpoint", str(pipeline["ckpt"]),
+                 "--bpe", str(pipeline["data"] / "bpe.merges"),
+                 "--lexicon", str(pipeline["lexicon"]),
+                 "--max-len", "8", "--samples", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert len(encodes) == len(builds) == 2  # the non-empty lines
+
+
 def test_sample_from_lexicon_model_requires_lexicon(pipeline, tmp_path, capsys):
     data = pipeline["data"]
     run = tmp_path / "lex_run"
@@ -334,7 +351,7 @@ def test_config_supplies_defaults_but_flags_win(tmp_path, capsys):
     assert "merges: 1 " in capsys.readouterr().out
 
 
-def test_config_error_handling(tmp_path, capsys):
+def test_config_error_handling(pipeline, tmp_path, capsys):
     train_src, train_tgt = _write_corpus(tmp_path, 4, seed=5)
     base = ["preprocess", "--train-src", str(train_src),
             "--train-tgt", str(train_tgt), "--outdir", str(tmp_path / "o")]
@@ -353,6 +370,37 @@ def test_config_error_handling(tmp_path, capsys):
     assert main(["--config", str(not_object)] + base) == 2
 
     assert main(["--config", str(tmp_path / "missing.json")] + base) == 2
+
+    # a value whose JSON type does not fit its flag is a data error that
+    # names the key; a string is still parsed as the flag's text
+    inp = tmp_path / "input.txt"
+    inp.write_text("uno dos\n", encoding="utf-8")
+    ckpt = str(pipeline["ckpt"])
+    decode = ["decode", "--input", str(inp), "--checkpoint", ckpt]
+    sample = ["sample", "--input", str(inp), "--checkpoint", ckpt]
+    config = tmp_path / "typed.json"
+
+    def run(values, argv):
+        config.write_text(json.dumps(values), encoding="utf-8")
+        return main(["--config", str(config)] + argv)
+
+    for values, argv in [({"beam": [1]}, decode), ({"max_len": 2.5}, decode),
+                         ({"output": 2}, decode), ({"beam": True}, decode),
+                         ({"samples": None}, sample),
+                         ({"checkpoint": [ckpt]}, sample)]:
+        capsys.readouterr()
+        assert run(values, argv) == 2, values
+        err = capsys.readouterr().err
+        key = next(iter(values))
+        assert f"config key '{key}'" in err and "Traceback" not in err
+    assert run({"seed": "7"}, sample) == 0
+    from_config = capsys.readouterr().out
+    assert main(sample + ["--seed", "7"]) == 0
+    assert capsys.readouterr().out == from_config
+    # flags win: an explicit --checkpoint replaces the configured list
+    missing = str(tmp_path / "missing.ckpt")
+    assert run({"checkpoint": [missing]}, decode) == 0
+    assert run({"checkpoint": missing}, decode) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
 from lexnmt.decode import (Hypothesis, beam_search, ensemble_distribution,
                            greedy_decode, score_hypothesis, translate)
-from lexnmt.model import (decoder_step, encode, init_decoder_state,
-                          init_params)
+from lexnmt.model import init_params, sentence_logprob
 
-from helpers import count_calls, random_lexicon, tiny_model
+from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
 from oracles import argmax_hypothesis, enumerate_complete
 
 
@@ -22,8 +21,7 @@ def _tiny(seed, tgt_size=4, init_scale=0.02, **kw):
 
 
 def _oracle_best(models, F, max_len, word_penalty):
-    complete = enumerate_complete(models, F, max_len, decoder_step, encode,
-                                  init_decoder_state)
+    complete = enumerate_complete(models, max_len, *graph_stepper(models, F))
     return argmax_hypothesis(complete, word_penalty)
 
 
@@ -68,6 +66,28 @@ def test_wide_beam_matches_exhaustive_search_for_ensembles():
         want_tokens, want_lp = _oracle_best([a, b], F, 4, 0.0)
         assert got.tokens == want_tokens
         assert got.logprob == want_lp
+
+
+@pytest.mark.parametrize("attention", ["dot", "mlp"])
+@pytest.mark.parametrize("use_lexicon", [False, True],
+                         ids=["plain", "lexicon"])
+@pytest.mark.parametrize("members", [1, 2])
+def test_search_score_equals_teacher_forced_score(attention, use_lexicon,
+                                                  members):
+    # search and teacher forcing step the same core in the same order, so
+    # the score of the hypothesis found is the teacher-forced score bit for bit
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        models = [tiny_model(d=4, attention=attention, seed=10 * seed + k,
+                             use_lexicon=use_lexicon, init_scale=0.5)
+                  for k in range(members)]
+        table = random_lexicon(rng, 6, 7) if use_lexicon else None
+        F = tuple(int(x) for x in rng.integers(0, 6, int(rng.integers(1, 5))))
+        # the penalty takes search past the bare sentence end, up to the cap
+        hyp = beam_search(models, F, beam_size=3, word_penalty=2.0,
+                          lexicon=table)
+        assert hyp.complete
+        assert hyp.logprob == sentence_logprob(models, F, hyp.tokens, table)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,33 @@
 import numpy as np
 import pytest
 
+from lexnmt import autodiff as ad
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
-from lexnmt.model import (ModelParams, build_lexicon_matrix, decoder_step,
-                          encode, attend, expected_shapes, init_decoder_state,
-                          init_params, load_checkpoint, lstm_step,
+from lexnmt.model import (GraphParams, ModelParams, _attend_g, _encode_g,
+                          _init_state_g, _lstm_g, _source_context,
+                          _teacher_forced_g, build_lexicon_matrix,
+                          expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
 from lexnmt.train import mrt_loss_frozen
 
-from helpers import random_lexicon, tiny_model
+from helpers import graph_stepper, random_lexicon, tiny_model
 from oracles import (ref_attention, ref_encode, ref_sentence_logprob,
                      ref_step_distribution)
+
+
+def _lstm(W, b, x, h, c):
+    """The graph LSTM step on plain arrays; returns (hidden, cell)."""
+    with ad.no_grad():
+        h, c = _lstm_g(*(ad.Tensor(v) for v in (W, b, x, h, c)))
+    return h.value, c.value
+
+
+@ad.no_grad()
+def _encode(params, F):
+    gp = GraphParams(params)
+    return gp, _encode_g(gp, F)
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +43,8 @@ def test_lstm_zero_parameters_pinned():
     rng = np.random.default_rng(0)
     x = rng.normal(size=2)
     c0 = rng.normal(size=d)
-    h, c = lstm_step(x, (rng.normal(size=d), c0),
-                     np.zeros((3 * d, 2 + d)), np.zeros(3 * d))
+    h, c = _lstm(np.zeros((3 * d, 2 + d)), np.zeros(3 * d), x,
+                 rng.normal(size=d), c0)
     assert np.allclose(c, 0.5 * c0, atol=1e-15)
     assert np.allclose(h, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
@@ -43,19 +58,13 @@ def test_lstm_forget_gate_is_one_minus_input_gate():
     # saturate the input gate open: cell becomes the candidate, history gone
     b_open = np.zeros(3 * d)
     b_open[:d] = 50.0
-    _, c_open = lstm_step(x, (h0, c0), W, b_open)
+    _, c_open = _lstm(W, b_open, x, h0, c0)
     assert np.allclose(c_open, 0.0, atol=1e-12)
     # saturate it closed: cell is carried through untouched
     b_closed = np.zeros(3 * d)
     b_closed[:d] = -50.0
-    _, c_closed = lstm_step(x, (h0, c0), W, b_closed)
+    _, c_closed = _lstm(W, b_closed, x, h0, c0)
     assert np.allclose(c_closed, c0, atol=1e-12)
-
-
-def test_lstm_shape_validation():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        lstm_step(np.zeros(2), (np.zeros(3), np.zeros(3)),
-                  np.zeros((9, 6)), np.zeros(9))
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +75,16 @@ def test_lstm_shape_validation():
 def test_encode_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=3)
     for F in [(2,), (1, 4, 3), (5, 5, 0, 2)]:
-        enc = encode(F, params)
+        _, enc = _encode(params, F)
         R_ref, init_ref = ref_encode(params, F)
         assert enc.R.shape == (params.dec_hid, len(F))
-        assert np.allclose(enc.R, R_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(enc.init_state, init_ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(enc.R.value, R_ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(enc.init_state.value, init_ref, rtol=1e-9,
+                           atol=1e-12)
 
 
 def test_encode_columns_are_backward_then_forward():
-    # assemble the same columns by hand from raw lstm_step calls
+    # assemble the same columns by hand from single LSTM steps
     params = tiny_model(seed=4)
     t = params.tensors
     d = params.d_hid
@@ -84,31 +94,31 @@ def test_encode_columns_are_backward_then_forward():
     h, c = np.zeros(d), np.zeros(d)
     fwd = []
     for x in xs:
-        h, c = lstm_step(x, (h, c), t["enc_fwd_W"], t["enc_fwd_b"])
+        h, c = _lstm(t["enc_fwd_W"], t["enc_fwd_b"], x, h, c)
         fwd.append(h)
     h, c = np.zeros(d), np.zeros(d)
     bwd = [None] * len(F)
     for j in reversed(range(len(F))):
-        h, c = lstm_step(xs[j], (h, c), t["enc_bwd_W"], t["enc_bwd_b"])
+        h, c = _lstm(t["enc_bwd_W"], t["enc_bwd_b"], xs[j], h, c)
         bwd[j] = h
 
-    enc = encode(F, params)
+    R = _encode(params, F)[1].R.value
     for j in range(len(F)):
-        assert np.allclose(enc.R[:d, j], bwd[j], atol=1e-12)
-        assert np.allclose(enc.R[d:, j], fwd[j], atol=1e-12)
+        assert np.allclose(R[:d, j], bwd[j], atol=1e-12)
+        assert np.allclose(R[d:, j], fwd[j], atol=1e-12)
 
 
 def test_encode_rejects_empty_source():
     with pytest.raises(ValueError):
-        encode((), tiny_model())
+        _encode(tiny_model(), ())
 
 
 def test_init_decoder_state_zero_cell_and_context():
     params = tiny_model(seed=5)
-    enc = encode((1, 2), params)
-    state = init_decoder_state(enc, params)
-    assert np.array_equal(state.hidden, enc.init_state)
-    assert not np.any(state.cell) and not np.any(state.context)
+    gp, enc = _encode(params, (1, 2))
+    state = _init_state_g(gp, enc)
+    assert np.array_equal(state.hidden.value, enc.init_state.value)
+    assert not np.any(state.cell.value) and not np.any(state.context.value)
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +130,14 @@ def test_attend_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=6)
     rng = np.random.default_rng(6)
     h = rng.normal(size=params.dec_hid)
-    R = rng.normal(size=(params.dec_hid, 5))
-    a, ctx = attend(h, R, attention, params)
+    gp, enc = _encode(params, (1, 4, 2, 3, 0))
+    with ad.no_grad():
+        a, ctx = _attend_g(gp, ad.Tensor(h), enc)
+    a, ctx, R = a.value, ctx.value, enc.R.value
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(a >= 0)
     assert np.allclose(a, ref_attention(params, h, R), rtol=1e-9, atol=1e-12)
     assert np.allclose(ctx, R @ a, atol=1e-12)
-
-
-def test_attend_validation():
-    params = tiny_model()
-    h = np.zeros(params.dec_hid)
-    with pytest.raises(ValueError, match="unknown attention"):
-        attend(h, np.zeros((params.dec_hid, 2)), "bilinear", params)
-    with pytest.raises(ValueError):
-        attend(h, np.zeros((params.dec_hid, 0)), "dot", params)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        attend(np.zeros(3), np.zeros((4, 2)), "dot", params)
 
 
 # ---------------------------------------------------------------------------
@@ -147,39 +148,21 @@ def test_attend_validation():
 def test_decoder_step_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=7)
     F = (1, 4, 2)
-    enc = encode(F, params)
-    state = init_decoder_state(enc, params)
-    h, c, ctx = state.hidden, state.cell, state.context
+    start, step = graph_stepper(params, F)
+    state = start()[0]
+    R, h = ref_encode(params, F)
+    c, ctx = np.zeros(params.dec_hid), np.zeros(params.dec_hid)
     prev = params.tgt_eos
     for word in [3, 1, 0]:
-        state, probs = decoder_step(prev, state, enc, params)
+        state, probs = step(0, prev, state)
         h, c, ctx, probs_ref = ref_step_distribution(params, prev, h, c, ctx,
-                                                     enc.R)
+                                                     R)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(probs, probs_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.hidden, h, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.cell, c, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.context, ctx, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.hidden.value, h, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.cell.value, c, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.context.value, ctx, rtol=1e-9, atol=1e-12)
         prev = word
-
-
-@pytest.mark.parametrize("attention,use_lexicon",
-                         [("dot", False), ("mlp", False), ("mlp", True)],
-                         ids=["dot", "mlp", "mlp-lexicon"])
-def test_decoder_step_accepts_raw_matrix(attention, use_lexicon):
-    params = tiny_model(attention=attention, seed=8)
-    F = (2, 3)
-    table = random_lexicon(np.random.default_rng(8), params.src_vocab_size,
-                           params.tgt_vocab_size)
-    L = (build_lexicon_matrix(F, table, params.tgt_vocab_size)
-         if use_lexicon else None)
-    enc = encode(F, params)
-    state = init_decoder_state(enc, params)
-    s1, p1 = decoder_step(1, state, enc, params, lexicon=L)
-    s2, p2 = decoder_step(1, state, enc.R, params, lexicon=L)
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(s1.hidden, s2.hidden)
-    assert np.array_equal(s1.context, s2.context)
 
 
 def test_decoder_step_lexicon_bias_matches_oracle():
@@ -187,13 +170,13 @@ def test_decoder_step_lexicon_bias_matches_oracle():
     rng = np.random.default_rng(9)
     table = random_lexicon(rng, params.src_vocab_size, params.tgt_vocab_size)
     F = (0, 3, 3)
-    L = build_lexicon_matrix(F, table, params.tgt_vocab_size)
-    enc = encode(F, params)
-    state = init_decoder_state(enc, params)
-    _, probs = decoder_step(2, state, enc, params, lexicon=L)
+    start, step = graph_stepper(params, F, table)
+    _, probs = step(0, 2, start()[0])
+    R, init = ref_encode(params, F)
+    zero = np.zeros(params.dec_hid)
     ref_lex = {"F": F, "table": table.entries, "epsilon": params.epsilon}
-    _, _, _, probs_ref = ref_step_distribution(
-        params, 2, state.hidden, state.cell, state.context, enc.R, ref_lex)
+    _, _, _, probs_ref = ref_step_distribution(params, 2, init, zero, zero, R,
+                                               ref_lex)
     assert np.allclose(probs, probs_ref, rtol=1e-9, atol=1e-12)
 
 
@@ -201,25 +184,24 @@ def test_lexicon_bias_promotes_supported_tokens():
     params = tiny_model(seed=10)
     table = LexiconTable({4: {5: 1.0}})
     F = (4,)
-    L = build_lexicon_matrix(F, table, params.tgt_vocab_size)
-    enc = encode(F, params)
-    state = init_decoder_state(enc, params)
-    _, p_plain = decoder_step(params.tgt_eos, state, enc, params)
-    _, p_bias = decoder_step(params.tgt_eos, state, enc, params, lexicon=L)
+
+    def first_step(lexicon):
+        start, step = graph_stepper(params, F, lexicon)
+        return step(0, params.tgt_eos, start()[0])[1]
+
+    p_plain, p_bias = first_step(None), first_step(table)
     assert p_bias[5] > p_plain[5]
     assert p_bias[5] > 0.99  # everything else sits at the epsilon floor
 
 
 def test_decoder_step_rejects_nonpositive_epsilon():
+    # the bias is refused when the sentence's L_F is built, before any step
     params = tiny_model(seed=11)
-    L = build_lexicon_matrix((1,), LexiconTable({1: {1: 0.5}}),
-                             params.tgt_vocab_size)
-    enc = encode((1,), params)
-    state = init_decoder_state(enc, params)
+    table = LexiconTable({1: {1: 0.5}})
     for bad in (0.0, -1e-9):
         params.epsilon = bad
         with pytest.raises(ValueError, match="epsilon > 0"):
-            decoder_step(0, state, enc, params, lexicon=L)
+            graph_stepper(params, (1,), table)
 
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
@@ -267,9 +249,10 @@ def test_target_ids_outside_vocabulary_are_rejected(entry, which):
             sentence_logprob(params, F, (bad, eos))
         elif entry == "mrt_loss_frozen":
             mrt_loss_frozen(params, F, (3,), [(bad, eos)], alpha=1.0)
-        else:
-            enc = encode(F, params)
-            decoder_step(bad, init_decoder_state(enc, params), enc, params)
+        else:  # the teacher-forced decoder steps behind every scorer
+            gp = GraphParams(params)
+            next(_teacher_forced_g(gp, _source_context(gp, F, None),
+                                   (bad, eos)))
 
 
 def test_lexicon_model_requires_table():
@@ -293,10 +276,9 @@ def test_ensemble_averages_per_step_probabilities():
     got = sentence_logprob([a, b], F, E)
 
     def step_probs(m):
-        enc = encode(F, m)
-        st = init_decoder_state(enc, m)
-        st, p1 = decoder_step(m.tgt_eos, st, enc, m)
-        _, p2 = decoder_step(E[0], st, enc, m)
+        start, step = graph_stepper(m, F)
+        st, p1 = step(0, m.tgt_eos, start()[0])
+        _, p2 = step(0, E[0], st)
         return p1, p2
 
     pa, pb = step_probs(a), step_probs(b)

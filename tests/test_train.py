@@ -10,16 +10,17 @@ import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
 from lexnmt.errors import DataError, NumericalError
 from lexnmt.metrics import sbleu
-from lexnmt.model import decoder_step, encode, init_decoder_state, sentence_logprob
+from lexnmt.model import sentence_logprob
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
                           expected_sampled_error, gradient_norm,
                           mean_sampled_sbleu, mrt_expected_error, mrt_loss,
                           mrt_loss_frozen, mrt_weights, nll_loss,
-                          sample_translation, token_accuracy, train_ml,
+                          sample_translations, token_accuracy, train_ml,
                           train_mrt)
 
-from helpers import copy_pairs, count_calls, random_lexicon, tiny_model
+from helpers import (copy_pairs, count_calls, graph_stepper, random_lexicon,
+                     tiny_model)
 from oracles import ref_adam_sequence
 
 
@@ -118,11 +119,11 @@ def test_token_accuracy_counts_argmax_matches():
     correct = 0
     total = 0
     for p in pairs:
-        enc = encode(p.source, params)
-        state = init_decoder_state(enc, params)
+        start, step = graph_stepper(params, p.source)
+        state = start()[0]
         prev = params.tgt_eos
         for e in tuple(p.target) + (params.tgt_eos,):
-            state, probs = decoder_step(prev, state, enc, params)
+            state, probs = step(0, prev, state)
             correct += int(np.argmax(probs) == e)
             total += 1
             prev = e
@@ -136,30 +137,32 @@ def test_token_accuracy_counts_argmax_matches():
 def test_sample_translation_is_reproducible_and_bounded():
     params = tiny_model(seed=36)
     F = (1, 2, 3)
-    a = sample_translation(params, F, 8, np.random.default_rng(5))
-    b = sample_translation(params, F, 8, np.random.default_rng(5))
-    assert a == b
-    for seed in range(20):
-        s = sample_translation(params, F, 8, np.random.default_rng(seed))
+    a = sample_translations(params, F, 20, 8, np.random.default_rng(5))
+    assert a == sample_translations(params, F, 20, 8, np.random.default_rng(5))
+    assert len(a) == 20
+    for s in a:
         assert 1 <= len(s) <= 8
         assert params.tgt_eos not in s[:-1]  # sentence end only terminal
+    # one call draws what single-sample calls draw in turn from the same rng
+    rng = np.random.default_rng(5)
+    assert a == [sample_translations(params, F, 1, 8, rng)[0]
+                 for _ in range(20)]
     with pytest.raises(ValueError):
-        sample_translation(params, F, 0, np.random.default_rng(0))
+        sample_translations(params, F, 1, 0, np.random.default_rng(0))
 
 
 def test_sample_translation_first_token_frequencies():
-    # with max_len 1 each call draws exactly one token from the first-step
+    # with max_len 1 each sample is exactly one token from the first-step
     # distribution; empirical frequencies must agree within 4 sigma
     params = tiny_model(seed=37)
     F = (2, 4)
-    enc = encode(F, params)
-    _, probs = decoder_step(params.tgt_eos, init_decoder_state(enc, params),
-                            enc, params)
+    start, step = graph_stepper(params, F)
+    _, probs = step(0, params.tgt_eos, start()[0])
     rng = np.random.default_rng(11)
     n = 4000
     counts = np.zeros(params.tgt_vocab_size)
-    for _ in range(n):
-        counts[sample_translation(params, F, 1, rng)[0]] += 1
+    for s in sample_translations(params, F, n, 1, rng):
+        counts[s[0]] += 1
     freq = counts / n
     sigma = np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(freq - probs) <= 4 * sigma + 1e-9)
@@ -265,8 +268,7 @@ def test_mean_sampled_sbleu_equals_public_sampling_loop():
     rng = np.random.default_rng(6)
     scores = []
     for pair in pairs:
-        for _ in range(3):
-            s = sample_translation(params, pair.source, 6, rng, table)
+        for s in sample_translations(params, pair.source, 3, 6, rng, table):
             if s[-1] == params.tgt_eos:
                 s = s[:-1]
             scores.append(sbleu(tuple(s), pair.target))
@@ -445,7 +447,7 @@ def test_lexicon_model_rejects_missing_table():
     with pytest.raises(ValueError, match="lexicon table is required"):
         token_accuracy(params, [pair])
     with pytest.raises(ValueError, match="lexicon table is required"):
-        sample_translation(params, (1, 2), 5, rng)
+        sample_translations(params, (1, 2), 1, 5, rng)
     with pytest.raises(ValueError, match="lexicon table is required"):
         mrt_loss_frozen(params, (1, 2), (3,), [(3, 0)], alpha=1.0)
     with pytest.raises(ValueError, match="lexicon table is required"):
