@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .model import (DecoderState, GraphParams, _as_model_list, _init_state_g,
-                    _length_cap, _source_context, _step_probs,
-                    ensemble_distribution)
+from .model import (DecoderState, _as_model_list, _init_state, _length_cap,
+                    _source_context, _step_probs, ensemble_distribution)
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ def _order_key(scored):
     return (-score, len(hyp.tokens), hyp.tokens)
 
 
-@ad.no_grad()
 def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
                 max_len: int | None = None, lexicon=None) -> Hypothesis:
     """Return the best-scoring hypothesis for source sentence F.
@@ -63,9 +60,8 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
         raise ValueError("max_len must be >= 1")
 
     eos = models[0].tgt_eos
-    gps = [GraphParams(m) for m in models]
-    encs = [_source_context(gp, F, lexicon) for gp in gps]
-    init = tuple(_init_state_g(gp, enc) for gp, enc in zip(gps, encs))
+    encs = [_source_context(m, F, lexicon) for m in models]
+    init = tuple(_init_state(m, enc) for m, enc in zip(models, encs))
 
     beam = [Hypothesis((), 0.0, init, False)]
     best_complete, best_key = None, None
@@ -74,8 +70,8 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
         candidates: list[tuple[float, Hypothesis]] = []
         for hyp in beam:
             prev = hyp.tokens[-1] if hyp.tokens else eos
-            steps = [_step_probs(gp, prev, hyp.states[k], encs[k])
-                     for k, gp in enumerate(gps)]
+            steps = [_step_probs(m, prev, hyp.states[k], encs[k])
+                     for k, m in enumerate(models)]
             states = tuple(st for st, _ in steps)
             with np.errstate(divide="ignore"):
                 logp = np.log(ensemble_distribution([p for _, p in steps]))

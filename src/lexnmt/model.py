@@ -7,24 +7,25 @@ softmax(W_s eta + b_s), optionally biased by log(L_F a + epsilon) where L_F
 is a dense (|V_e|, |F|) slice of the lexical translation probabilities for the
 source words.
 
-The model is written once, as graph functions over :class:`GraphParams`.
-Everything that depends only on the source sentence (R, the decoder's initial
-state, the MLP projection W1_r R and L_F) is built once per model and sentence
-by :func:`_source_context`; teacher forcing, sampling, minimum-risk scoring and
-beam search all step from that one context.  Training records gradients
-through the graph functions; scoring, sampling and search run the same
-functions without gradient recording.
+The model is written once, in numpy over plain arrays.  Everything that
+depends only on the source sentence (R, the decoder's initial state, the MLP
+projection W1_r R and L_F) is built once per model and sentence by
+:func:`_source_context`.  One step function, :func:`_decoder_step`, serves
+beam search, sampling, scoring and training; it also returns what the step
+computed, from which :func:`_backward` derives exact gradients by a
+hand-written backward pass through time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .align import LexiconTable
 from .corpus import Vocabulary
 from .errors import DataError
@@ -143,151 +144,280 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# graph construction
+# forward: one step function over plain arrays
 # ---------------------------------------------------------------------------
-
-class GraphParams:
-    """Parameters wrapped as graph leaves for one forward/backward pass."""
-
-    def __init__(self, params: ModelParams):
-        self.hp = params
-        self.t = {name: ad.Tensor(arr) for name, arr in params.tensors.items()}
-        if params.attention == "mlp":
-            dec = params.dec_hid
-            self.w1_h = ad.cols_slice(self.t["attn_W1"], 0, dec)
-            self.w1_r = ad.cols_slice(self.t["attn_W1"], dec, 2 * dec)
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-                for name, t in self.t.items()}
-
 
 @dataclass
 class DecoderState:
     """Decoder hidden and cell state and the last attention context."""
 
-    hidden: ad.Tensor
-    cell: ad.Tensor
-    context: ad.Tensor
+    hidden: np.ndarray
+    cell: np.ndarray
+    context: np.ndarray
 
 
 @dataclass
-class _EncGraph:
+class _SourceContext:
     """Per-sentence source context of one model, shared by every decoder step."""
 
-    R: ad.Tensor
-    init_state: ad.Tensor
-    mlp_proj: ad.Tensor | None = None  # W1[:, r-part] @ R for MLP attention
+    R: np.ndarray
+    init_state: np.ndarray
+    chains: dict  # direction -> (source ids, LSTM activations) in run order
+    w1_h: np.ndarray | None = None  # attn_W1[:, h-part] for MLP attention
+    mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R
     lexicon_matrix: np.ndarray | None = None  # dense L_F; None: no bias
 
 
-def _lstm_g(W, b, x, h, c):
-    """Coupled-gate LSTM: the forget gate is one minus the input gate."""
-    n = h.value.shape[0]
-    z = ad.add(ad.matvec(W, ad.concat([x, h])), b)
-    i = ad.sigmoid(ad.vec_slice(z, 0, n))
-    o = ad.sigmoid(ad.vec_slice(z, n, 2 * n))
-    g = ad.tanh(ad.vec_slice(z, 2 * n, 3 * n))
-    c_new = ad.add(ad.mul(ad.one_minus(i), c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+class _Step(NamedTuple):
+    """What one decoder step computed, kept for the backward pass."""
+
+    lstm: tuple
+    attn: np.ndarray
+    mlp: np.ndarray | None  # tanh activations of MLP attention
+    out_in: np.ndarray  # [h; ctx]
+    eta: np.ndarray
+    lex: np.ndarray | None  # L_F a + epsilon
+    logits: np.ndarray
+    logit_max: float
+    exp_sum: float
+    probs: np.ndarray
 
 
-def _encode_g(gp: GraphParams, F) -> _EncGraph:
-    hp = gp.hp
+def _lstm(W, b, u, c):
+    """Coupled-gate LSTM step on u = [x; h]: the forget gate is one minus the
+    input gate.  Returns (hidden, cell, activations)."""
+    n = c.shape[0]
+    z = W @ u + b
+    i = 1.0 / (1.0 + np.exp(-z[:n]))
+    o = 1.0 / (1.0 + np.exp(-z[n:2 * n]))
+    g = np.tanh(z[2 * n:])
+    c_new = (1.0 - i) * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (u, c, i, o, g, tc)
+
+
+def _encode_g(params: ModelParams, F) -> _SourceContext:
+    """Run both encoder directions over F (without L_F), keeping each
+    direction's LSTM activations for the backward pass."""
     if len(F) == 0:
         raise ValueError("cannot encode an empty sentence")
     for f in F:
-        if not (0 <= f < hp.src_vocab_size):
+        if not (0 <= f < params.src_vocab_size):
             raise ValueError(f"source id {f} outside vocabulary")
-    emb = gp.t["src_emb"]
-    xs = [ad.row(emb, f) for f in F]
-    x_eos = ad.row(emb, hp.src_eos)
-    Wf, bf = gp.t["enc_fwd_W"], gp.t["enc_fwd_b"]
-    Wb, bb = gp.t["enc_bwd_W"], gp.t["enc_bwd_b"]
-    zero = np.zeros(hp.d_hid)
-
-    h, c = ad.Tensor(zero), ad.Tensor(zero)
-    fwd = []
-    for x in xs:
-        h, c = _lstm_g(Wf, bf, x, h, c)
-        fwd.append(h)
-    fwd_final, _ = _lstm_g(Wf, bf, x_eos, h, c)
-
-    h, c = ad.Tensor(zero), ad.Tensor(zero)
-    bwd = [None] * len(xs)
-    for j in range(len(xs) - 1, -1, -1):
-        h, c = _lstm_g(Wb, bb, xs[j], h, c)
-        bwd[j] = h
-    bwd_final, _ = _lstm_g(Wb, bb, x_eos, h, c)
-
-    cols = [ad.concat([bwd[j], fwd[j]]) for j in range(len(xs))]
-    R = ad.stack_cols(cols)
-    init_state = ad.concat([bwd_final, fwd_final])
-    proj = ad.matmat(gp.w1_r, R) if hp.attention == "mlp" else None
-    return _EncGraph(R, init_state, proj)
-
-
-def _source_context(gp: GraphParams, F, lexicon) -> _EncGraph:
-    """Encode F and attach its L_F: the one build of a sentence's context."""
-    enc = _encode_g(gp, F)
-    enc.lexicon_matrix = _lexicon_matrix(gp.hp, F, lexicon)
+    t = params.tensors
+    zero = np.zeros(params.d_hid)
+    chains, hidden = {}, {}
+    for direction, order in (("fwd", list(F)), ("bwd", list(F)[::-1])):
+        ids = order + [params.src_eos]
+        h, c, acts, hidden[direction] = zero, zero, [], []
+        for f in ids:
+            h, c, act = _lstm(t[f"enc_{direction}_W"], t[f"enc_{direction}_b"],
+                              np.concatenate([t["src_emb"][f], h]), c)
+            acts.append(act)
+            hidden[direction].append(h)
+        chains[direction] = (ids, acts)
+    fwd, bwd = hidden["fwd"], hidden["bwd"]
+    n = len(F)
+    R = np.stack([np.concatenate([bwd[n - 1 - j], fwd[j]]) for j in range(n)],
+                 axis=1)
+    enc = _SourceContext(R, np.concatenate([bwd[n], fwd[n]]), chains)
+    if params.attention == "mlp":
+        dec = params.dec_hid
+        enc.w1_h = t["attn_W1"][:, :dec].copy()
+        enc.mlp_proj = t["attn_W1"][:, dec:].copy() @ R
     return enc
 
 
-def _attend_g(gp: GraphParams, h, enc: _EncGraph):
+def _source_context(params: ModelParams, F, lexicon) -> _SourceContext:
+    """Encode F and attach its L_F: the one build of a sentence's context."""
+    enc = _encode_g(params, F)
+    enc.lexicon_matrix = _lexicon_matrix(params, F, lexicon)
+    return enc
+
+
+def _attend(params: ModelParams, h, enc: _SourceContext):
+    """Attention weights, context vector and (MLP only) tanh activations."""
     if enc.mlp_proj is None:
-        scores = ad.matTvec(enc.R, h)
+        m = None
+        scores = enc.R.T @ h
     else:
-        m = ad.tanh(ad.addcol(enc.mlp_proj, ad.matvec(gp.w1_h, h)))
-        scores = ad.matTvec(m, gp.t["attn_w2"])
-    a = ad.softmax_vec(scores)
-    return a, ad.matvec(enc.R, a)
+        m = np.tanh(enc.mlp_proj + (enc.w1_h @ h)[:, None])
+        scores = m.T @ params.tensors["attn_w2"]
+    e = np.exp(scores - scores.max())
+    a = e / e.sum()
+    return a, enc.R @ a, m
 
 
-def _init_state_g(gp: GraphParams, enc: _EncGraph) -> DecoderState:
-    zero = np.zeros(gp.hp.dec_hid)
-    return DecoderState(enc.init_state, ad.Tensor(zero), ad.Tensor(zero))
+def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
+    zero = np.zeros(params.dec_hid)
+    return DecoderState(enc.init_state, zero, zero)
 
 
-def _decoder_step_g(gp: GraphParams, prev_word: int, state: DecoderState,
-                    enc: _EncGraph):
-    """One decoder step; returns (new state, logits tensor, attention tensor)."""
-    x = ad.concat([ad.row(gp.t["tgt_emb"], prev_word), state.context])
-    h, c = _lstm_g(gp.t["dec_W"], gp.t["dec_b"], x, state.hidden, state.cell)
-    a, ctx = _attend_g(gp, h, enc)
-    eta = ad.add(ad.matvec(gp.t["out_W"], ad.concat([h, ctx])), gp.t["out_b"])
-    logits = ad.add(ad.matvec(gp.t["softmax_W"], eta), gp.t["softmax_b"])
+def _decoder_step(params: ModelParams, prev_word: int, state: DecoderState,
+                  enc: _SourceContext):
+    """One decoder step: (new state, :class:`_Step`); the next-word
+    distribution is its ``probs``."""
+    t = params.tensors
+    u = np.concatenate([t["tgt_emb"][prev_word], state.context, state.hidden])
+    h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
+    a, ctx, m = _attend(params, h, enc)
+    q = np.concatenate([h, ctx])
+    eta = t["out_W"] @ q + t["out_b"]
+    logits = t["softmax_W"] @ eta + t["softmax_b"]
+    lex = None
     if enc.lexicon_matrix is not None:
-        p_lex = ad.const_matvec(enc.lexicon_matrix, a)
-        logits = ad.add(logits, ad.log_add_eps(p_lex, gp.hp.epsilon))
-    return DecoderState(h, c, ctx), logits, a
+        lex = enc.lexicon_matrix @ a + params.epsilon
+        logits = logits + np.log(lex)
+    top = logits.max()
+    e = np.exp(logits - top)
+    total = e.sum()
+    return (DecoderState(h, c, ctx),
+            _Step(lstm, a, m, q, eta, lex, logits, top, total, e / total))
 
 
-def _step_probs(gp: GraphParams, prev_word: int, state: DecoderState,
-                enc: _EncGraph):
+def _step_probs(params: ModelParams, prev_word: int, state: DecoderState,
+                enc: _SourceContext):
     """One decoder step as (new state, next-word probability array)."""
-    state, logits, _ = _decoder_step_g(gp, prev_word, state, enc)
-    return state, ad.softmax_vec(logits).value
+    state, step = _decoder_step(params, prev_word, state, enc)
+    return state, step.probs
 
 
-def _teacher_forced_g(gp: GraphParams, enc: _EncGraph, E):
-    """Yield the logits of each step of E, feeding the reference words."""
-    if not all(0 <= e < gp.hp.tgt_vocab_size for e in E):
+def _teacher_forced(params: ModelParams, enc: _SourceContext, E):
+    """The decoder's :class:`_Step` list over E, feeding the reference words."""
+    if not all(0 <= e < params.tgt_vocab_size for e in E):
         raise ValueError(f"target id outside vocabulary in {list(E)}")
-    state = _init_state_g(gp, enc)
-    prev = gp.hp.tgt_eos
+    state = _init_state(params, enc)
+    prev = params.tgt_eos
+    steps = []
     for e in E:
-        state, logits, _ = _decoder_step_g(gp, prev, state, enc)
-        yield logits
+        state, step = _decoder_step(params, prev, state, enc)
+        steps.append(step)
         prev = e
+    return steps
 
 
-def _sentence_logprob_g(gp: GraphParams, enc: _EncGraph, E):
-    """Teacher-forced log-probability of E (which must end with the eos id)."""
-    terms = [ad.pick(ad.log_softmax_vec(logits), e)
-             for e, logits in zip(E, _teacher_forced_g(gp, enc, E))]
-    return ad.sumall(ad.stack_scalars(terms))
+def _logprob(steps, E) -> float:
+    """log p(E) from the teacher-forced steps over E (log-softmax per step)."""
+    return float(np.array([s.logits[e] - (s.logit_max + np.log(s.exp_sum))
+                           for s, e in zip(steps, E)]).sum())
+
+
+# ---------------------------------------------------------------------------
+# backward through time
+# ---------------------------------------------------------------------------
+
+def _lstm_back(act, dh, dc):
+    """Backward of one :func:`_lstm` step from the gradients of its outputs;
+    returns (gradient of the gate pre-activations z, of the incoming cell)."""
+    u, c, i, o, g, tc = act
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dz = np.concatenate([dc * (g - c) * i * (1.0 - i),
+                         dh * tc * o * (1.0 - o),
+                         dc * i * (1.0 - g * g)])
+    return dz, dc * (1.0 - i)
+
+
+def _backward(params: ModelParams, enc: _SourceContext, runs, seeds, grads):
+    """Add to ``grads`` the gradient of sum_s seeds[s] * log p(E_s | F).
+
+    ``runs`` pairs each target sequence E_s with its teacher-forced steps
+    against the one context ``enc``.  Teacher forcing never feeds the output
+    layer back into the recurrence, so the output layer and the lexicon bias
+    are differentiated for all steps at once, and the LSTM weights take one
+    product after the step-by-step walk back through attention and the
+    recurrence.  The encoder is walked back once for all sequences.
+    """
+    steps = [s for _, run in runs for s in run]
+    if not steps:
+        return
+    t = params.tensors
+    D, d_emb, R = params.dec_hid, params.d_emb, enc.R
+    seed = np.repeat(np.asarray(seeds, dtype=float), [len(E) for E, _ in runs])
+    # d log p_t[e_t] / d logits_t = onehot(e_t) - p_t
+    G = np.stack([s.probs for s in steps]) * -seed[:, None]
+    G[np.arange(len(steps)), [e for E, _ in runs for e in E]] += seed
+    Eta = np.stack([s.eta for s in steps])
+    Q = np.stack([s.out_in for s in steps])
+    A = np.stack([s.attn for s in steps])
+    grads["softmax_W"] += G.T @ Eta
+    grads["softmax_b"] += G.sum(axis=0)
+    dEta = G @ t["softmax_W"]
+    grads["out_W"] += dEta.T @ Q
+    grads["out_b"] += dEta.sum(axis=0)
+    dQ = dEta @ t["out_W"]
+    dA = np.zeros_like(A)
+    if enc.lexicon_matrix is not None:
+        dA += (G / np.stack([s.lex for s in steps])) @ enc.lexicon_matrix
+
+    mlp = enc.mlp_proj is not None
+    dCtx = dQ[:, D:].copy()
+    dS = np.empty_like(A)
+    dZ = np.empty((len(steps), 3 * D))
+    dU = np.empty((len(steps), t["dec_W"].shape[1]))
+    if mlp:
+        K = np.empty((len(steps), params.attn_dim))
+        dP = np.zeros_like(enc.mlp_proj)
+    d_init = np.zeros(D)
+    prev_words = []
+    end = 0
+    for E, _ in runs:
+        start, end = end, end + len(E)
+        prev_words += [params.tgt_eos, *E[:-1]]
+        dh_next, dc, dctx_next = np.zeros(D), np.zeros(D), np.zeros(D)
+        for k in reversed(range(start, end)):
+            s = steps[k]
+            dCtx[k] += dctx_next
+            da = dA[k] + R.T @ dCtx[k]
+            dS[k] = ds = s.attn * (da - da @ s.attn)
+            dh = dQ[k, :D] + dh_next
+            if mlp:
+                grads["attn_w2"] += s.mlp @ ds
+                dpre = np.outer(t["attn_w2"], ds) * (1.0 - s.mlp * s.mlp)
+                dP += dpre
+                K[k] = dpre.sum(axis=1)
+                dh += enc.w1_h.T @ K[k]
+            else:
+                dh += R @ ds
+            dZ[k], dc = _lstm_back(s.lstm, dh, dc)
+            dU[k] = t["dec_W"].T @ dZ[k]
+            dctx_next = dU[k, d_emb:d_emb + D]
+            dh_next = dU[k, d_emb + D:]
+        d_init += dh_next
+
+    grads["dec_W"] += dZ.T @ np.stack([s.lstm[0] for s in steps])
+    grads["dec_b"] += dZ.sum(axis=0)
+    np.add.at(grads["tgt_emb"], prev_words, dU[:, :d_emb])
+    dR = dCtx.T @ A
+    if mlp:
+        grads["attn_W1"][:, :D] += K.T @ Q[:, :D]
+        grads["attn_W1"][:, D:] += dP @ R.T
+        dR += t["attn_W1"][:, D:].T @ dP
+    else:
+        dR += Q[:, :D].T @ dS
+    _encoder_backward(params, enc, dR, d_init, grads)
+
+
+def _encoder_backward(params: ModelParams, enc: _SourceContext, dR, d_init,
+                      grads):
+    """Walk both encoder chains back from the gradients of R and of the
+    decoder's initial state."""
+    d, d_emb = params.d_hid, params.d_emb
+    # each chain's hidden outputs in run order: the word columns, then the
+    # sentence-end step that feeds the initial state
+    for direction, dH in (("fwd", np.vstack([dR[d:].T, d_init[d:]])),
+                          ("bwd", np.vstack([dR[:d, ::-1].T, d_init[:d]]))):
+        ids, acts = enc.chains[direction]
+        W = params.tensors[f"enc_{direction}_W"]
+        dZ = np.empty((len(acts), 3 * d))
+        dU = np.empty((len(acts), W.shape[1]))
+        dh, dc = np.zeros(d), np.zeros(d)
+        for k in reversed(range(len(acts))):
+            dZ[k], dc = _lstm_back(acts[k], dH[k] + dh, dc)
+            dU[k] = W.T @ dZ[k]
+            dh = dU[k, d_emb:]
+        grads[f"enc_{direction}_W"] += dZ.T @ np.stack([a[0] for a in acts])
+        grads[f"enc_{direction}_b"] += dZ.sum(axis=0)
+        np.add.at(grads["src_emb"], ids, dU[:, :d_emb])
 
 
 def _as_model_list(models) -> list[ModelParams]:
@@ -360,15 +490,12 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     models = _as_model_list(models)
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
-    with ad.no_grad():
-        gps = [GraphParams(m) for m in models]
-        steps = [_teacher_forced_g(gp, _source_context(gp, F, lexicon), E)
-                 for gp in gps]
-        total = 0.0
-        for e, *logits in zip(E, *steps):
-            probs = ensemble_distribution([ad.softmax_vec(lg).value
-                                           for lg in logits])
-            total += float(np.log(probs[e]))
+    runs = [_teacher_forced(m, _source_context(m, F, lexicon), E)
+            for m in models]
+    total = 0.0
+    for e, *steps in zip(E, *runs):
+        probs = ensemble_distribution([s.probs for s in steps])
+        total += float(np.log(probs[e]))
     return total
 
 
@@ -387,14 +514,13 @@ def save_checkpoint(path, params: ModelParams, src_vocab: Vocabulary,
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)}
                     for n in names],
     }
-    blob = b"".join(np.ascontiguousarray(params.tensors[n], dtype="<f8").tobytes()
-                    for n in names)
     with open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True,
                            separators=(",", ":")).encode("utf-8"))
         f.write(b"\n")
-        f.write(blob)
+        for n in names:  # written from the arrays' own memory, no copy
+            f.write(np.ascontiguousarray(params.tensors[n], dtype="<f8").data)
 
 
 def load_checkpoint(path):
@@ -406,34 +532,43 @@ def load_checkpoint(path):
         raise DataError(f"cannot read {path}: {e.strerror}") from e
     if not raw.startswith(_CHECKPOINT_MAGIC):
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    rest = raw[len(_CHECKPOINT_MAGIC):]
+    end = raw.find(b"\n", len(_CHECKPOINT_MAGIC))
     try:
-        header_bytes, blob = rest.split(b"\n", 1)
-        header = json.loads(header_bytes)
-    except (ValueError, json.JSONDecodeError) as e:
+        if end < 0:
+            raise ValueError("no end of header line")
+        header = json.loads(raw[len(_CHECKPOINT_MAGIC):end])
+    except ValueError as e:
         raise DataError(f"{path}: corrupt checkpoint header") from e
     _check_header(path, header)
     hyper = header["hyper"]
     tensors = {}
-    offset = 0
+    offset = end + 1
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
             raise DataError(
                 f"{path}: tensor '{entry['name']}': truncated data")
+        # one copy per tensor, straight out of the file bytes
         tensors[entry["name"]] = np.frombuffer(
-            blob[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
+            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(raw):
         raise DataError(f"{path}: trailing bytes after tensor data")
-    params = ModelParams(tensors=tensors, **hyper)
-    return (params, Vocabulary(header["src_vocab"]),
-            Vocabulary(header["tgt_vocab"]))
+    vocabs = Vocabulary(header["src_vocab"]), Vocabulary(header["tgt_vocab"])
+    for side, vocab in zip(("src", "tgt"), vocabs):
+        if (len(vocab) != hyper[f"{side}_vocab_size"]
+                or vocab.eos_id != hyper[f"{side}_eos"]):
+            raise DataError(
+                f"{path}: {side} vocabulary ({len(vocab)} tokens, sentence "
+                f"end {vocab.eos_id}) disagrees with {side}_vocab_size "
+                f"{hyper[f'{side}_vocab_size']} and {side}_eos "
+                f"{hyper[f'{side}_eos']}")
+    return ModelParams(tensors=tensors, **hyper), *vocabs
 
 
-_HYPER_TYPES = {f.name: {"int": int, "str": str, "bool": bool,
+# exact JSON types: a boolean is no number here, though bool subclasses int
+_HYPER_TYPES = {f.name: {"int": (int,), "str": (str,), "bool": (bool,),
                          "float": (int, float)}[f.type]
                 for f in fields(ModelParams) if f.name != "tensors"}
 
@@ -447,7 +582,7 @@ def _check_header(path, header):
             raise DataError(f"{path}: checkpoint header lacks '{key}'")
     hyper = header["hyper"]
     if not (isinstance(hyper, dict) and set(hyper) == set(_HYPER_TYPES)
-            and all(isinstance(hyper[k], t) for k, t in _HYPER_TYPES.items())):
+            and all(type(hyper[k]) in t for k, t in _HYPER_TYPES.items())):
         raise DataError(f"{path}: checkpoint hyperparameters must be exactly "
                         f"{sorted(_HYPER_TYPES)}, typed as in ModelParams")
     for key in ("src_vocab", "tgt_vocab"):

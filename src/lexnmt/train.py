@@ -8,6 +8,12 @@ halved learning rate (two halvings, then stop).
 Minimum-risk training minimizes the expected error 1 - SBLEU over sampled
 translations, with sample probabilities sharpened by ``alpha`` and
 renormalized over the sample set.
+
+Both losses take their gradients from the model's sentence backward
+(:func:`lexnmt.model._backward`).  Maximum likelihood seeds it with -1 per
+sentence; minimum risk is weighted teacher forcing: the distinct samples of
+a sentence are scored against one encoding and each is seeded with the
+derivative of the expected error by its log-probability (Shen et al. 2016).
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DataError, NumericalError
 from .metrics import mrt_error, sbleu
-from .model import (GraphParams, ModelParams, _init_state_g, _length_cap,
-                    _sentence_logprob_g, _source_context, _step_probs,
-                    _teacher_forced_g, save_checkpoint)
+from .model import (ModelParams, _backward, _init_state, _length_cap,
+                    _logprob, _source_context, _step_probs, _teacher_forced,
+                    save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -120,22 +125,23 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
     return tuple(pair.target) + (params.tgt_eos,)
 
 
+def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
+    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
+
+
 def nll_loss(params: ModelParams, batch, lexicon=None):
     """Total negative log-likelihood of a batch and its parameter gradients."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
     total = 0.0
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grads = _zero_grads(params)
     for pair in batch:
-        gp = GraphParams(params)
-        enc = _source_context(gp, pair.source, lexicon)
-        lp = _sentence_logprob_g(gp, enc, _target_with_eos(params, pair))
-        loss = ad.scale(lp, -1.0)
-        ad.backward(loss)
-        total += float(loss.value)
-        for name, g in gp.grads().items():
-            grads[name] += g
+        enc = _source_context(params, pair.source, lexicon)
+        E = _target_with_eos(params, pair)
+        steps = _teacher_forced(params, enc, E)
+        total -= _logprob(steps, E)
+        _backward(params, enc, [(E, steps)], [-1.0], grads)
     return total, grads
 
 
@@ -143,13 +149,11 @@ def corpus_nll(params: ModelParams, pairs, lexicon=None) -> float:
     """Mean per-token negative log-likelihood over a corpus."""
     total = 0.0
     tokens = 0
-    with ad.no_grad():
-        gp = GraphParams(params)
-        for pair in pairs:
-            enc = _source_context(gp, pair.source, lexicon)
-            E = _target_with_eos(params, pair)
-            total -= float(_sentence_logprob_g(gp, enc, E).value)
-            tokens += len(E)
+    for pair in pairs:
+        enc = _source_context(params, pair.source, lexicon)
+        E = _target_with_eos(params, pair)
+        total -= _logprob(_teacher_forced(params, enc, E), E)
+        tokens += len(E)
     return total / tokens
 
 
@@ -158,14 +162,12 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
     correct under teacher forcing (sentence-end step included)."""
     correct = 0
     total = 0
-    with ad.no_grad():
-        gp = GraphParams(params)
-        for pair in pairs:
-            enc = _source_context(gp, pair.source, lexicon)
-            E = _target_with_eos(params, pair)
-            for e, logits in zip(E, _teacher_forced_g(gp, enc, E)):
-                correct += int(np.argmax(logits.value) == e)
-                total += 1
+    for pair in pairs:
+        enc = _source_context(params, pair.source, lexicon)
+        E = _target_with_eos(params, pair)
+        for e, step in zip(E, _teacher_forced(params, enc, E)):
+            correct += int(np.argmax(step.logits) == e)
+            total += 1
     return correct / total
 
 
@@ -173,23 +175,22 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
 # sampling and minimum risk
 # ---------------------------------------------------------------------------
 
-def _sample_g(gp: GraphParams, enc, max_len: int, rng) -> list[int]:
-    """One ancestral sample from a source context, without gradient recording."""
+def _sample(params: ModelParams, enc, max_len: int, rng) -> list[int]:
+    """One ancestral sample from a source context."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     out = []
-    with ad.no_grad():
-        state = _init_state_g(gp, enc)
-        prev = gp.hp.tgt_eos
-        for _ in range(max_len):
-            state, probs = _step_probs(gp, prev, state, enc)
-            cum = np.cumsum(probs)
-            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            idx = min(idx, len(probs) - 1)
-            out.append(idx)
-            if idx == gp.hp.tgt_eos:
-                break
-            prev = idx
+    state = _init_state(params, enc)
+    prev = params.tgt_eos
+    for _ in range(max_len):
+        state, probs = _step_probs(params, prev, state, enc)
+        cum = np.cumsum(probs)
+        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        idx = min(idx, len(probs) - 1)
+        out.append(idx)
+        if idx == params.tgt_eos:
+            break
+        prev = idx
     return out
 
 
@@ -214,11 +215,12 @@ class _EmptySamples(ValueError):
     """Every distinct sample of a sentence is the bare sentence end."""
 
 
-def _draw_samples(gp: GraphParams, enc, F, num_samples: int, rng,
+def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
                   max_sample_len: int | None) -> list[tuple[int, ...]]:
     """``num_samples`` ancestral samples of F from its context, in draw order."""
     max_len = _length_cap(F, max_sample_len)
-    return [tuple(_sample_g(gp, enc, max_len, rng)) for _ in range(num_samples)]
+    return [tuple(_sample(params, enc, max_len, rng))
+            for _ in range(num_samples)]
 
 
 def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
@@ -228,21 +230,35 @@ def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
     The sentence-end id terminates a sample and is included in it; a sample
     that reaches ``max_len`` without drawing it is returned as-is.
     """
-    with ad.no_grad():
-        gp = GraphParams(params)
-        return _draw_samples(gp, _source_context(gp, F, lexicon), F,
-                             num_samples, rng, max_len)
+    return _draw_samples(params, _source_context(params, F, lexicon), F,
+                         num_samples, rng, max_len)
 
 
-def _expected_error_g(gp: GraphParams, enc, E_ref, samples, alpha: float):
+def _expected_error(params: ModelParams, enc, E_ref, samples, alpha: float):
     """Expected error 1 - SBLEU over ``samples``, all scored against ``enc``,
-    weighted by P^alpha renormalized over the sample set."""
+    weighted by P^alpha renormalized over the sample set.
+
+    Returns the error, each sample with its teacher-forced steps, and the
+    derivative of the error by each sample's log-probability: with weights
+    w = softmax(alpha * logp) and error L = sum_s w_s err_s, that is
+    alpha * w_s * (err_s - L).
+    """
     ref = tuple(E_ref)
-    errors = np.array([mrt_error(ref, _strip_eos(s, gp.hp.tgt_eos))
+    errors = np.array([mrt_error(ref, _strip_eos(s, params.tgt_eos))
                        for s in samples])
-    logps = [_sentence_logprob_g(gp, enc, s) for s in samples]
-    weights = ad.softmax_vec(ad.scale(ad.stack_scalars(logps), alpha))
-    return ad.dotprod(weights, ad.Tensor(errors))
+    runs = [(s, _teacher_forced(params, enc, s)) for s in samples]
+    weights = mrt_weights([_logprob(steps, s) for s, steps in runs], alpha)
+    loss = float(weights @ errors)
+    return loss, runs, alpha * weights * (errors - loss)
+
+
+def _risk_gradient(params: ModelParams, enc, E_ref, samples, alpha: float):
+    """Expected error over ``samples`` and its gradient: one backward pass
+    seeded per sample with d error / d logp, one encoder walk for them all."""
+    loss, runs, seeds = _expected_error(params, enc, E_ref, samples, alpha)
+    grads = _zero_grads(params)
+    _backward(params, enc, runs, seeds, grads)
+    return loss, grads
 
 
 def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
@@ -252,11 +268,8 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
     samples = [tuple(s) for s in samples]
     if not samples:
         raise ValueError("sample set must be non-empty")
-    gp = GraphParams(params)
-    enc = _source_context(gp, F, lexicon)
-    loss = _expected_error_g(gp, enc, E_ref, samples, alpha)
-    ad.backward(loss)
-    return float(loss.value), gp.grads()
+    enc = _source_context(params, F, lexicon)
+    return _risk_gradient(params, enc, E_ref, samples, alpha)
 
 
 def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
@@ -269,28 +282,23 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
         raise ValueError("alpha must be > 0")
     if rng is None:
         raise ValueError("an rng is required for sampling")
-    gp = GraphParams(params)
-    enc = _source_context(gp, F, lexicon)
+    enc = _source_context(params, F, lexicon)
     samples = list(dict.fromkeys(  # first-draw order
-        _draw_samples(gp, enc, F, num_samples, rng, max_sample_len)))
+        _draw_samples(params, enc, F, num_samples, rng, max_sample_len)))
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in samples):
         raise _EmptySamples("all sampled translations are empty")
-    loss = _expected_error_g(gp, enc, E_ref, samples, alpha)
-    ad.backward(loss)
-    return float(loss.value), gp.grads()
+    return _risk_gradient(params, enc, E_ref, samples, alpha)
 
 
 def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
                        max_sample_len: int | None = None, lexicon=None) -> float:
     """Mean SBLEU of ancestral samples against their references."""
     scores = []
-    with ad.no_grad():
-        gp = GraphParams(params)
-        for pair in pairs:
-            enc = _source_context(gp, pair.source, lexicon)
-            for s in _draw_samples(gp, enc, pair.source, num_samples, rng,
-                                   max_sample_len):
-                scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
+    for pair in pairs:
+        enc = _source_context(params, pair.source, lexicon)
+        for s in _draw_samples(params, enc, pair.source, num_samples, rng,
+                               max_sample_len):
+            scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
     return float(np.mean(scores))
 
 
@@ -422,14 +430,12 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
                            lexicon=None) -> float:
     """Mean per-sentence expected error over fresh samples (no gradients)."""
     values = []
-    with ad.no_grad():
-        gp = GraphParams(params)
-        for pair in pairs:
-            enc = _source_context(gp, pair.source, lexicon)
-            samples = list(dict.fromkeys(_draw_samples(
-                gp, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len)))
-            values.append(float(_expected_error_g(
-                gp, enc, pair.target, samples, mrt.alpha).value))
+    for pair in pairs:
+        enc = _source_context(params, pair.source, lexicon)
+        samples = list(dict.fromkeys(_draw_samples(
+            params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len)))
+        values.append(_expected_error(params, enc, pair.target, samples,
+                                      mrt.alpha)[0])
     return float(np.mean(values))
 
 

@@ -4,11 +4,10 @@ import sys
 
 import numpy as np
 
-from lexnmt import autodiff as ad
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import SentencePair
-from lexnmt.model import (GraphParams, _init_state_g, _source_context,
-                          _step_probs, init_params)
+from lexnmt.model import (_init_state, _source_context, _step_probs,
+                          init_params)
 
 
 def copy_pairs(rng, n, vocab=20, lmin=1, lmax=6):
@@ -76,23 +75,20 @@ def count_calls(monkeypatch, module, name):
 
 
 def graph_stepper(models, F, lexicon=None):
-    """``(start, step)`` over the graph core that beam search runs.
+    """``(start, step)`` over the decoder step function that beam search runs.
 
     ``start()`` returns each member's initial decoder state; ``step(k, prev,
     state)`` advances member k and returns (new state, probability array).
-    Each member is encoded once, with its L_F, and nothing records gradients.
+    Each member is encoded once, with its L_F.
     """
     if not isinstance(models, (list, tuple)):
         models = [models]
-    with ad.no_grad():
-        gps = [GraphParams(m) for m in models]
-        encs = [_source_context(gp, F, lexicon) for gp in gps]
+    encs = [_source_context(m, F, lexicon) for m in models]
 
     def start():
-        return tuple(_init_state_g(gp, enc) for gp, enc in zip(gps, encs))
+        return tuple(_init_state(m, enc) for m, enc in zip(models, encs))
 
-    @ad.no_grad()
     def step(k, prev, state):
-        return _step_probs(gps[k], prev, state, encs[k])
+        return _step_probs(models[k], prev, state, encs[k])
 
     return start, step

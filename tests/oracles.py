@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written from the definitions with plain loops and numpy,
-avoiding the library's own counting, autodiff, and search code, so agreement
-is evidence rather than tautology.
+avoiding the library's own counting, model, and search code, so agreement is
+evidence rather than tautology.
 """
 
 import math
@@ -98,7 +98,7 @@ def ref_ibm1(pairs, iterations):
 
 
 # ---------------------------------------------------------------------------
-# straight-line model forward pass (no autodiff)
+# straight-line model forward pass
 # ---------------------------------------------------------------------------
 
 def _ref_lstm(W, b, x, h, c):

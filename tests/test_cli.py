@@ -169,6 +169,10 @@ def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
 
+def _with_hyper(header, **values):
+    return {**header, "hyper": {**header["hyper"], **values}}
+
+
 def _with_first_tensor(header, **fields):
     entry = {k: v for k, v in {**header["tensors"][0], **fields}.items()
              if v is not None}
@@ -195,6 +199,14 @@ HEADER_MUTATIONS = {
     "shape-not-a-list": lambda h: _with_first_tensor(h, shape="8"),
     "negative-dimension": lambda h: _with_first_tensor(h, shape=[-1, 8]),
     "fractional-dimension": lambda h: _with_first_tensor(h, shape=[1.5]),
+    "tgt-eos-outside-vocab": lambda h: _with_hyper(h, tgt_eos=999),
+    "src-eos-outside-vocab": lambda h: _with_hyper(h, src_eos=999),
+    "tgt-eos-not-sentence-end": lambda h: _with_hyper(h, tgt_eos=3),
+    "src-eos-not-sentence-end": lambda h: _with_hyper(h, src_eos=3),
+    "tgt-vocab-cut": lambda h: {**h, "tgt_vocab": h["tgt_vocab"][:3]},
+    "src-vocab-cut": lambda h: {**h, "src_vocab": h["src_vocab"][:3]},
+    "bool-for-int": lambda h: _with_hyper(h, attn_dim=True),
+    "bool-for-float": lambda h: _with_hyper(h, epsilon=True),
 }
 
 

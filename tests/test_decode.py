@@ -122,14 +122,14 @@ def test_tie_break_prefers_lexicographically_smaller(monkeypatch):
         (3,): np.array([0.1, 0.3, 0.3, 0.3]),
     }
 
-    def fake_step(gp, prev, state, enc):
+    def fake_step(params, prev, state, enc):
         prefix = state if prev == eos and not state else state + (prev,)
         probs = table.get(prefix, np.array([1.0, 0.0, 0.0, 0.0]))
         return prefix, probs
 
     model = _tiny(3)
-    monkeypatch.setattr(decode_mod, "_source_context", lambda gp, F, lex: None)
-    monkeypatch.setattr(decode_mod, "_init_state_g", lambda gp, e: ())
+    monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
+    monkeypatch.setattr(decode_mod, "_init_state", lambda *a: ())
     monkeypatch.setattr(decode_mod, "_step_probs", fake_step)
     best = beam_search(model, (1,), beam_size=4, max_len=5)
     assert best.tokens == (1, eos)
@@ -142,10 +142,10 @@ def test_shorter_hypothesis_wins_exact_score_tie(monkeypatch):
     eos = 0
     V = 4
     uniform = np.full(V, 1.0 / V)
-    monkeypatch.setattr(decode_mod, "_source_context", lambda gp, F, lex: None)
-    monkeypatch.setattr(decode_mod, "_init_state_g", lambda gp, e: ())
+    monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
+    monkeypatch.setattr(decode_mod, "_init_state", lambda *a: ())
     monkeypatch.setattr(decode_mod, "_step_probs",
-                        lambda gp, prev, state, enc: ((), uniform))
+                        lambda params, prev, state, enc: ((), uniform))
     model = _tiny(3)
     best = beam_search(model, (1, 2), beam_size=6, max_len=6,
                        word_penalty=float(np.log(V)))
@@ -201,25 +201,19 @@ def test_ensemble_of_identical_models_equals_single():
 
 
 def test_ensemble_builds_one_context_per_member(monkeypatch):
-    # parameters are wrapped, the source encoded and L_F built once per member
-    # and sentence, however many decoder steps the search takes
+    # the source is encoded and L_F built once per member and sentence,
+    # however many decoder steps the search takes
     a = _tiny(11, use_lexicon=True)
     b = _tiny(12, use_lexicon=True)
     table = random_lexicon(np.random.default_rng(11), 4, 4)
-    wraps = []
-    wrap = model_mod.GraphParams.__init__
-    monkeypatch.setattr(model_mod.GraphParams, "__init__",
-                        lambda gp, params: wraps.append(params)
-                        or wrap(gp, params))
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
-    steps = count_calls(monkeypatch, model_mod, "_decoder_step_g")
+    steps = count_calls(monkeypatch, model_mod, "_decoder_step")
     for m in (a, b):  # sentence end suppressed: search runs to the cap
         m.tensors["softmax_b"][m.tgt_eos] = -40.0
     beam_search([a, b], (1, 3, 2), beam_size=3, max_len=6, lexicon=table)
     assert len(steps) == 2 * (1 + 3 * 5)
-    assert [id(p) for p in wraps] == [id(a), id(b)]
-    assert len(encodes) == 2
+    assert [id(args[0]) for args in encodes] == [id(a), id(b)]
     assert len(builds) == 2
 
 

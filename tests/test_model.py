@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from lexnmt import autodiff as ad
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
-from lexnmt.model import (GraphParams, ModelParams, _attend_g, _encode_g,
-                          _init_state_g, _lstm_g, _source_context,
-                          _teacher_forced_g, build_lexicon_matrix,
+from lexnmt.model import (ModelParams, _attend, _encode_g, _init_state, _lstm,
+                          _source_context, _teacher_forced,
+                          build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
 from lexnmt.train import mrt_loss_frozen
@@ -19,17 +18,10 @@ from oracles import (ref_attention, ref_encode, ref_sentence_logprob,
                      ref_step_distribution)
 
 
-def _lstm(W, b, x, h, c):
-    """The graph LSTM step on plain arrays; returns (hidden, cell)."""
-    with ad.no_grad():
-        h, c = _lstm_g(*(ad.Tensor(v) for v in (W, b, x, h, c)))
-    return h.value, c.value
-
-
-@ad.no_grad()
-def _encode(params, F):
-    gp = GraphParams(params)
-    return gp, _encode_g(gp, F)
+def _lstm_step(W, b, x, h, c):
+    """One LSTM step from input x and state (h, c); returns (hidden, cell)."""
+    h, c, _ = _lstm(W, b, np.concatenate([x, h]), c)
+    return h, c
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +35,8 @@ def test_lstm_zero_parameters_pinned():
     rng = np.random.default_rng(0)
     x = rng.normal(size=2)
     c0 = rng.normal(size=d)
-    h, c = _lstm(np.zeros((3 * d, 2 + d)), np.zeros(3 * d), x,
-                 rng.normal(size=d), c0)
+    h, c = _lstm_step(np.zeros((3 * d, 2 + d)), np.zeros(3 * d), x,
+                      rng.normal(size=d), c0)
     assert np.allclose(c, 0.5 * c0, atol=1e-15)
     assert np.allclose(h, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
@@ -58,12 +50,12 @@ def test_lstm_forget_gate_is_one_minus_input_gate():
     # saturate the input gate open: cell becomes the candidate, history gone
     b_open = np.zeros(3 * d)
     b_open[:d] = 50.0
-    _, c_open = _lstm(W, b_open, x, h0, c0)
+    _, c_open = _lstm_step(W, b_open, x, h0, c0)
     assert np.allclose(c_open, 0.0, atol=1e-12)
     # saturate it closed: cell is carried through untouched
     b_closed = np.zeros(3 * d)
     b_closed[:d] = -50.0
-    _, c_closed = _lstm(W, b_closed, x, h0, c0)
+    _, c_closed = _lstm_step(W, b_closed, x, h0, c0)
     assert np.allclose(c_closed, c0, atol=1e-12)
 
 
@@ -75,12 +67,11 @@ def test_lstm_forget_gate_is_one_minus_input_gate():
 def test_encode_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=3)
     for F in [(2,), (1, 4, 3), (5, 5, 0, 2)]:
-        _, enc = _encode(params, F)
+        enc = _encode_g(params, F)
         R_ref, init_ref = ref_encode(params, F)
         assert enc.R.shape == (params.dec_hid, len(F))
-        assert np.allclose(enc.R.value, R_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(enc.init_state.value, init_ref, rtol=1e-9,
-                           atol=1e-12)
+        assert np.allclose(enc.R, R_ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(enc.init_state, init_ref, rtol=1e-9, atol=1e-12)
 
 
 def test_encode_columns_are_backward_then_forward():
@@ -94,15 +85,15 @@ def test_encode_columns_are_backward_then_forward():
     h, c = np.zeros(d), np.zeros(d)
     fwd = []
     for x in xs:
-        h, c = _lstm(t["enc_fwd_W"], t["enc_fwd_b"], x, h, c)
+        h, c = _lstm_step(t["enc_fwd_W"], t["enc_fwd_b"], x, h, c)
         fwd.append(h)
     h, c = np.zeros(d), np.zeros(d)
     bwd = [None] * len(F)
     for j in reversed(range(len(F))):
-        h, c = _lstm(t["enc_bwd_W"], t["enc_bwd_b"], xs[j], h, c)
+        h, c = _lstm_step(t["enc_bwd_W"], t["enc_bwd_b"], xs[j], h, c)
         bwd[j] = h
 
-    R = _encode(params, F)[1].R.value
+    R = _encode_g(params, F).R
     for j in range(len(F)):
         assert np.allclose(R[:d, j], bwd[j], atol=1e-12)
         assert np.allclose(R[d:, j], fwd[j], atol=1e-12)
@@ -110,15 +101,15 @@ def test_encode_columns_are_backward_then_forward():
 
 def test_encode_rejects_empty_source():
     with pytest.raises(ValueError):
-        _encode(tiny_model(), ())
+        _encode_g(tiny_model(), ())
 
 
 def test_init_decoder_state_zero_cell_and_context():
     params = tiny_model(seed=5)
-    gp, enc = _encode(params, (1, 2))
-    state = _init_state_g(gp, enc)
-    assert np.array_equal(state.hidden.value, enc.init_state.value)
-    assert not np.any(state.cell.value) and not np.any(state.context.value)
+    enc = _encode_g(params, (1, 2))
+    state = _init_state(params, enc)
+    assert np.array_equal(state.hidden, enc.init_state)
+    assert not np.any(state.cell) and not np.any(state.context)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +121,9 @@ def test_attend_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=6)
     rng = np.random.default_rng(6)
     h = rng.normal(size=params.dec_hid)
-    gp, enc = _encode(params, (1, 4, 2, 3, 0))
-    with ad.no_grad():
-        a, ctx = _attend_g(gp, ad.Tensor(h), enc)
-    a, ctx, R = a.value, ctx.value, enc.R.value
+    enc = _encode_g(params, (1, 4, 2, 3, 0))
+    a, ctx, _ = _attend(params, h, enc)
+    R = enc.R
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(a >= 0)
     assert np.allclose(a, ref_attention(params, h, R), rtol=1e-9, atol=1e-12)
@@ -159,9 +149,9 @@ def test_decoder_step_matches_oracle(attention):
                                                      R)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(probs, probs_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.hidden.value, h, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.cell.value, c, rtol=1e-9, atol=1e-12)
-        assert np.allclose(state.context.value, ctx, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.hidden, h, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.cell, c, rtol=1e-9, atol=1e-12)
+        assert np.allclose(state.context, ctx, rtol=1e-9, atol=1e-12)
         prev = word
 
 
@@ -250,9 +240,8 @@ def test_target_ids_outside_vocabulary_are_rejected(entry, which):
         elif entry == "mrt_loss_frozen":
             mrt_loss_frozen(params, F, (3,), [(bad, eos)], alpha=1.0)
         else:  # the teacher-forced decoder steps behind every scorer
-            gp = GraphParams(params)
-            next(_teacher_forced_g(gp, _source_context(gp, F, None),
-                                   (bad, eos)))
+            _teacher_forced(params, _source_context(params, F, None),
+                            (bad, eos))
 
 
 def test_lexicon_model_requires_table():

@@ -130,6 +130,42 @@ def test_token_accuracy_counts_argmax_matches():
     assert token_accuracy(params, pairs) == pytest.approx(correct / total)
 
 
+@pytest.mark.parametrize("use_lexicon", [False, True])
+@pytest.mark.parametrize("attention", ["dot", "mlp"])
+def test_gradients_match_finite_differences_on_a_few_coordinates(
+        attention, use_lexicon):
+    # the fast-tier counterpart of the acceptance gradient check: three
+    # coordinates of every tensor, NLL and MRT, against central differences
+    params = tiny_model(attention=attention, seed=60, use_lexicon=use_lexicon,
+                        epsilon=1e-3, init_scale=0.8)
+    table = (random_lexicon(np.random.default_rng(60), params.src_vocab_size,
+                            params.tgt_vocab_size) if use_lexicon else None)
+    eos = params.tgt_eos
+    F, E = (1, 4, 2), (3, 5, 1)
+    samples = [(3, 5, 1, eos), (2, eos), (6, 6, 3, 1), (eos,)]
+    losses = {
+        "nll": lambda: nll_loss(params, [SentencePair(F, E)], table),
+        "mrt": lambda: mrt_loss_frozen(params, F, E, samples, alpha=1.0,
+                                       lexicon=table),
+    }
+    h = 1e-5
+    pick = np.random.default_rng(61)
+    for tag, loss_fn in losses.items():
+        _, grads = loss_fn()
+        assert set(grads) == set(params.tensors)
+        for name, arr in params.tensors.items():
+            flat = arr.reshape(-1)
+            for i in pick.choice(flat.size, min(3, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                up, _ = loss_fn()
+                flat[i] = orig - h
+                down, _ = loss_fn()
+                flat[i] = orig
+                assert grads[name].reshape(-1)[i] == pytest.approx(
+                    (up - down) / (2 * h), rel=1e-5, abs=1e-9), (tag, name, i)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -213,7 +249,7 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     eos = params.tgt_eos
     fixed = [(3, eos), (3, eos), (2, 4, eos), (3, eos)]
     draws = iter(fixed)
-    monkeypatch.setattr(train_mod, "_sample_g", lambda *a, **k: next(draws))
+    monkeypatch.setattr(train_mod, "_sample", lambda *a, **k: next(draws))
     loss, grads = mrt_loss(params, (1, 2), (3,), num_samples=4, alpha=0.5,
                            rng=np.random.default_rng(0))
     want_loss, want_grads = mrt_loss_frozen(params, (1, 2), (3,),
@@ -232,8 +268,8 @@ def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
                            params.tgt_vocab_size)
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
-    draws = count_calls(monkeypatch, train_mod, "_sample_g")
-    scored = count_calls(monkeypatch, train_mod, "_expected_error_g")
+    draws = count_calls(monkeypatch, train_mod, "_sample")
+    scored = count_calls(monkeypatch, train_mod, "_expected_error")
     mrt_loss(params, (1, 2, 3), (3, 4), num_samples=6, alpha=0.5,
              rng=np.random.default_rng(5), lexicon=table)
     assert len(draws) == 6
@@ -252,7 +288,7 @@ def test_mrt_loss_validation(monkeypatch):
         mrt_loss(params, (1,), (2,), alpha=0.0, rng=rng)
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
-    monkeypatch.setattr(train_mod, "_sample_g",
+    monkeypatch.setattr(train_mod, "_sample",
                         lambda *a, **k: (params.tgt_eos,))
     with pytest.raises(ValueError, match="empty"):
         mrt_loss(params, (1,), (2,), num_samples=4, rng=rng)
