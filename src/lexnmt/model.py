@@ -327,6 +327,8 @@ def _backward(params: ModelParams, enc: _SourceContext, runs, seeds, grads):
     product after the step-by-step walk back through attention and the
     recurrence.  The encoder is walked back once for all sequences.
     """
+    if len(seeds) != len(runs):
+        raise ValueError(f"{len(seeds)} seeds for {len(runs)} target sequences")
     steps = [s for _, run in runs for s in run]
     if not steps:
         return

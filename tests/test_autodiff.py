@@ -1,172 +1,196 @@
-"""Finite-difference and structural checks for the reverse-mode core."""
+"""Structural checks of the model's hand-derived reverse mode.
+
+``model._backward`` adds the gradient of sum_s seeds[s] * log p(E_s | F) for
+teacher-forced target sequences scored against one source context; the
+finite-difference checks here cover every coordinate of a tensor slice
+behind one forward operation, those in ``test_train.py`` and
+``test_acceptance.py`` sample every tensor.  The other tests pin how the
+backward accumulates, where it scatters, and the step's softmax and
+log-softmax.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexnmt import autodiff as ad
+import lexnmt.model as model_mod
+from lexnmt.corpus import SentencePair
+from lexnmt.model import (_backward, _logprob, _source_context,
+                          _teacher_forced)
+from lexnmt.train import mrt_loss_frozen, nll_loss
+
+from helpers import count_calls, random_lexicon, tiny_model
 
 
-def fd_grads(build, arrays, h=1e-6):
-    """Analytic and central-difference gradients of a scalar-valued build()."""
-    ts = [ad.Tensor(a.copy()) for a in arrays]
-    loss = build(*ts)
-    ad.backward(loss)
-    analytic = [np.zeros_like(a) if t.grad is None else np.array(t.grad)
-                for a, t in zip(arrays, ts)]
-    numeric = []
-    for a in arrays:
-        g = np.zeros_like(a)
-        flat = a.reshape(-1)
-        gf = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = float(build(*[ad.Tensor(x) for x in arrays]).value)
-            flat[j] = orig - h
-            down = float(build(*[ad.Tensor(x) for x in arrays]).value)
-            flat[j] = orig
-            gf[j] = (up - down) / (2 * h)
-        numeric.append(g)
-    return analytic, numeric
+def zero_grads(params):
+    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
 
-def as_scalar(out, rng):
-    """Contract an output tensor with fixed constants to get a scalar."""
-    if out.value.ndim == 0:
-        return out
-    if out.value.ndim == 1:
-        w = ad.Tensor(rng.normal(size=out.value.shape))
-        return ad.dotprod(out, w)
-    u = ad.Tensor(rng.normal(size=out.value.shape[1]))
-    w = ad.Tensor(rng.normal(size=out.value.shape[0]))
-    return ad.dotprod(ad.matvec(out, u), w)
+def lexicon_model(seed):
+    params = tiny_model(attention="mlp", seed=seed, use_lexicon=True,
+                        epsilon=1e-3, init_scale=0.8)
+    table = random_lexicon(np.random.default_rng(seed), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    return params, table
 
 
-RNG = np.random.default_rng(8)
-L_CONST = np.abs(RNG.normal(size=(6, 4))) * 0.2
+def run(params, enc, E):
+    return E, _teacher_forced(params, enc, E)
 
+
+# Each case names an operation of the forward step and a tensor slice whose
+# gradient reaches the loss through it (d=3: decoder width 6, attention 3).
 CASES = {
-    "add": (lambda a, b: ad.add(a, b), [(5,), (5,)]),
-    "mul": (lambda a, b: ad.mul(a, b), [(5,), (5,)]),
-    "scale": (lambda a: ad.scale(a, -1.7), [(5,)]),
-    "one_minus": (lambda a: ad.one_minus(a), [(5,)]),
-    "tanh": (lambda a: ad.tanh(a), [(5,)]),
-    "sigmoid": (lambda a: ad.sigmoid(a), [(5,)]),
-    "log_add_eps": (lambda a: ad.log_add_eps(ad.sigmoid(a), 1e-3), [(5,)]),
-    "matvec": (lambda W, x: ad.matvec(W, x), [(4, 5), (5,)]),
-    "matTvec": (lambda M, v: ad.matTvec(M, v), [(4, 5), (4,)]),
-    "matmat": (lambda A, B: ad.matmat(A, B), [(3, 4), (4, 5)]),
-    "const_matvec": (lambda a: ad.const_matvec(L_CONST, a), [(4,)]),
-    "addcol": (lambda M, v: ad.addcol(M, v), [(4, 5), (4,)]),
-    "cols_slice": (lambda M: ad.cols_slice(M, 1, 4), [(4, 6)]),
-    "vec_slice": (lambda x: ad.vec_slice(x, 2, 5), [(7,)]),
-    "concat": (lambda a, b, c: ad.concat([a, b, c]), [(2,), (3,), (4,)]),
-    "stack_cols": (lambda a, b, c: ad.stack_cols([a, b, c]), [(4,), (4,), (4,)]),
-    "stack_scalars": (lambda a, b: ad.stack_scalars(
-        [ad.pick(a, 0), ad.pick(b, 1), ad.pick(a, 2)]), [(3,), (3,)]),
-    "row": (lambda M: ad.row(M, 2), [(4, 5)]),
-    "pick": (lambda x: ad.pick(x, 3), [(5,)]),
-    "sumall": (lambda x: ad.sumall(x), [(6,)]),
-    "dotprod": (lambda a, b: ad.dotprod(a, b), [(5,), (5,)]),
-    "softmax": (lambda x: ad.softmax_vec(x), [(5,)]),
-    "log_softmax": (lambda x: ad.log_softmax_vec(x), [(5,)]),
+    # input and output gates of the decoder LSTM
+    "sigmoid": ("dot", False, "dec_b", np.s_[:12]),
+    # candidate cell of the decoder LSTM
+    "tanh": ("dot", False, "dec_b", np.s_[12:]),
+    # target embedding lookup of the previous word
+    "row": ("dot", False, "tgt_emb", np.s_[:]),
+    # output log-softmax
+    "log_softmax": ("dot", True, "softmax_b", np.s_[:]),
+    # MLP attention scores through the attention softmax
+    "softmax": ("mlp", False, "attn_w2", np.s_[:]),
+    # the same through the lexicon bias log(L_F a + epsilon) as well
+    "log_add_eps": ("mlp", True, "attn_w2", np.s_[:]),
+    # W1_h h added to every column of the source projection
+    "addcol": ("mlp", True, "attn_W1", np.s_[:, :6]),
+    # the source projection W1_r R
+    "matmat": ("mlp", True, "attn_W1", np.s_[:, 6:]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_op_gradients_match_finite_differences(name):
-    op, shapes = CASES[name]
-    rng = np.random.default_rng(hash(name) % (1 << 31))
-    arrays = [rng.normal(size=s) * 0.8 for s in shapes]
-    build = lambda *ts: as_scalar(op(*ts), np.random.default_rng(17))
-    analytic, numeric = fd_grads(build, arrays)
-    for ana, num in zip(analytic, numeric):
-        assert np.allclose(ana, num, rtol=1e-5, atol=1e-7), name
+    attention, use_lexicon, tensor, where = CASES[name]
+    params = tiny_model(attention=attention, seed=77, use_lexicon=use_lexicon,
+                        epsilon=1e-3, init_scale=0.8)
+    table = (random_lexicon(np.random.default_rng(77), params.src_vocab_size,
+                            params.tgt_vocab_size) if use_lexicon else None)
+    batch = [SentencePair((1, 4, 2), (3, 5, 1)), SentencePair((5,), (2, 6))]
+    _, grads = nll_loss(params, batch, table)
+    arr = params.tensors[tensor]
+    flat = arr.reshape(-1)
+    h = 1e-5
+    for i in np.arange(arr.size).reshape(arr.shape)[where].reshape(-1):
+        orig = flat[i]
+        flat[i] = orig + h
+        up, _ = nll_loss(params, batch, table)
+        flat[i] = orig - h
+        down, _ = nll_loss(params, batch, table)
+        flat[i] = orig
+        assert grads[tensor].reshape(-1)[i] == pytest.approx(
+            (up - down) / (2 * h), rel=1e-5, abs=1e-9), (name, i)
 
 
 def test_shared_subgraph_accumulates():
-    x = ad.Tensor(np.array([1.5, -0.5, 2.0]))
-    # x feeds two branches: d/dx sum(x*x + 3x) = 2x + 3
-    loss = ad.sumall(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
-    ad.backward(loss)
-    assert np.allclose(x.grad, 2 * x.value + 3)
+    # two sequences against one context: one backward adds what two separate
+    # backwards add, on top of what the gradient dict already holds
+    params, table = lexicon_model(70)
+    enc = _source_context(params, (1, 4, 2), table)
+    r1, r2 = run(params, enc, (3, 5, 0)), run(params, enc, (6, 2, 2, 0))
+    both = {k: np.ones_like(v) for k, v in params.tensors.items()}
+    _backward(params, enc, [r1, r2], [0.7, -1.3], both)
+    apart = zero_grads(params)
+    _backward(params, enc, [r1], [0.7], apart)
+    _backward(params, enc, [r2], [-1.3], apart)
+    for name in params.tensors:
+        assert np.abs(apart[name]).max() > 0, name
+        assert np.allclose(both[name], 1.0 + apart[name],
+                           rtol=1e-12, atol=1e-14), name
 
 
-def test_diamond_graph_single_visit():
-    x = ad.Tensor(np.array([0.3, 0.7]))
-    y = ad.tanh(x)
-    # y reused twice; gradient must be 2 * (1 - tanh^2)
-    loss = ad.sumall(ad.add(y, y))
-    ad.backward(loss)
-    assert np.allclose(x.grad, 2 * (1 - np.tanh(x.value) ** 2))
+def test_diamond_graph_single_visit(monkeypatch):
+    # the encoder is walked back once per backward, however many sequences
+    # share it, and a sequence given twice counts with the sum of its seeds
+    params, table = lexicon_model(71)
+    enc = _source_context(params, (2, 3), table)
+    r = run(params, enc, (4, 1, 0))
+    twice, once = zero_grads(params), zero_grads(params)
+    _backward(params, enc, [r, r], [0.5, 1.5], twice)
+    _backward(params, enc, [r], [2.0], once)
+    for name in params.tensors:
+        assert np.allclose(twice[name], once[name],
+                           rtol=1e-12, atol=1e-14), name
+    walks = count_calls(monkeypatch, model_mod, "_encoder_backward")
+    samples = [(3, 5, 0), (2, 0), (6, 6, 3, 1), (0,)]
+    mrt_loss_frozen(params, (2, 3), (3, 5), samples, alpha=1.0, lexicon=table)
+    assert len(walks) == 1
 
 
 def test_backward_requires_scalar_root():
-    x = ad.Tensor(np.ones(3))
-    with pytest.raises(ValueError):
-        ad.backward(ad.add(x, x))
-
-
-def test_no_grad_builds_no_graph():
-    assert ad.grad_enabled()
-    with ad.no_grad():
-        assert not ad.grad_enabled()
-        x = ad.Tensor(np.ones(3))
-        y = ad.mul(x, x)
-        assert y._parents == ()
-        assert y._backward is None
-    assert ad.grad_enabled()
-
-
-def test_no_grad_nests_and_restores_on_error():
-    with ad.no_grad():
-        with ad.no_grad():
-            assert not ad.grad_enabled()
-        assert not ad.grad_enabled()
-    try:
-        with ad.no_grad():
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert ad.grad_enabled()
+    # the seeds weigh the sequences into one scalar: one seed per sequence
+    params = tiny_model(seed=72)
+    enc = _source_context(params, (1, 2), None)
+    runs = [run(params, enc, (3, 0)), run(params, enc, (0,))]
+    grads = zero_grads(params)
+    for seeds in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            _backward(params, enc, runs, seeds, grads)
+    assert all(not g.any() for g in grads.values())
 
 
 def test_softmax_outputs_normalized():
-    x = ad.Tensor(np.array([3.0, -1.0, 0.5, 900.0]))
-    p = ad.softmax_vec(x)
-    assert np.isfinite(p.value).all()
-    assert abs(p.value.sum() - 1.0) < 1e-12
-    # log_softmax stays finite where plain softmax underflows to zero
-    lp = ad.log_softmax_vec(x).value
-    z = x.value - x.value.max()
-    assert np.allclose(lp, z - np.log(np.exp(z).sum()), atol=1e-12)
+    # one huge logit: the probabilities stay finite and sum to one, and the
+    # log-softmax of the loss stays finite where a probability underflows
+    params = tiny_model(seed=73)
+    params.tensors["softmax_b"][:] = [3.0, -1.0, 0.5, 900.0, 0.0, -2.0, 1.0]
+    enc = _source_context(params, (1, 2, 3), None)
+    E = (1, 3, 0)
+    steps = _teacher_forced(params, enc, E)
+    expect = 0.0
+    for s, e in zip(steps, E):
+        assert np.isfinite(s.probs).all()
+        assert abs(s.probs.sum() - 1.0) < 1e-12
+        z = s.logits - s.logits.max()
+        expect += (z - np.log(np.exp(z).sum()))[e]
+    assert steps[0].probs[1] == 0.0  # log of it would be -inf
+    assert np.isfinite(_logprob(steps, E))
+    assert _logprob(steps, E) == pytest.approx(expect, rel=1e-12)
 
 
 def test_log_softmax_matches_log_of_softmax():
-    x = ad.Tensor(np.array([0.3, -1.2, 0.9, 0.0]))
-    p = ad.softmax_vec(x).value
-    lp = ad.log_softmax_vec(x).value
-    assert np.allclose(lp, np.log(p), atol=1e-12)
+    params, table = lexicon_model(74)
+    enc = _source_context(params, (5, 1, 3), table)
+    E = (2, 6, 4, 0)
+    steps = _teacher_forced(params, enc, E)
+    logp = sum(np.log(s.probs[e]) for s, e in zip(steps, E))
+    assert _logprob(steps, E) == pytest.approx(logp, rel=1e-12, abs=1e-12)
+
+
+SHIFT_MODEL = tiny_model(seed=75)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(min_value=-30, max_value=30), min_size=2, max_size=8),
+@given(st.lists(st.floats(min_value=-30, max_value=30), min_size=7, max_size=7),
        st.floats(min_value=-50, max_value=50))
 def test_softmax_shift_invariance(values, shift):
-    x = np.array(values)
-    a = ad.softmax_vec(ad.Tensor(x)).value
-    b = ad.softmax_vec(ad.Tensor(x + shift)).value
-    assert np.allclose(a, b, atol=1e-12)
-    assert abs(a.sum() - 1.0) < 1e-12
+    # a constant added to every logit leaves the step's distribution alone
+    probs = []
+    for b in (np.array(values), np.array(values) + shift):
+        params = SHIFT_MODEL.copy()
+        params.tensors["softmax_b"][:] = b
+        enc = _source_context(params, (1, 2), None)
+        steps = _teacher_forced(params, enc, (4, 0))
+        probs.append(np.stack([s.probs for s in steps]))
+    assert np.allclose(probs[0], probs[1], atol=1e-12)
+    assert np.allclose(probs[0].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_pick_and_row_are_one_hot():
-    M = ad.Tensor(np.arange(12.0).reshape(3, 4))
-    r = ad.row(M, 1)
-    loss = ad.pick(r, 2)
-    ad.backward(loss)
-    expect = np.zeros((3, 4))
-    expect[1, 2] = 1.0
-    assert np.array_equal(M.grad, expect)
+    # one target word: the output bias takes onehot(e) - p, and only the
+    # embedding rows the sentence looked up receive gradient
+    params = tiny_model(seed=76)
+    F, E = (2, 4, 2), (5,)
+    enc = _source_context(params, F, None)
+    steps = _teacher_forced(params, enc, E)
+    grads = zero_grads(params)
+    _backward(params, enc, [(E, steps)], [1.0], grads)
+    expect = -steps[0].probs
+    expect[5] += 1.0
+    assert np.array_equal(grads["softmax_b"], expect)
+    for name, rows in (("tgt_emb", {params.tgt_eos}),
+                       ("src_emb", set(F) | {params.src_eos})):
+        touched = {i for i, r in enumerate(grads[name]) if r.any()}
+        assert touched == rows, name
