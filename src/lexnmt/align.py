@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, read_lines, write_lines
 from .errors import DataError
 
 
@@ -93,32 +93,27 @@ def prune_lexicon(table: LexiconTable, min_prob: float) -> LexiconTable:
 def save_lexicon(table: LexiconTable, src_vocab: Vocabulary,
                  tgt_vocab: Vocabulary, path):
     """Write TSV lines "source<TAB>target<TAB>prob" at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as out:
-        for f in sorted(table.entries):
-            dist = table.entries[f]
-            for e in sorted(dist):
-                out.write(f"{src_vocab.token(f)}\t{tgt_vocab.token(e)}\t"
-                          f"{dist[e]:.17g}\n")
+    write_lines(path, (f"{src_vocab.token(f)}\t{tgt_vocab.token(e)}\t{p:.17g}"
+                       for f, dist in sorted(table.entries.items())
+                       for e, p in sorted(dist.items())))
 
 
 def load_lexicon(path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> LexiconTable:
     entries: dict[int, dict[int, float]] = defaultdict(dict)
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: malformed lexicon line {lineno}")
-            src_tok, tgt_tok, prob_s = parts
-            try:
-                prob = float(prob_s)
-            except ValueError:
-                raise DataError(
-                    f"{path}: bad probability at line {lineno}: {prob_s!r}")
-            if src_tok not in src_vocab or tgt_tok not in tgt_vocab:
-                # tokens outside the model vocabularies cannot bias anything
-                continue
-            entries[src_vocab.id(src_tok)][tgt_vocab.id(tgt_tok)] = prob
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}: malformed lexicon line {lineno}")
+        src_tok, tgt_tok, prob_s = parts
+        try:
+            prob = float(prob_s)
+        except ValueError:
+            raise DataError(
+                f"{path}: bad probability at line {lineno}: {prob_s!r}")
+        if src_tok not in src_vocab or tgt_tok not in tgt_vocab:
+            # tokens outside the model vocabularies cannot bias anything
+            continue
+        entries[src_vocab.id(src_tok)][tgt_vocab.id(tgt_tok)] = prob
     return LexiconTable(dict(entries))

@@ -19,7 +19,7 @@ import numpy as np
 from .align import ibm1_train, load_lexicon, prune_lexicon, save_lexicon
 from .corpus import (Vocabulary, apply_bpe, build_vocab, encode_pairs,
                      invert_bpe, learn_bpe, load_bpe, normalize_halfwidth,
-                     read_lines, read_parallel, save_bpe)
+                     read_lines, read_parallel, save_bpe, write_lines)
 from .decode import beam_search, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
@@ -172,10 +172,7 @@ def _apply_config(parser, subparsers, argv) -> dict[str, str]:
     if known.config is None:
         return {}
     try:
-        with open(known.config, encoding="utf-8") as f:
-            values = json.load(f)
-    except OSError as e:
-        raise DataError(f"cannot read {known.config}: {e.strerror}") from e
+        values = json.loads("\n".join(read_lines(known.config)))
     except json.JSONDecodeError as e:
         raise DataError(f"{known.config}: invalid JSON: {e}") from e
     if not isinstance(values, dict):
@@ -216,7 +213,13 @@ def _config_value(action, value):
 # ---------------------------------------------------------------------------
 
 def _cmd_preprocess(args):
+    if (args.dev_src is None) != (args.dev_tgt is None):
+        raise _UsageError("--dev-src and --dev-tgt must be given together")
     src, tgt = read_parallel(args.train_src, args.train_tgt)
+    dev = {}
+    if args.dev_src is not None:
+        dev = dict(zip(("dev.src", "dev.tgt"),
+                       read_parallel(args.dev_src, args.dev_tgt)))
     src = [normalize_halfwidth(s) for s in src]
     tgt = [normalize_halfwidth(t) for t in tgt]
     bpe = learn_bpe(src + tgt, args.merges)
@@ -226,31 +229,22 @@ def _cmd_preprocess(args):
     def segment(lines):
         return [apply_bpe(bpe, line) for line in lines]
 
+    def write_tokens(name, sentences):
+        write_lines(os.path.join(args.outdir, name), map(" ".join, sentences))
+
     src_bpe = segment(src)
     tgt_bpe = segment(tgt)
     src_vocab = build_vocab(src_bpe, args.src_vocab_size)
     tgt_vocab = build_vocab(tgt_bpe, args.tgt_vocab_size)
     src_vocab.save(os.path.join(args.outdir, "vocab.src"))
     tgt_vocab.save(os.path.join(args.outdir, "vocab.tgt"))
-    _write_tokens(os.path.join(args.outdir, "train.src"), src_bpe)
-    _write_tokens(os.path.join(args.outdir, "train.tgt"), tgt_bpe)
-    if (args.dev_src is None) != (args.dev_tgt is None):
-        raise _UsageError("--dev-src and --dev-tgt must be given together")
-    if args.dev_src is not None:
-        dev_src, dev_tgt = read_parallel(args.dev_src, args.dev_tgt)
-        _write_tokens(os.path.join(args.outdir, "dev.src"),
-                      segment([normalize_halfwidth(s) for s in dev_src]))
-        _write_tokens(os.path.join(args.outdir, "dev.tgt"),
-                      segment([normalize_halfwidth(t) for t in dev_tgt]))
+    write_tokens("train.src", src_bpe)
+    write_tokens("train.tgt", tgt_bpe)
+    for name, lines in dev.items():
+        write_tokens(name, segment(map(normalize_halfwidth, lines)))
     print(f"merges: {len(bpe.merges)}  src vocab: {len(src_vocab)}  "
           f"tgt vocab: {len(tgt_vocab)}")
     return 0
-
-
-def _write_tokens(path, sentences):
-    with open(path, "w", encoding="utf-8") as f:
-        for tokens in sentences:
-            f.write(" ".join(tokens) + "\n")
 
 
 def _cmd_align(args):
@@ -370,21 +364,13 @@ def _cmd_decode(args):
                 score_hypothesis(hyp, args.word_penalty), hyp.complete)
 
     results = [translate_line(line) for line in read_lines(args.input)]
-
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for i, (text, score, complete) in enumerate(results, 1):
-            out.write(text + "\n")
-            if not complete:
-                print(f"warning: line {i}: no hypothesis completed "
-                      "within the length cap", file=sys.stderr)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    for i, (_, _, complete) in enumerate(results, 1):
+        if not complete:
+            print(f"warning: line {i}: no hypothesis completed "
+                  "within the length cap", file=sys.stderr)
+    write_lines(args.output or None, (text for text, _, _ in results))
     if args.scores:
-        with open(args.scores, "w", encoding="utf-8") as f:
-            for _, score, _ in results:
-                f.write(f"{score:.6f}\n")
+        write_lines(args.scores, (f"{score:.6f}" for _, score, _ in results))
     return 0
 
 
@@ -395,9 +381,9 @@ def _cmd_score(args):
     ratio = length_ratio(hyps, refs)
     print(f"BLEU {b:.1f} RATIO {ratio:.1f}")
     if args.per_sentence:
-        with open(args.per_sentence, "w", encoding="utf-8") as f:
-            for i, (h, r) in enumerate(zip(hyps, refs), 1):
-                f.write(f"{i}\t{sbleu(h, r):.6f}\n")
+        write_lines(args.per_sentence,
+                    (f"{i}\t{sbleu(h, r):.6f}"
+                     for i, (h, r) in enumerate(zip(hyps, refs), 1)))
     return 0
 
 
@@ -408,21 +394,20 @@ def _cmd_sample(args):
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for line in read_lines(args.input):
-            ids = _source_ids(line, bpe, src_vocab)
-            if not ids:
-                out.write("\n" * args.samples)
-                continue
-            samples = sample_translations(params, ids, args.samples,
-                                          args.max_len, rng, lexicon)
-            for k, sample in enumerate(samples):
-                text = _target_text(sample, bpe, tgt_vocab)
-                out.write(f"{k}\t{text}\n" if args.samples > 1 else text + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+
+    def sample_lines(line):
+        ids = _source_ids(line, bpe, src_vocab)
+        if not ids:
+            return [""] * args.samples
+        samples = sample_translations(params, ids, args.samples,
+                                      args.max_len, rng, lexicon)
+        texts = [_target_text(sample, bpe, tgt_vocab) for sample in samples]
+        return (texts if args.samples == 1
+                else [f"{k}\t{text}" for k, text in enumerate(texts)])
+
+    write_lines(args.output or None,
+                (text for line in read_lines(args.input)
+                 for text in sample_lines(line)))
     return 0
 
 
@@ -452,9 +437,6 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Corpus ingestion: normalization, joint BPE, vocabularies, minibatching.
+"""Corpus ingestion: normalization, joint BPE, vocabularies, minibatching,
+and the one reader and writer of text files.
 
 Tokenization throughout the package is whitespace splitting.  Subword
 segmentation uses the classic greedy pair-merge scheme with a free-standing
@@ -8,7 +9,9 @@ end-of-word symbol, so every segmentation is invertible:
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -52,9 +55,8 @@ class BpeModel:
     """
 
     merges: list[tuple[str, str]]
-    end_of_word: str = END_OF_WORD
-    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _ranks: dict = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.merges)) != len(self.merges):
@@ -66,7 +68,7 @@ class BpeModel:
         cached = self._cache.get(word)
         if cached is not None:
             return list(cached)
-        symbols = list(word) + [self.end_of_word]
+        symbols = list(word) + [END_OF_WORD]
         # Repeatedly applying the lowest-ranked pair present is equivalent to
         # applying all merges in learned order.
         while len(symbols) > 1:
@@ -146,22 +148,18 @@ def invert_bpe(tokens) -> list[str]:
 
 
 def save_bpe(model: BpeModel, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for a, b in model.merges:
-            f.write(f"{a} {b}\n")
+    write_lines(path, (f"{a} {b}" for a, b in model.merges))
 
 
 def load_bpe(path) -> BpeModel:
     merges = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise DataError(f"{path}: malformed merge at line {lineno}")
-            merges.append((parts[0], parts[1]))
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise DataError(f"{path}: malformed merge at line {lineno}")
+        merges.append((parts[0], parts[1]))
     return BpeModel(merges)
 
 
@@ -202,15 +200,11 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.tokens:
-                f.write(t + "\n")
+        write_lines(path, self.tokens)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
-        return cls([t for t in tokens if t])
+        return cls([t for t in read_lines(path) if t])
 
 
 def build_vocab(corpus, max_size: int) -> Vocabulary:
@@ -298,11 +292,29 @@ def make_minibatches(pairs, word_budget: int = 2048) -> list[list[SentencePair]]
 # ---------------------------------------------------------------------------
 
 def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file without their line ends; a file that
+    cannot be opened or decoded raises DataError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
             return [line.rstrip("\n") for line in f]
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({e.reason})") from e
+
+
+def write_lines(path, lines):
+    """Write ``lines`` as they come, each ended by a newline, to the UTF-8
+    file ``path`` or, if it is None, to standard output; a file that cannot
+    be written raises DataError naming it."""
+    try:
+        with (nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8")) as out:
+            for line in lines:
+                out.write(line + "\n")
+    except OSError as e:
+        name = "standard output" if path is None else path
+        raise DataError(f"cannot write {name}: {e.strerror}") from e
 
 
 def read_parallel(src_path, tgt_path) -> tuple[list[str], list[str]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -78,23 +78,12 @@ class ModelParams:
         return 2 * self.d_hid
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            d_emb=self.d_emb, d_hid=self.d_hid, attn_dim=self.attn_dim,
-            attention=self.attention, src_vocab_size=self.src_vocab_size,
-            tgt_vocab_size=self.tgt_vocab_size, src_eos=self.src_eos,
-            tgt_eos=self.tgt_eos, use_lexicon=self.use_lexicon,
-            epsilon=self.epsilon,
-            tensors={k: v.copy() for k, v in self.tensors.items()})
+        return replace(self, tensors={k: v.copy()
+                                      for k, v in self.tensors.items()})
 
     def hyper_dict(self) -> dict:
-        return {
-            "d_emb": self.d_emb, "d_hid": self.d_hid,
-            "attn_dim": self.attn_dim, "attention": self.attention,
-            "src_vocab_size": self.src_vocab_size,
-            "tgt_vocab_size": self.tgt_vocab_size,
-            "src_eos": self.src_eos, "tgt_eos": self.tgt_eos,
-            "use_lexicon": self.use_lexicon, "epsilon": self.epsilon,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "tensors"}
 
 
 def expected_shapes(hp) -> dict[str, tuple[int, ...]]:

@@ -1,14 +1,17 @@
 """End-to-end pipeline and exit-code tests for the command line."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import lexnmt.cli as cli_mod
 import lexnmt.model as model_mod
+from lexnmt.align import load_lexicon
 from lexnmt.cli import main
-from lexnmt.errors import NumericalError
+from lexnmt.corpus import Vocabulary, load_bpe
+from lexnmt.errors import DataError, NumericalError
 from lexnmt.model import load_checkpoint, save_checkpoint
 
 from helpers import count_calls, tiny_model
@@ -152,7 +155,6 @@ def test_decode_ensemble_and_lexicon(pipeline, tmp_path, capsys):
 def test_decode_rejects_mismatched_ensemble(pipeline, tmp_path, capsys):
     other = tmp_path / "other.ckpt"
     params = tiny_model(src_size=3, tgt_size=3, d=2)
-    from lexnmt.corpus import Vocabulary
     v = Vocabulary(["<s>", "<unk>", "zz"])
     save_checkpoint(other, params, v, v)
     inp = tmp_path / "input.txt"
@@ -440,6 +442,65 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _decode_argv(pipeline, *flags):
+    return ["decode", "--input", str(pipeline["data"] / "dev.src"),
+            "--checkpoint", str(pipeline["ckpt"]), *flags]
+
+
+def _data_flags(pipeline, **replaced):
+    data = pipeline["data"]
+    paths = {"train-src": data / "train.src", "train-tgt": data / "train.tgt",
+             "dev-src": data / "dev.src", "dev-tgt": data / "dev.tgt",
+             "src-vocab": data / "vocab.src", "tgt-vocab": data / "vocab.tgt",
+             **replaced}
+    return [arg for flag, path in paths.items()
+            for arg in (f"--{flag}", str(path))]
+
+
+# each builds the argv that reads (or, for --output, writes) `bad` there
+BAD_FILES = {
+    "align --tgt-vocab": lambda p, bad: [
+        "align", "--src", str(p["data"] / "train.src"),
+        "--tgt", str(p["data"] / "train.tgt"),
+        "--src-vocab", str(p["data"] / "vocab.src"), "--tgt-vocab", bad,
+        "--out", bad + ".tsv"],
+    "decode --bpe": lambda p, bad: _decode_argv(p, "--bpe", bad),
+    "decode --lexicon": lambda p, bad: _decode_argv(p, "--lexicon", bad),
+    "decode --input": lambda p, bad: [
+        "decode", "--input", bad, "--checkpoint", str(p["ckpt"])],
+    "--config": lambda p, bad: [
+        "--config", bad, "score", "--hyp", bad, "--ref", bad],
+    "train --train-src": lambda p, bad: [
+        "train", *_data_flags(p, **{"train-src": bad}),
+        "--run-dir", bad + ".run"],
+    "decode --output": lambda p, bad: _decode_argv(p, "--output", bad),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_file_fails_as_data_error_naming_it(pipeline, tmp_path, capsys,
+                                                case):
+    if case == "decode --output":
+        bad = tmp_path / "no-such-dir" / "out.txt"
+        reason = "cannot write"
+    else:  # invalid UTF-8
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"uno\n\xbf\xff dos\n")
+        reason = "not UTF-8"
+    assert main(BAD_FILES[case](pipeline, str(bad))) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and reason in err and "Traceback" not in err
+
+
+def test_text_loaders_raise_data_error_for_a_missing_file(tmp_path):
+    missing = tmp_path / "missing.txt"
+    vocab = Vocabulary(["<s>", "<unk>"])
+    for load in (Vocabulary.load, load_bpe,
+                 lambda path: load_lexicon(path, vocab, vocab)):
+        with pytest.raises(DataError, match=re.escape(f"cannot read {missing}")):
+            load(missing)
+
+
 def test_mismatched_line_counts_exit_two(tmp_path, capsys):
     src = tmp_path / "a.txt"
     tgt = tmp_path / "b.txt"
@@ -481,6 +542,14 @@ def test_dev_flags_must_come_together(tmp_path, capsys):
                  str(tgt), "--outdir", str(tmp_path / "o"),
                  "--dev-src", str(src)]) == 1
     assert "together" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a dev file that cannot be read also fails before anything is written
+    assert main(["preprocess", "--train-src", str(src), "--train-tgt",
+                 str(tgt), "--outdir", str(tmp_path / "o"),
+                 "--dev-src", str(src), "--dev-tgt",
+                 str(tmp_path / "missing.tgt")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_determinism_across_runs(tmp_path):
