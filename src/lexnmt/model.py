@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -33,6 +35,8 @@ from .errors import DataError
 ATTENTION_KINDS = ("dot", "mlp")
 
 _CHECKPOINT_MAGIC = b"LEXNMT/CKPT/v1\n"
+_TENSOR_MAP = ({"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
+               if hasattr(mmap, "MAP_PRIVATE") else {})  # Windows: no flags
 
 
 @dataclass
@@ -515,37 +519,35 @@ def save_checkpoint(path, params: ModelParams, src_vocab: Vocabulary,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelParams, src Vocabulary, tgt Vocabulary)."""
+    """Read a checkpoint; returns (ModelParams, src Vocabulary, tgt Vocabulary).
+
+    The tensors are views into one fresh private mapping that the tensor data
+    is read into: a load holds no copy of the file, and where the mapping is
+    filled as it is made (Linux), costs the same whatever the heap holds."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            if f.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
+                raise DataError(f"{path}: not a checkpoint file (bad magic)")
+            try:  # a header without its line end fails the length check
+                header = json.loads(f.readline())
+            except ValueError as e:
+                raise DataError(f"{path}: corrupt checkpoint header") from e
+            _check_header(path, header)
+            counts = [math.prod(t["shape"]) for t in header["tensors"]]
+            excess = os.fstat(f.fileno()).st_size - f.tell() - 8 * sum(counts)
+            what = "trailing bytes after" if excess > 0 else "truncated"
+            if excess:
+                raise DataError(f"{path}: {what} tensor data")
+            # mmap refuses a length of 0
+            block = mmap.mmap(-1, max(8 * sum(counts), 1), **_TENSOR_MAP)
+            f.readinto(block)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e
-    if not raw.startswith(_CHECKPOINT_MAGIC):
-        raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    end = raw.find(b"\n", len(_CHECKPOINT_MAGIC))
-    try:
-        if end < 0:
-            raise ValueError("no end of header line")
-        header = json.loads(raw[len(_CHECKPOINT_MAGIC):end])
-    except ValueError as e:
-        raise DataError(f"{path}: corrupt checkpoint header") from e
-    _check_header(path, header)
+    parts = np.split(np.frombuffer(block, dtype="<f8", count=sum(counts)),
+                     np.cumsum(counts)[:-1])
+    tensors = {t["name"]: part.reshape(t["shape"])
+               for t, part in zip(header["tensors"], parts)}
     hyper = header["hyper"]
-    tensors = {}
-    offset = end + 1
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        if offset + 8 * count > len(raw):
-            raise DataError(
-                f"{path}: tensor '{entry['name']}': truncated data")
-        # one copy per tensor, straight out of the file bytes
-        tensors[entry["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += 8 * count
-    if offset != len(raw):
-        raise DataError(f"{path}: trailing bytes after tensor data")
     vocabs = Vocabulary(header["src_vocab"]), Vocabulary(header["tgt_vocab"])
     for side, vocab in zip(("src", "tgt"), vocabs):
         if (len(vocab) != hyper[f"{side}_vocab_size"]

@@ -1,5 +1,7 @@
 """Encoder, attention, decoder step, ensembles, and checkpoint tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -395,3 +397,26 @@ def test_checkpoint_corruption_errors(tmp_path):
         load_checkpoint(bad)
     with pytest.raises(DataError, match="cannot read"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def test_checkpoint_load_reads_tensors_outside_the_heap(tmp_path):
+    # the tensor data goes straight from the file into one mapping: a load
+    # allocates no heap buffer of the file or of the tensors, and the
+    # tensors it returns can be trained in place
+    params = tiny_model(src_size=400, tgt_size=500, d=32, attention="mlp",
+                        use_lexicon=True)
+    src, tgt = _vocabs(params)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, src, tgt)
+    tensor_bytes = sum(v.nbytes for v in params.tensors.values())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * tensor_bytes
+    for name, value in loaded.tensors.items():
+        assert value.flags.writeable and value.flags.c_contiguous
+        value += 1.0
+        assert np.array_equal(value, params.tensors[name] + 1.0)
