@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -348,7 +349,18 @@ def _target_text(ids, bpe, tgt_vocab):
     return " ".join(invert_bpe(words) if bpe is not None else words)
 
 
+def _check_positive(args, *flags):
+    """Refuse a flag value below 1 (None: the flag's default applies)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise _UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+
+
 def _cmd_decode(args):
+    _check_positive(args, "beam", "max_len")
+    if not math.isfinite(args.word_penalty):
+        raise _UsageError("--word-penalty must be a finite number")
     models, src_vocab, tgt_vocab = _load_models(args.checkpoint)
     bpe = load_bpe(args.bpe) if args.bpe else None
     lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
@@ -388,11 +400,10 @@ def _cmd_score(args):
 
 
 def _cmd_sample(args):
+    _check_positive(args, "samples", "max_len")
     params, src_vocab, tgt_vocab = load_checkpoint(args.checkpoint)
     bpe = load_bpe(args.bpe) if args.bpe else None
     lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
-    if args.samples < 1:
-        raise _UsageError("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
 
     def sample_lines(line):

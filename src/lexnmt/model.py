@@ -35,6 +35,7 @@ from .errors import DataError
 ATTENTION_KINDS = ("dot", "mlp")
 
 _CHECKPOINT_MAGIC = b"LEXNMT/CKPT/v1\n"
+BLOCK_ROWS = 8  # rows of every decoder block step (see _block_step)
 _TENSOR_MAP = ({"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
                if hasattr(mmap, "MAP_PRIVATE") else {})  # Windows: no flags
 
@@ -142,11 +143,17 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
 
 @dataclass
 class DecoderState:
-    """Decoder hidden and cell state and the last attention context."""
+    """Decoder hidden and cell state and the last attention context: one row
+    (1-D arrays) or a block of rows (2-D arrays, one row per hypothesis)."""
 
     hidden: np.ndarray
     cell: np.ndarray
     context: np.ndarray
+
+    def take(self, rows) -> "DecoderState":
+        """The block of the given rows; a one-row state counts as row 0."""
+        return DecoderState(*(np.atleast_2d(x)[rows] for x in
+                              (self.hidden, self.cell, self.context)))
 
 
 @dataclass
@@ -171,19 +178,19 @@ class _Step(NamedTuple):
     eta: np.ndarray
     lex: np.ndarray | None  # L_F a + epsilon
     logits: np.ndarray
-    logit_max: float
-    exp_sum: float
+    logit_max: float  # one per row of a block
+    exp_sum: float  # one per row of a block
     probs: np.ndarray
 
 
 def _lstm(W, b, u, c):
     """Coupled-gate LSTM step on u = [x; h]: the forget gate is one minus the
     input gate.  Returns (hidden, cell, activations)."""
-    n = c.shape[0]
-    z = W @ u + b
-    i = 1.0 / (1.0 + np.exp(-z[:n]))
-    o = 1.0 / (1.0 + np.exp(-z[n:2 * n]))
-    g = np.tanh(z[2 * n:])
+    n = c.shape[-1]
+    z = u @ W.T + b
+    i = 1.0 / (1.0 + np.exp(-z[..., :n]))
+    o = 1.0 / (1.0 + np.exp(-z[..., n:2 * n]))
+    g = np.tanh(z[..., 2 * n:])
     c_new = (1.0 - i) * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (u, c, i, o, g, tc)
@@ -232,13 +239,13 @@ def _attend(params: ModelParams, h, enc: _SourceContext):
     """Attention weights, context vector and (MLP only) tanh activations."""
     if enc.mlp_proj is None:
         m = None
-        scores = enc.R.T @ h
+        scores = h @ enc.R
     else:
-        m = np.tanh(enc.mlp_proj + (enc.w1_h @ h)[:, None])
-        scores = m.T @ params.tensors["attn_w2"]
-    e = np.exp(scores - scores.max())
-    a = e / e.sum()
-    return a, enc.R @ a, m
+        m = np.tanh(enc.mlp_proj + (h @ enc.w1_h.T)[..., None])
+        scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    return a, a @ enc.R.T, m
 
 
 def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
@@ -246,37 +253,54 @@ def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
     return DecoderState(enc.init_state, zero, zero)
 
 
-def _decoder_step(params: ModelParams, prev_word: int, state: DecoderState,
+def _decoder_step(params: ModelParams, prev, state: DecoderState,
                   enc: _SourceContext):
-    """One decoder step: (new state, :class:`_Step`); the next-word
-    distribution is its ``probs``."""
+    """One decoder step of one row (an id ``prev``, a 1-D state) or of B rows
+    ((B,) ids, a (B, D) state): (new state, :class:`_Step`), both with the
+    matching leading axis; the next-word distribution is the ``probs``."""
     t = params.tensors
-    u = np.concatenate([t["tgt_emb"][prev_word], state.context, state.hidden])
+    u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
+                       axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
     a, ctx, m = _attend(params, h, enc)
-    q = np.concatenate([h, ctx])
-    eta = t["out_W"] @ q + t["out_b"]
-    logits = t["softmax_W"] @ eta + t["softmax_b"]
+    q = np.concatenate([h, ctx], axis=-1)
+    eta = q @ t["out_W"].T + t["out_b"]
+    logits = eta @ t["softmax_W"].T + t["softmax_b"]
     lex = None
     if enc.lexicon_matrix is not None:
-        lex = enc.lexicon_matrix @ a + params.epsilon
+        lex = a @ enc.lexicon_matrix.T + params.epsilon
         logits = logits + np.log(lex)
-    top = logits.max()
+    top = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - top)
-    total = e.sum()
+    total = e.sum(axis=-1, keepdims=True)
     return (DecoderState(h, c, ctx),
-            _Step(lstm, a, m, q, eta, lex, logits, top, total, e / total))
+            _Step(lstm, a, m, q, eta, lex, logits, top[..., 0], total[..., 0],
+                  e / total))
 
 
-def _step_probs(params: ModelParams, prev_word: int, state: DecoderState,
+def _block_step(params: ModelParams, prev_ids, state: DecoderState,
                 enc: _SourceContext):
-    """One decoder step as (new state, next-word probability array)."""
-    state, step = _decoder_step(params, prev_word, state, enc)
-    return state, step.probs
+    """Advance B rows ((B,) ids, a (B, D) or one-row state) in blocks of
+    exactly BLOCK_ROWS rows, the last padded: (new (B, D) state, (B, V) probs).
+
+    A one-row product (gemv) rounds unlike a block (gemm), but a row of a
+    fixed-size block depends neither on its position nor on the other rows.
+    So search, scoring and the exhaustive-search oracle, which all step here,
+    agree with ``==`` whichever rows share a block."""
+    n = len(prev_ids)
+    rows = np.arange(n + -n % BLOCK_ROWS) % n  # pad with copies of real rows
+    prev, state = np.asarray(prev_ids)[rows], state.take(rows)
+    parts = [_decoder_step(params, prev[i:i + BLOCK_ROWS],
+                           state.take(slice(i, i + BLOCK_ROWS)), enc)
+             for i in range(0, len(rows), BLOCK_ROWS)]
+    *new, probs = (np.concatenate(x)[:n] for x in zip(
+        *((s.hidden, s.cell, s.context, step.probs) for s, step in parts)))
+    return DecoderState(*new), probs
 
 
 def _teacher_forced(params: ModelParams, enc: _SourceContext, E):
-    """The decoder's :class:`_Step` list over E, feeding the reference words."""
+    """The decoder's :class:`_Step` list over E, feeding the reference words
+    one row at a time."""
     if not all(0 <= e < params.tgt_vocab_size for e in E):
         raise ValueError(f"target id outside vocabulary in {list(E)}")
     state = _init_state(params, enc)
@@ -477,20 +501,34 @@ def ensemble_distribution(distributions) -> np.ndarray:
     return sum(distributions) / len(distributions)
 
 
+def _ensemble_logp(models, encs, states, prev_ids):
+    """One :func:`_block_step` of every member from its block state: (new
+    states, log of the averaged (B, V) next-word distributions)."""
+    steps = [_block_step(m, prev_ids, state, enc)
+             for m, state, enc in zip(models, states, encs)]
+    with np.errstate(divide="ignore"):
+        logp = np.log(ensemble_distribution([p for _, p in steps]))
+    return [state for state, _ in steps], logp
+
+
 def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float:
     """Teacher-forced log p(E | F); ensembles average per-step probabilities.
 
-    ``E`` must end with the target sentence-end id.
+    ``E`` must end with the target sentence-end id.  Each step is a one-row
+    block step, scored as beam search scores its hypotheses, so a hypothesis
+    scores here exactly what search scored it.
     """
     models = _as_model_list(models)
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
-    runs = [_teacher_forced(m, _source_context(m, F, lexicon), E)
-            for m in models]
+    if not all(0 <= e < models[0].tgt_vocab_size for e in E):
+        raise ValueError(f"target id outside vocabulary in {list(E)}")
+    encs = [_source_context(m, F, lexicon) for m in models]
+    states = [_init_state(m, enc) for m, enc in zip(models, encs)]
     total = 0.0
-    for e, *steps in zip(E, *runs):
-        probs = ensemble_distribution([s.probs for s in steps])
-        total += float(np.log(probs[e]))
+    for prev, e in zip((models[0].tgt_eos, *E), E):
+        states, logp = _ensemble_logp(models, encs, states, [prev])
+        total += float(logp[0, e])
     return total
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import mrt_error, sbleu
-from .model import (ModelParams, _backward, _init_state, _length_cap,
-                    _logprob, _source_context, _step_probs, _teacher_forced,
+from .model import (ModelParams, _backward, _decoder_step, _init_state,
+                    _length_cap, _logprob, _source_context, _teacher_forced,
                     save_checkpoint)
 
 ADAM_BETA1 = 0.9
@@ -175,23 +175,25 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
 # sampling and minimum risk
 # ---------------------------------------------------------------------------
 
-def _sample(params: ModelParams, enc, max_len: int, rng) -> list[int]:
-    """One ancestral sample from a source context."""
+def _sample(params: ModelParams, enc, max_len: int, rng):
+    """One ancestral sample from a source context, with its decoder steps:
+    the steps teacher forcing over the sample would compute."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    out = []
+    out, steps = [], []
     state = _init_state(params, enc)
     prev = params.tgt_eos
     for _ in range(max_len):
-        state, probs = _step_probs(params, prev, state, enc)
-        cum = np.cumsum(probs)
+        state, step = _decoder_step(params, prev, state, enc)
+        steps.append(step)
+        cum = np.cumsum(step.probs)
         idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        idx = min(idx, len(probs) - 1)
+        idx = min(idx, len(cum) - 1)
         out.append(idx)
         if idx == params.tgt_eos:
             break
         prev = idx
-    return out
+    return tuple(out), steps
 
 
 def _strip_eos(sample, eos: int) -> tuple[int, ...]:
@@ -216,11 +218,20 @@ class _EmptySamples(ValueError):
 
 
 def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
-                  max_sample_len: int | None) -> list[tuple[int, ...]]:
-    """``num_samples`` ancestral samples of F from its context, in draw order."""
+                  max_sample_len: int | None):
+    """``num_samples`` ancestral samples of F from its context, each with its
+    steps, drawn in order as the caller iterates."""
     max_len = _length_cap(F, max_sample_len)
-    return [tuple(_sample(params, enc, max_len, rng))
-            for _ in range(num_samples)]
+    return (_sample(params, enc, max_len, rng) for _ in range(num_samples))
+
+
+def _distinct_runs(draws):
+    """Each distinct sample with the steps of its first draw, in first-draw
+    order; a repeat's steps are dropped as it is drawn."""
+    runs = {}
+    for sample, steps in draws:
+        runs.setdefault(sample, steps)
+    return list(runs.items())
 
 
 def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
@@ -230,32 +241,33 @@ def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
     The sentence-end id terminates a sample and is included in it; a sample
     that reaches ``max_len`` without drawing it is returned as-is.
     """
-    return _draw_samples(params, _source_context(params, F, lexicon), F,
-                         num_samples, rng, max_len)
+    return [s for s, _ in _draw_samples(
+        params, _source_context(params, F, lexicon), F, num_samples, rng,
+        max_len)]
 
 
-def _expected_error(params: ModelParams, enc, E_ref, samples, alpha: float):
-    """Expected error 1 - SBLEU over ``samples``, all scored against ``enc``,
-    weighted by P^alpha renormalized over the sample set.
+def _expected_error(params: ModelParams, E_ref, runs, alpha: float):
+    """Expected error 1 - SBLEU over the samples of ``runs`` (each with its
+    decoder steps against one context), weighted by P^alpha renormalized
+    over the sample set.
 
-    Returns the error, each sample with its teacher-forced steps, and the
-    derivative of the error by each sample's log-probability: with weights
-    w = softmax(alpha * logp) and error L = sum_s w_s err_s, that is
-    alpha * w_s * (err_s - L).
+    Returns the error and the derivative of the error by each sample's
+    log-probability: with weights w = softmax(alpha * logp) and error
+    L = sum_s w_s err_s, that is alpha * w_s * (err_s - L).
     """
     ref = tuple(E_ref)
     errors = np.array([mrt_error(ref, _strip_eos(s, params.tgt_eos))
-                       for s in samples])
-    runs = [(s, _teacher_forced(params, enc, s)) for s in samples]
+                       for s, _ in runs])
     weights = mrt_weights([_logprob(steps, s) for s, steps in runs], alpha)
     loss = float(weights @ errors)
-    return loss, runs, alpha * weights * (errors - loss)
+    return loss, alpha * weights * (errors - loss)
 
 
-def _risk_gradient(params: ModelParams, enc, E_ref, samples, alpha: float):
-    """Expected error over ``samples`` and its gradient: one backward pass
-    seeded per sample with d error / d logp, one encoder walk for them all."""
-    loss, runs, seeds = _expected_error(params, enc, E_ref, samples, alpha)
+def _risk_gradient(params: ModelParams, enc, E_ref, runs, alpha: float):
+    """Expected error over the samples of ``runs`` and its gradient: one
+    backward pass seeded per sample with d error / d logp, one encoder walk
+    for them all."""
+    loss, seeds = _expected_error(params, E_ref, runs, alpha)
     grads = _zero_grads(params)
     _backward(params, enc, runs, seeds, grads)
     return loss, grads
@@ -269,7 +281,8 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
     if not samples:
         raise ValueError("sample set must be non-empty")
     enc = _source_context(params, F, lexicon)
-    return _risk_gradient(params, enc, E_ref, samples, alpha)
+    runs = [(s, _teacher_forced(params, enc, s)) for s in samples]
+    return _risk_gradient(params, enc, E_ref, runs, alpha)
 
 
 def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
@@ -283,11 +296,11 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
     if rng is None:
         raise ValueError("an rng is required for sampling")
     enc = _source_context(params, F, lexicon)
-    samples = list(dict.fromkeys(  # first-draw order
-        _draw_samples(params, enc, F, num_samples, rng, max_sample_len)))
-    if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in samples):
+    runs = _distinct_runs(
+        _draw_samples(params, enc, F, num_samples, rng, max_sample_len))
+    if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s, _ in runs):
         raise _EmptySamples("all sampled translations are empty")
-    return _risk_gradient(params, enc, E_ref, samples, alpha)
+    return _risk_gradient(params, enc, E_ref, runs, alpha)
 
 
 def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
@@ -296,8 +309,8 @@ def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
     scores = []
     for pair in pairs:
         enc = _source_context(params, pair.source, lexicon)
-        for s in _draw_samples(params, enc, pair.source, num_samples, rng,
-                               max_sample_len):
+        for s, _ in _draw_samples(params, enc, pair.source, num_samples, rng,
+                                  max_sample_len):
             scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
     return float(np.mean(scores))
 
@@ -432,9 +445,9 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
     values = []
     for pair in pairs:
         enc = _source_context(params, pair.source, lexicon)
-        samples = list(dict.fromkeys(_draw_samples(
-            params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len)))
-        values.append(_expected_error(params, enc, pair.target, samples,
+        runs = _distinct_runs(_draw_samples(
+            params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len))
+        values.append(_expected_error(params, pair.target, runs,
                                       mrt.alpha)[0])
     return float(np.mean(values))
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import SentencePair
-from lexnmt.model import (_init_state, _source_context, _step_probs,
+from lexnmt.model import (_block_step, _init_state, _source_context,
                           init_params)
 
 
@@ -75,11 +75,11 @@ def count_calls(monkeypatch, module, name):
 
 
 def graph_stepper(models, F, lexicon=None):
-    """``(start, step)`` over the decoder step function that beam search runs.
+    """``(start, step)`` over the block step that beam search runs.
 
     ``start()`` returns each member's initial decoder state; ``step(k, prev,
-    state)`` advances member k and returns (new state, probability array).
-    Each member is encoded once, with its L_F.
+    state)`` advances member k by one row, a one-row block, and returns (new
+    state, probability array).  Each member is encoded once, with its L_F.
     """
     if not isinstance(models, (list, tuple)):
         models = [models]
@@ -89,6 +89,7 @@ def graph_stepper(models, F, lexicon=None):
         return tuple(_init_state(m, enc) for m, enc in zip(models, encs))
 
     def step(k, prev, state):
-        return _step_probs(models[k], prev, state, encs[k])
+        state, probs = _block_step(models[k], [prev], state, encs[k])
+        return state, probs[0]
 
     return start, step

@@ -429,6 +429,22 @@ def test_usage_errors_exit_one(capsys):
     assert "usage error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("decode", "--beam", "0"), ("decode", "--beam", "-3"),
+    ("decode", "--max-len", "0"), ("decode", "--word-penalty", "nan"),
+    ("decode", "--word-penalty", "inf"), ("decode", "--word-penalty", "-inf"),
+    ("sample", "--max-len", "0"), ("sample", "--samples", "0")])
+def test_bad_search_flags_are_usage_errors(tmp_path, capsys, command, flag,
+                                           value):
+    # refused before any file is read: the checkpoint named here is missing,
+    # which would exit 2 once loading began
+    assert main([command, "--input", str(tmp_path / "input.txt"),
+                 "--checkpoint", str(tmp_path / "missing.ckpt"),
+                 f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err and "Traceback" not in err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "COMMAND" in capsys.readouterr().out

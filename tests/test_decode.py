@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
-from lexnmt.decode import (Hypothesis, beam_search, ensemble_distribution,
-                           greedy_decode, score_hypothesis, translate)
+from lexnmt.decode import (Hypothesis, _best_children, beam_search,
+                           ensemble_distribution, greedy_decode,
+                           score_hypothesis, translate)
 from lexnmt.model import init_params, sentence_logprob
 
 from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
@@ -112,6 +115,44 @@ def test_wider_beam_can_beat_greedy():
     assert wide.tokens != g.tokens
 
 
+class _Prefixes(tuple):
+    """Scripted block state: the token prefix of each row."""
+
+    def take(self, rows):
+        return _Prefixes(self[i] for i in rows)
+
+
+def _script(monkeypatch, row_step):
+    """Run beam search on ``row_step(prefix, prev) -> (prefix, probs)``."""
+    def fake_block(params, prev_ids, state, enc):
+        rows = [row_step(p, prev) for p, prev in zip(state, prev_ids)]
+        return (_Prefixes(p for p, _ in rows),
+                np.stack([probs for _, probs in rows]))
+
+    monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
+    monkeypatch.setattr(decode_mod, "_init_state",
+                        lambda *a: _Prefixes([()]))
+    monkeypatch.setattr(model_mod, "_block_step", fake_block)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_block_child_selection_is_a_stable_argsort(data):
+    # a few repeated values (-inf among them) force exact ties at the cut
+    B, V = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 8))
+    eos = data.draw(st.integers(0, V - 1))
+    k = data.draw(st.integers(1, B * V + 2))
+    value = st.one_of(st.sampled_from([0.0, -0.5, -2.25, -np.inf]),
+                      st.floats(-30.0, 0.0))
+    scores = np.array(data.draw(st.lists(value, min_size=B * V,
+                                         max_size=B * V))).reshape(B, V)
+    live = np.array([v for v in range(V) if v != eos])
+    want = np.argsort(-scores[:, live].ravel(), kind="stable")[:k]
+    rows, words = _best_children(scores, eos, k)
+    assert rows.tolist() == (want // len(live)).tolist()
+    assert words.tolist() == live[want % len(live)].tolist()
+
+
 def test_tie_break_prefers_lexicographically_smaller(monkeypatch):
     # scripted distributions: continuations (1, eos) and (2, eos) tie exactly
     eos = 0
@@ -122,15 +163,13 @@ def test_tie_break_prefers_lexicographically_smaller(monkeypatch):
         (3,): np.array([0.1, 0.3, 0.3, 0.3]),
     }
 
-    def fake_step(params, prev, state, enc):
+    def fake_step(state, prev):
         prefix = state if prev == eos and not state else state + (prev,)
         probs = table.get(prefix, np.array([1.0, 0.0, 0.0, 0.0]))
         return prefix, probs
 
     model = _tiny(3)
-    monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
-    monkeypatch.setattr(decode_mod, "_init_state", lambda *a: ())
-    monkeypatch.setattr(decode_mod, "_step_probs", fake_step)
+    _script(monkeypatch, fake_step)
     best = beam_search(model, (1,), beam_size=4, max_len=5)
     assert best.tokens == (1, eos)
     assert best.logprob == pytest.approx(np.log(0.25) + np.log(0.9))
@@ -142,14 +181,32 @@ def test_shorter_hypothesis_wins_exact_score_tie(monkeypatch):
     eos = 0
     V = 4
     uniform = np.full(V, 1.0 / V)
-    monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
-    monkeypatch.setattr(decode_mod, "_init_state", lambda *a: ())
-    monkeypatch.setattr(decode_mod, "_step_probs",
-                        lambda params, prev, state, enc: ((), uniform))
+    _script(monkeypatch, lambda state, prev: ((), uniform))
     model = _tiny(3)
     best = beam_search(model, (1, 2), beam_size=6, max_len=6,
                        word_penalty=float(np.log(V)))
     assert best.tokens == (eos,)
+
+
+def test_equal_children_keep_the_lexicographically_smaller_parent(
+        monkeypatch):
+    # (1, 3) and (2, 3) score log .25 + log .5 both ways; the beam holds (2,)
+    # ahead of (1,), and the smaller tokens (1, 3) must take the last place
+    table = {
+        (): np.array([0.01, 0.25, 0.5, 0.24, 0.0]),
+        (1,): np.array([0.01, 0.0, 0.0, 0.5, 0.49]),
+        (2,): np.array([0.01, 0.01, 0.01, 0.25, 0.72]),
+        (1, 3): np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+        (2, 3): np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+    }
+
+    def fake_step(state, prev):
+        prefix = state if prev == 0 and not state else state + (prev,)
+        return prefix, table.get(prefix, np.zeros(5))
+
+    _script(monkeypatch, fake_step)
+    best = beam_search(_tiny(3), (1,), beam_size=2, max_len=3)
+    assert best.tokens == (1, 3, 0)
 
 
 def test_length_cap_returns_best_completion():
@@ -212,7 +269,7 @@ def test_ensemble_builds_one_context_per_member(monkeypatch):
     for m in (a, b):  # sentence end suppressed: search runs to the cap
         m.tensors["softmax_b"][m.tgt_eos] = -40.0
     beam_search([a, b], (1, 3, 2), beam_size=3, max_len=6, lexicon=table)
-    assert len(steps) == 2 * (1 + 3 * 5)
+    assert len(steps) == 2 * 6  # one block step per member and search step
     assert [id(args[0]) for args in encodes] == [id(a), id(b)]
     assert len(builds) == 2
 

@@ -8,7 +8,8 @@ import pytest
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
-from lexnmt.model import (ModelParams, _attend, _encode_g, _init_state, _lstm,
+from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
+                          _block_step, _encode_g, _init_state, _lstm,
                           _source_context, _teacher_forced,
                           build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
@@ -194,6 +195,39 @@ def test_decoder_step_rejects_nonpositive_epsilon():
         params.epsilon = bad
         with pytest.raises(ValueError, match="epsilon > 0"):
             graph_stepper(params, (1,), table)
+
+
+@pytest.mark.parametrize("attention, V, d", [("dot", 20, 32), ("mlp", 20, 32),
+                                             ("mlp", 2000, 128)],
+                         ids=["toy-dot", "toy-mlp", "wide-mlp"])
+def test_block_rows_are_batch_invariant(attention, V, d):
+    # the premise of every search == contract: a row of a block step gets
+    # the same bits at any position and next to any other rows
+    rng = np.random.default_rng(V + d)
+    params = init_params(30, V, d_emb=d, d_hid=d, attention=attention,
+                         use_lexicon=True, seed=V, init_scale=0.3)
+    F = tuple(int(f) for f in rng.integers(0, 30, 9))
+    enc = _source_context(params, F, random_lexicon(rng, 30, V))
+    n = 2 * BLOCK_ROWS
+    prev = rng.integers(0, V, n)
+    state = DecoderState(*rng.uniform(-1, 1, (3, n, params.dec_hid)))
+    alone = [_block_step(params, prev[[r]], state.take([r]), enc)
+             for r in range(n)]
+    for shift in range(BLOCK_ROWS):
+        rows = np.roll(np.arange(n), shift)
+        block, probs = _block_step(params, prev[rows], state.take(rows), enc)
+        for at, r in enumerate(rows):
+            got = (block.hidden[at], block.cell[at], block.context[at],
+                   probs[at])
+            want = (alone[r][0].hidden[0], alone[r][0].cell[0],
+                    alone[r][0].context[0], alone[r][1][0])
+            assert all(map(np.array_equal, got, want)), (
+                f"row {r} at block position {at % BLOCK_ROWS} differs from "
+                f"the same row stepped alone: on this BLAS a row of a "
+                f"{BLOCK_ROWS}-row product depends on its position or on the "
+                "other rows, so the search == contracts (exhaustive search, "
+                "search score == teacher-forced score, ensemble identity) "
+                "cannot hold")
 
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])

@@ -10,7 +10,7 @@ import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
 from lexnmt.errors import DataError, NumericalError
 from lexnmt.metrics import sbleu
-from lexnmt.model import sentence_logprob
+from lexnmt.model import _teacher_forced, sentence_logprob
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
                           expected_sampled_error, gradient_norm,
@@ -249,7 +249,12 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     eos = params.tgt_eos
     fixed = [(3, eos), (3, eos), (2, 4, eos), (3, eos)]
     draws = iter(fixed)
-    monkeypatch.setattr(train_mod, "_sample", lambda *a, **k: next(draws))
+
+    def fake_sample(params, enc, max_len, rng):
+        s = next(draws)
+        return s, _teacher_forced(params, enc, s)
+
+    monkeypatch.setattr(train_mod, "_sample", fake_sample)
     loss, grads = mrt_loss(params, (1, 2), (3,), num_samples=4, alpha=0.5,
                            rng=np.random.default_rng(0))
     want_loss, want_grads = mrt_loss_frozen(params, (1, 2), (3,),
@@ -258,6 +263,27 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     for name in grads:
         assert np.allclose(grads[name], want_grads[name], rtol=1e-12,
                            atol=1e-15)
+
+
+@pytest.mark.parametrize("attention", ["dot", "mlp"])
+def test_mrt_loss_scores_samples_with_their_sampling_steps(attention):
+    # the steps kept from sampling are the teacher-forced steps, bit for bit
+    params = tiny_model(seed=53, attention=attention, use_lexicon=True,
+                        init_scale=0.5)
+    table = random_lexicon(np.random.default_rng(53), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    F, ref = (1, 2, 3), (3, 4)
+    samples = sample_translations(params, F, 8, 2 * len(F) + 10,
+                                  np.random.default_rng(7), table)
+    distinct = list(dict.fromkeys(samples))
+    assert len(distinct) >= 2
+    loss, grads = mrt_loss(params, F, ref, num_samples=8, alpha=0.5,
+                           rng=np.random.default_rng(7), lexicon=table)
+    want_loss, want_grads = mrt_loss_frozen(params, F, ref, distinct, 0.5,
+                                            lexicon=table)
+    assert loss == want_loss
+    for name in grads:
+        assert np.array_equal(grads[name], want_grads[name])
 
 
 def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
@@ -273,7 +299,7 @@ def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
     mrt_loss(params, (1, 2, 3), (3, 4), num_samples=6, alpha=0.5,
              rng=np.random.default_rng(5), lexicon=table)
     assert len(draws) == 6
-    _, _, _, distinct, _ = scored[0]
+    _, _, distinct, _ = scored[0]
     assert len(distinct) >= 2
     assert len(encodes) == 1
     assert len(builds) == 1
@@ -289,7 +315,7 @@ def test_mrt_loss_validation(monkeypatch):
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
     monkeypatch.setattr(train_mod, "_sample",
-                        lambda *a, **k: (params.tgt_eos,))
+                        lambda *a, **k: ((params.tgt_eos,), []))
     with pytest.raises(ValueError, match="empty"):
         mrt_loss(params, (1,), (2,), num_samples=4, rng=rng)
 
