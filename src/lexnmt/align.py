@@ -100,6 +100,7 @@ def save_lexicon(table: LexiconTable, src_vocab: Vocabulary,
 
 def load_lexicon(path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> LexiconTable:
     entries: dict[int, dict[int, float]] = defaultdict(dict)
+    src_ids, tgt_ids = src_vocab._ids, tgt_vocab._ids  # one lookup per token
     for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
@@ -112,8 +113,7 @@ def load_lexicon(path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> LexiconT
         except ValueError:
             raise DataError(
                 f"{path}: bad probability at line {lineno}: {prob_s!r}")
-        if src_tok not in src_vocab or tgt_tok not in tgt_vocab:
-            # tokens outside the model vocabularies cannot bias anything
-            continue
-        entries[src_vocab.id(src_tok)][tgt_vocab.id(tgt_tok)] = prob
+        f, e = src_ids.get(src_tok), tgt_ids.get(tgt_tok)
+        if f is not None and e is not None:  # else it cannot bias anything
+            entries[f][e] = prob
     return LexiconTable(dict(entries))

@@ -368,21 +368,17 @@ def _cmd_decode(args):
     def translate_line(line):
         ids = _source_ids(line, bpe, src_vocab)
         if not ids:
-            return "", 0.0, True
+            return "", 0.0
         hyp = beam_search(models, ids, beam_size=args.beam,
                           word_penalty=args.word_penalty,
                           max_len=args.max_len, lexicon=lexicon)
         return (_target_text(hyp.tokens, bpe, tgt_vocab),
-                score_hypothesis(hyp, args.word_penalty), hyp.complete)
+                score_hypothesis(hyp, args.word_penalty))
 
     results = [translate_line(line) for line in read_lines(args.input)]
-    for i, (_, _, complete) in enumerate(results, 1):
-        if not complete:
-            print(f"warning: line {i}: no hypothesis completed "
-                  "within the length cap", file=sys.stderr)
-    write_lines(args.output or None, (text for text, _, _ in results))
+    write_lines(args.output or None, (text for text, _ in results))
     if args.scores:
-        write_lines(args.scores, (f"{score:.6f}" for _, score, _ in results))
+        write_lines(args.scores, (f"{score:.6f}" for _, score in results))
     return 0
 
 

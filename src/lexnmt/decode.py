@@ -1,10 +1,11 @@
 """Beam search over one model or an ensemble.
 
 Hypotheses are compared by log-probability plus a word penalty times the
-hypothesis length, so a positive penalty favors longer output.  A hypothesis
-that emits the sentence-end id leaves the beam and is kept aside; search ends
-when the best live partial no longer outscores the best completed hypothesis
-or when the length cap is reached.
+hypothesis length, so a positive penalty favors longer output.  The live beam
+is a block of rows in lexicographic token order; each step scores all their
+children as one (B, V) key block, whose sentence-end column holds the step's
+completions.  Search ends when the best live partial no longer outscores the
+best completion or when the length cap is reached.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ from .model import (_as_model_list, _ensemble_logp, _init_state, _length_cap,
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """tokens includes the trailing sentence-end id once complete; states
-    is the hypothesis' row in each member's block state (where its parent's
-    step left it), None once complete."""
+    """A completion: tokens end with the sentence-end id."""
     tokens: tuple[int, ...]
     logprob: float
-    states: int | None
-    complete: bool
 
 
 def score_hypothesis(hyp: Hypothesis, word_penalty: float) -> float:
@@ -49,15 +46,13 @@ def _best_children(scores, eos: int, k: int):
 
 def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
                 max_len: int | None = None, lexicon=None) -> Hypothesis:
-    """Return the best-scoring hypothesis for source sentence F.
+    """Return the best-scoring completion for source sentence F.
 
-    The result is complete in all but degenerate cases: the softmax gives the
-    sentence-end id positive probability at every step, so a completion
-    candidate is recorded from the first expansion on, and when the length cap
-    (default 2*|F| + 10) cuts search short the best completion found so far is
-    returned.  Only if no completion was ever recorded does the best partial
-    come back with ``complete=False``.  Each search step advances all live
-    hypotheses of a member as one block and picks the children from the block.
+    Search always completes: the first step records a completion, and when
+    the length cap (default 2*|F| + 10) cuts search short, the best completion
+    wins even over a partial still ahead.  Exact score ties go to the shorter,
+    then the lexicographically smaller tokens: the beam's rows are in token
+    order, so the first of equal keys is the smallest.
     """
     models = _as_model_list(models)
     F = tuple(F)
@@ -72,44 +67,28 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
     eos = models[0].tgt_eos
     encs = [_source_context(m, F, lexicon) for m in models]
     blocks = [_init_state(m, enc) for m, enc in zip(models, encs)]
+    # each token row starts with the sentence end, the first decoder input
+    tokens, logprob, rows = np.array([[eos]]), np.zeros(1), [0]
+    best = None
 
-    beam = [Hypothesis((), 0.0, 0, False)]
-    best_complete, best_key = None, None
-
-    while beam and len(beam[0].tokens) < max_len:
-        rows = [hyp.states for hyp in beam]
-        blocks, logp = _ensemble_logp(
-            models, encs, [block.take(rows) for block in blocks],
-            [hyp.tokens[-1] if hyp.tokens else eos for hyp in beam])
-
-        # Highest score first; ties broken toward shorter, then
-        # lexicographically smaller token sequences so search is deterministic.
-        for hyp, lp in zip(beam, logp[:, eos]):
-            done = Hypothesis(hyp.tokens + (eos,), hyp.logprob + lp, None,
-                              True)
-            key = (-score_hypothesis(done, word_penalty), len(done.tokens),
-                   done.tokens)
-            if best_complete is None or key < best_key:
-                best_complete, best_key = done, key
-
-        # the children are equally long, so their order is by score, then
-        # parent's tokens, then word
-        scores = np.array([hyp.logprob for hyp in beam])[:, None] + logp
-        order = sorted(range(len(beam)), key=lambda i: beam[i].tokens)
-        parents, words = _best_children(
-            scores[order] + word_penalty * (len(beam[0].tokens) + 1), eos,
-            beam_size)
-        beam = [Hypothesis(beam[i].tokens + (int(v),), float(scores[i, v]), i,
-                           False)
-                for i, v in zip(np.take(order, parents), words)]
-        if best_complete is not None and beam and (
-                score_hypothesis(beam[0], word_penalty)
-                <= score_hypothesis(best_complete, word_penalty)):
-            return best_complete
-
-    # Length cap hit: a completion wins even over a partial still ahead,
-    # since only finished translations are usable output.
-    return best_complete if best_complete is not None else beam[0]
+    while len(tokens) and tokens.shape[1] <= max_len:
+        blocks, logp = _ensemble_logp(models, encs, blocks, rows,
+                                      tokens[:, -1])
+        scores = logprob[:, None] + logp
+        keys = scores + word_penalty * tokens.shape[1]
+        done = int(np.argmax(keys[:, eos]))
+        if best is None or keys[done, eos] > best_key:
+            best = Hypothesis((*tokens[done, 1:].tolist(), eos),
+                              float(scores[done, eos]))
+            best_key = keys[done, eos]
+        rows, words = _best_children(keys, eos, beam_size)
+        order = np.lexsort((words, rows))
+        rows, words = rows[order], words[order]
+        tokens = np.column_stack([tokens[rows], words])
+        logprob = scores[rows, words]
+        if len(rows) and keys[rows, words].max() <= best_key:
+            break
+    return best
 
 
 def greedy_decode(models, F, max_len: int | None = None,
@@ -121,5 +100,5 @@ def greedy_decode(models, F, max_len: int | None = None,
 def translate(models, F, beam_size: int = 5, word_penalty: float = 0.0,
               max_len: int | None = None, lexicon=None) -> list[int]:
     """Beam-search F and return content ids (sentence-end stripped)."""
-    hyp = beam_search(models, F, beam_size, word_penalty, max_len, lexicon)
-    return list(hyp.tokens[:-1] if hyp.complete else hyp.tokens)
+    return list(beam_search(models, F, beam_size, word_penalty, max_len,
+                            lexicon).tokens[:-1])

@@ -278,21 +278,21 @@ def _decoder_step(params: ModelParams, prev, state: DecoderState,
                   e / total))
 
 
-def _block_step(params: ModelParams, prev_ids, state: DecoderState,
+def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                 enc: _SourceContext):
-    """Advance B rows ((B,) ids, a (B, D) or one-row state) in blocks of
-    exactly BLOCK_ROWS rows, the last padded: (new (B, D) state, (B, V) probs).
+    """Step the given rows of ``state`` on ``prev_ids`` in blocks of exactly
+    BLOCK_ROWS rows, the last padded: (new (B, D) state, (B, V) probs).
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows.
     So search, scoring and the exhaustive-search oracle, which all step here,
     agree with ``==`` whichever rows share a block."""
     n = len(prev_ids)
-    rows = np.arange(n + -n % BLOCK_ROWS) % n  # pad with copies of real rows
-    prev, state = np.asarray(prev_ids)[rows], state.take(rows)
+    pad = np.arange(n + -n % BLOCK_ROWS) % n  # pad with copies of real rows
+    prev, state = np.asarray(prev_ids)[pad], state.take(np.asarray(rows)[pad])
     parts = [_decoder_step(params, prev[i:i + BLOCK_ROWS],
                            state.take(slice(i, i + BLOCK_ROWS)), enc)
-             for i in range(0, len(rows), BLOCK_ROWS)]
+             for i in range(0, len(pad), BLOCK_ROWS)]
     *new, probs = (np.concatenate(x)[:n] for x in zip(
         *((s.hidden, s.cell, s.context, step.probs) for s, step in parts)))
     return DecoderState(*new), probs
@@ -462,10 +462,10 @@ def _lexicon_matrix(params: ModelParams, F, lexicon):
             raise ValueError(
                 "model was trained with lexicon bias; a lexicon table is required")
         return None
-    if params.epsilon <= 0:
+    if not 0 < params.epsilon < math.inf:
         raise ValueError(
-            "lexicon bias requires epsilon > 0 to prevent zero probabilities "
-            "from becoming -inf under the log")
+            "lexicon bias requires a finite epsilon > 0 to prevent zero "
+            "probabilities from becoming -inf under the log")
     return build_lexicon_matrix(F, lexicon, params.tgt_vocab_size)
 
 
@@ -501,10 +501,10 @@ def ensemble_distribution(distributions) -> np.ndarray:
     return sum(distributions) / len(distributions)
 
 
-def _ensemble_logp(models, encs, states, prev_ids):
-    """One :func:`_block_step` of every member from its block state: (new
-    states, log of the averaged (B, V) next-word distributions)."""
-    steps = [_block_step(m, prev_ids, state, enc)
+def _ensemble_logp(models, encs, states, rows, prev_ids):
+    """One :func:`_block_step` of every member from the given rows of its
+    block state: (new states, log of the averaged (B, V) distributions)."""
+    steps = [_block_step(m, prev_ids, state, rows, enc)
              for m, state, enc in zip(models, states, encs)]
     with np.errstate(divide="ignore"):
         logp = np.log(ensemble_distribution([p for _, p in steps]))
@@ -527,7 +527,7 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     states = [_init_state(m, enc) for m, enc in zip(models, encs)]
     total = 0.0
     for prev, e in zip((models[0].tgt_eos, *E), E):
-        states, logp = _ensemble_logp(models, encs, states, [prev])
+        states, logp = _ensemble_logp(models, encs, states, [0], [prev])
         total += float(logp[0, e])
     return total
 
@@ -616,6 +616,8 @@ def _check_header(path, header):
             and all(type(hyper[k]) in t for k, t in _HYPER_TYPES.items())):
         raise DataError(f"{path}: checkpoint hyperparameters must be exactly "
                         f"{sorted(_HYPER_TYPES)}, typed as in ModelParams")
+    if not all(math.isfinite(v) for v in hyper.values() if type(v) is float):
+        raise DataError(f"{path}: checkpoint hyperparameters must be finite")
     for key in ("src_vocab", "tgt_vocab"):
         if not (isinstance(header[key], list)
                 and all(isinstance(t, str) for t in header[key])):

@@ -56,16 +56,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr_schedule or any(lr <= 0 for lr in self.lr_schedule):
-            raise ValueError("lr_schedule must be positive")
-        if self.word_budget < 1 or self.clip_norm <= 0:
-            raise ValueError("word_budget and clip_norm must be positive")
+        # floats must be finite; 0 < x < inf is False for nan
+        if not self.lr_schedule or not all(0 < lr < math.inf
+                                           for lr in self.lr_schedule):
+            raise ValueError("lr_schedule must be positive and finite")
+        if self.word_budget < 1 or not 0 < self.clip_norm < math.inf:
+            raise ValueError("word_budget and clip_norm must be finite, > 0")
         if self.dev_check_interval < 1 or self.patience < 1:
             raise ValueError("dev_check_interval and patience must be positive")
         if self.mrt.num_samples < 2:
             raise ValueError("mrt.num_samples must be >= 2")
-        if self.mrt.alpha <= 0:
-            raise ValueError("mrt.alpha must be > 0")
+        if not 0 < self.mrt.alpha < math.inf:
+            raise ValueError("mrt.alpha must be > 0 and finite")
 
     @property
     def initial_lr(self) -> float:

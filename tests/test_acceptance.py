@@ -245,7 +245,7 @@ def test_word_penalty_is_affine_and_lengthens_output(trained_a, copy_task):
     # couple of ulps, which is as exact as lp + penalty*n can be in binary64
     for logprob in (-0.5, -1.25, -3.0, -10.0):
         for n in (1, 2, 5, 10):
-            hyp = Hypothesis(tuple(range(n)), logprob, None, True)
+            hyp = Hypothesis(tuple(range(n)), logprob)
             for penalty in (0.25, 0.5, 1.5):
                 delta = (score_hypothesis(hyp, penalty)
                          - score_hypothesis(hyp, 0.0))

@@ -209,6 +209,8 @@ HEADER_MUTATIONS = {
     "src-vocab-cut": lambda h: {**h, "src_vocab": h["src_vocab"][:3]},
     "bool-for-int": lambda h: _with_hyper(h, attn_dim=True),
     "bool-for-float": lambda h: _with_hyper(h, epsilon=True),
+    "nan-epsilon": lambda h: _with_hyper(h, epsilon=float("nan")),
+    "inf-epsilon": lambda h: _with_hyper(h, epsilon=float("inf")),
 }
 
 

@@ -33,8 +33,7 @@ def _oracle_best(models, F, max_len, word_penalty):
 # ---------------------------------------------------------------------------
 
 def test_score_is_affine_in_length():
-    hyp = Hypothesis(tokens=(3, 1, 4, 1, 5, 9, 2, 6, 5, 0), logprob=-10.0,
-                     states=None, complete=True)
+    hyp = Hypothesis(tokens=(3, 1, 4, 1, 5, 9, 2, 6, 5, 0), logprob=-10.0)
     assert score_hypothesis(hyp, 0.8) == -2.0  # dyadic values: exact
     assert score_hypothesis(hyp, 0.0) == -10.0
     assert score_hypothesis(hyp, -0.5) == -15.0
@@ -55,7 +54,7 @@ def test_wide_beam_matches_exhaustive_search(word_penalty):
         got = beam_search(model, F, beam_size=beam,
                           word_penalty=word_penalty, max_len=max_len)
         want_tokens, want_lp = _oracle_best(model, F, max_len, word_penalty)
-        assert got.complete
+        assert got.tokens[-1] == model.tgt_eos
         assert got.tokens == want_tokens
         assert got.logprob == want_lp  # same accumulation order: bitwise
 
@@ -89,7 +88,7 @@ def test_search_score_equals_teacher_forced_score(attention, use_lexicon,
         # the penalty takes search past the bare sentence end, up to the cap
         hyp = beam_search(models, F, beam_size=3, word_penalty=2.0,
                           lexicon=table)
-        assert hyp.complete
+        assert hyp.tokens[-1] == models[0].tgt_eos
         assert hyp.logprob == sentence_logprob(models, F, hyp.tokens, table)
 
 
@@ -115,23 +114,16 @@ def test_wider_beam_can_beat_greedy():
     assert wide.tokens != g.tokens
 
 
-class _Prefixes(tuple):
-    """Scripted block state: the token prefix of each row."""
-
-    def take(self, rows):
-        return _Prefixes(self[i] for i in rows)
-
-
 def _script(monkeypatch, row_step):
-    """Run beam search on ``row_step(prefix, prev) -> (prefix, probs)``."""
-    def fake_block(params, prev_ids, state, enc):
-        rows = [row_step(p, prev) for p, prev in zip(state, prev_ids)]
-        return (_Prefixes(p for p, _ in rows),
-                np.stack([probs for _, probs in rows]))
+    """Run beam search on ``row_step(prefix, prev) -> (prefix, probs)``; the
+    scripted block state is the token prefix of each row."""
+    def fake_block(params, prev_ids, state, rows, enc):
+        steps = [row_step(state[r], prev) for r, prev in zip(rows, prev_ids)]
+        return ([p for p, _ in steps],
+                np.stack([probs for _, probs in steps]))
 
     monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
-    monkeypatch.setattr(decode_mod, "_init_state",
-                        lambda *a: _Prefixes([()]))
+    monkeypatch.setattr(decode_mod, "_init_state", lambda *a: [()])
     monkeypatch.setattr(model_mod, "_block_step", fake_block)
 
 
@@ -190,8 +182,8 @@ def test_shorter_hypothesis_wins_exact_score_tie(monkeypatch):
 
 def test_equal_children_keep_the_lexicographically_smaller_parent(
         monkeypatch):
-    # (1, 3) and (2, 3) score log .25 + log .5 both ways; the beam holds (2,)
-    # ahead of (1,), and the smaller tokens (1, 3) must take the last place
+    # (1, 3) and (2, 3) score log .25 + log .5 both ways; (2,) scores ahead
+    # of (1,), and the smaller tokens (1, 3) must take the last place
     table = {
         (): np.array([0.01, 0.25, 0.5, 0.24, 0.0]),
         (1,): np.array([0.01, 0.0, 0.0, 0.5, 0.49]),
@@ -209,16 +201,39 @@ def test_equal_children_keep_the_lexicographically_smaller_parent(
     assert best.tokens == (1, 3, 0)
 
 
+def test_children_are_chosen_by_penalized_score(monkeypatch):
+    # word 1 is one ulp less likely than word 2, but adding the word penalty
+    # rounds both keys to one value: the tie goes to the smaller word, which
+    # choosing on the raw log-probabilities would miss
+    penalty, p2 = 2.0, 0.49
+    p1 = np.nextafter(p2, 0.0)
+    assert np.log(p1) == np.nextafter(np.log(p2), -np.inf)
+    assert np.log(p1) + penalty == np.log(p2) + penalty
+    first = np.array([0.01, p1, p2, 0.01])
+
+    def fake_step(state, prev):
+        prefix = state if prev == 0 and not state else state + (prev,)
+        return prefix, first if not prefix else np.array([1.0, 0, 0, 0])
+
+    _script(monkeypatch, fake_step)
+    best = beam_search(_tiny(3), (1,), beam_size=1, max_len=3,
+                       word_penalty=penalty)
+    assert best.tokens == (1, 0)
+
+
 def test_length_cap_returns_best_completion():
     # sentence-end strongly suppressed: the cap stops the search and the best
     # completion recorded along the way comes back (trivially the length-one
-    # one, since every longer completion pays the same end penalty and more)
+    # one, since every longer completion pays the same end penalty and more);
+    # with zero probability every completion scores -inf, and search still
+    # returns the first one
     model = _tiny(6)
-    model.tensors["softmax_b"][model.tgt_eos] = -40.0
-    hyp = beam_search(model, (1, 2), beam_size=3, max_len=4)
-    assert hyp.complete
-    assert hyp.tokens == (model.tgt_eos,)
-    assert translate(model, (1, 2), beam_size=3, max_len=4) == []
+    for bias in (-40.0, -1e300):
+        model.tensors["softmax_b"][model.tgt_eos] = bias
+        hyp = beam_search(model, (1, 2), beam_size=3, max_len=4)
+        assert hyp.tokens[-1] == model.tgt_eos
+        assert hyp.tokens == (model.tgt_eos,)
+        assert translate(model, (1, 2), beam_size=3, max_len=4) == []
 
 
 def test_input_validation():
@@ -301,6 +316,6 @@ def test_translate_strips_terminal_sentence_end():
     F = (1, 2)
     hyp = beam_search(model, F, beam_size=4)
     out = translate(model, F, beam_size=4)
-    assert hyp.complete and hyp.tokens[-1] == model.tgt_eos
+    assert hyp.tokens[-1] == model.tgt_eos
     assert tuple(out) == hyp.tokens[:-1]
     assert model.tgt_eos not in out

@@ -188,10 +188,11 @@ def test_lexicon_bias_promotes_supported_tokens():
 
 
 def test_decoder_step_rejects_nonpositive_epsilon():
-    # the bias is refused when the sentence's L_F is built, before any step
+    # the bias is refused when the sentence's L_F is built, before any step;
+    # nan and inf are refused too
     params = tiny_model(seed=11)
     table = LexiconTable({1: {1: 0.5}})
-    for bad in (0.0, -1e-9):
+    for bad in (0.0, -1e-9, float("nan"), float("inf")):
         params.epsilon = bad
         with pytest.raises(ValueError, match="epsilon > 0"):
             graph_stepper(params, (1,), table)
@@ -211,11 +212,11 @@ def test_block_rows_are_batch_invariant(attention, V, d):
     n = 2 * BLOCK_ROWS
     prev = rng.integers(0, V, n)
     state = DecoderState(*rng.uniform(-1, 1, (3, n, params.dec_hid)))
-    alone = [_block_step(params, prev[[r]], state.take([r]), enc)
+    alone = [_block_step(params, prev[[r]], state, [r], enc)
              for r in range(n)]
     for shift in range(BLOCK_ROWS):
         rows = np.roll(np.arange(n), shift)
-        block, probs = _block_step(params, prev[rows], state.take(rows), enc)
+        block, probs = _block_step(params, prev[rows], state, rows, enc)
         for at, r in enumerate(rows):
             got = (block.hidden[at], block.cell[at], block.context[at],
                    probs[at])

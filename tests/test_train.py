@@ -487,12 +487,18 @@ def test_train_config_validation():
         TrainConfig(word_budget=0)
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=0.0)
+    with pytest.raises(ValueError):  # nan passes a plain <= 0 check
+        TrainConfig(clip_norm=float("nan"))
+    with pytest.raises(ValueError):
+        TrainConfig(lr_schedule=(0.1, float("nan")))
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(mrt=MrtSettings(num_samples=1))
     with pytest.raises(ValueError):
         TrainConfig(mrt=MrtSettings(alpha=0.0))
+    with pytest.raises(ValueError):
+        TrainConfig(mrt=MrtSettings(alpha=float("nan")))
     assert TrainConfig().initial_lr == 0.001
 
 
