@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
+import numpy as np
+
 from .corpus import Vocabulary, read_lines, write_lines
 from .errors import DataError
 
@@ -41,32 +43,40 @@ class LexiconTable:
 
 
 def ibm1_train(pairs, iterations: int) -> LexiconTable:
-    """Standard Model 1 EM; per-source distributions sum to 1."""
+    """Standard Model 1 EM; per-source distributions sum to 1.
+
+    EM runs over flat link arrays, one link per (pair, target position,
+    source position) in that loop order, and every sum is an ``np.bincount``,
+    which adds its weights one after another in input order.  The table is
+    therefore the same on every Python version; a per-link loop that sums
+    with the builtin ``sum`` is not, as since Python 3.12 it compensates
+    float rounding.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise DataError("empty corpus")
 
+    # each co-occurring (f, e) type gets an index in first-occurrence order;
+    # ``row`` numbers the (pair, target position) of each link
+    index = {}
+    link = np.array([index.setdefault((f, e), len(index)) for p in pairs
+                     for e in p.target for f in p.source], dtype=np.int64)
+    row = np.repeat(np.arange(sum(len(p.target) for p in pairs)),
+                    [len(p.source) for p in pairs for _ in p.target])
+    _, src_of = np.unique([f for f, _ in index], return_inverse=True)
     # uniform init over co-occurring targets
-    cooc: dict[int, set] = defaultdict(set)
-    for p in pairs:
-        for f in p.source:
-            cooc[f].update(p.target)
-    t = {f: {e: 1.0 / len(es) for e in es} for f, es in cooc.items()}
-
+    t = 1.0 / np.bincount(src_of)[src_of]
     for _ in range(iterations):
-        count = defaultdict(lambda: defaultdict(float))
-        total = defaultdict(float)
-        for p in pairs:
-            for e in p.target:
-                z = sum(t[f][e] for f in p.source)
-                for f in p.source:
-                    frac = t[f][e] / z
-                    count[f][e] += frac
-                    total[f] += frac
-        t = {f: {e: c / total[f] for e, c in count[f].items()} for f in count}
-    return LexiconTable({f: dict(dist) for f, dist in t.items()})
+        tl = t[link]
+        frac = tl / np.bincount(row, weights=tl)[row]
+        total = np.bincount(src_of[link], weights=frac)
+        t = np.bincount(link, weights=frac) / total[src_of]
+    entries: dict[int, dict[int, float]] = {}
+    for (f, e), p in zip(index, t.tolist()):
+        entries.setdefault(f, {})[e] = p
+    return LexiconTable(entries)
 
 
 def ibm1_log_likelihood(pairs, table: LexiconTable) -> float:

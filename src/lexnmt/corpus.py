@@ -10,7 +10,7 @@ end-of-word symbol, so every segmentation is invertible:
 from __future__ import annotations
 
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -116,20 +116,32 @@ def learn_bpe(corpus, num_merges: int) -> BpeModel:
         raise DataError("empty corpus")
 
     words = {w: list(w) + [END_OF_WORD] for w in word_freq}
+    # pair frequencies and, per pair, the word types that contain it: a merge
+    # rewrites only the words of its pair and moves their counts
+    pair_freq, where = Counter(), defaultdict(set)
+    for w, symbols in words.items():
+        for pair in zip(symbols, symbols[1:]):
+            pair_freq[pair] += word_freq[w]
+            where[pair].add(w)
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
-        pair_freq = Counter()
-        for w, symbols in words.items():
-            f = word_freq[w]
-            for pair in zip(symbols, symbols[1:]):
-                pair_freq[pair] += f
         if not pair_freq:
             break
         best = min(pair_freq, key=lambda p: (-pair_freq[p], p))
         merges.append(best)
-        for w, symbols in words.items():
-            if len(symbols) > 1:
-                words[w] = _merge_word(symbols, best)
+        for w in where.pop(best):
+            f, old = word_freq[w], words[w]
+            new = words[w] = _merge_word(old, best)
+            for pair in zip(old, old[1:]):
+                pair_freq[pair] -= f
+            for pair in zip(new, new[1:]):
+                pair_freq[pair] += f
+                where[pair].add(w)
+            # only a pair the word lost can have run out
+            for pair in set(zip(old, old[1:])).difference(zip(new, new[1:])):
+                where[pair].discard(w)
+                if not pair_freq[pair]:
+                    del pair_freq[pair]
     return BpeModel(merges)
 
 

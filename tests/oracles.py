@@ -97,6 +97,74 @@ def ref_ibm1(pairs, iterations):
     return t
 
 
+def ref_ibm1_in_order(pairs, iterations):
+    """Model 1 EM as one loop over (pair, target position, source position)
+    that adds every sum in that order, normaliser and per-source total
+    included: the order in which ``ibm1_train`` sums, so the two tables are
+    bit-identical.  pairs: iterable of (source ids, target ids)."""
+    cooc = {}
+    for F, E in pairs:
+        for f in F:
+            cooc.setdefault(f, set()).update(E)
+    t = {f: {e: 1.0 / len(es) for e in es} for f, es in cooc.items()}
+    for _ in range(iterations):
+        counts = {}
+        totals = {}
+        for F, E in pairs:
+            for e in E:
+                z = 0.0
+                for f in F:
+                    z += t[f][e]
+                for f in F:
+                    frac = t[f][e] / z
+                    dist = counts.setdefault(f, {})
+                    dist[e] = dist.get(e, 0.0) + frac
+                    totals[f] = totals.get(f, 0.0) + frac
+        t = {f: {e: c / totals[f] for e, c in ce.items()}
+             for f, ce in counts.items()}
+    return t
+
+
+# ---------------------------------------------------------------------------
+# byte pair encoding (full recount after every merge)
+# ---------------------------------------------------------------------------
+
+def _ref_merge(symbols, pair):
+    out = []
+    j = 0
+    while j < len(symbols):
+        if j + 1 < len(symbols) and (symbols[j], symbols[j + 1]) == pair:
+            out.append(pair[0] + pair[1])
+            j += 2
+        else:
+            out.append(symbols[j])
+            j += 1
+    return out
+
+
+def ref_learn_bpe(corpus, num_merges, end_of_word="</w>"):
+    """Greedy pair merges that recount every pair of every word type before
+    each merge and rewrite every word after it; ties go to the
+    lexicographically smaller pair.  Returns the list of merges."""
+    word_freq = {}
+    for sentence in corpus:
+        for w in sentence.split():
+            word_freq[w] = word_freq.get(w, 0) + 1
+    words = {w: list(w) + [end_of_word] for w in word_freq}
+    merges = []
+    for _ in range(num_merges):
+        pair_freq = {}
+        for w, symbols in words.items():
+            for pair in zip(symbols, symbols[1:]):
+                pair_freq[pair] = pair_freq.get(pair, 0) + word_freq[w]
+        if not pair_freq:
+            break
+        best = min(pair_freq, key=lambda p: (-pair_freq[p], p))
+        merges.append(best)
+        words = {w: _ref_merge(symbols, best) for w, symbols in words.items()}
+    return merges
+
+
 # ---------------------------------------------------------------------------
 # straight-line model forward pass
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 
 from lexnmt.align import (LexiconTable, ibm1_log_likelihood, ibm1_train,
                           load_lexicon, prune_lexicon, save_lexicon)
-from lexnmt.corpus import SentencePair, Vocabulary
+from lexnmt.corpus import (SentencePair, Vocabulary, build_vocab, encode_pairs,
+                           read_parallel)
 from lexnmt.errors import DataError
 
-from oracles import ref_ibm1
+from oracles import ref_ibm1, ref_ibm1_in_order
 
 # the two-pair corpus used throughout: a<->x dominant, b<->y by exclusion
 A, B = 0, 1
@@ -67,6 +68,28 @@ def test_matches_oracle_on_random_corpora():
                 assert set(got.entries[f]) == set(dist)
                 for e, p in dist.items():
                     assert got.prob(f, e) == pytest.approx(p, abs=1e-6)
+
+
+def test_bit_identical_to_in_order_loop_on_random_corpora():
+    # three source and four target ids over sentences of up to 7 tokens:
+    # most sentences repeat an id
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        pairs = _random_pairs(rng, int(rng.integers(1, 9)), src_vocab=3,
+                              tgt_vocab=4, lmax=7)
+        for iters in (1, 2, 7):
+            got = ibm1_train(pairs, iters)
+            want = ref_ibm1_in_order([(p.source, p.target) for p in pairs],
+                                     iters)
+            assert got.entries == want
+
+
+def test_bit_identical_to_in_order_loop_on_shipped_corpus(data_dir):
+    src, tgt = read_parallel(f"{data_dir}/train.src", f"{data_dir}/train.tgt")
+    pairs = encode_pairs(src, tgt, build_vocab(src, 100), build_vocab(tgt, 100))
+    got = ibm1_train(pairs, 8)
+    assert got.entries == ref_ibm1_in_order(
+        [(p.source, p.target) for p in pairs], 8)
 
 
 def test_per_source_distributions_sum_to_one():

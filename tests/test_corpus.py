@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexnmt import corpus as corpus_mod
 from lexnmt.corpus import (END_OF_WORD, EOS, UNK, BpeModel, SentencePair,
                            Vocabulary, apply_bpe, build_vocab, encode_pairs,
                            invert_bpe, learn_bpe, load_bpe, make_minibatches,
                            normalize_halfwidth, save_bpe)
 from lexnmt.errors import DataError
+
+from oracles import ref_learn_bpe
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,48 @@ def test_learn_bpe_merges_are_unique():
     corpus = ["the cat sat on the mat", "the hat of the cat"]
     model = learn_bpe(corpus, 30)
     assert len(set(model.merges)) == len(model.merges)
+
+
+def test_learn_bpe_overlapping_runs_match_full_recount():
+    # (a, a) occurs 3, 2 and 1 times in "aaaa", "aaa" and "aa"; merging it
+    # left to right leaves "aa aa </w>", "aa a </w>" and "aa </w>"
+    corpus = ["aaaa aaa aa aaa", "a aaaa ba"]
+    model = learn_bpe(corpus, 12)
+    assert model.merges[0] == ("a", "a")
+    assert model.merges == ref_learn_bpe(corpus, 12)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_learn_bpe_equals_full_recount(data):
+    # 2-3 letter alphabets give long runs (overlapping pairs) and frequency
+    # ties; up to 60 merges is more than most of these corpora allow
+    alphabet = data.draw(st.sampled_from(["ab", "abc"]))
+    word = st.text(alphabet, min_size=1, max_size=8)
+    corpus = data.draw(st.lists(
+        st.lists(word, min_size=1, max_size=6).map(" ".join),
+        min_size=1, max_size=4))
+    num_merges = data.draw(st.integers(0, 60))
+    assert learn_bpe(corpus, num_merges).merges == ref_learn_bpe(
+        corpus, num_merges)
+
+
+def test_learn_bpe_merge_rewrites_only_words_with_the_pair(monkeypatch):
+    # 200 word types over disjoint two-letter alphabets: every pair belongs
+    # to one word type, so each merge rewrites exactly one word
+    calls = []
+    original = corpus_mod._merge_word
+
+    def counted(symbols, pair):
+        calls.append(pair)
+        return original(symbols, pair)
+
+    monkeypatch.setattr(corpus_mod, "_merge_word", counted)
+    words = [chr(0x4E00 + 2 * i) + chr(0x4E01 + 2 * i) for i in range(200)]
+    corpus = [" ".join([w] * (1 + i % 7)) for i, w in enumerate(words)]
+    model = learn_bpe(corpus, 30)
+    assert len(model.merges) == 30
+    assert calls == model.merges
 
 
 def _replay_merges(word, merges):

@@ -168,16 +168,29 @@ def test_tie_break_prefers_lexicographically_smaller(monkeypatch):
 
 
 def test_shorter_hypothesis_wins_exact_score_tie(monkeypatch):
-    # uniform next-word distribution forever: with word penalty log(V) every
-    # completion scores exactly zero and the shortest one must be returned
+    # (eos,) completes first with log .25; the live child (1,) is ahead at
+    # log .5, so search goes on and completes (1, eos) with log .5 + log .5,
+    # which is log .25 exactly: the longer completion, found later, must not
+    # replace the shorter one
     eos = 0
-    V = 4
-    uniform = np.full(V, 1.0 / V)
-    _script(monkeypatch, lambda state, prev: ((), uniform))
-    model = _tiny(3)
-    best = beam_search(model, (1, 2), beam_size=6, max_len=6,
-                       word_penalty=float(np.log(V)))
+    assert np.log(0.5) + np.log(0.5) == np.log(0.25)
+    table = {
+        (): np.array([0.25, 0.5, 0.25, 0.0]),
+        (1,): np.array([0.5, 0.5, 0.0, 0.0]),
+    }
+
+    scored = []
+
+    def fake_step(state, prev):
+        prefix = state if prev == eos and not state else state + (prev,)
+        scored.append(prefix)
+        return prefix, table.get(prefix, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    _script(monkeypatch, fake_step)
+    best = beam_search(_tiny(3), (1, 2), beam_size=2, max_len=6)
+    assert (1,) in scored  # the tying completion (1, eos) was scored
     assert best.tokens == (eos,)
+    assert best.logprob == np.log(0.25)
 
 
 def test_equal_children_keep_the_lexicographically_smaller_parent(
