@@ -7,7 +7,6 @@ pruned entries are simply absent (the bias epsilon absorbs missing mass).
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 
 import numpy as np
@@ -77,16 +76,6 @@ def ibm1_train(pairs, iterations: int) -> LexiconTable:
     for (f, e), p in zip(index, t.tolist()):
         entries.setdefault(f, {})[e] = p
     return LexiconTable(entries)
-
-
-def ibm1_log_likelihood(pairs, table: LexiconTable) -> float:
-    """Corpus log-likelihood under Model 1 (with the 1/|F| alignment prior)."""
-    ll = 0.0
-    for p in pairs:
-        for e in p.target:
-            marginal = sum(table.prob(f, e) for f in p.source) / len(p.source)
-            ll += math.log(marginal) if marginal > 0 else float("-inf")
-    return ll
 
 
 def prune_lexicon(table: LexiconTable, min_prob: float) -> LexiconTable:

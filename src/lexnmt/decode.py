@@ -91,12 +91,6 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
     return best
 
 
-def greedy_decode(models, F, max_len: int | None = None,
-                  lexicon=None) -> Hypothesis:
-    return beam_search(models, F, beam_size=1, word_penalty=0.0,
-                       max_len=max_len, lexicon=lexicon)
-
-
 def translate(models, F, beam_size: int = 5, word_penalty: float = 0.0,
               max_len: int | None = None, lexicon=None) -> list[int]:
     """Beam-search F and return content ids (sentence-end stripped)."""

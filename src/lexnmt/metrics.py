@@ -46,7 +46,10 @@ def bleu(hypotheses, references) -> float:
         raise ValueError("references must be non-empty")
     if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
-    log_prec = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
+    log_prec = 0.0
+    for m, t in zip(matches, totals):  # left to right on every Python
+        log_prec += math.log(m / t)
+    log_prec /= MAX_ORDER
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_prec)
 

@@ -10,14 +10,21 @@ source words.
 The model is written once, in numpy over plain arrays.  Everything that
 depends only on the source sentence (R, the decoder's initial state, the MLP
 projection W1_r R and L_F) is built once per model and sentence by
-:func:`_source_context`.  One step function, :func:`_decoder_step`, serves
-beam search, sampling, scoring and training; it also returns what the step
-computed, from which :func:`_backward` derives exact gradients by a
-hand-written backward pass through time.
+:func:`_source_context`.  One step function, :func:`_decoder_step`, steps one
+row or a block of rows and serves beam search, sampling, scoring and
+training; it also returns what the step computed.  :func:`_lockstep` walks
+several target sequences of one context forward together, as rows of one
+block that a row leaves after its last word; teacher forcing and ancestral
+sampling are its two ways of choosing the next words (minimum risk's samples
+and their scoring).  Maximum likelihood walks one sentence as one row
+(:func:`_sentence_walk`).  :func:`_backward` derives exact gradients from
+either walk by a hand-written backward pass through time that walks the rows
+back in lockstep too.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import mmap
@@ -152,7 +159,7 @@ class DecoderState:
 
     def take(self, rows) -> "DecoderState":
         """The block of the given rows; a one-row state counts as row 0."""
-        return DecoderState(*(np.atleast_2d(x)[rows] for x in
+        return DecoderState(*((x if x.ndim > 1 else x[None])[rows] for x in
                               (self.hidden, self.cell, self.context)))
 
 
@@ -169,7 +176,8 @@ class _SourceContext:
 
 
 class _Step(NamedTuple):
-    """What one decoder step computed, kept for the backward pass."""
+    """What a decoder step computed, kept for the backward pass: one row per
+    row of the block, or per row-step of a walk."""
 
     lstm: tuple
     attn: np.ndarray
@@ -178,9 +186,56 @@ class _Step(NamedTuple):
     eta: np.ndarray
     lex: np.ndarray | None  # L_F a + epsilon
     logits: np.ndarray
-    logit_max: float  # one per row of a block
-    exp_sum: float  # one per row of a block
+    logit_max: np.ndarray
+    exp_sum: np.ndarray
     probs: np.ndarray
+
+
+def _map_step(fn, step: _Step) -> _Step:
+    """``fn`` applied to every array of a :class:`_Step`; None stays."""
+    def part(x):
+        return None if x is None else fn(x)
+    return _Step(tuple(map(part, step.lstm)), *map(part, step[1:]))
+
+
+def _stack(steps, join=np.concatenate) -> _Step:
+    """The rows of the given :class:`_Step` blocks, one after another
+    (``join=np.array``: of one-row steps)."""
+    def cat(*xs):
+        return None if xs[0] is None else join(xs)
+    return _Step(tuple(map(cat, *(s.lstm for s in steps))),
+                 *map(cat, *(s[1:] for s in steps)))
+
+
+class _Walk(NamedTuple):
+    """N rows stepped in lockstep against one context, T steps long.
+
+    ``words`` holds the words of each row, ``ids`` the same as a (T, N)
+    array and ``alive`` marks the steps of each row.  ``steps`` holds what
+    every step of every row computed, step by step: at step t the rows with
+    more than t words, in row order (the order of ``ids[alive]``)."""
+
+    words: list  # one tuple of ids per row
+    ids: np.ndarray
+    alive: np.ndarray
+    steps: _Step
+
+    def entries(self) -> np.ndarray:
+        """(T, N) index of each row's steps in ``steps``, -1 past its end."""
+        at = np.full(self.alive.shape, -1)
+        at[self.alive] = np.arange(len(self.steps.probs))
+        return at
+
+    def take(self, rows) -> "_Walk":
+        """The walk of the given rows, which must be in increasing order."""
+        if len(rows) == len(self.words):
+            return self
+        alive = self.alive[:, rows]
+        alive = alive[alive.any(axis=1)]  # drop the steps after the last end
+        at = self.entries()[:len(alive), rows][alive]
+        return _Walk([self.words[r] for r in rows],
+                     self.ids[:len(alive), rows], alive,
+                     _map_step(lambda x: x[at], self.steps))
 
 
 def _lstm(W, b, u, c):
@@ -280,29 +335,93 @@ def _decoder_step(params: ModelParams, prev, state: DecoderState,
 
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                 enc: _SourceContext):
-    """Step the given rows of ``state`` on ``prev_ids`` in blocks of exactly
-    BLOCK_ROWS rows, the last padded: (new (B, D) state, (B, V) probs).
+    """Step the given rows of ``state`` (None: all, in order) on
+    ``prev_ids`` in blocks of exactly BLOCK_ROWS rows, the last padded: (new
+    (B, D) state, :class:`_Step` of the B rows).
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows.
-    So search, scoring and the exhaustive-search oracle, which all step here,
-    agree with ``==`` whichever rows share a block."""
+    So search, scoring, sampling, minimum-risk scoring and the
+    exhaustive-search oracle, which all step here, agree with ``==``
+    whichever rows share a block."""
     n = len(prev_ids)
     pad = np.arange(n + -n % BLOCK_ROWS) % n  # pad with copies of real rows
-    prev, state = np.asarray(prev_ids)[pad], state.take(np.asarray(rows)[pad])
+    prev = np.asarray(prev_ids)[pad]
+    state = state.take(pad if rows is None else np.asarray(rows)[pad])
     parts = [_decoder_step(params, prev[i:i + BLOCK_ROWS],
                            state.take(slice(i, i + BLOCK_ROWS)), enc)
              for i in range(0, len(pad), BLOCK_ROWS)]
-    *new, probs = (np.concatenate(x)[:n] for x in zip(
-        *((s.hidden, s.cell, s.context, step.probs) for s, step in parts)))
-    return DecoderState(*new), probs
+    if len(parts) == 1:
+        state, step = parts[0]
+    else:
+        state = DecoderState(*(np.concatenate(x) for x in zip(
+            *((s.hidden, s.cell, s.context) for s, _ in parts))))
+        step = _stack([step for _, step in parts])
+    if n == len(pad):
+        return state, step
+    return (DecoderState(state.hidden[:n], state.cell[:n], state.context[:n]),
+            _map_step(lambda x: x[:n], step))
 
 
-def _teacher_forced(params: ModelParams, enc: _SourceContext, E):
-    """The decoder's :class:`_Step` list over E, feeding the reference words
-    one row at a time."""
+def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
+              choose) -> _Walk:
+    """Walk ``n_rows`` rows forward together from the initial state.
+
+    At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
+    and their (B, V) next-word distributions, and returns their next words
+    and whether each row goes on; a row that stops leaves the block, as a
+    finished beam row does."""
+    live = np.arange(n_rows)
+    prev = np.full(n_rows, params.tgt_eos)
+    state, keep = _init_state(params, enc), np.zeros(n_rows, dtype=np.intp)
+    steps, chosen = [], []
+    while len(live):
+        state, s = _block_step(params, prev, state, keep, enc)
+        prev, goes_on = choose(len(steps), live, s.probs)
+        steps.append(s)
+        chosen.append((live, prev))
+        if goes_on.all():
+            keep = None
+        else:
+            keep = np.flatnonzero(goes_on)
+            live, prev = live[keep], prev[keep]
+    ids = np.zeros((len(steps), n_rows), dtype=np.intp)
+    alive = np.zeros(ids.shape, dtype=bool)
+    for t, (rows, chosen_ids) in enumerate(chosen):
+        ids[t, rows] = chosen_ids
+        alive[t, rows] = True
+    lengths = alive.sum(axis=0).tolist()
+    return _Walk([tuple(w[:n]) for w, n in zip(ids.T.tolist(), lengths)],
+                 ids, alive, _stack(steps))
+
+
+def _check_target(params: ModelParams, E):
+    if not E:
+        raise ValueError("target sequences must be non-empty")
     if not all(0 <= e < params.tgt_vocab_size for e in E):
         raise ValueError(f"target id outside vocabulary in {list(E)}")
+
+
+def _teacher_forced(params: ModelParams, enc: _SourceContext,
+                    targets) -> _Walk:
+    """The lockstep walk that feeds each target sequence its own reference
+    words, stepped in blocks as sampling steps."""
+    targets = [tuple(E) for E in targets]
+    for E in targets:
+        _check_target(params, E)
+    lengths = np.array([len(E) for E in targets])
+    ids = np.zeros((len(targets), lengths.max()), dtype=np.intp)
+    for r, E in enumerate(targets):
+        ids[r, :len(E)] = E
+    return _lockstep(params, enc, len(targets),
+                     lambda t, rows, _: (ids[rows, t], lengths[rows] > t + 1))
+
+
+def _sentence_walk(params: ModelParams, enc: _SourceContext, E) -> _Walk:
+    """The one-row walk of teacher forcing over E, stepped as vectors
+    (gemv products): maximum likelihood's walk, one sentence at a time."""
+    E = tuple(E)
+    _check_target(params, E)
     state = _init_state(params, enc)
     prev = params.tgt_eos
     steps = []
@@ -310,55 +429,70 @@ def _teacher_forced(params: ModelParams, enc: _SourceContext, E):
         state, step = _decoder_step(params, prev, state, enc)
         steps.append(step)
         prev = e
-    return steps
+    ids = np.array(E)[:, None]
+    return _Walk([E], ids, np.ones(ids.shape, dtype=bool),
+                 _stack(steps, np.array))
 
 
-def _logprob(steps, E) -> float:
-    """log p(E) from the teacher-forced steps over E (log-softmax per step)."""
-    return float(np.array([s.logits[e] - (s.logit_max + np.log(s.exp_sum))
-                           for s, e in zip(steps, E)]).sum())
+def _logprobs(walk: _Walk) -> np.ndarray:
+    """log p of each row's words from its steps (log-softmax per step)."""
+    s = walk.steps
+    terms = np.zeros(walk.alive.shape[::-1])  # (N, T): each row in order
+    terms.T[walk.alive] = (s.logits[np.arange(len(s.logits)),
+                                    walk.ids[walk.alive]]
+                           - (s.logit_max + np.log(s.exp_sum)))
+    return np.array([terms[r, :len(w)].sum() for r, w in enumerate(walk.words)])
 
 
 # ---------------------------------------------------------------------------
 # backward through time
 # ---------------------------------------------------------------------------
 
-def _lstm_back(act, dh, dc):
-    """Backward of one :func:`_lstm` step from the gradients of its outputs;
-    returns (gradient of the gate pre-activations z, of the incoming cell)."""
+def _lstm_back(act, dh, dc, dz):
+    """Backward of one :func:`_lstm` step from the gradients of its outputs:
+    writes the gradient of the gate pre-activations z into ``dz`` and
+    returns that of the incoming cell."""
     u, c, i, o, g, tc = act
+    n = c.shape[-1]
     dc = dc + dh * o * (1.0 - tc * tc)
-    dz = np.concatenate([dc * (g - c) * i * (1.0 - i),
-                         dh * tc * o * (1.0 - o),
-                         dc * i * (1.0 - g * g)])
-    return dz, dc * (1.0 - i)
+    dz[..., :n] = dc * (g - c) * i * (1.0 - i)
+    dz[..., n:2 * n] = dh * tc * o * (1.0 - o)
+    dz[..., 2 * n:] = dc * i * (1.0 - g * g)
+    return dc * (1.0 - i)
 
 
-def _backward(params: ModelParams, enc: _SourceContext, runs, seeds, grads):
-    """Add to ``grads`` the gradient of sum_s seeds[s] * log p(E_s | F).
+def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
+              grads):
+    """Add to ``grads`` the gradient of sum_r seeds[r] * log p(E_r | F).
 
-    ``runs`` pairs each target sequence E_s with its teacher-forced steps
+    ``walk`` holds the target sequences E_r and their teacher-forced steps
     against the one context ``enc``.  Teacher forcing never feeds the output
     layer back into the recurrence, so the output layer and the lexicon bias
     are differentiated for all steps at once, and the LSTM weights take one
-    product after the step-by-step walk back through attention and the
-    recurrence.  The encoder is walked back once for all sequences.
+    product after the walk back through attention and the recurrence.  That
+    walk steps all rows back together: each step's products are one product
+    over the rows of its block, and a row joins at its last word.  The
+    encoder is walked back once for all rows.
     """
-    if len(seeds) != len(runs):
-        raise ValueError(f"{len(seeds)} seeds for {len(runs)} target sequences")
-    steps = [s for _, run in runs for s in run]
-    if not steps:
-        return
+    if len(seeds) != len(walk.words):
+        raise ValueError(f"{len(seeds)} seeds for {len(walk.words)} target "
+                         "sequences")
     t = params.tensors
     D, d_emb, R = params.dec_hid, params.d_emb, enc.R
-    seed = np.repeat(np.asarray(seeds, dtype=float), [len(E) for E, _ in runs])
+    s = walk.steps
+    # the row-steps are in step order, each step's rows in row order
+    alive, ids = walk.alive, walk.ids
+    sizes = alive.sum(axis=1).tolist()
+    ends = [0, *itertools.accumulate(sizes)]
+    prev_words = np.empty_like(ids)
+    prev_words[0], prev_words[1:] = params.tgt_eos, ids[:-1]
+    prev_words = prev_words[alive]
+    seed = np.asarray(seeds, dtype=float)[np.nonzero(alive)[1]]
     # d log p_t[e_t] / d logits_t = onehot(e_t) - p_t
-    G = np.stack([s.probs for s in steps]) * -seed[:, None]
-    G[np.arange(len(steps)), [e for E, _ in runs for e in E]] += seed
-    Eta = np.stack([s.eta for s in steps])
-    Q = np.stack([s.out_in for s in steps])
-    A = np.stack([s.attn for s in steps])
-    grads["softmax_W"] += G.T @ Eta
+    G = s.probs * -seed[:, None]
+    G[np.arange(len(G)), ids[alive]] += seed
+    Q, A = s.out_in, s.attn
+    grads["softmax_W"] += G.T @ s.eta
     grads["softmax_b"] += G.sum(axis=0)
     dEta = G @ t["softmax_W"]
     grads["out_W"] += dEta.T @ Q
@@ -366,44 +500,49 @@ def _backward(params: ModelParams, enc: _SourceContext, runs, seeds, grads):
     dQ = dEta @ t["out_W"]
     dA = np.zeros_like(A)
     if enc.lexicon_matrix is not None:
-        dA += (G / np.stack([s.lex for s in steps])) @ enc.lexicon_matrix
+        dA += (G / s.lex) @ enc.lexicon_matrix
 
     mlp = enc.mlp_proj is not None
     dCtx = dQ[:, D:].copy()
     dS = np.empty_like(A)
-    dZ = np.empty((len(steps), 3 * D))
-    dU = np.empty((len(steps), t["dec_W"].shape[1]))
+    dZ = np.empty((len(G), 3 * D))
+    dU = np.empty((len(G), t["dec_W"].shape[1]))
     if mlp:
-        K = np.empty((len(steps), params.attn_dim))
+        K = np.empty((len(G), params.attn_dim))
         dP = np.zeros_like(enc.mlp_proj)
-    d_init = np.zeros(D)
-    prev_words = []
-    end = 0
-    for E, _ in runs:
-        start, end = end, end + len(E)
-        prev_words += [params.tgt_eos, *E[:-1]]
-        dh_next, dc, dctx_next = np.zeros(D), np.zeros(D), np.zeros(D)
-        for k in reversed(range(start, end)):
-            s = steps[k]
-            dCtx[k] += dctx_next
-            da = dA[k] + R.T @ dCtx[k]
-            dS[k] = ds = s.attn * (da - da @ s.attn)
-            dh = dQ[k, :D] + dh_next
-            if mlp:
-                grads["attn_w2"] += s.mlp @ ds
-                dpre = np.outer(t["attn_w2"], ds) * (1.0 - s.mlp * s.mlp)
-                dP += dpre
-                K[k] = dpre.sum(axis=1)
-                dh += enc.w1_h.T @ K[k]
-            else:
-                dh += R @ ds
-            dZ[k], dc = _lstm_back(s.lstm, dh, dc)
-            dU[k] = t["dec_W"].T @ dZ[k]
-            dctx_next = dU[k, d_emb:d_emb + D]
-            dh_next = dU[k, d_emb + D:]
-        d_init += dh_next
+    # the recurrent gradients, one row per row of the later step's block
+    dh_next = dc = dctx_next = np.zeros((0, D))
+    for k in reversed(range(len(alive))):
+        at = slice(ends[k], ends[k + 1])
+        if len(dh_next) < sizes[k]:  # rows that end at step k start at zero
+            goes_on = (alive[k + 1, alive[k]] if k + 1 < len(alive)
+                       else np.zeros(sizes[k], dtype=bool))
+            dh_next, dc, dctx_next = (_rows_into(x, goes_on)
+                                      for x in (dh_next, dc, dctx_next))
+        attn = A[at]
+        dCtx[at] += dctx_next
+        da = dA[at] + dCtx[at] @ R
+        dS[at] = ds = attn * (da - np.matmul(da[:, None], attn[:, :, None])[:, 0])
+        dh = dQ[at, :D] + dh_next
+        if mlp:
+            m = s.mlp[at]
+            # one product over the rows' attention columns
+            grads["attn_w2"] += (m.transpose(1, 0, 2).reshape(len(m[0]), -1)
+                                 @ ds.reshape(-1))
+            dpre = t["attn_w2"][:, None] * ds[:, None, :] * (1.0 - m * m)
+            for x in dpre:
+                dP += x
+            K[at] = dpre.sum(axis=2)
+            dh += K[at] @ enc.w1_h
+        else:
+            dh += ds @ R.T
+        dc = _lstm_back([x[at] for x in s.lstm], dh, dc, dZ[at])
+        dU[at] = dZ[at] @ t["dec_W"]
+        dctx_next = dU[at, d_emb:d_emb + D]
+        dh_next = dU[at, d_emb + D:]
+    d_init = dh_next.sum(axis=0)
 
-    grads["dec_W"] += dZ.T @ np.stack([s.lstm[0] for s in steps])
+    grads["dec_W"] += dZ.T @ s.lstm[0]
     grads["dec_b"] += dZ.sum(axis=0)
     np.add.at(grads["tgt_emb"], prev_words, dU[:, :d_emb])
     dR = dCtx.T @ A
@@ -414,6 +553,13 @@ def _backward(params: ModelParams, enc: _SourceContext, runs, seeds, grads):
     else:
         dR += Q[:, :D].T @ dS
     _encoder_backward(params, enc, dR, d_init, grads)
+
+
+def _rows_into(x, rows):
+    """``x`` as the rows of a mask, the other rows zero."""
+    out = np.zeros((len(rows), x.shape[1]))
+    out[rows] = x
+    return out
 
 
 def _encoder_backward(params: ModelParams, enc: _SourceContext, dR, d_init,
@@ -431,7 +577,7 @@ def _encoder_backward(params: ModelParams, enc: _SourceContext, dR, d_init,
         dU = np.empty((len(acts), W.shape[1]))
         dh, dc = np.zeros(d), np.zeros(d)
         for k in reversed(range(len(acts))):
-            dZ[k], dc = _lstm_back(acts[k], dH[k] + dh, dc)
+            dc = _lstm_back(acts[k], dH[k] + dh, dc, dZ[k])
             dU[k] = W.T @ dZ[k]
             dh = dU[k, d_emb:]
         grads[f"enc_{direction}_W"] += dZ.T @ np.stack([a[0] for a in acts])
@@ -507,7 +653,7 @@ def _ensemble_logp(models, encs, states, rows, prev_ids):
     steps = [_block_step(m, prev_ids, state, rows, enc)
              for m, state, enc in zip(models, states, encs)]
     with np.errstate(divide="ignore"):
-        logp = np.log(ensemble_distribution([p for _, p in steps]))
+        logp = np.log(ensemble_distribution([s.probs for _, s in steps]))
     return [state for state, _ in steps], logp
 
 

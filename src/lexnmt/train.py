@@ -14,6 +14,12 @@ Both losses take their gradients from the model's sentence backward
 sentence; minimum risk is weighted teacher forcing: the distinct samples of
 a sentence are scored against one encoding and each is seeded with the
 derivative of the expected error by its log-probability (Shen et al. 2016).
+
+The N samples of a sentence are drawn in lockstep: they are the rows of one
+block state, stepped together in blocks of ``model.BLOCK_ROWS`` rows, with
+one uniform per live row at each step, in sample order.  A sample that draws
+the sentence end leaves the block.  Each distinct sample keeps the steps of
+its first draw, and the backward walks the distinct samples back together.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import mrt_error, sbleu
-from .model import (ModelParams, _backward, _decoder_step, _init_state,
-                    _length_cap, _logprob, _source_context, _teacher_forced,
+from .model import (ModelParams, _backward, _length_cap, _lockstep, _logprobs,
+                    _sentence_walk, _source_context, _teacher_forced,
                     save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_SLICE = 16384  # elements per in-cache slice of an ADAM update
 
 
 @dataclass
@@ -85,33 +92,62 @@ class OptimizerState:
 
 def adam_update(params: ModelParams, grads: dict[str, np.ndarray],
                 state: OptimizerState, lr: float):
-    """Bias-corrected ADAM step, applied in place."""
+    """Bias-corrected ADAM step, applied in place.
+
+    Each tensor is updated in slices of ADAM_SLICE elements through two
+    slice-sized buffers, so the working set stays in cache; every entry takes
+    the elementwise operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2)
+    g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in that order."""
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        params.tensors[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    num, den = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
+    for name, grad in grads.items():
+        # views: parameters and moments are C-contiguous
+        flat = [x.reshape(-1) for x in (params.tensors[name], state.m[name],
+                                        state.v[name], grad)]
+        for i in range(0, flat[0].size, ADAM_SLICE):
+            p, m, v, g = (x[i:i + ADAM_SLICE] for x in flat)
+            a, b = num[:len(p)], den[:len(p)]
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p -= a
     return params, state
 
 
 def gradient_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """Global L2 norm; the per-tensor sums are added left to right, so the
+    bits do not depend on how the interpreter sums floats."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    return math.sqrt(total)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 5.0):
-    """Scale gradients so their global L2 norm does not exceed max_norm."""
+    """Scale gradients so their global L2 norm does not exceed max_norm.
+
+    A NaN or infinite entry makes the norm non-finite; only then are the
+    tensors searched for the one to name.  Finite entries whose squares
+    overflow give an infinite norm too, and scale by max_norm / inf = 0."""
     if max_norm <= 0:
         raise ValueError("max_norm must be > 0")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in tensor '{name}'")
     norm = gradient_norm(grads)
+    if not math.isfinite(norm):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"non-finite gradient in tensor '{name}'")
     if norm > max_norm:
         factor = max_norm / norm
         for g in grads.values():
@@ -140,10 +176,9 @@ def nll_loss(params: ModelParams, batch, lexicon=None):
     grads = _zero_grads(params)
     for pair in batch:
         enc = _source_context(params, pair.source, lexicon)
-        E = _target_with_eos(params, pair)
-        steps = _teacher_forced(params, enc, E)
-        total -= _logprob(steps, E)
-        _backward(params, enc, [(E, steps)], [-1.0], grads)
+        walk = _sentence_walk(params, enc, _target_with_eos(params, pair))
+        total -= float(_logprobs(walk)[0])
+        _backward(params, enc, walk, [-1.0], grads)
     return total, grads
 
 
@@ -154,7 +189,7 @@ def corpus_nll(params: ModelParams, pairs, lexicon=None) -> float:
     for pair in pairs:
         enc = _source_context(params, pair.source, lexicon)
         E = _target_with_eos(params, pair)
-        total -= _logprob(_teacher_forced(params, enc, E), E)
+        total -= float(_logprobs(_sentence_walk(params, enc, E))[0])
         tokens += len(E)
     return total / tokens
 
@@ -167,8 +202,9 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
     for pair in pairs:
         enc = _source_context(params, pair.source, lexicon)
         E = _target_with_eos(params, pair)
-        for e, step in zip(E, _teacher_forced(params, enc, E)):
-            correct += int(np.argmax(step.logits) == e)
+        steps = _sentence_walk(params, enc, E).steps  # one row a step
+        for e, logits in zip(E, steps.logits):
+            correct += int(np.argmax(logits) == e)
             total += 1
     return correct / total
 
@@ -177,25 +213,27 @@ def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
 # sampling and minimum risk
 # ---------------------------------------------------------------------------
 
-def _sample(params: ModelParams, enc, max_len: int, rng):
-    """One ancestral sample from a source context, with its decoder steps:
-    the steps teacher forcing over the sample would compute."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    out, steps = [], []
-    state = _init_state(params, enc)
-    prev = params.tgt_eos
-    for _ in range(max_len):
-        state, step = _decoder_step(params, prev, state, enc)
-        steps.append(step)
-        cum = np.cumsum(step.probs)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        idx = min(idx, len(cum) - 1)
-        out.append(idx)
-        if idx == params.tgt_eos:
-            break
-        prev = idx
-    return tuple(out), steps
+def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
+                  max_sample_len: int | None):
+    """``num_samples`` ancestral samples of F from its context, drawn in
+    lockstep as the rows of one walk (a :class:`lexnmt.model._Walk`).
+
+    Each step draws ``rng.random(n_live)``, one uniform per live row in
+    sample order.  A sample ends with the sentence end or at the length cap;
+    its steps are the steps teacher forcing over it would compute."""
+    max_len = _length_cap(F, max_sample_len)
+    if num_samples < 1 or max_len < 1:
+        raise ValueError("num_samples and max_len must be >= 1")
+    eos = params.tgt_eos
+
+    def draw(t, rows, probs):
+        cum = np.cumsum(probs, axis=1)
+        u = rng.random(len(rows)) * cum[:, -1]
+        # searchsorted(cum, u, side="right") per row, the last id at most
+        ids = np.minimum((cum <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
+        return ids, (ids != eos) & (t + 1 < max_len)
+
+    return _lockstep(params, enc, num_samples, draw)
 
 
 def _strip_eos(sample, eos: int) -> tuple[int, ...]:
@@ -211,47 +249,36 @@ def mrt_weights(logprobs, alpha: float) -> np.ndarray:
     return e / e.sum()
 
 
-def mrt_expected_error(logprobs, errors, alpha: float) -> float:
-    return float(mrt_weights(logprobs, alpha) @ np.asarray(errors, dtype=float))
-
-
 class _EmptySamples(ValueError):
     """Every distinct sample of a sentence is the bare sentence end."""
 
 
-def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
-                  max_sample_len: int | None):
-    """``num_samples`` ancestral samples of F from its context, each with its
-    steps, drawn in order as the caller iterates."""
-    max_len = _length_cap(F, max_sample_len)
-    return (_sample(params, enc, max_len, rng) for _ in range(num_samples))
-
-
-def _distinct_runs(draws):
-    """Each distinct sample with the steps of its first draw, in first-draw
-    order; a repeat's steps are dropped as it is drawn."""
-    runs = {}
-    for sample, steps in draws:
-        runs.setdefault(sample, steps)
-    return list(runs.items())
+def _distinct_runs(walk):
+    """The walk of the distinct samples, each the row of its first draw, in
+    first-draw order."""
+    first = {}
+    for r, sample in enumerate(walk.words):
+        first.setdefault(sample, r)
+    return walk.take(list(first.values()))
 
 
 def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
                         rng, lexicon=None) -> list[tuple[int, ...]]:
     """``num_samples`` ancestral samples of F, in draw order, from one encoding.
 
-    The sentence-end id terminates a sample and is included in it; a sample
-    that reaches ``max_len`` without drawing it is returned as-is.
+    The samples are drawn in lockstep: each step draws one uniform per
+    sample still live, in sample order.  The sentence-end id terminates a
+    sample and is included in it; a sample that reaches ``max_len`` without
+    drawing it is returned as-is.
     """
-    return [s for s, _ in _draw_samples(
-        params, _source_context(params, F, lexicon), F, num_samples, rng,
-        max_len)]
+    return _draw_samples(params, _source_context(params, F, lexicon), F,
+                         num_samples, rng, max_len).words
 
 
-def _expected_error(params: ModelParams, E_ref, runs, alpha: float):
-    """Expected error 1 - SBLEU over the samples of ``runs`` (each with its
-    decoder steps against one context), weighted by P^alpha renormalized
-    over the sample set.
+def _expected_error(params: ModelParams, E_ref, walk, alpha: float):
+    """Expected error 1 - SBLEU over the samples of ``walk`` (rows stepped
+    against one context), weighted by P^alpha renormalized over the sample
+    set.
 
     Returns the error and the derivative of the error by each sample's
     log-probability: with weights w = softmax(alpha * logp) and error
@@ -259,32 +286,35 @@ def _expected_error(params: ModelParams, E_ref, runs, alpha: float):
     """
     ref = tuple(E_ref)
     errors = np.array([mrt_error(ref, _strip_eos(s, params.tgt_eos))
-                       for s, _ in runs])
-    weights = mrt_weights([_logprob(steps, s) for s, steps in runs], alpha)
+                       for s in walk.words])
+    weights = mrt_weights(_logprobs(walk), alpha)
     loss = float(weights @ errors)
     return loss, alpha * weights * (errors - loss)
 
 
-def _risk_gradient(params: ModelParams, enc, E_ref, runs, alpha: float):
-    """Expected error over the samples of ``runs`` and its gradient: one
+def _risk_gradient(params: ModelParams, enc, E_ref, walk, alpha: float):
+    """Expected error over the samples of ``walk`` and its gradient: one
     backward pass seeded per sample with d error / d logp, one encoder walk
     for them all."""
-    loss, seeds = _expected_error(params, E_ref, runs, alpha)
+    loss, seeds = _expected_error(params, E_ref, walk, alpha)
     grads = _zero_grads(params)
-    _backward(params, enc, runs, seeds, grads)
+    _backward(params, enc, walk, seeds, grads)
     return loss, grads
 
 
 def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
                     lexicon=None):
     """Expected error over a fixed sample set, with exact gradients through
-    both the error-weighted numerator and the renormalizer."""
+    both the error-weighted numerator and the renormalizer.
+
+    The samples are teacher-forced as rows of the blocks that sampling
+    steps, so a sample scores here exactly what it scored as drawn."""
     samples = [tuple(s) for s in samples]
     if not samples:
         raise ValueError("sample set must be non-empty")
     enc = _source_context(params, F, lexicon)
-    runs = [(s, _teacher_forced(params, enc, s)) for s in samples]
-    return _risk_gradient(params, enc, E_ref, runs, alpha)
+    walk = _teacher_forced(params, enc, samples)
+    return _risk_gradient(params, enc, E_ref, walk, alpha)
 
 
 def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
@@ -298,11 +328,11 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
     if rng is None:
         raise ValueError("an rng is required for sampling")
     enc = _source_context(params, F, lexicon)
-    runs = _distinct_runs(
+    walk = _distinct_runs(
         _draw_samples(params, enc, F, num_samples, rng, max_sample_len))
-    if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s, _ in runs):
+    if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in walk.words):
         raise _EmptySamples("all sampled translations are empty")
-    return _risk_gradient(params, enc, E_ref, runs, alpha)
+    return _risk_gradient(params, enc, E_ref, walk, alpha)
 
 
 def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
@@ -311,8 +341,8 @@ def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
     scores = []
     for pair in pairs:
         enc = _source_context(params, pair.source, lexicon)
-        for s, _ in _draw_samples(params, enc, pair.source, num_samples, rng,
-                                  max_sample_len):
+        for s in _draw_samples(params, enc, pair.source, num_samples, rng,
+                               max_sample_len).words:
             scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
     return float(np.mean(scores))
 
@@ -447,9 +477,9 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
     values = []
     for pair in pairs:
         enc = _source_context(params, pair.source, lexicon)
-        runs = _distinct_runs(_draw_samples(
+        walk = _distinct_runs(_draw_samples(
             params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len))
-        values.append(_expected_error(params, pair.target, runs,
+        values.append(_expected_error(params, pair.target, walk,
                                       mrt.alpha)[0])
     return float(np.mean(values))
 

@@ -89,7 +89,7 @@ def graph_stepper(models, F, lexicon=None):
         return tuple(_init_state(m, enc) for m, enc in zip(models, encs))
 
     def step(k, prev, state):
-        state, probs = _block_step(models[k], [prev], state, [0], encs[k])
-        return state, probs[0]
+        state, step = _block_step(models[k], [prev], state, [0], encs[k])
+        return state, step.probs[0]
 
     return start, step

@@ -125,6 +125,16 @@ def ref_ibm1_in_order(pairs, iterations):
     return t
 
 
+def ibm1_log_likelihood(pairs, table):
+    """Corpus log-likelihood under Model 1 (with the 1/|F| alignment prior)."""
+    ll = 0.0
+    for p in pairs:
+        for e in p.target:
+            marginal = sum(table.prob(f, e) for f in p.source) / len(p.source)
+            ll += math.log(marginal) if marginal > 0 else float("-inf")
+    return ll
+
+
 # ---------------------------------------------------------------------------
 # byte pair encoding (full recount after every merge)
 # ---------------------------------------------------------------------------
@@ -298,6 +308,13 @@ def enumerate_complete(models, max_len, start, step):
     return out
 
 
+def greedy_decode(models, F, max_len=None, lexicon=None):
+    """Beam search of width one, without a word penalty."""
+    from lexnmt.decode import beam_search
+    return beam_search(models, F, beam_size=1, word_penalty=0.0,
+                       max_len=max_len, lexicon=lexicon)
+
+
 def argmax_hypothesis(complete, word_penalty):
     """Best (tokens, logprob) under score + the shorter/lexicographic tie-break."""
     best = None
@@ -307,6 +324,42 @@ def argmax_hypothesis(complete, word_penalty):
         if best is None or key < best[0]:
             best = (key, tokens, lp)
     return best[1], best[2]
+
+
+# ---------------------------------------------------------------------------
+# sampling and minimum risk
+# ---------------------------------------------------------------------------
+
+def ref_lockstep_samples(start, step, eos, num_samples, max_len, rng):
+    """Ancestral samples drawn in lockstep, one sample at a time.
+
+    ``start`` and ``step`` are as in :func:`enumerate_complete` (member 0).
+    At each step every sample still live, in sample order, takes its next
+    distribution and one uniform u from ``rng``, and draws the first word
+    whose cumulative probability exceeds u times the total.  A sample ends
+    with ``eos`` or at ``max_len`` words.
+    """
+    rows = [{"state": start()[0], "words": []} for _ in range(num_samples)]
+    for _ in range(max_len):
+        for row in rows:
+            words = row["words"]
+            if words and words[-1] == eos:
+                continue
+            row["state"], probs = step(0, words[-1] if words else eos,
+                                       row["state"])
+            cum = np.cumsum(probs)
+            idx = int(np.searchsorted(cum, rng.random() * cum[-1],
+                                      side="right"))
+            words.append(min(idx, len(cum) - 1))
+    return [tuple(row["words"]) for row in rows]
+
+
+def mrt_expected_error(logprobs, errors, alpha):
+    """sum_s w_s err_s with w = softmax(alpha * logp), from the definition."""
+    z = [alpha * lp for lp in logprobs]
+    top = max(z)
+    w = [math.exp(v - top) for v in z]
+    return sum(wi * err for wi, err in zip(w, errors)) / sum(w)
 
 
 # ---------------------------------------------------------------------------

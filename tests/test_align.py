@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from lexnmt.align import (LexiconTable, ibm1_log_likelihood, ibm1_train,
-                          load_lexicon, prune_lexicon, save_lexicon)
+from lexnmt.align import (LexiconTable, ibm1_train, load_lexicon,
+                          prune_lexicon, save_lexicon)
 from lexnmt.corpus import (SentencePair, Vocabulary, build_vocab, encode_pairs,
                            read_parallel)
 from lexnmt.errors import DataError
 
-from oracles import ref_ibm1, ref_ibm1_in_order
+from oracles import ibm1_log_likelihood, ref_ibm1, ref_ibm1_in_order
 
 # the two-pair corpus used throughout: a<->x dominant, b<->y by exclusion
 A, B = 0, 1

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import lexnmt.model as model_mod
 from lexnmt.corpus import SentencePair
-from lexnmt.model import (_backward, _logprob, _source_context,
-                          _teacher_forced)
+from lexnmt.model import (_backward, _logprobs, _sentence_walk,
+                          _source_context, _teacher_forced)
 from lexnmt.train import mrt_loss_frozen, nll_loss
 
 from helpers import count_calls, random_lexicon, tiny_model
@@ -33,10 +33,6 @@ def lexicon_model(seed):
     table = random_lexicon(np.random.default_rng(seed), params.src_vocab_size,
                            params.tgt_vocab_size)
     return params, table
-
-
-def run(params, enc, E):
-    return E, _teacher_forced(params, enc, E)
 
 
 # Each case names an operation of the forward step and a tensor slice whose
@@ -89,16 +85,44 @@ def test_shared_subgraph_accumulates():
     # backwards add, on top of what the gradient dict already holds
     params, table = lexicon_model(70)
     enc = _source_context(params, (1, 4, 2), table)
-    r1, r2 = run(params, enc, (3, 5, 0)), run(params, enc, (6, 2, 2, 0))
+    E1, E2 = (3, 5, 0), (6, 2, 2, 0)
     both = {k: np.ones_like(v) for k, v in params.tensors.items()}
-    _backward(params, enc, [r1, r2], [0.7, -1.3], both)
+    _backward(params, enc, _teacher_forced(params, enc, [E1, E2]),
+              [0.7, -1.3], both)
     apart = zero_grads(params)
-    _backward(params, enc, [r1], [0.7], apart)
-    _backward(params, enc, [r2], [-1.3], apart)
+    _backward(params, enc, _teacher_forced(params, enc, [E1]), [0.7], apart)
+    _backward(params, enc, _teacher_forced(params, enc, [E2]), [-1.3], apart)
     for name in params.tensors:
         assert np.abs(apart[name]).max() > 0, name
         assert np.allclose(both[name], 1.0 + apart[name],
                            rtol=1e-12, atol=1e-14), name
+
+
+@pytest.mark.parametrize("attention", ["dot", "mlp"])
+def test_lockstep_backward_masks_rows_that_ended(attention):
+    # rows of lengths 1, 2 and 4 walked back together, as minimum risk walks
+    # its distinct samples: the sum of one-row backwards, to 1e-12 relative.
+    # A row that has ended contributes exactly nothing to the steps after
+    # its end, so the agreement is that close even with large weights.
+    params = tiny_model(attention=attention, seed=78, use_lexicon=True,
+                        epsilon=1e-3, init_scale=0.8)
+    table = random_lexicon(np.random.default_rng(78), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    enc = _source_context(params, (1, 4, 2), table)
+    eos = params.tgt_eos
+    samples, seeds = [(eos,), (5, eos), (3, 6, 6, 1)], [0.9, -1.7, 1.3]
+    together = zero_grads(params)
+    _backward(params, enc, _teacher_forced(params, enc, samples), seeds,
+              together)
+    apart = zero_grads(params)
+    for sample, seed in zip(samples, seeds):
+        _backward(params, enc, _teacher_forced(params, enc, [sample]), [seed],
+                  apart)
+    for name in params.tensors:
+        scale = np.abs(apart[name]).max()
+        assert scale > 0, name
+        assert np.abs(together[name] - apart[name]).max() <= 1e-12 * scale, (
+            name)
 
 
 def test_diamond_graph_single_visit(monkeypatch):
@@ -106,10 +130,11 @@ def test_diamond_graph_single_visit(monkeypatch):
     # share it, and a sequence given twice counts with the sum of its seeds
     params, table = lexicon_model(71)
     enc = _source_context(params, (2, 3), table)
-    r = run(params, enc, (4, 1, 0))
+    E = (4, 1, 0)
     twice, once = zero_grads(params), zero_grads(params)
-    _backward(params, enc, [r, r], [0.5, 1.5], twice)
-    _backward(params, enc, [r], [2.0], once)
+    _backward(params, enc, _teacher_forced(params, enc, [E, E]), [0.5, 1.5],
+              twice)
+    _backward(params, enc, _teacher_forced(params, enc, [E]), [2.0], once)
     for name in params.tensors:
         assert np.allclose(twice[name], once[name],
                            rtol=1e-12, atol=1e-14), name
@@ -123,11 +148,11 @@ def test_backward_requires_scalar_root():
     # the seeds weigh the sequences into one scalar: one seed per sequence
     params = tiny_model(seed=72)
     enc = _source_context(params, (1, 2), None)
-    runs = [run(params, enc, (3, 0)), run(params, enc, (0,))]
+    walk = _teacher_forced(params, enc, [(3, 0), (0,)])
     grads = zero_grads(params)
     for seeds in ([1.0], [1.0, 1.0, 1.0]):
         with pytest.raises(ValueError):
-            _backward(params, enc, runs, seeds, grads)
+            _backward(params, enc, walk, seeds, grads)
     assert all(not g.any() for g in grads.values())
 
 
@@ -138,25 +163,25 @@ def test_softmax_outputs_normalized():
     params.tensors["softmax_b"][:] = [3.0, -1.0, 0.5, 900.0, 0.0, -2.0, 1.0]
     enc = _source_context(params, (1, 2, 3), None)
     E = (1, 3, 0)
-    steps = _teacher_forced(params, enc, E)
+    walk = _sentence_walk(params, enc, E)  # one row a step
     expect = 0.0
-    for s, e in zip(steps, E):
-        assert np.isfinite(s.probs).all()
-        assert abs(s.probs.sum() - 1.0) < 1e-12
-        z = s.logits - s.logits.max()
+    for probs, logits, e in zip(walk.steps.probs, walk.steps.logits, E):
+        assert np.isfinite(probs).all()
+        assert abs(probs.sum() - 1.0) < 1e-12
+        z = logits - logits.max()
         expect += (z - np.log(np.exp(z).sum()))[e]
-    assert steps[0].probs[1] == 0.0  # log of it would be -inf
-    assert np.isfinite(_logprob(steps, E))
-    assert _logprob(steps, E) == pytest.approx(expect, rel=1e-12)
+    assert walk.steps.probs[0, 1] == 0.0  # log of it would be -inf
+    assert np.isfinite(_logprobs(walk)[0])
+    assert _logprobs(walk)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_log_softmax_matches_log_of_softmax():
     params, table = lexicon_model(74)
     enc = _source_context(params, (5, 1, 3), table)
     E = (2, 6, 4, 0)
-    steps = _teacher_forced(params, enc, E)
-    logp = sum(np.log(s.probs[e]) for s, e in zip(steps, E))
-    assert _logprob(steps, E) == pytest.approx(logp, rel=1e-12, abs=1e-12)
+    walk = _sentence_walk(params, enc, E)
+    logp = sum(np.log(probs[e]) for probs, e in zip(walk.steps.probs, E))
+    assert _logprobs(walk)[0] == pytest.approx(logp, rel=1e-12, abs=1e-12)
 
 
 SHIFT_MODEL = tiny_model(seed=75)
@@ -172,8 +197,8 @@ def test_softmax_shift_invariance(values, shift):
         params = SHIFT_MODEL.copy()
         params.tensors["softmax_b"][:] = b
         enc = _source_context(params, (1, 2), None)
-        steps = _teacher_forced(params, enc, (4, 0))
-        probs.append(np.stack([s.probs for s in steps]))
+        walk = _sentence_walk(params, enc, (4, 0))
+        probs.append(walk.steps.probs)
     assert np.allclose(probs[0], probs[1], atol=1e-12)
     assert np.allclose(probs[0].sum(axis=1), 1.0, atol=1e-12)
 
@@ -184,10 +209,10 @@ def test_pick_and_row_are_one_hot():
     params = tiny_model(seed=76)
     F, E = (2, 4, 2), (5,)
     enc = _source_context(params, F, None)
-    steps = _teacher_forced(params, enc, E)
+    walk = _sentence_walk(params, enc, E)
     grads = zero_grads(params)
-    _backward(params, enc, [(E, steps)], [1.0], grads)
-    expect = -steps[0].probs
+    _backward(params, enc, walk, [1.0], grads)
+    expect = -walk.steps.probs[0]
     expect[5] += 1.0
     assert np.array_equal(grads["softmax_b"], expect)
     for name, rows in (("tgt_emb", {params.tgt_eos}),

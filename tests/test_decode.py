@@ -1,5 +1,7 @@
 """Beam search, ensembling, and word-penalty tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,11 @@ from hypothesis import strategies as st
 import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
 from lexnmt.decode import (Hypothesis, _best_children, beam_search,
-                           ensemble_distribution, greedy_decode,
-                           score_hypothesis, translate)
+                           ensemble_distribution, score_hypothesis, translate)
 from lexnmt.model import init_params, sentence_logprob
 
 from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
-from oracles import argmax_hypothesis, enumerate_complete
+from oracles import argmax_hypothesis, enumerate_complete, greedy_decode
 
 
 def _tiny(seed, tgt_size=4, init_scale=0.02, **kw):
@@ -120,7 +121,7 @@ def _script(monkeypatch, row_step):
     def fake_block(params, prev_ids, state, rows, enc):
         steps = [row_step(state[r], prev) for r, prev in zip(rows, prev_ids)]
         return ([p for p, _ in steps],
-                np.stack([probs for _, probs in steps]))
+                SimpleNamespace(probs=np.stack([probs for _, probs in steps])))
 
     monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
     monkeypatch.setattr(decode_mod, "_init_state", lambda *a: [()])

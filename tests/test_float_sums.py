@@ -1,0 +1,53 @@
+"""The builtin ``sum`` runs under the package only where its result does not
+depend on how the interpreter adds floats.
+
+From Python 3.12, ``sum`` of floats uses compensated summation, so a float
+sum through it would give other bits than on 3.10 and 3.11; float sums are
+explicit left-to-right loops or numpy reductions instead.  The allowed call
+sites add integers, except ``ensemble_distribution``, which adds numpy
+arrays elementwise (arrays are not floats, so every version adds them in
+order).
+"""
+
+import ast
+import os
+
+import lexnmt
+
+PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+
+# (file, enclosing function, the summed expression)
+ALLOWED = {
+    ("align.py", "ibm1_train", "(len(p.target) for p in pairs)"),
+    ("cli.py", "_cmd_align", "(len(v) for v in table.entries.values())"),
+    ("metrics.py", "_clipped_matches",
+     "(min(c, ref_counts[g]) for g, c in hyp_counts.items())"),
+    ("metrics.py", "length_ratio", "(len(list(r)) for r in references)"),
+    ("metrics.py", "length_ratio", "(len(list(h)) for h in hypotheses)"),
+    ("model.py", "ensemble_distribution", "distributions"),
+    ("model.py", "load_checkpoint", "counts"),
+    ("train.py", "train_ml", "(len(p.target) + 1 for p in batch)"),
+}
+
+
+def _sum_calls(node, owner=None):
+    """(enclosing function, summed expression) of every builtin-sum call."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"):
+        yield owner, ast.unparse(node.args[0]) if node.args else ""
+    for child in ast.iter_child_nodes(node):
+        yield from _sum_calls(child, owner)
+
+
+def test_builtin_sum_only_at_listed_call_sites():
+    found = set()
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if not filename.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE_DIR, filename)
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        found |= {(filename, *site) for site in _sum_calls(tree)}
+    assert found - ALLOWED == set()

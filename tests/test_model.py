@@ -216,12 +216,12 @@ def test_block_rows_are_batch_invariant(attention, V, d):
              for r in range(n)]
     for shift in range(BLOCK_ROWS):
         rows = np.roll(np.arange(n), shift)
-        block, probs = _block_step(params, prev[rows], state, rows, enc)
+        block, step = _block_step(params, prev[rows], state, rows, enc)
         for at, r in enumerate(rows):
             got = (block.hidden[at], block.cell[at], block.context[at],
-                   probs[at])
+                   step.probs[at])
             want = (alone[r][0].hidden[0], alone[r][0].cell[0],
-                    alone[r][0].context[0], alone[r][1][0])
+                    alone[r][0].context[0], alone[r][1].probs[0])
             assert all(map(np.array_equal, got, want)), (
                 f"row {r} at block position {at % BLOCK_ROWS} differs from "
                 f"the same row stepped alone: on this BLAS a row of a "
@@ -278,7 +278,7 @@ def test_target_ids_outside_vocabulary_are_rejected(entry, which):
             mrt_loss_frozen(params, F, (3,), [(bad, eos)], alpha=1.0)
         else:  # the teacher-forced decoder steps behind every scorer
             _teacher_forced(params, _source_context(params, F, None),
-                            (bad, eos))
+                            [(bad, eos)])
 
 
 def test_lexicon_model_requires_table():

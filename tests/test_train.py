@@ -1,6 +1,7 @@
 """Optimizer, losses, minimum-risk machinery, and training-loop tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,14 +15,13 @@ from lexnmt.model import _teacher_forced, sentence_logprob
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
                           expected_sampled_error, gradient_norm,
-                          mean_sampled_sbleu, mrt_expected_error, mrt_loss,
-                          mrt_loss_frozen, mrt_weights, nll_loss,
-                          sample_translations, token_accuracy, train_ml,
-                          train_mrt)
+                          mean_sampled_sbleu, mrt_loss, mrt_loss_frozen,
+                          mrt_weights, nll_loss, sample_translations,
+                          token_accuracy, train_ml, train_mrt)
 
 from helpers import (copy_pairs, count_calls, graph_stepper, random_lexicon,
                      tiny_model)
-from oracles import ref_adam_sequence
+from oracles import mrt_expected_error, ref_adam_sequence, ref_lockstep_samples
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,26 @@ def test_clip_gradients_rejects_nonfinite():
         clip_gradients({"w": np.array([float("inf")])}, 1.0)
     with pytest.raises(ValueError):
         clip_gradients({"w": np.ones(2)}, 0.0)
+
+
+def test_clip_gradients_scales_overflowing_finite_norm_to_zero():
+    # finite entries whose squares overflow give an infinite norm, which is
+    # no error: the factor max_norm / inf scales every entry to zero
+    grads = {"a": np.array([1e200, 2.0]), "b": np.array([-3.0])}
+    with np.errstate(over="ignore"):
+        clip_gradients(grads, 1.0)
+    assert not grads["a"].any() and not grads["b"].any()
+
+
+def test_gradient_norm_adds_tensor_sums_left_to_right():
+    # 1e16 + 1 rounds back to 1e16 (ties to even), so a left-to-right sum
+    # loses both ones, while a compensated sum (math.fsum, or builtin sum of
+    # floats from Python 3.12) keeps them and gives other bits
+    grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+    squares = [1e16, 1.0, 1.0]
+    left_to_right = (1e16 + 1.0) + 1.0
+    assert math.sqrt(left_to_right) != math.sqrt(math.fsum(squares))
+    assert gradient_norm(grads) == math.sqrt(left_to_right)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +199,14 @@ def test_sample_translation_is_reproducible_and_bounded():
     for s in a:
         assert 1 <= len(s) <= 8
         assert params.tgt_eos not in s[:-1]  # sentence end only terminal
-    # one call draws what single-sample calls draw in turn from the same rng
-    rng = np.random.default_rng(5)
-    assert a == [sample_translations(params, F, 1, 8, rng)[0]
-                 for _ in range(20)]
+    # the samples are drawn in lockstep: one uniform per live sample and
+    # step, in sample order
+    assert a == ref_lockstep_samples(*graph_stepper(params, F), params.tgt_eos,
+                                     20, 8, np.random.default_rng(5))
     with pytest.raises(ValueError):
         sample_translations(params, F, 1, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_translations(params, F, 0, 8, np.random.default_rng(0))
 
 
 def test_sample_translation_first_token_frequencies():
@@ -248,13 +270,11 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     params = tiny_model(seed=39)
     eos = params.tgt_eos
     fixed = [(3, eos), (3, eos), (2, 4, eos), (3, eos)]
-    draws = iter(fixed)
 
-    def fake_sample(params, enc, max_len, rng):
-        s = next(draws)
-        return s, _teacher_forced(params, enc, s)
+    def fake_draw_samples(params, enc, F, num_samples, rng, max_sample_len):
+        return _teacher_forced(params, enc, fixed[:num_samples])
 
-    monkeypatch.setattr(train_mod, "_sample", fake_sample)
+    monkeypatch.setattr(train_mod, "_draw_samples", fake_draw_samples)
     loss, grads = mrt_loss(params, (1, 2), (3,), num_samples=4, alpha=0.5,
                            rng=np.random.default_rng(0))
     want_loss, want_grads = mrt_loss_frozen(params, (1, 2), (3,),
@@ -294,13 +314,13 @@ def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
                            params.tgt_vocab_size)
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
-    draws = count_calls(monkeypatch, train_mod, "_sample")
+    draws = count_calls(monkeypatch, train_mod, "_draw_samples")
     scored = count_calls(monkeypatch, train_mod, "_expected_error")
     mrt_loss(params, (1, 2, 3), (3, 4), num_samples=6, alpha=0.5,
              rng=np.random.default_rng(5), lexicon=table)
-    assert len(draws) == 6
+    assert [args[3] for args in draws] == [6]  # one walk of 6 samples
     _, _, distinct, _ = scored[0]
-    assert len(distinct) >= 2
+    assert len(distinct.words) >= 2
     assert len(encodes) == 1
     assert len(builds) == 1
 
@@ -314,8 +334,10 @@ def test_mrt_loss_validation(monkeypatch):
         mrt_loss(params, (1,), (2,), alpha=0.0, rng=rng)
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
-    monkeypatch.setattr(train_mod, "_sample",
-                        lambda *a, **k: ((params.tgt_eos,), []))
+    monkeypatch.setattr(
+        train_mod, "_draw_samples",
+        lambda params, enc, F, n, *a: _teacher_forced(
+            params, enc, [(params.tgt_eos,)] * n))
     with pytest.raises(ValueError, match="empty"):
         mrt_loss(params, (1,), (2,), num_samples=4, rng=rng)
 
