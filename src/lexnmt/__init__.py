@@ -12,7 +12,8 @@ from .align import LexiconTable, ibm1_train, load_lexicon, prune_lexicon, save_l
 from .corpus import (BpeModel, SentencePair, Vocabulary, apply_bpe, build_vocab,
                      encode_pairs, invert_bpe, learn_bpe, make_minibatches,
                      normalize_halfwidth)
-from .decode import Hypothesis, beam_search, ensemble_distribution, score_hypothesis
+from .decode import (Hypothesis, beam_search, ensemble_distribution,
+                     score_hypothesis, translate)
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, mrt_error, sbleu
 from .model import (ModelParams, build_lexicon_matrix, init_params,
@@ -32,4 +33,5 @@ __all__ = [
     "nll_loss", "normalize_halfwidth", "prune_lexicon",
     "sample_translations", "save_checkpoint", "save_lexicon", "sbleu",
     "score_hypothesis", "sentence_logprob", "train_ml", "train_mrt",
+    "translate",
 ]

@@ -276,7 +276,24 @@ def _load_optional_lexicon(args, src_vocab, tgt_vocab):
             if args.lexicon else None)
 
 
+def _train_config(args, **settings) -> TrainConfig:
+    """The training configuration of the flags; refusing it is a usage
+    error, raised before any file is read."""
+    try:
+        return TrainConfig(
+            lr_schedule=(args.lr, args.lr / 2, args.lr / 4),
+            clip_norm=args.clip_norm, seed=args.seed, **settings)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
+
+
 def _cmd_train(args):
+    _check_positive(args, "d_emb", "d_hid", "attn_dim")
+    if not math.isfinite(args.epsilon):
+        raise _UsageError("--epsilon must be a finite number")
+    config = _train_config(
+        args, word_budget=args.batch_words, dev_check_interval=args.dev_check,
+        patience=args.patience, max_epochs=args.max_epochs)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
     train, dev, lexicon = _load_data(args, src_vocab, tgt_vocab)
@@ -285,11 +302,6 @@ def _cmd_train(args):
         attention=args.attention, attn_dim=args.attn_dim,
         use_lexicon=lexicon is not None, epsilon=args.epsilon,
         src_eos=src_vocab.eos_id, tgt_eos=tgt_vocab.eos_id, seed=args.seed)
-    config = TrainConfig(
-        lr_schedule=(args.lr, args.lr / 2, args.lr / 4),
-        word_budget=args.batch_words, clip_norm=args.clip_norm,
-        dev_check_interval=args.dev_check, patience=args.patience,
-        max_epochs=args.max_epochs, seed=args.seed)
     best, log = train_ml(params, train, dev, config,
                          run_dir=args.run_dir, vocabs=(src_vocab, tgt_vocab),
                          lexicon=lexicon)
@@ -302,14 +314,12 @@ def _cmd_train(args):
 
 
 def _cmd_mrt_train(args):
+    config = _train_config(
+        args, mrt=MrtSettings(num_samples=args.samples, alpha=args.alpha,
+                              max_sample_len=args.max_sample_len,
+                              epochs=args.mrt_epochs))
     params, src_vocab, tgt_vocab = load_checkpoint(args.init)
     train, dev, lexicon = _load_data(args, src_vocab, tgt_vocab)
-    config = TrainConfig(
-        lr_schedule=(args.lr, args.lr / 2, args.lr / 4),
-        clip_norm=args.clip_norm, seed=args.seed,
-        mrt=MrtSettings(num_samples=args.samples, alpha=args.alpha,
-                        max_sample_len=args.max_sample_len,
-                        epochs=args.mrt_epochs))
     best, log = train_mrt(params, train, dev, config, run_dir=args.run_dir,
                           vocabs=(src_vocab, tgt_vocab), lexicon=lexicon)
     save_checkpoint(os.path.join(args.run_dir, "model.ckpt"), best,

@@ -16,10 +16,10 @@ training; it also returns what the step computed.  :func:`_lockstep` walks
 several target sequences of one context forward together, as rows of one
 block that a row leaves after its last word; teacher forcing and ancestral
 sampling are its two ways of choosing the next words (minimum risk's samples
-and their scoring).  Maximum likelihood walks one sentence as one row
-(:func:`_sentence_walk`).  :func:`_backward` derives exact gradients from
-either walk by a hand-written backward pass through time that walks the rows
-back in lockstep too.
+and their scoring, and :func:`sentence_logprob`).  Maximum likelihood walks
+one sentence as one row (:func:`_sentence_walk`).  :func:`_backward` derives
+exact gradients from either walk by a hand-written backward pass through time
+that walks the rows back in lockstep too.
 """
 
 from __future__ import annotations
@@ -127,12 +127,18 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
                 use_lexicon: bool = False, epsilon: float = 1e-6,
                 src_eos: int = 0, tgt_eos: int = 0, seed: int = 0,
                 init_scale: float = 0.08) -> ModelParams:
-    """Fresh parameters with uniform(-init_scale, init_scale) weights, zero biases."""
-    if attention not in ATTENTION_KINDS:
-        raise ValueError(f"unknown attention kind: {attention!r}")
+    """Fresh parameters with uniform(-init_scale, init_scale) weights, zero biases.
+
+    A width below 1 (a model that computes nothing) and a non-finite
+    ``epsilon`` (a checkpoint that :func:`load_checkpoint` refuses) raise
+    ValueError."""
     hyper = dict(d_emb=d_emb, d_hid=d_hid, attention=attention,
                  attn_dim=attn_dim if attn_dim is not None else d_hid,
                  src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size)
+    if min(d_emb, d_hid, hyper["attn_dim"]) < 1:
+        raise ValueError("d_emb, d_hid and attn_dim must be >= 1")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in expected_shapes(SimpleNamespace(**hyper)).items():
@@ -660,21 +666,21 @@ def _ensemble_logp(models, encs, states, rows, prev_ids):
 def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float:
     """Teacher-forced log p(E | F); ensembles average per-step probabilities.
 
-    ``E`` must end with the target sentence-end id.  Each step is a one-row
-    block step, scored as beam search scores its hypotheses, so a hypothesis
-    scores here exactly what search scored it.
+    ``E`` must end with the target sentence-end id.  Each member walks E as
+    one row of the padded blocks that search steps, and the step log
+    probabilities add left to right as in search, so a hypothesis scores
+    here exactly what search scored it.
     """
     models = _as_model_list(models)
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
-    if not all(0 <= e < models[0].tgt_vocab_size for e in E):
-        raise ValueError(f"target id outside vocabulary in {list(E)}")
-    encs = [_source_context(m, F, lexicon) for m in models]
-    states = [_init_state(m, enc) for m, enc in zip(models, encs)]
+    probs = ensemble_distribution(
+        [_teacher_forced(m, _source_context(m, F, lexicon), [E]).steps.probs
+         for m in models])
     total = 0.0
-    for prev, e in zip((models[0].tgt_eos, *E), E):
-        states, logp = _ensemble_logp(models, encs, states, [0], [prev])
-        total += float(logp[0, e])
+    with np.errstate(divide="ignore"):
+        for logp in np.log(probs[np.arange(len(E)), E]).tolist():
+            total += logp
     return total
 
 

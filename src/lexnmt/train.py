@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .metrics import mrt_error, sbleu
+from .metrics import mrt_error
 from .model import (ModelParams, _backward, _length_cap, _lockstep, _logprobs,
                     _sentence_walk, _source_context, _teacher_forced,
                     save_checkpoint)
@@ -41,6 +41,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_SLICE = 16384  # elements per in-cache slice of an ADAM update
+
+
+def _check_alpha(alpha: float):
+    """Refuse a minimum-risk sharpness outside 0 < alpha < inf."""
+    if not 0 < alpha < math.inf:  # False for nan too
+        raise ValueError("alpha must be > 0 and finite")
 
 
 @dataclass
@@ -73,8 +79,7 @@ class TrainConfig:
             raise ValueError("dev_check_interval and patience must be positive")
         if self.mrt.num_samples < 2:
             raise ValueError("mrt.num_samples must be >= 2")
-        if not 0 < self.mrt.alpha < math.inf:
-            raise ValueError("mrt.alpha must be > 0 and finite")
+        _check_alpha(self.mrt.alpha)
 
     @property
     def initial_lr(self) -> float:
@@ -194,21 +199,6 @@ def corpus_nll(params: ModelParams, pairs, lexicon=None) -> float:
     return total / tokens
 
 
-def token_accuracy(params: ModelParams, pairs, lexicon=None) -> float:
-    """Fraction of target positions where the argmax next-word prediction is
-    correct under teacher forcing (sentence-end step included)."""
-    correct = 0
-    total = 0
-    for pair in pairs:
-        enc = _source_context(params, pair.source, lexicon)
-        E = _target_with_eos(params, pair)
-        steps = _sentence_walk(params, enc, E).steps  # one row a step
-        for e, logits in zip(E, steps.logits):
-            correct += int(np.argmax(logits) == e)
-            total += 1
-    return correct / total
-
-
 # ---------------------------------------------------------------------------
 # sampling and minimum risk
 # ---------------------------------------------------------------------------
@@ -309,6 +299,7 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
 
     The samples are teacher-forced as rows of the blocks that sampling
     steps, so a sample scores here exactly what it scored as drawn."""
+    _check_alpha(alpha)
     samples = [tuple(s) for s in samples]
     if not samples:
         raise ValueError("sample set must be non-empty")
@@ -323,8 +314,7 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
     """Sampled minimum-risk loss for one sentence; duplicates are collapsed."""
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _check_alpha(alpha)
     if rng is None:
         raise ValueError("an rng is required for sampling")
     enc = _source_context(params, F, lexicon)
@@ -333,18 +323,6 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in walk.words):
         raise _EmptySamples("all sampled translations are empty")
     return _risk_gradient(params, enc, E_ref, walk, alpha)
-
-
-def mean_sampled_sbleu(params: ModelParams, pairs, num_samples: int, rng,
-                       max_sample_len: int | None = None, lexicon=None) -> float:
-    """Mean SBLEU of ancestral samples against their references."""
-    scores = []
-    for pair in pairs:
-        enc = _source_context(params, pair.source, lexicon)
-        for s in _draw_samples(params, enc, pair.source, num_samples, rng,
-                               max_sample_len).words:
-            scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
-    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +365,11 @@ def _config_header(config: TrainConfig, extra: dict | None = None) -> dict:
 
 
 def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
-             run_dir=None, vocabs=None, lexicon=None, dev_eval_fn=None):
+             run_dir=None, vocabs=None, lexicon=None):
     """Maximum-likelihood training; returns (best params, train log records).
 
     ``params`` is updated in place; the returned model is the checkpoint with
-    the best dev score.  ``dev_eval_fn`` overrides the dev NLL evaluation
-    (used by schedule tests).
+    the best dev score.
     """
     from .corpus import make_minibatches
 
@@ -400,8 +377,6 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     dev_pairs = list(dev_pairs)
     if not train_pairs or not dev_pairs:
         raise DataError("train and dev sets must be non-empty")
-    if dev_eval_fn is None:
-        dev_eval_fn = lambda p: corpus_nll(p, dev_pairs, lexicon)
 
     batches = make_minibatches(train_pairs, config.word_budget)
     rng = np.random.default_rng(config.seed)
@@ -421,7 +396,7 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     def dev_check():
         nonlocal best, best_dev, since_improve, since_check, stage, stop
         nonlocal loss_sum, token_sum
-        dev = float(dev_eval_fn(params))
+        dev = float(corpus_nll(params, dev_pairs, lexicon))
         if dev < best_dev:
             best_dev = dev
             best = params.copy()

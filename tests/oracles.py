@@ -315,6 +315,37 @@ def greedy_decode(models, F, max_len=None, lexicon=None):
                        max_len=max_len, lexicon=lexicon)
 
 
+def token_accuracy(params, pairs, lexicon=None):
+    """Fraction of target positions where the argmax next-word prediction is
+    correct under teacher forcing (sentence-end step included)."""
+    from lexnmt.model import _sentence_walk, _source_context
+    correct = 0
+    total = 0
+    for pair in pairs:
+        enc = _source_context(params, pair.source, lexicon)
+        E = tuple(pair.target) + (params.tgt_eos,)
+        steps = _sentence_walk(params, enc, E).steps  # one row a step
+        for e, logits in zip(E, steps.logits):
+            correct += int(np.argmax(logits) == e)
+            total += 1
+    return correct / total
+
+
+def mean_sampled_sbleu(params, pairs, num_samples, rng, max_sample_len=None,
+                       lexicon=None):
+    """Mean SBLEU of ancestral samples against their references."""
+    from lexnmt.metrics import sbleu
+    from lexnmt.model import _source_context
+    from lexnmt.train import _draw_samples, _strip_eos
+    scores = []
+    for pair in pairs:
+        enc = _source_context(params, pair.source, lexicon)
+        for s in _draw_samples(params, enc, pair.source, num_samples, rng,
+                               max_sample_len).words:
+            scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
+    return float(np.mean(scores))
+
+
 def argmax_hypothesis(complete, word_penalty):
     """Best (tokens, logprob) under score + the shorter/lexicographic tie-break."""
     best = None

@@ -18,13 +18,13 @@ from lexnmt.metrics import bleu, sbleu
 from lexnmt.model import init_params
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
-                          mean_sampled_sbleu, mrt_loss_frozen, nll_loss,
-                          token_accuracy, train_ml, train_mrt)
+                          mrt_loss_frozen, nll_loss, train_ml, train_mrt)
 
 from helpers import (copy_pairs, dict_pairs, graph_stepper, perfect_lexicon,
                      random_lexicon, tiny_model, word_permutation)
-from oracles import (argmax_hypothesis, enumerate_complete, ref_bleu,
-                     ref_ibm1, ref_sbleu)
+from oracles import (argmax_hypothesis, enumerate_complete,
+                     mean_sampled_sbleu, ref_bleu, ref_ibm1, ref_sbleu,
+                     token_accuracy)
 
 VOCAB = 20
 WIDTH = 32

@@ -447,6 +447,29 @@ def test_bad_search_flags_are_usage_errors(tmp_path, capsys, command, flag,
     assert "usage error" in err and flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--batch-words", "0"), ("train", "--dev-check", "0"),
+    ("train", "--patience", "0"), ("train", "--lr", "nan"),
+    ("train", "--clip-norm", "inf"), ("train", "--d-emb", "0"),
+    ("train", "--d-hid", "0"), ("train", "--attn-dim", "0"),
+    ("train", "--epsilon", "nan"), ("train", "--epsilon", "inf"),
+    ("mrt-train", "--samples", "1"), ("mrt-train", "--alpha", "nan"),
+    ("mrt-train", "--alpha", "0"), ("mrt-train", "--lr", "-1")])
+def test_bad_training_flags_are_usage_errors(tmp_path, capsys, command, flag,
+                                             value):
+    # refused before any file is read: every input named here is missing,
+    # which would exit 2 once loading began
+    inputs = ["--train-src", "--train-tgt", "--dev-src", "--dev-tgt",
+              *{"train": ["--src-vocab", "--tgt-vocab"],
+                "mrt-train": ["--init"]}[command]]
+    argv = [command, "--run-dir", str(tmp_path / "run"),
+            *(arg for name in inputs for arg in (name, str(tmp_path / "x")))]
+    assert main([*argv, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "COMMAND" in capsys.readouterr().out

@@ -356,6 +356,17 @@ def test_init_params_shapes_and_determinism():
     assert not np.array_equal(params.tensors["dec_W"], other.tensors["dec_W"])
 
 
+@pytest.mark.parametrize("hyper", [
+    {"d_emb": 0}, {"d_hid": 0}, {"d_hid": -1}, {"attn_dim": 0},
+    {"epsilon": float("nan")}, {"epsilon": float("inf")}])
+def test_init_params_refuses_models_no_checkpoint_should_hold(hyper):
+    # a zero width trains and decodes nothing, and a non-finite epsilon
+    # saves a checkpoint that load_checkpoint refuses
+    with pytest.raises(ValueError, match="d_emb, d_hid and attn_dim|epsilon"):
+        init_params(4, 4, **{"d_emb": 2, "d_hid": 2, "attention": "mlp",
+                             **hyper})
+
+
 def test_dot_attention_has_no_attention_tensors():
     params = tiny_model(attention="dot")
     assert "attn_W1" not in params.tensors

@@ -14,14 +14,14 @@ from lexnmt.metrics import sbleu
 from lexnmt.model import _teacher_forced, sentence_logprob
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
-                          expected_sampled_error, gradient_norm,
-                          mean_sampled_sbleu, mrt_loss, mrt_loss_frozen,
-                          mrt_weights, nll_loss, sample_translations,
-                          token_accuracy, train_ml, train_mrt)
+                          expected_sampled_error, gradient_norm, mrt_loss,
+                          mrt_loss_frozen, mrt_weights, nll_loss,
+                          sample_translations, train_ml, train_mrt)
 
 from helpers import (copy_pairs, count_calls, graph_stepper, random_lexicon,
                      tiny_model)
-from oracles import mrt_expected_error, ref_adam_sequence, ref_lockstep_samples
+from oracles import (mean_sampled_sbleu, mrt_expected_error, ref_adam_sequence,
+                     ref_lockstep_samples, token_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +330,12 @@ def test_mrt_loss_validation(monkeypatch):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="num_samples"):
         mrt_loss(params, (1,), (2,), num_samples=1, rng=rng)
-    with pytest.raises(ValueError, match="alpha"):
-        mrt_loss(params, (1,), (2,), alpha=0.0, rng=rng)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        # refused before any sampling: the rng is never drawn from
+        with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
+            mrt_loss(params, (1,), (2,), alpha=alpha, rng=None)
+        with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
+            mrt_loss_frozen(params, (1,), (2,), [(2, params.tgt_eos)], alpha)
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
     monkeypatch.setattr(
@@ -378,18 +382,18 @@ def _schedule_fixture():
     return params, pairs, config
 
 
-def test_train_ml_lr_schedule_and_early_stop():
+def test_train_ml_lr_schedule_and_early_stop(monkeypatch):
     params, pairs, config = _schedule_fixture()
     dev_values = [5.0, 4.0, 4.5, 4.5, 4.5, 4.5, 4.5, 4.5]
     snapshots = []
     calls = iter(dev_values)
 
-    def stub(p):
+    def stub(p, *_):
         snapshots.append({k: v.copy() for k, v in p.tensors.items()})
         return next(calls)
 
-    best, records = train_ml(params, pairs, pairs[:1], config,
-                             dev_eval_fn=stub)
+    monkeypatch.setattr(train_mod, "corpus_nll", stub)
+    best, records = train_ml(params, pairs, pairs[:1], config)
     # the dev sequence improves at check 2 and then stalls: two stalled
     # checks per stage exhaust the patience at each of the three rates
     assert len(records) == 8
@@ -402,16 +406,17 @@ def test_train_ml_lr_schedule_and_early_stop():
         assert np.array_equal(value, snapshots[1][name])
 
 
-def test_train_ml_halving_reloads_best_weights():
+def test_train_ml_halving_reloads_best_weights(monkeypatch):
     params, pairs, config = _schedule_fixture()
     dev_values = iter([5.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
     snapshots = []
 
-    def stub(p):
+    def stub(p, *_):
         snapshots.append({k: v.copy() for k, v in p.tensors.items()})
         return next(dev_values)
 
-    best, _ = train_ml(params, pairs, pairs[:1], config, dev_eval_fn=stub)
+    monkeypatch.setattr(train_mod, "corpus_nll", stub)
+    best, _ = train_ml(params, pairs, pairs[:1], config)
     assert len(snapshots) == 7
     # only the first check improved, so that snapshot is the returned model
     for name, value in best.tensors.items():
