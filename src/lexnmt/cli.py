@@ -291,6 +291,8 @@ def _cmd_train(args):
     _check_positive(args, "d_emb", "d_hid", "attn_dim")
     if not math.isfinite(args.epsilon):
         raise _UsageError("--epsilon must be a finite number")
+    if args.lexicon and args.epsilon <= 0:
+        raise _UsageError("--epsilon must be > 0 with --lexicon")
     config = _train_config(
         args, word_budget=args.batch_words, dev_check_interval=args.dev_check,
         patience=args.patience, max_epochs=args.max_epochs)

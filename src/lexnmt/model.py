@@ -8,17 +8,23 @@ is a dense (|V_e|, |F|) slice of the lexical translation probabilities for the
 source words.
 
 The model is written once, in numpy over plain arrays.  Everything that
-depends only on the source sentence (R, the decoder's initial state, the MLP
-projection W1_r R and L_F) is built once per model and sentence by
-:func:`_source_context`.  One step function, :func:`_decoder_step`, steps one
-row or a block of rows and serves beam search, sampling, scoring and
-training; it also returns what the step computed.  :func:`_lockstep` walks
-several target sequences of one context forward together, as rows of one
-block that a row leaves after its last word; teacher forcing and ancestral
-sampling are its two ways of choosing the next words (minimum risk's samples
-and their scoring, and :func:`sentence_logprob`).  Maximum likelihood walks
-one sentence as one row (:func:`_sentence_walk`).  :func:`_backward` derives
-exact gradients from either walk by a hand-written backward pass through time
+depends only on the source (R, the decoder's initial state, the MLP
+projection W1_r R and L_F) is built once per model and context:
+:func:`_encode_g` runs the encoder over the sentences of a block as its
+rows.  A one-sentence context (:func:`_source_context`) is shared by every
+row of a decoder block; a block context (:func:`_block_context`) holds one
+sentence per row, padded to the longest, and attention gives the padded
+positions weight exactly 0.  One step function, :func:`_decoder_step`, steps a block
+of rows and serves beam search, sampling and scoring; it also returns what
+the step computed.  :func:`_lockstep` walks several target sequences
+forward together, as rows of one block that a row leaves after its last
+word; teacher forcing and ancestral sampling are its two ways of choosing
+the next words (minimum risk's samples and their scoring,
+:func:`sentence_logprob`, and maximum likelihood).  Against a block
+context the walk steps only the recurrence and attention
+(:func:`_recurrence`, the first half of the step), and the output layer
+runs once over all row-steps after it.  :func:`_backward` derives
+exact gradients from the walk by a hand-written backward pass through time
 that walks the rows back in lockstep too.
 """
 
@@ -156,29 +162,41 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
 
 @dataclass
 class DecoderState:
-    """Decoder hidden and cell state and the last attention context: one row
-    (1-D arrays) or a block of rows (2-D arrays, one row per hypothesis)."""
+    """Decoder hidden and cell state and the last attention context of a
+    block of rows: (B, D) arrays, one row per hypothesis."""
 
     hidden: np.ndarray
     cell: np.ndarray
     context: np.ndarray
 
     def take(self, rows) -> "DecoderState":
-        """The block of the given rows; a one-row state counts as row 0."""
-        return DecoderState(*((x if x.ndim > 1 else x[None])[rows] for x in
-                              (self.hidden, self.cell, self.context)))
+        """The block of the given rows."""
+        return DecoderState(self.hidden[rows], self.cell[rows],
+                            self.context[rows])
 
 
 @dataclass
 class _SourceContext:
-    """Per-sentence source context of one model, shared by every decoder step."""
+    """The source context of one model, read by every decoder step.
+
+    A one-sentence context (R of shape (D, n)) is shared by every row of a
+    block.  A block context (R of shape (N, D, n)) holds one sentence per
+    row, its columns zero past the row's sentence and ``pad`` -inf there."""
 
     R: np.ndarray
-    init_state: np.ndarray
-    chains: dict  # direction -> (source ids, LSTM activations) in run order
+    init_state: np.ndarray  # (N, D): one row per sentence
+    lengths: np.ndarray  # (N,) source lengths
+    chain: tuple  # (source ids (2, n+1, N), LSTM activations): both directions
+    pad: np.ndarray | None = None  # (N, n) 0 or -inf; None: one sentence
     w1_h: np.ndarray | None = None  # attn_W1[:, h-part] for MLP attention
     mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R
     lexicon_matrix: np.ndarray | None = None  # dense L_F; None: no bias
+
+    def take(self, rows) -> "_SourceContext":
+        """What attention reads of the given rows of a block context."""
+        return replace(self, R=self.R[rows], pad=self.pad[rows],
+                       mlp_proj=(None if self.mlp_proj is None
+                                 else self.mlp_proj[rows]))
 
 
 class _Step(NamedTuple):
@@ -189,12 +207,12 @@ class _Step(NamedTuple):
     attn: np.ndarray
     mlp: np.ndarray | None  # tanh activations of MLP attention
     out_in: np.ndarray  # [h; ctx]
-    eta: np.ndarray
+    eta: np.ndarray | None  # None: the output layer has not run
     lex: np.ndarray | None  # L_F a + epsilon
-    logits: np.ndarray
-    logit_max: np.ndarray
-    exp_sum: np.ndarray
-    probs: np.ndarray
+    logits: np.ndarray | None
+    logit_max: np.ndarray | None
+    exp_sum: np.ndarray | None
+    probs: np.ndarray | None
 
 
 def _map_step(fn, step: _Step) -> _Step:
@@ -204,17 +222,16 @@ def _map_step(fn, step: _Step) -> _Step:
     return _Step(tuple(map(part, step.lstm)), *map(part, step[1:]))
 
 
-def _stack(steps, join=np.concatenate) -> _Step:
-    """The rows of the given :class:`_Step` blocks, one after another
-    (``join=np.array``: of one-row steps)."""
+def _stack(steps) -> _Step:
+    """The rows of the given :class:`_Step` blocks, one after another."""
     def cat(*xs):
-        return None if xs[0] is None else join(xs)
+        return None if xs[0] is None else np.concatenate(xs)
     return _Step(tuple(map(cat, *(s.lstm for s in steps))),
                  *map(cat, *(s[1:] for s in steps)))
 
 
 class _Walk(NamedTuple):
-    """N rows stepped in lockstep against one context, T steps long.
+    """N rows stepped in lockstep, T steps long.
 
     ``words`` holds the words of each row, ``ids`` the same as a (T, N)
     array and ``alive`` marks the steps of each row.  ``steps`` holds what
@@ -243,45 +260,85 @@ class _Walk(NamedTuple):
                      self.ids[:len(alive), rows], alive,
                      _map_step(lambda x: x[at], self.steps))
 
+    def row_major(self, x) -> np.ndarray:
+        """The row-steps ``x`` as an (N, T, ...) array, zero past each
+        row's end."""
+        out = np.zeros((*self.alive.shape, *x.shape[1:]))
+        out[self.alive] = x
+        return out.swapaxes(0, 1)
+
+    def per_row(self, x, M) -> np.ndarray:
+        """Each row-step of ``x`` times the matrix of its row, M[r]: one
+        product per row over its steps."""
+        return np.matmul(self.row_major(x), M).swapaxes(0, 1)[self.alive]
+
+    def row_outer(self, x, y) -> np.ndarray:
+        """Per row, the sum over its steps of x_k^T y_k: (N, ., .)."""
+        return np.matmul(self.row_major(x).swapaxes(1, 2), self.row_major(y))
+
 
 def _lstm(W, b, u, c):
     """Coupled-gate LSTM step on u = [x; h]: the forget gate is one minus the
-    input gate.  Returns (hidden, cell, activations)."""
+    input gate.  Returns (hidden, cell, activations).  A stack of weights
+    steps a stack of blocks, one product each."""
     n = c.shape[-1]
-    z = u @ W.T + b
-    i = 1.0 / (1.0 + np.exp(-z[..., :n]))
-    o = 1.0 / (1.0 + np.exp(-z[..., n:2 * n]))
+    z = u @ W.swapaxes(-1, -2) + b
+    gates = 1.0 / (1.0 + np.exp(-z[..., :2 * n]))
+    i, o = gates[..., :n], gates[..., n:]
     g = np.tanh(z[..., 2 * n:])
     c_new = (1.0 - i) * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (u, c, i, o, g, tc)
 
 
-def _encode_g(params: ModelParams, F) -> _SourceContext:
-    """Run both encoder directions over F (without L_F), keeping each
-    direction's LSTM activations for the backward pass."""
-    if len(F) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    for f in F:
-        if not (0 <= f < params.src_vocab_size):
-            raise ValueError(f"source id {f} outside vocabulary")
+def _encoder_weights(params: ModelParams):
+    """Both encoder directions' LSTM weights and biases, stacked."""
     t = params.tensors
-    zero = np.zeros(params.d_hid)
-    chains, hidden = {}, {}
-    for direction, order in (("fwd", list(F)), ("bwd", list(F)[::-1])):
-        ids = order + [params.src_eos]
-        h, c, acts, hidden[direction] = zero, zero, [], []
-        for f in ids:
-            h, c, act = _lstm(t[f"enc_{direction}_W"], t[f"enc_{direction}_b"],
-                              np.concatenate([t["src_emb"][f], h]), c)
-            acts.append(act)
-            hidden[direction].append(h)
-        chains[direction] = (ids, acts)
-    fwd, bwd = hidden["fwd"], hidden["bwd"]
-    n = len(F)
-    R = np.stack([np.concatenate([bwd[n - 1 - j], fwd[j]]) for j in range(n)],
-                 axis=1)
-    enc = _SourceContext(R, np.concatenate([bwd[n], fwd[n]]), chains)
+    return (np.stack([t["enc_fwd_W"], t["enc_bwd_W"]]),
+            np.stack([t["enc_fwd_b"], t["enc_bwd_b"]])[:, None])
+
+
+def _encode_g(params: ModelParams, sources) -> _SourceContext:
+    """Run both encoder directions over the sentences of ``sources`` as the
+    rows of one block, one stacked product per position; a row leaves the
+    block after its sentence end.  Returns their block context without L_F,
+    keeping each direction's LSTM activations for the backward pass."""
+    sources = [tuple(F) for F in sources]
+    for F in sources:
+        if len(F) == 0:
+            raise ValueError("cannot encode an empty sentence")
+        for f in F:
+            if not (0 <= f < params.src_vocab_size):
+                raise ValueError(f"source id {f} outside vocabulary")
+    t, d = params.tensors, params.d_hid
+    lengths = np.array([len(F) for F in sources])
+    N, n = len(sources), int(lengths.max())
+    # axis 0 of the chain is the direction: forward, then backward
+    ids = np.full((2, n + 1, N), params.src_eos)
+    for r, F in enumerate(sources):
+        ids[:, :len(F), r] = F, F[::-1]
+    W, b = _encoder_weights(params)
+    H = np.zeros((2, n + 1, N, d))
+    h = c = np.zeros((2, N, d))
+    live, ended, acts = slice(None), set(lengths.tolist()), []
+    for j in range(n + 1):
+        if j - 1 in ended:  # the rows whose sentence end was step j - 1
+            keep = lengths[live] >= j
+            live, h, c = np.flatnonzero(lengths >= j), h[:, keep], c[:, keep]
+        h, c, act = _lstm(W, b, np.concatenate([t["src_emb"][ids[:, j, live]],
+                                                h], axis=2), c)
+        acts.append(act)
+        H[:, j, live] = h
+    fwd, bwd = H
+    R = np.zeros((N, 2 * d, n))
+    init = np.empty((N, 2 * d))
+    for r, m in enumerate(lengths.tolist()):
+        R[r, :d, :m] = bwd[m - 1::-1, r].T
+        R[r, d:, :m] = fwd[:m, r].T
+        init[r] = np.concatenate([bwd[m, r], fwd[m, r]])
+    enc = _SourceContext(R, init, lengths, (ids, acts),
+                         np.where(np.arange(n) < lengths[:, None], 0.0,
+                                  -np.inf))
     if params.attention == "mlp":
         dec = params.dec_hid
         enc.w1_h = t["attn_W1"][:, :dec].copy()
@@ -290,53 +347,95 @@ def _encode_g(params: ModelParams, F) -> _SourceContext:
 
 
 def _source_context(params: ModelParams, F, lexicon) -> _SourceContext:
-    """Encode F and attach its L_F: the one build of a sentence's context."""
-    enc = _encode_g(params, F)
+    """Encode F and attach its L_F: the one build of a sentence's context,
+    shared by every row of a block."""
+    enc = _encode_g(params, [F])
+    enc.R, enc.pad = enc.R[0], None
+    if enc.mlp_proj is not None:
+        enc.mlp_proj = enc.mlp_proj[0]
     enc.lexicon_matrix = _lexicon_matrix(params, F, lexicon)
     return enc
+
+
+def _block_context(params: ModelParams, sources, lexicon) -> _SourceContext:
+    """Encode the sentences as the rows of one block and attach each row's
+    L_F, zero past its sentence: the context of a block of sentences."""
+    enc = _encode_g(params, sources)
+    mats = [_lexicon_matrix(params, F, lexicon) for F in sources]
+    if mats[0] is not None:
+        enc.lexicon_matrix = np.zeros((len(mats), params.tgt_vocab_size,
+                                       enc.R.shape[2]))
+        for r, L in enumerate(mats):
+            enc.lexicon_matrix[r, :, :L.shape[1]] = L
+    return enc
+
+
+def _by_row(x, M):
+    """Each row of the (B, k) block ``x`` times its context's matrix: ``x @
+    M`` for a shared (k, m) M, row by row for a (B, k, m) M of one matrix
+    per row."""
+    return x @ M if M.ndim == 2 else np.matmul(x[:, None], M)[:, 0]
 
 
 def _attend(params: ModelParams, h, enc: _SourceContext):
     """Attention weights, context vector and (MLP only) tanh activations."""
     if enc.mlp_proj is None:
         m = None
-        scores = h @ enc.R
+        scores = _by_row(h, enc.R)
     else:
         m = np.tanh(enc.mlp_proj + (h @ enc.w1_h.T)[..., None])
         scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
+    if enc.pad is not None:
+        scores = scores + enc.pad  # exp(-inf) = 0: padding weighs nothing
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
-    return a, a @ enc.R.T, m
+    return a, _by_row(a, enc.R.swapaxes(-1, -2)), m
 
 
 def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
-    zero = np.zeros(params.dec_hid)
+    """The initial block state: one row per sentence of the context."""
+    zero = np.zeros(enc.init_state.shape)
     return DecoderState(enc.init_state, zero, zero)
+
+
+def _recurrence(params: ModelParams, prev, state: DecoderState,
+                enc: _SourceContext):
+    """The LSTM and attention of one decoder step of B rows ((B,) ids, a (B,
+    D) state): the new state and the first four fields of its
+    :class:`_Step`."""
+    t = params.tensors
+    u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
+                       axis=1)
+    h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
+    a, ctx, m = _attend(params, h, enc)
+    return DecoderState(h, c, ctx), (lstm, a, m, np.concatenate([h, ctx],
+                                                                axis=1))
+
+
+def _output_layer(params: ModelParams, q, lex):
+    """The output layer's fields of a :class:`_Step` for the rows ``q`` =
+    [h; ctx]; ``lex`` holds each row's L_F a, or is None without the
+    bias."""
+    t = params.tensors
+    eta = q @ t["out_W"].T + t["out_b"]
+    logits = eta @ t["softmax_W"].T + t["softmax_b"]
+    if lex is not None:
+        lex = lex + params.epsilon
+        logits = logits + np.log(lex)
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=1, keepdims=True)
+    return eta, lex, logits, top[:, 0], total[:, 0], e / total
 
 
 def _decoder_step(params: ModelParams, prev, state: DecoderState,
                   enc: _SourceContext):
-    """One decoder step of one row (an id ``prev``, a 1-D state) or of B rows
-    ((B,) ids, a (B, D) state): (new state, :class:`_Step`), both with the
-    matching leading axis; the next-word distribution is the ``probs``."""
-    t = params.tensors
-    u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
-                       axis=-1)
-    h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
-    a, ctx, m = _attend(params, h, enc)
-    q = np.concatenate([h, ctx], axis=-1)
-    eta = q @ t["out_W"].T + t["out_b"]
-    logits = eta @ t["softmax_W"].T + t["softmax_b"]
-    lex = None
-    if enc.lexicon_matrix is not None:
-        lex = a @ enc.lexicon_matrix.T + params.epsilon
-        logits = logits + np.log(lex)
-    top = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - top)
-    total = e.sum(axis=-1, keepdims=True)
-    return (DecoderState(h, c, ctx),
-            _Step(lstm, a, m, q, eta, lex, logits, top[..., 0], total[..., 0],
-                  e / total))
+    """One decoder step of B rows ((B,) ids, a (B, D) state) against a
+    one-sentence context: (new state, :class:`_Step`); the next-word
+    distribution is the ``probs``."""
+    state, (lstm, a, m, q) = _recurrence(params, prev, state, enc)
+    lex = None if enc.lexicon_matrix is None else a @ enc.lexicon_matrix.T
+    return state, _Step(lstm, a, m, q, *_output_layer(params, q, lex))
 
 
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
@@ -376,13 +475,26 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
     At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
     and their (B, V) next-word distributions, and returns their next words
     and whether each row goes on; a row that stops leaves the block, as a
-    finished beam row does."""
+    finished beam row does.
+
+    Against a one-sentence context the rows step through
+    :func:`_block_step`.  Against a block context (one sentence per row,
+    the rows of teacher forcing) they step unpadded through the recurrence
+    and attention alone, and ``probs`` is None: teacher forcing never feeds
+    the output back, so the output layer and the lexicon bias run once over
+    all row-steps after the walk."""
+    per_row = enc.R.ndim == 3
     live = np.arange(n_rows)
     prev = np.full(n_rows, params.tgt_eos)
-    state, keep = _init_state(params, enc), np.zeros(n_rows, dtype=np.intp)
+    state, ctx = _init_state(params, enc), enc
+    keep = None if per_row else np.zeros(n_rows, dtype=np.intp)
     steps, chosen = [], []
     while len(live):
-        state, s = _block_step(params, prev, state, keep, enc)
+        if per_row:
+            state, s = _recurrence(params, prev, state, ctx)
+            s = _Step(*s, *[None] * 6)  # the output layer runs after the walk
+        else:
+            state, s = _block_step(params, prev, state, keep, enc)
         prev, goes_on = choose(len(steps), live, s.probs)
         steps.append(s)
         chosen.append((live, prev))
@@ -391,14 +503,23 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
         else:
             keep = np.flatnonzero(goes_on)
             live, prev = live[keep], prev[keep]
+            if per_row:
+                state, ctx = state.take(keep), ctx.take(keep)
     ids = np.zeros((len(steps), n_rows), dtype=np.intp)
     alive = np.zeros(ids.shape, dtype=bool)
     for t, (rows, chosen_ids) in enumerate(chosen):
         ids[t, rows] = chosen_ids
         alive[t, rows] = True
     lengths = alive.sum(axis=0).tolist()
-    return _Walk([tuple(w[:n]) for w, n in zip(ids.T.tolist(), lengths)],
+    walk = _Walk([tuple(w[:n]) for w, n in zip(ids.T.tolist(), lengths)],
                  ids, alive, _stack(steps))
+    if not per_row:
+        return walk
+    s = walk.steps
+    lex = (None if enc.lexicon_matrix is None else
+           walk.per_row(s.attn, enc.lexicon_matrix.swapaxes(1, 2)))
+    return walk._replace(steps=_Step(*s[:4], *_output_layer(params, s.out_in,
+                                                           lex)))
 
 
 def _check_target(params: ModelParams, E):
@@ -411,7 +532,8 @@ def _check_target(params: ModelParams, E):
 def _teacher_forced(params: ModelParams, enc: _SourceContext,
                     targets) -> _Walk:
     """The lockstep walk that feeds each target sequence its own reference
-    words, stepped in blocks as sampling steps."""
+    words: against a one-sentence context in the blocks that sampling
+    steps, against a block context row r reads sentence r."""
     targets = [tuple(E) for E in targets]
     for E in targets:
         _check_target(params, E)
@@ -421,23 +543,6 @@ def _teacher_forced(params: ModelParams, enc: _SourceContext,
         ids[r, :len(E)] = E
     return _lockstep(params, enc, len(targets),
                      lambda t, rows, _: (ids[rows, t], lengths[rows] > t + 1))
-
-
-def _sentence_walk(params: ModelParams, enc: _SourceContext, E) -> _Walk:
-    """The one-row walk of teacher forcing over E, stepped as vectors
-    (gemv products): maximum likelihood's walk, one sentence at a time."""
-    E = tuple(E)
-    _check_target(params, E)
-    state = _init_state(params, enc)
-    prev = params.tgt_eos
-    steps = []
-    for e in E:
-        state, step = _decoder_step(params, prev, state, enc)
-        steps.append(step)
-        prev = e
-    ids = np.array(E)[:, None]
-    return _Walk([E], ids, np.ones(ids.shape, dtype=bool),
-                 _stack(steps, np.array))
 
 
 def _logprobs(walk: _Walk) -> np.ndarray:
@@ -469,12 +574,13 @@ def _lstm_back(act, dh, dc, dz):
 
 def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
               grads):
-    """Add to ``grads`` the gradient of sum_r seeds[r] * log p(E_r | F).
+    """Add to ``grads`` the gradient of sum_r seeds[r] * log p(E_r | F_r).
 
     ``walk`` holds the target sequences E_r and their teacher-forced steps
-    against the one context ``enc``.  Teacher forcing never feeds the output
-    layer back into the recurrence, so the output layer and the lexicon bias
-    are differentiated for all steps at once, and the LSTM weights take one
+    against ``enc``: one sentence F shared by all rows, or a block context
+    whose row r holds F_r.  Teacher forcing never feeds the output layer
+    back into the recurrence, so the output layer and the lexicon bias are
+    differentiated for all steps at once, and the LSTM weights take one
     product after the walk back through attention and the recurrence.  That
     walk steps all rows back together: each step's products are one product
     over the rows of its block, and a row joins at its last word.  The
@@ -485,6 +591,7 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
                          "sequences")
     t = params.tensors
     D, d_emb, R = params.dec_hid, params.d_emb, enc.R
+    per_row = R.ndim == 3
     s = walk.steps
     # the row-steps are in step order, each step's rows in row order
     alive, ids = walk.alive, walk.ids
@@ -506,7 +613,9 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     dQ = dEta @ t["out_W"]
     dA = np.zeros_like(A)
     if enc.lexicon_matrix is not None:
-        dA += (G / s.lex) @ enc.lexicon_matrix
+        dLex = G / s.lex
+        dA += (walk.per_row(dLex, enc.lexicon_matrix) if per_row
+               else dLex @ enc.lexicon_matrix)
 
     mlp = enc.mlp_proj is not None
     dCtx = dQ[:, D:].copy()
@@ -525,9 +634,12 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
                        else np.zeros(sizes[k], dtype=bool))
             dh_next, dc, dctx_next = (_rows_into(x, goes_on)
                                       for x in (dh_next, dc, dctx_next))
+            if per_row:  # the contexts of this step's rows
+                rows = np.flatnonzero(alive[k])
+                R = enc.R[rows]
         attn = A[at]
         dCtx[at] += dctx_next
-        da = dA[at] + dCtx[at] @ R
+        da = dA[at] + _by_row(dCtx[at], R)
         dS[at] = ds = attn * (da - np.matmul(da[:, None], attn[:, :, None])[:, 0])
         dh = dQ[at, :D] + dh_next
         if mlp:
@@ -536,59 +648,82 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
             grads["attn_w2"] += (m.transpose(1, 0, 2).reshape(len(m[0]), -1)
                                  @ ds.reshape(-1))
             dpre = t["attn_w2"][:, None] * ds[:, None, :] * (1.0 - m * m)
-            for x in dpre:
-                dP += x
+            if per_row:
+                dP[rows] += dpre
+            else:
+                for x in dpre:
+                    dP += x
             K[at] = dpre.sum(axis=2)
             dh += K[at] @ enc.w1_h
         else:
-            dh += ds @ R.T
+            dh += _by_row(ds, R.swapaxes(-1, -2))
         dc = _lstm_back([x[at] for x in s.lstm], dh, dc, dZ[at])
         dU[at] = dZ[at] @ t["dec_W"]
         dctx_next = dU[at, d_emb:d_emb + D]
         dh_next = dU[at, d_emb + D:]
-    d_init = dh_next.sum(axis=0)
 
     grads["dec_W"] += dZ.T @ s.lstm[0]
     grads["dec_b"] += dZ.sum(axis=0)
     np.add.at(grads["tgt_emb"], prev_words, dU[:, :d_emb])
-    dR = dCtx.T @ A
+    R = enc.R
+    # sum over row-steps of x_k^T y_k: one sum per row of a block context
+    outer = walk.row_outer if per_row else (lambda x, y: x.T @ y)
+    dR = outer(dCtx, A)
     if mlp:
         grads["attn_W1"][:, :D] += K.T @ Q[:, :D]
-        grads["attn_W1"][:, D:] += dP @ R.T
+        dW1 = dP @ R.swapaxes(-1, -2)
+        grads["attn_W1"][:, D:] += dW1.sum(axis=0) if per_row else dW1
         dR += t["attn_W1"][:, D:].T @ dP
     else:
-        dR += Q[:, :D].T @ dS
-    _encoder_backward(params, enc, dR, d_init, grads)
+        dR += outer(Q[:, :D], dS)
+    if not per_row:  # one sentence: what its rows send back adds up
+        dR, dh_next = dR[None], dh_next.sum(axis=0, keepdims=True)
+    _encoder_backward(params, enc, dR, dh_next, grads)
 
 
 def _rows_into(x, rows):
-    """``x`` as the rows of a mask, the other rows zero."""
-    out = np.zeros((len(rows), x.shape[1]))
-    out[rows] = x
+    """``x`` as the rows of a mask (its second-last axis), the other rows
+    zero."""
+    out = np.zeros((*x.shape[:-2], len(rows), x.shape[-1]))
+    out[..., rows, :] = x
     return out
 
 
 def _encoder_backward(params: ModelParams, enc: _SourceContext, dR, d_init,
                       grads):
-    """Walk both encoder chains back from the gradients of R and of the
-    decoder's initial state."""
-    d, d_emb = params.d_hid, params.d_emb
-    # each chain's hidden outputs in run order: the word columns, then the
-    # sentence-end step that feeds the initial state
-    for direction, dH in (("fwd", np.vstack([dR[d:].T, d_init[d:]])),
-                          ("bwd", np.vstack([dR[:d, ::-1].T, d_init[:d]]))):
-        ids, acts = enc.chains[direction]
-        W = params.tensors[f"enc_{direction}_W"]
-        dZ = np.empty((len(acts), 3 * d))
-        dU = np.empty((len(acts), W.shape[1]))
-        dh, dc = np.zeros(d), np.zeros(d)
-        for k in reversed(range(len(acts))):
-            dc = _lstm_back(acts[k], dH[k] + dh, dc, dZ[k])
-            dU[k] = W.T @ dZ[k]
-            dh = dU[k, d_emb:]
-        grads[f"enc_{direction}_W"] += dZ.T @ np.stack([a[0] for a in acts])
-        grads[f"enc_{direction}_b"] += dZ.sum(axis=0)
-        np.add.at(grads["src_emb"], ids, dU[:, :d_emb])
+    """Walk both encoder directions back, all rows together, from the
+    gradients of the rows' R ((N, D, n)) and of their decoder initial
+    states ((N, D)); a row joins at its sentence end."""
+    d, d_emb, lengths = params.d_hid, params.d_emb, enc.lengths
+    ids, acts = enc.chain
+    n = ids.shape[1] - 1
+    # each row's positions in run order, then its sentence-end step, which
+    # feeds the initial state
+    alive = np.arange(n + 1)[:, None] <= lengths
+    sizes = alive.sum(axis=1).tolist()
+    ends = [0, *itertools.accumulate(sizes)]
+    dH = np.zeros((2, n + 1, len(lengths), d))
+    for r, m in enumerate(lengths.tolist()):
+        dH[0, :m, r], dH[1, :m, r] = dR[r, d:, :m].T, dR[r, :d, m - 1::-1].T
+        dH[:, m, r] = d_init[r, d:], d_init[r, :d]
+    W, _ = _encoder_weights(params)
+    dZ = np.empty((2, ends[-1], 3 * d))
+    dU = np.empty((2, ends[-1], W.shape[2]))
+    dh = dc = np.zeros((2, 0, d))
+    for k in reversed(range(n + 1)):
+        at = slice(ends[k], ends[k + 1])
+        rows = alive[k] if sizes[k] < len(lengths) else slice(None)
+        if dh.shape[1] < sizes[k]:  # rows that end at step k start at zero
+            goes_on = lengths[rows] > k
+            dh, dc = _rows_into(dh, goes_on), _rows_into(dc, goes_on)
+        dc = _lstm_back(acts[k], dH[:, k, rows] + dh, dc, dZ[:, at])
+        dU[:, at] = dZ[:, at] @ W
+        dh = dU[:, at, d_emb:]
+    for i, direction in enumerate(("fwd", "bwd")):
+        grads[f"enc_{direction}_W"] += dZ[i].T @ np.concatenate(
+            [a[0][i] for a in acts])
+        grads[f"enc_{direction}_b"] += dZ[i].sum(axis=0)
+        np.add.at(grads["src_emb"], ids[i][alive], dU[i, :, :d_emb])
 
 
 def _as_model_list(models) -> list[ModelParams]:

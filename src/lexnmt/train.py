@@ -9,11 +9,17 @@ Minimum-risk training minimizes the expected error 1 - SBLEU over sampled
 translations, with sample probabilities sharpened by ``alpha`` and
 renormalized over the sample set.
 
-Both losses take their gradients from the model's sentence backward
-(:func:`lexnmt.model._backward`).  Maximum likelihood seeds it with -1 per
-sentence; minimum risk is weighted teacher forcing: the distinct samples of
-a sentence are scored against one encoding and each is seeded with the
-derivative of the expected error by its log-probability (Shen et al. 2016).
+Both losses take their gradients from the model's backward
+(:func:`lexnmt.model._backward`).  Maximum likelihood steps the sentences
+of a minibatch (or of the dev set) as the rows of blocks of at most
+``model.BLOCK_ROWS`` rows, longest target first: each block is encoded
+together, teacher-forced through the recurrence and attention, scored by
+one output-layer product over all its row-steps, and walked back together
+with -1 per sentence.  Minimum risk is weighted teacher forcing: the
+distinct samples of a sentence are scored against one encoding and each is
+seeded with the derivative of the expected error by its log-probability
+(Shen et al. 2016).  A training run fills one gradient dict, zeroed before
+each loss.
 
 The N samples of a sentence are drawn in lockstep: they are the rows of one
 block state, stepped together in blocks of ``model.BLOCK_ROWS`` rows, with
@@ -33,9 +39,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
-from .model import (ModelParams, _backward, _length_cap, _lockstep, _logprobs,
-                    _sentence_walk, _source_context, _teacher_forced,
-                    save_checkpoint)
+from .model import (BLOCK_ROWS, ModelParams, _backward, _block_context,
+                    _length_cap, _lockstep, _logprobs, _source_context,
+                    _teacher_forced, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -77,6 +83,10 @@ class TrainConfig:
             raise ValueError("word_budget and clip_norm must be finite, > 0")
         if self.dev_check_interval < 1 or self.patience < 1:
             raise ValueError("dev_check_interval and patience must be positive")
+        if self.max_epochs is not None and self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.mrt.max_sample_len is not None and self.mrt.max_sample_len < 1:
+            raise ValueError("mrt.max_sample_len must be >= 1")
         if self.mrt.num_samples < 2:
             raise ValueError("mrt.num_samples must be >= 2")
         _check_alpha(self.mrt.alpha)
@@ -168,22 +178,40 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
     return tuple(pair.target) + (params.tgt_eos,)
 
 
-def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
+def _zero_grads(params: ModelParams, grads=None) -> dict[str, np.ndarray]:
+    """Zero gradients of every tensor: ``grads`` zeroed in place, or a
+    fresh dict."""
+    if grads is None:
+        return {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    for g in grads.values():
+        g.fill(0.0)
+    return grads
 
 
-def nll_loss(params: ModelParams, batch, lexicon=None):
-    """Total negative log-likelihood of a batch and its parameter gradients."""
+def _ml_blocks(params: ModelParams, pairs, lexicon):
+    """The teacher-forced walks of ``pairs`` as the rows of blocks of at
+    most BLOCK_ROWS rows, longest target first (ties in the given order):
+    (block context, walk) per block."""
+    pairs = sorted(pairs, key=lambda p: -len(p.target))
+    for i in range(0, len(pairs), BLOCK_ROWS):
+        block = pairs[i:i + BLOCK_ROWS]
+        enc = _block_context(params, [p.source for p in block], lexicon)
+        yield enc, _teacher_forced(
+            params, enc, [_target_with_eos(params, p) for p in block])
+
+
+def nll_loss(params: ModelParams, batch, lexicon=None, *, grads=None):
+    """Total negative log-likelihood of a batch and its parameter gradients,
+    filled into ``grads`` (zeroed first) or a fresh dict."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
     total = 0.0
-    grads = _zero_grads(params)
-    for pair in batch:
-        enc = _source_context(params, pair.source, lexicon)
-        walk = _sentence_walk(params, enc, _target_with_eos(params, pair))
-        total -= float(_logprobs(walk)[0])
-        _backward(params, enc, walk, [-1.0], grads)
+    grads = _zero_grads(params, grads)
+    for enc, walk in _ml_blocks(params, batch, lexicon):
+        for logp in _logprobs(walk).tolist():
+            total -= logp
+        _backward(params, enc, walk, np.full(len(walk.words), -1.0), grads)
     return total, grads
 
 
@@ -191,11 +219,10 @@ def corpus_nll(params: ModelParams, pairs, lexicon=None) -> float:
     """Mean per-token negative log-likelihood over a corpus."""
     total = 0.0
     tokens = 0
-    for pair in pairs:
-        enc = _source_context(params, pair.source, lexicon)
-        E = _target_with_eos(params, pair)
-        total -= float(_logprobs(_sentence_walk(params, enc, E))[0])
-        tokens += len(E)
+    for _, walk in _ml_blocks(params, pairs, lexicon):
+        for logp in _logprobs(walk).tolist():
+            total -= logp
+        tokens += int(walk.alive.sum())
     return total / tokens
 
 
@@ -282,12 +309,13 @@ def _expected_error(params: ModelParams, E_ref, walk, alpha: float):
     return loss, alpha * weights * (errors - loss)
 
 
-def _risk_gradient(params: ModelParams, enc, E_ref, walk, alpha: float):
+def _risk_gradient(params: ModelParams, enc, E_ref, walk, alpha: float,
+                   grads=None):
     """Expected error over the samples of ``walk`` and its gradient: one
     backward pass seeded per sample with d error / d logp, one encoder walk
     for them all."""
     loss, seeds = _expected_error(params, E_ref, walk, alpha)
-    grads = _zero_grads(params)
+    grads = _zero_grads(params, grads)
     _backward(params, enc, walk, seeds, grads)
     return loss, grads
 
@@ -310,8 +338,9 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
 
 def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
              alpha: float = 0.005, rng=None, max_sample_len: int | None = None,
-             lexicon=None):
-    """Sampled minimum-risk loss for one sentence; duplicates are collapsed."""
+             lexicon=None, *, grads=None):
+    """Sampled minimum-risk loss for one sentence; duplicates are collapsed.
+    The gradients fill ``grads`` (zeroed first) or a fresh dict."""
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     _check_alpha(alpha)
@@ -322,7 +351,7 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
         _draw_samples(params, enc, F, num_samples, rng, max_sample_len))
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in walk.words):
         raise _EmptySamples("all sampled translations are empty")
-    return _risk_gradient(params, enc, E_ref, walk, alpha)
+    return _risk_gradient(params, enc, E_ref, walk, alpha, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +410,7 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     batches = make_minibatches(train_pairs, config.word_budget)
     rng = np.random.default_rng(config.seed)
     opt = OptimizerState(params.tensors)
+    grads = _zero_grads(params)
     log = TrainLogWriter(run_dir, header=_config_header(config, {"mode": "ml"}))
 
     best = params.copy()
@@ -424,7 +454,7 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     while not stop and (config.max_epochs is None or epoch < config.max_epochs):
         for bi in rng.permutation(len(batches)):
             batch = batches[bi]
-            loss, grads = nll_loss(params, batch, lexicon)
+            loss, grads = nll_loss(params, batch, lexicon, grads=grads)
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite loss in minibatch {bi}")
             clip_gradients(grads, config.clip_norm)
@@ -473,6 +503,7 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     mrt = config.mrt
     rng = np.random.default_rng(config.seed)
     opt = OptimizerState(params.tensors)
+    grads = _zero_grads(params)
     log = TrainLogWriter(run_dir, header=_config_header(config, {"mode": "mrt"}))
 
     best = params.copy()
@@ -487,7 +518,8 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
                 loss, grads = mrt_loss(
                     params, pair.source, pair.target,
                     num_samples=mrt.num_samples, alpha=mrt.alpha, rng=rng,
-                    max_sample_len=mrt.max_sample_len, lexicon=lexicon)
+                    max_sample_len=mrt.max_sample_len, lexicon=lexicon,
+                    grads=grads)
             except _EmptySamples:
                 # every sample scores SBLEU 0, so the expected error is 1
                 # whatever the weights, and there is no gradient to follow

@@ -318,13 +318,13 @@ def greedy_decode(models, F, max_len=None, lexicon=None):
 def token_accuracy(params, pairs, lexicon=None):
     """Fraction of target positions where the argmax next-word prediction is
     correct under teacher forcing (sentence-end step included)."""
-    from lexnmt.model import _sentence_walk, _source_context
+    from lexnmt.model import _block_context, _teacher_forced
     correct = 0
     total = 0
     for pair in pairs:
-        enc = _source_context(params, pair.source, lexicon)
+        enc = _block_context(params, [pair.source], lexicon)  # a one-row block
         E = tuple(pair.target) + (params.tgt_eos,)
-        steps = _sentence_walk(params, enc, E).steps  # one row a step
+        steps = _teacher_forced(params, enc, [E]).steps
         for e, logits in zip(E, steps.logits):
             correct += int(np.argmax(logits) == e)
             total += 1

@@ -453,15 +453,18 @@ def test_bad_search_flags_are_usage_errors(tmp_path, capsys, command, flag,
     ("train", "--clip-norm", "inf"), ("train", "--d-emb", "0"),
     ("train", "--d-hid", "0"), ("train", "--attn-dim", "0"),
     ("train", "--epsilon", "nan"), ("train", "--epsilon", "inf"),
+    ("train", "--epsilon", "0"), ("train", "--epsilon", "-1"),
+    ("train", "--max-epochs", "0"), ("train", "--max-epochs", "-2"),
     ("mrt-train", "--samples", "1"), ("mrt-train", "--alpha", "nan"),
-    ("mrt-train", "--alpha", "0"), ("mrt-train", "--lr", "-1")])
+    ("mrt-train", "--alpha", "0"), ("mrt-train", "--lr", "-1"),
+    ("mrt-train", "--max-sample-len", "0")])
 def test_bad_training_flags_are_usage_errors(tmp_path, capsys, command, flag,
                                              value):
     # refused before any file is read: every input named here is missing,
     # which would exit 2 once loading began
     inputs = ["--train-src", "--train-tgt", "--dev-src", "--dev-tgt",
-              *{"train": ["--src-vocab", "--tgt-vocab"],
-                "mrt-train": ["--init"]}[command]]
+              "--lexicon", *{"train": ["--src-vocab", "--tgt-vocab"],
+                             "mrt-train": ["--init"]}[command]]
     argv = [command, "--run-dir", str(tmp_path / "run"),
             *(arg for name in inputs for arg in (name, str(tmp_path / "x")))]
     assert main([*argv, f"{flag}={value}"]) == 1

@@ -68,13 +68,20 @@ def test_lstm_forget_gate_is_one_minus_input_gate():
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
 def test_encode_matches_oracle(attention):
+    # each sentence alone, and all three as the ragged rows of one block
     params = tiny_model(attention=attention, seed=3)
-    for F in [(2,), (1, 4, 3), (5, 5, 0, 2)]:
-        enc = _encode_g(params, F)
+    sources = [(2,), (1, 4, 3), (5, 5, 0, 2)]
+    block = _encode_g(params, sources)
+    assert block.R.shape == (3, params.dec_hid, 4)
+    for r, F in enumerate(sources):
         R_ref, init_ref = ref_encode(params, F)
-        assert enc.R.shape == (params.dec_hid, len(F))
-        assert np.allclose(enc.R, R_ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(enc.init_state, init_ref, rtol=1e-9, atol=1e-12)
+        alone = _source_context(params, F, None)
+        assert alone.R.shape == (params.dec_hid, len(F))
+        for R, init in ((alone.R, alone.init_state[0]),
+                        (block.R[r], block.init_state[r])):
+            assert np.allclose(R[:, :len(F)], R_ref, rtol=1e-9, atol=1e-12)
+            assert not R[:, len(F):].any()
+            assert np.allclose(init, init_ref, rtol=1e-9, atol=1e-12)
 
 
 def test_encode_columns_are_backward_then_forward():
@@ -96,21 +103,23 @@ def test_encode_columns_are_backward_then_forward():
         h, c = _lstm_step(t["enc_bwd_W"], t["enc_bwd_b"], xs[j], h, c)
         bwd[j] = h
 
-    R = _encode_g(params, F).R
+    R = _source_context(params, F, None).R
     for j in range(len(F)):
         assert np.allclose(R[:d, j], bwd[j], atol=1e-12)
         assert np.allclose(R[d:, j], fwd[j], atol=1e-12)
 
 
 def test_encode_rejects_empty_source():
-    with pytest.raises(ValueError):
-        _encode_g(tiny_model(), ())
+    for sources in ([()], [(1,), ()]):  # alone, and as a row of a block
+        with pytest.raises(ValueError, match="empty sentence"):
+            _encode_g(tiny_model(), sources)
 
 
 def test_init_decoder_state_zero_cell_and_context():
     params = tiny_model(seed=5)
-    enc = _encode_g(params, (1, 2))
-    state = _init_state(params, enc)
+    enc = _source_context(params, (1, 2), None)
+    state = _init_state(params, enc)  # a one-row block
+    assert state.hidden.shape == (1, params.dec_hid)
     assert np.array_equal(state.hidden, enc.init_state)
     assert not np.any(state.cell) and not np.any(state.context)
 
@@ -124,8 +133,9 @@ def test_attend_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=6)
     rng = np.random.default_rng(6)
     h = rng.normal(size=params.dec_hid)
-    enc = _encode_g(params, (1, 4, 2, 3, 0))
-    a, ctx, _ = _attend(params, h, enc)
+    enc = _source_context(params, (1, 4, 2, 3, 0), None)
+    a, ctx, _ = _attend(params, h[None], enc)  # a one-row block
+    a, ctx = a[0], ctx[0]
     R = enc.R
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(a >= 0)

@@ -11,7 +11,7 @@ import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
 from lexnmt.errors import DataError, NumericalError
 from lexnmt.metrics import sbleu
-from lexnmt.model import _teacher_forced, sentence_logprob
+from lexnmt.model import BLOCK_ROWS, _teacher_forced, sentence_logprob
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
                           expected_sampled_error, gradient_norm, mrt_loss,
@@ -98,6 +98,22 @@ def test_nll_loss_value_matches_sentence_logprob():
     assert loss == pytest.approx(want, rel=1e-9)
 
 
+def test_losses_zero_a_reused_gradient_dict():
+    # a training run passes one dict to every loss: it is zeroed first and
+    # filled in place, bit for bit what a fresh dict receives
+    params = tiny_model(seed=31, attention="mlp")
+    batch = [SentencePair((2, 1), (1, 3)), SentencePair((4,), (5, 2, 2))]
+    for loss_fn in (lambda **k: nll_loss(params, batch, **k),
+                    lambda **k: mrt_loss(params, (1, 2), (3,), num_samples=4,
+                                         rng=np.random.default_rng(2), **k)):
+        want, fresh = loss_fn()
+        reused = {k: np.full_like(v, 7.0) for k, v in params.tensors.items()}
+        loss, grads = loss_fn(grads=reused)
+        assert grads is reused and loss == want
+        for name in params.tensors:
+            assert np.array_equal(grads[name], fresh[name]), name
+
+
 def test_nll_loss_is_additive_over_the_batch():
     params = tiny_model(seed=32)
     p1, p2 = SentencePair((2,), (1, 3)), SentencePair((4, 1), (5,))
@@ -121,6 +137,29 @@ def test_gradient_steps_reduce_loss():
         adam_update(params, grads, opt, lr=0.05)
         loss, grads = nll_loss(params, batch)
     assert loss < first
+
+
+def test_ml_steps_each_block_to_its_longest_target(monkeypatch):
+    # the sentences step as the rows of blocks of at most BLOCK_ROWS rows,
+    # longest target first, each block encoded once: the decoder recurrence
+    # runs once per step of each block's longest target, where one sentence
+    # at a time would run once per target word
+    params = tiny_model(seed=37)
+    rng = np.random.default_rng(37)
+    pairs = [SentencePair(tuple(int(x) for x in rng.integers(1, 6, n)),
+                          tuple(int(x) for x in rng.integers(1, 7, m)))
+             for n, m in rng.integers(1, 7, (BLOCK_ROWS + 3, 2))]
+    lengths = sorted((len(p.target) + 1 for p in pairs), reverse=True)
+    blocks = [lengths[i:i + BLOCK_ROWS]
+              for i in range(0, len(lengths), BLOCK_ROWS)]
+    assert len(blocks) == 2 and len(set(lengths)) > 1
+    for loss in (nll_loss, corpus_nll):
+        steps = count_calls(monkeypatch, model_mod, "_recurrence")
+        encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+        loss(params, pairs)
+        assert len(steps) == sum(block[0] for block in blocks) < sum(lengths)
+        assert len(encodes) == len(blocks)
+        monkeypatch.undo()
 
 
 def test_corpus_nll_is_token_averaged():
@@ -163,8 +202,11 @@ def test_gradients_match_finite_differences_on_a_few_coordinates(
     eos = params.tgt_eos
     F, E = (1, 4, 2), (3, 5, 1)
     samples = [(3, 5, 1, eos), (2, eos), (6, 6, 3, 1), (eos,)]
+    # one block of sentences with different source and target lengths
+    batch = [SentencePair(F, E), SentencePair((5,), (2, 6)),
+             SentencePair((3, 1, 4, 2, 5), (4,))]
     losses = {
-        "nll": lambda: nll_loss(params, [SentencePair(F, E)], table),
+        "nll": lambda: nll_loss(params, batch, table),
         "mrt": lambda: mrt_loss_frozen(params, F, E, samples, alpha=1.0,
                                        lexicon=table),
     }
@@ -526,6 +568,11 @@ def test_train_config_validation():
         TrainConfig(mrt=MrtSettings(alpha=0.0))
     with pytest.raises(ValueError):
         TrainConfig(mrt=MrtSettings(alpha=float("nan")))
+    for bad in ({"max_epochs": 0}, {"max_epochs": -1},
+                {"mrt": MrtSettings(max_sample_len=0)}):
+        with pytest.raises(ValueError, match=">= 1"):
+            TrainConfig(**bad)
+    assert TrainConfig(max_epochs=None).max_epochs is None
     assert TrainConfig().initial_lr == 0.001
 
 
