@@ -214,6 +214,9 @@ def _config_value(action, value):
 # ---------------------------------------------------------------------------
 
 def _cmd_preprocess(args):
+    _check_positive(args, "src_vocab_size", "tgt_vocab_size")
+    if args.merges < 0:
+        raise _UsageError("--merges must be >= 0")
     if (args.dev_src is None) != (args.dev_tgt is None):
         raise _UsageError("--dev-src and --dev-tgt must be given together")
     src, tgt = read_parallel(args.train_src, args.train_tgt)
@@ -249,6 +252,9 @@ def _cmd_preprocess(args):
 
 
 def _cmd_align(args):
+    _check_positive(args, "iterations")
+    if not 0 <= args.min_prob < 1:  # False for nan too
+        raise _UsageError("--min-prob must be in [0, 1)")
     src, tgt = read_parallel(args.src, args.tgt)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)

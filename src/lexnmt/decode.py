@@ -65,7 +65,7 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
         raise ValueError("max_len must be >= 1")
 
     eos = models[0].tgt_eos
-    encs = [_source_context(m, F, lexicon) for m in models]
+    encs = [_source_context(m, [F], lexicon) for m in models]
     blocks = [_init_state(m, enc) for m, enc in zip(models, encs)]
     # each token row starts with the sentence end, the first decoder input
     tokens, logprob, rows = np.array([[eos]]), np.zeros(1), [0]

@@ -9,27 +9,29 @@ source words.
 
 The model is written once, in numpy over plain arrays.  Everything that
 depends only on the source (R, the decoder's initial state, the MLP
-projection W1_r R and L_F) is built once per model and context:
-:func:`_encode_g` runs the encoder over the sentences of a block as its
-rows.  A one-sentence context (:func:`_source_context`) is shared by every
-row of a decoder block; a block context (:func:`_block_context`) holds one
-sentence per row, padded to the longest, and attention gives the padded
-positions weight exactly 0.  One step function, :func:`_decoder_step`, steps a block
-of rows and serves beam search, sampling and scoring; it also returns what
-the step computed.  :func:`_lockstep` walks several target sequences
-forward together, as rows of one block that a row leaves after its last
-word; teacher forcing and ancestral sampling are its two ways of choosing
-the next words (minimum risk's samples and their scoring,
-:func:`sentence_logprob`, and maximum likelihood).  Against a block
-context the walk steps only the recurrence and attention
-(:func:`_recurrence`, the first half of the step), and the output layer
-runs once over all row-steps after it.  :func:`_backward` derives
-exact gradients from the walk by a hand-written backward pass through time
+projection W1_r R and L_F) is built once per model and context by
+:func:`_source_context`: N sentences, encoded together as the rows of one
+block (:func:`_encode_g`) and padded to the longest, where attention gives
+the padded positions weight exactly 0.  Row r of a decoder block reads
+sentence r; a one-sentence context is read by every row, one product for
+them all.  One step function, :func:`_decoder_step`, steps a block of rows
+and serves beam search, sampling and scoring; it also returns what the step
+computed.  :func:`_lockstep` walks several target sequences forward
+together, as rows of one block that a row leaves after its last word;
+teacher forcing and ancestral sampling are its two ways of choosing the
+next words.  The caller picks the walk: the padded walk steps fixed-size
+blocks through :func:`_block_step`, so scoring, sampling and search agree
+bit for bit; the deferred walk, which teacher forcing may take when it
+needs no step's distribution (maximum likelihood), steps only the
+recurrence and attention (:func:`_recurrence`) and runs the output layer
+once over all row-steps after it.  :func:`_backward` derives exact
+gradients from either walk by a hand-written backward pass through time
 that walks the rows back in lockstep too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -177,23 +179,25 @@ class DecoderState:
 
 @dataclass
 class _SourceContext:
-    """The source context of one model, read by every decoder step.
+    """The source context of N sentences for one model, read by every
+    decoder step: row r of a block reads sentence r, and the one sentence of
+    an N = 1 context is read by every row.  Each sentence's columns are zero
+    past its end, and ``pad`` is -inf there."""
 
-    A one-sentence context (R of shape (D, n)) is shared by every row of a
-    block.  A block context (R of shape (N, D, n)) holds one sentence per
-    row, its columns zero past the row's sentence and ``pad`` -inf there."""
-
-    R: np.ndarray
+    R: np.ndarray  # (N, D, n)
     init_state: np.ndarray  # (N, D): one row per sentence
     lengths: np.ndarray  # (N,) source lengths
     chain: tuple  # (source ids (2, n+1, N), LSTM activations): both directions
-    pad: np.ndarray | None = None  # (N, n) 0 or -inf; None: one sentence
+    pad: np.ndarray  # (N, n) 0 or -inf
     w1_h: np.ndarray | None = None  # attn_W1[:, h-part] for MLP attention
-    mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R
-    lexicon_matrix: np.ndarray | None = None  # dense L_F; None: no bias
+    mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R: (N, a, n)
+    lexicon_matrix: np.ndarray | None = None  # L_F (N, V, n); None: no bias
 
     def take(self, rows) -> "_SourceContext":
-        """What attention reads of the given rows of a block context."""
+        """What attention reads for the given rows: their sentences, or the
+        context itself when it holds one sentence."""
+        if len(self.R) == 1:
+            return self
         return replace(self, R=self.R[rows], pad=self.pad[rows],
                        mlp_proj=(None if self.mlp_proj is None
                                  else self.mlp_proj[rows]))
@@ -268,12 +272,19 @@ class _Walk(NamedTuple):
         return out.swapaxes(0, 1)
 
     def per_row(self, x, M) -> np.ndarray:
-        """Each row-step of ``x`` times the matrix of its row, M[r]: one
-        product per row over its steps."""
+        """Each row-step of ``x`` times the matrix of its row's sentence:
+        one product over all row-steps for a single M[0], else one product
+        per row r over its steps with M[r]."""
+        if len(M) == 1:
+            return x @ M[0]
         return np.matmul(self.row_major(x), M).swapaxes(0, 1)[self.alive]
 
-    def row_outer(self, x, y) -> np.ndarray:
-        """Per row, the sum over its steps of x_k^T y_k: (N, ., .)."""
+    def row_outer(self, x, y, n) -> np.ndarray:
+        """Per sentence of an n-sentence context, the sum over its rows'
+        steps of x_k^T y_k: (n, ., .); the one sentence of n = 1 takes one
+        product over all row-steps, else row r reads sentence r."""
+        if n == 1:
+            return (x.T @ y)[None]
         return np.matmul(self.row_major(x).swapaxes(1, 2), self.row_major(y))
 
 
@@ -301,7 +312,7 @@ def _encoder_weights(params: ModelParams):
 def _encode_g(params: ModelParams, sources) -> _SourceContext:
     """Run both encoder directions over the sentences of ``sources`` as the
     rows of one block, one stacked product per position; a row leaves the
-    block after its sentence end.  Returns their block context without L_F,
+    block after its sentence end.  Returns their context without L_F,
     keeping each direction's LSTM activations for the backward pass."""
     sources = [tuple(F) for F in sources]
     for F in sources:
@@ -346,20 +357,9 @@ def _encode_g(params: ModelParams, sources) -> _SourceContext:
     return enc
 
 
-def _source_context(params: ModelParams, F, lexicon) -> _SourceContext:
-    """Encode F and attach its L_F: the one build of a sentence's context,
-    shared by every row of a block."""
-    enc = _encode_g(params, [F])
-    enc.R, enc.pad = enc.R[0], None
-    if enc.mlp_proj is not None:
-        enc.mlp_proj = enc.mlp_proj[0]
-    enc.lexicon_matrix = _lexicon_matrix(params, F, lexicon)
-    return enc
-
-
-def _block_context(params: ModelParams, sources, lexicon) -> _SourceContext:
-    """Encode the sentences as the rows of one block and attach each row's
-    L_F, zero past its sentence: the context of a block of sentences."""
+def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
+    """Encode the sentences as the rows of one block and attach each one's
+    L_F, zero past its end: the one build of a source context."""
     enc = _encode_g(params, sources)
     mats = [_lexicon_matrix(params, F, lexicon) for F in sources]
     if mats[0] is not None:
@@ -371,10 +371,10 @@ def _block_context(params: ModelParams, sources, lexicon) -> _SourceContext:
 
 
 def _by_row(x, M):
-    """Each row of the (B, k) block ``x`` times its context's matrix: ``x @
-    M`` for a shared (k, m) M, row by row for a (B, k, m) M of one matrix
-    per row."""
-    return x @ M if M.ndim == 2 else np.matmul(x[:, None], M)[:, 0]
+    """Each row of the (B, k) block ``x`` times its sentence's matrix of the
+    (N, k, m) ``M``: one product ``x @ M[0]`` for N = 1, else row r times
+    M[r]."""
+    return x @ M[0] if len(M) == 1 else np.matmul(x[:, None], M)[:, 0]
 
 
 def _attend(params: ModelParams, h, enc: _SourceContext):
@@ -385,8 +385,7 @@ def _attend(params: ModelParams, h, enc: _SourceContext):
     else:
         m = np.tanh(enc.mlp_proj + (h @ enc.w1_h.T)[..., None])
         scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
-    if enc.pad is not None:
-        scores = scores + enc.pad  # exp(-inf) = 0: padding weighs nothing
+    scores = scores + enc.pad  # exp(-inf) = 0: padding weighs nothing
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
     return a, _by_row(a, enc.R.swapaxes(-1, -2)), m
@@ -430,19 +429,21 @@ def _output_layer(params: ModelParams, q, lex):
 
 def _decoder_step(params: ModelParams, prev, state: DecoderState,
                   enc: _SourceContext):
-    """One decoder step of B rows ((B,) ids, a (B, D) state) against a
-    one-sentence context: (new state, :class:`_Step`); the next-word
-    distribution is the ``probs``."""
+    """One decoder step of B rows ((B,) ids, a (B, D) state), row r against
+    sentence r of ``enc`` or all against its one sentence: (new state,
+    :class:`_Step`); the next-word distribution is the ``probs``."""
     state, (lstm, a, m, q) = _recurrence(params, prev, state, enc)
-    lex = None if enc.lexicon_matrix is None else a @ enc.lexicon_matrix.T
+    lex = (None if enc.lexicon_matrix is None
+           else _by_row(a, enc.lexicon_matrix.swapaxes(1, 2)))
     return state, _Step(lstm, a, m, q, *_output_layer(params, q, lex))
 
 
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                 enc: _SourceContext):
     """Step the given rows of ``state`` (None: all, in order) on
-    ``prev_ids`` in blocks of exactly BLOCK_ROWS rows, the last padded: (new
-    (B, D) state, :class:`_Step` of the B rows).
+    ``prev_ids`` against the one sentence of ``enc``, in blocks of exactly
+    BLOCK_ROWS rows, the last padded: (new (B, D) state, :class:`_Step` of
+    the B rows).
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows.
@@ -469,32 +470,32 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
 
 
 def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
-              choose) -> _Walk:
-    """Walk ``n_rows`` rows forward together from the initial state.
+              choose, *, deferred: bool = False) -> _Walk:
+    """Walk ``n_rows`` rows forward together from the initial state, row r
+    reading sentence r of ``enc`` or all its one sentence.
 
     At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
     and their (B, V) next-word distributions, and returns their next words
     and whether each row goes on; a row that stops leaves the block, as a
     finished beam row does.
 
-    Against a one-sentence context the rows step through
-    :func:`_block_step`.  Against a block context (one sentence per row,
-    the rows of teacher forcing) they step unpadded through the recurrence
-    and attention alone, and ``probs`` is None: teacher forcing never feeds
-    the output back, so the output layer and the lexicon bias run once over
-    all row-steps after the walk."""
-    per_row = enc.R.ndim == 3
+    The padded walk steps the rows of one sentence through
+    :func:`_block_step`.  The ``deferred`` walk steps the rows unpadded
+    through the recurrence and attention alone, and ``probs`` is None: for
+    teacher forcing, which never feeds the output back, the output layer
+    and the lexicon bias run once over all row-steps after the walk."""
     live = np.arange(n_rows)
     prev = np.full(n_rows, params.tgt_eos)
     state, ctx = _init_state(params, enc), enc
-    keep = None if per_row else np.zeros(n_rows, dtype=np.intp)
+    keep = live % len(enc.R)  # each row starts from its sentence's state
     steps, chosen = [], []
     while len(live):
-        if per_row:
-            state, s = _recurrence(params, prev, state, ctx)
+        if deferred:
+            state, s = _recurrence(params, prev, state if keep is None
+                                   else state.take(keep), ctx)
             s = _Step(*s, *[None] * 6)  # the output layer runs after the walk
         else:
-            state, s = _block_step(params, prev, state, keep, enc)
+            state, s = _block_step(params, prev, state, keep, ctx)
         prev, goes_on = choose(len(steps), live, s.probs)
         steps.append(s)
         chosen.append((live, prev))
@@ -502,9 +503,7 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
             keep = None
         else:
             keep = np.flatnonzero(goes_on)
-            live, prev = live[keep], prev[keep]
-            if per_row:
-                state, ctx = state.take(keep), ctx.take(keep)
+            live, prev, ctx = live[keep], prev[keep], ctx.take(keep)
     ids = np.zeros((len(steps), n_rows), dtype=np.intp)
     alive = np.zeros(ids.shape, dtype=bool)
     for t, (rows, chosen_ids) in enumerate(chosen):
@@ -513,7 +512,7 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
     lengths = alive.sum(axis=0).tolist()
     walk = _Walk([tuple(w[:n]) for w, n in zip(ids.T.tolist(), lengths)],
                  ids, alive, _stack(steps))
-    if not per_row:
+    if not deferred:
         return walk
     s = walk.steps
     lex = (None if enc.lexicon_matrix is None else
@@ -529,11 +528,12 @@ def _check_target(params: ModelParams, E):
         raise ValueError(f"target id outside vocabulary in {list(E)}")
 
 
-def _teacher_forced(params: ModelParams, enc: _SourceContext,
-                    targets) -> _Walk:
+def _teacher_forced(params: ModelParams, enc: _SourceContext, targets, *,
+                    deferred: bool = False) -> _Walk:
     """The lockstep walk that feeds each target sequence its own reference
-    words: against a one-sentence context in the blocks that sampling
-    steps, against a block context row r reads sentence r."""
+    words: by default the padded walk that sampling steps, so a sequence
+    scores what it scored as drawn; ``deferred``, the walk that runs the
+    output layer once after it (see :func:`_lockstep`)."""
     targets = [tuple(E) for E in targets]
     for E in targets:
         _check_target(params, E)
@@ -542,7 +542,8 @@ def _teacher_forced(params: ModelParams, enc: _SourceContext,
     for r, E in enumerate(targets):
         ids[r, :len(E)] = E
     return _lockstep(params, enc, len(targets),
-                     lambda t, rows, _: (ids[rows, t], lengths[rows] > t + 1))
+                     lambda t, rows, _: (ids[rows, t], lengths[rows] > t + 1),
+                     deferred=deferred)
 
 
 def _logprobs(walk: _Walk) -> np.ndarray:
@@ -577,21 +578,21 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     """Add to ``grads`` the gradient of sum_r seeds[r] * log p(E_r | F_r).
 
     ``walk`` holds the target sequences E_r and their teacher-forced steps
-    against ``enc``: one sentence F shared by all rows, or a block context
-    whose row r holds F_r.  Teacher forcing never feeds the output layer
-    back into the recurrence, so the output layer and the lexicon bias are
-    differentiated for all steps at once, and the LSTM weights take one
-    product after the walk back through attention and the recurrence.  That
-    walk steps all rows back together: each step's products are one product
-    over the rows of its block, and a row joins at its last word.  The
-    encoder is walked back once for all rows.
+    against ``enc``, by either walk: row r reads F_r, sentence r of the
+    context, or the one sentence F of a one-sentence context.  Teacher
+    forcing never feeds the output layer back into the recurrence, so the
+    output layer and the lexicon bias are differentiated for all steps at
+    once, and the LSTM weights take one product after the walk back through
+    attention and the recurrence.  That walk steps all rows back together:
+    each step's products are one product over the rows of its block, and a
+    row joins at its last word.  What the rows of a sentence send back to
+    it adds up, and the encoder is walked back once for all sentences.
     """
     if len(seeds) != len(walk.words):
         raise ValueError(f"{len(seeds)} seeds for {len(walk.words)} target "
                          "sequences")
     t = params.tensors
-    D, d_emb, R = params.dec_hid, params.d_emb, enc.R
-    per_row = R.ndim == 3
+    D, d_emb, N = params.dec_hid, params.d_emb, len(enc.R)
     s = walk.steps
     # the row-steps are in step order, each step's rows in row order
     alive, ids = walk.alive, walk.ids
@@ -613,9 +614,7 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     dQ = dEta @ t["out_W"]
     dA = np.zeros_like(A)
     if enc.lexicon_matrix is not None:
-        dLex = G / s.lex
-        dA += (walk.per_row(dLex, enc.lexicon_matrix) if per_row
-               else dLex @ enc.lexicon_matrix)
+        dA += walk.per_row(G / s.lex, enc.lexicon_matrix)
 
     mlp = enc.mlp_proj is not None
     dCtx = dQ[:, D:].copy()
@@ -634,9 +633,9 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
                        else np.zeros(sizes[k], dtype=bool))
             dh_next, dc, dctx_next = (_rows_into(x, goes_on)
                                       for x in (dh_next, dc, dctx_next))
-            if per_row:  # the contexts of this step's rows
-                rows = np.flatnonzero(alive[k])
-                R = enc.R[rows]
+            rows = np.flatnonzero(alive[k])
+            R = enc.take(rows).R  # the sentences of this step's rows
+            sentences = (rows % N).tolist()
         attn = A[at]
         dCtx[at] += dctx_next
         da = dA[at] + _by_row(dCtx[at], R)
@@ -648,11 +647,8 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
             grads["attn_w2"] += (m.transpose(1, 0, 2).reshape(len(m[0]), -1)
                                  @ ds.reshape(-1))
             dpre = t["attn_w2"][:, None] * ds[:, None, :] * (1.0 - m * m)
-            if per_row:
-                dP[rows] += dpre
-            else:
-                for x in dpre:
-                    dP += x
+            for r, x in zip(sentences, dpre):  # row by row, in row order
+                dP[r] += x
             K[at] = dpre.sum(axis=2)
             dh += K[at] @ enc.w1_h
         else:
@@ -665,20 +661,16 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     grads["dec_W"] += dZ.T @ s.lstm[0]
     grads["dec_b"] += dZ.sum(axis=0)
     np.add.at(grads["tgt_emb"], prev_words, dU[:, :d_emb])
-    R = enc.R
-    # sum over row-steps of x_k^T y_k: one sum per row of a block context
-    outer = walk.row_outer if per_row else (lambda x, y: x.T @ y)
-    dR = outer(dCtx, A)
+    dR = walk.row_outer(dCtx, A, N)
     if mlp:
         grads["attn_W1"][:, :D] += K.T @ Q[:, :D]
-        dW1 = dP @ R.swapaxes(-1, -2)
-        grads["attn_W1"][:, D:] += dW1.sum(axis=0) if per_row else dW1
+        grads["attn_W1"][:, D:] += (dP @ enc.R.swapaxes(1, 2)).sum(axis=0)
         dR += t["attn_W1"][:, D:].T @ dP
     else:
-        dR += outer(Q[:, :D], dS)
-    if not per_row:  # one sentence: what its rows send back adds up
-        dR, dh_next = dR[None], dh_next.sum(axis=0, keepdims=True)
-    _encoder_backward(params, enc, dR, dh_next, grads)
+        dR += walk.row_outer(Q[:, :D], dS, N)
+    d_init = np.zeros((N, D))  # every row is alive at step 0
+    np.add.at(d_init, np.arange(len(dh_next)) % N, dh_next)
+    _encoder_backward(params, enc, dR, d_init, grads)
 
 
 def _rows_into(x, rows):
@@ -810,7 +802,7 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
     probs = ensemble_distribution(
-        [_teacher_forced(m, _source_context(m, F, lexicon), [E]).steps.probs
+        [_teacher_forced(m, _source_context(m, [F], lexicon), [E]).steps.probs
          for m in models])
     total = 0.0
     with np.errstate(divide="ignore"):
@@ -825,7 +817,12 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
 
 def save_checkpoint(path, params: ModelParams, src_vocab: Vocabulary,
                     tgt_vocab: Vocabulary):
-    """Write a versioned, byte-deterministic container of the full model."""
+    """Write a versioned, byte-deterministic container of the full model.
+
+    The file is written beside ``path`` and renamed over it once complete,
+    so a write that fails or is cut short leaves any previous file as it
+    was.  Its blocks are allocated before it is written, so a file system
+    that allocates late (ext4) has no write-out to start at the rename."""
     names = sorted(params.tensors)
     header = {
         "hyper": params.hyper_dict(),
@@ -834,13 +831,25 @@ def save_checkpoint(path, params: ModelParams, src_vocab: Vocabulary,
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)}
                     for n in names],
     }
-    with open(path, "wb") as f:
-        f.write(_CHECKPOINT_MAGIC)
-        f.write(json.dumps(header, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
-        for n in names:  # written from the arrays' own memory, no copy
-            f.write(np.ascontiguousarray(params.tensors[n], dtype="<f8").data)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    head = _CHECKPOINT_MAGIC + text.encode("utf-8") + b"\n"
+    size = len(head) + 8 * sum(math.prod(t["shape"])
+                               for t in header["tensors"])
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as f:
+            if hasattr(os, "posix_fallocate"):  # not on every platform
+                with contextlib.suppress(OSError):
+                    os.posix_fallocate(f.fileno(), 0, size)
+            f.write(head)
+            for n in names:  # written from the arrays' own memory, no copy
+                f.write(np.ascontiguousarray(params.tensors[n],
+                                             dtype="<f8").data)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def load_checkpoint(path):

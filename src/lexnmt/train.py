@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
-from .model import (BLOCK_ROWS, ModelParams, _backward, _block_context,
-                    _length_cap, _lockstep, _logprobs, _source_context,
-                    _teacher_forced, save_checkpoint)
+from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
+                    _lockstep, _logprobs, _source_context, _teacher_forced,
+                    save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -190,14 +190,15 @@ def _zero_grads(params: ModelParams, grads=None) -> dict[str, np.ndarray]:
 
 def _ml_blocks(params: ModelParams, pairs, lexicon):
     """The teacher-forced walks of ``pairs`` as the rows of blocks of at
-    most BLOCK_ROWS rows, longest target first (ties in the given order):
-    (block context, walk) per block."""
+    most BLOCK_ROWS rows, longest target first (ties in the given order),
+    on the deferred walk: (source context, walk) per block."""
     pairs = sorted(pairs, key=lambda p: -len(p.target))
     for i in range(0, len(pairs), BLOCK_ROWS):
         block = pairs[i:i + BLOCK_ROWS]
-        enc = _block_context(params, [p.source for p in block], lexicon)
+        enc = _source_context(params, [p.source for p in block], lexicon)
         yield enc, _teacher_forced(
-            params, enc, [_target_with_eos(params, p) for p in block])
+            params, enc, [_target_with_eos(params, p) for p in block],
+            deferred=True)
 
 
 def nll_loss(params: ModelParams, batch, lexicon=None, *, grads=None):
@@ -288,7 +289,7 @@ def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
     sample and is included in it; a sample that reaches ``max_len`` without
     drawing it is returned as-is.
     """
-    return _draw_samples(params, _source_context(params, F, lexicon), F,
+    return _draw_samples(params, _source_context(params, [F], lexicon), F,
                          num_samples, rng, max_len).words
 
 
@@ -331,7 +332,7 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
     samples = [tuple(s) for s in samples]
     if not samples:
         raise ValueError("sample set must be non-empty")
-    enc = _source_context(params, F, lexicon)
+    enc = _source_context(params, [F], lexicon)
     walk = _teacher_forced(params, enc, samples)
     return _risk_gradient(params, enc, E_ref, walk, alpha)
 
@@ -346,7 +347,7 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
     _check_alpha(alpha)
     if rng is None:
         raise ValueError("an rng is required for sampling")
-    enc = _source_context(params, F, lexicon)
+    enc = _source_context(params, [F], lexicon)
     walk = _distinct_runs(
         _draw_samples(params, enc, F, num_samples, rng, max_sample_len))
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in walk.words):
@@ -481,7 +482,7 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
     """Mean per-sentence expected error over fresh samples (no gradients)."""
     values = []
     for pair in pairs:
-        enc = _source_context(params, pair.source, lexicon)
+        enc = _source_context(params, [pair.source], lexicon)
         walk = _distinct_runs(_draw_samples(
             params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len))
         values.append(_expected_error(params, pair.target, walk,

@@ -83,7 +83,7 @@ def graph_stepper(models, F, lexicon=None):
     """
     if not isinstance(models, (list, tuple)):
         models = [models]
-    encs = [_source_context(m, F, lexicon) for m in models]
+    encs = [_source_context(m, [F], lexicon) for m in models]
 
     def start():
         return tuple(_init_state(m, enc) for m, enc in zip(models, encs))

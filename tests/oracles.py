@@ -318,13 +318,13 @@ def greedy_decode(models, F, max_len=None, lexicon=None):
 def token_accuracy(params, pairs, lexicon=None):
     """Fraction of target positions where the argmax next-word prediction is
     correct under teacher forcing (sentence-end step included)."""
-    from lexnmt.model import _block_context, _teacher_forced
+    from lexnmt.model import _source_context, _teacher_forced
     correct = 0
     total = 0
     for pair in pairs:
-        enc = _block_context(params, [pair.source], lexicon)  # a one-row block
+        enc = _source_context(params, [pair.source], lexicon)
         E = tuple(pair.target) + (params.tgt_eos,)
-        steps = _teacher_forced(params, enc, [E]).steps
+        steps = _teacher_forced(params, enc, [E], deferred=True).steps
         for e, logits in zip(E, steps.logits):
             correct += int(np.argmax(logits) == e)
             total += 1
@@ -339,7 +339,7 @@ def mean_sampled_sbleu(params, pairs, num_samples, rng, max_sample_len=None,
     from lexnmt.train import _draw_samples, _strip_eos
     scores = []
     for pair in pairs:
-        enc = _source_context(params, pair.source, lexicon)
+        enc = _source_context(params, [pair.source], lexicon)
         for s in _draw_samples(params, enc, pair.source, num_samples, rng,
                                max_sample_len).words:
             scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))

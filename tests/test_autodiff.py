@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import lexnmt.model as model_mod
 from lexnmt.corpus import SentencePair
-from lexnmt.model import (_backward, _block_context, _logprobs,
-                          _source_context, _teacher_forced)
+from lexnmt.model import (_backward, _logprobs, _source_context,
+                          _teacher_forced)
 from lexnmt.train import mrt_loss_frozen, nll_loss
 
 from helpers import count_calls, random_lexicon, tiny_model
@@ -84,7 +84,7 @@ def test_shared_subgraph_accumulates():
     # two sequences against one context: one backward adds what two separate
     # backwards add, on top of what the gradient dict already holds
     params, table = lexicon_model(70)
-    enc = _source_context(params, (1, 4, 2), table)
+    enc = _source_context(params, [(1, 4, 2)], table)
     E1, E2 = (3, 5, 0), (6, 2, 2, 0)
     both = {k: np.ones_like(v) for k, v in params.tensors.items()}
     _backward(params, enc, _teacher_forced(params, enc, [E1, E2]),
@@ -108,7 +108,7 @@ def test_lockstep_backward_masks_rows_that_ended(attention):
                         epsilon=1e-3, init_scale=0.8)
     table = random_lexicon(np.random.default_rng(78), params.src_vocab_size,
                            params.tgt_vocab_size)
-    enc = _source_context(params, (1, 4, 2), table)
+    enc = _source_context(params, [(1, 4, 2)], table)
     eos = params.tgt_eos
     samples, seeds = [(eos,), (5, eos), (3, 6, 6, 1)], [0.9, -1.7, 1.3]
     together = zero_grads(params)
@@ -128,7 +128,7 @@ def test_lockstep_backward_masks_rows_that_ended(attention):
 @pytest.mark.parametrize("use_lexicon", [False, True])
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
 def test_block_rows_equal_their_one_sentence_losses(attention, use_lexicon):
-    # ragged sources and targets as the rows of one block context: each
+    # ragged sources and targets as the rows of one padded context: each
     # row's loss, and its gradients (its seed alone, the other rows seeded
     # 0), equal its own one-sentence nll_loss to 1e-12 relative.  Padded
     # source positions and the steps past a row's end are masked, not
@@ -140,9 +140,9 @@ def test_block_rows_equal_their_one_sentence_losses(attention, use_lexicon):
     batch = [SentencePair((1,), (3, 5, 1, 2)),
              SentencePair((4, 2, 5, 1, 3), (6,)),
              SentencePair((2, 3), (2, 4, 4)), SentencePair((5, 5, 1), (1, 6))]
-    enc = _block_context(params, [p.source for p in batch], table)
+    enc = _source_context(params, [p.source for p in batch], table)
     walk = _teacher_forced(params, enc, [tuple(p.target) + (params.tgt_eos,)
-                                         for p in batch])
+                                         for p in batch], deferred=True)
     logp = _logprobs(walk)
     for r, pair in enumerate(batch):
         loss, alone = nll_loss(params, [pair], table)
@@ -161,7 +161,7 @@ def test_diamond_graph_single_visit(monkeypatch):
     # the encoder is walked back once per backward, however many sequences
     # share it, and a sequence given twice counts with the sum of its seeds
     params, table = lexicon_model(71)
-    enc = _source_context(params, (2, 3), table)
+    enc = _source_context(params, [(2, 3)], table)
     E = (4, 1, 0)
     twice, once = zero_grads(params), zero_grads(params)
     _backward(params, enc, _teacher_forced(params, enc, [E, E]), [0.5, 1.5],
@@ -179,7 +179,7 @@ def test_diamond_graph_single_visit(monkeypatch):
 def test_backward_requires_scalar_root():
     # the seeds weigh the sequences into one scalar: one seed per sequence
     params = tiny_model(seed=72)
-    enc = _source_context(params, (1, 2), None)
+    enc = _source_context(params, [(1, 2)], None)
     walk = _teacher_forced(params, enc, [(3, 0), (0,)])
     grads = zero_grads(params)
     for seeds in ([1.0], [1.0, 1.0, 1.0]):
@@ -193,9 +193,9 @@ def test_softmax_outputs_normalized():
     # log-softmax of the loss stays finite where a probability underflows
     params = tiny_model(seed=73)
     params.tensors["softmax_b"][:] = [3.0, -1.0, 0.5, 900.0, 0.0, -2.0, 1.0]
-    enc = _block_context(params, [(1, 2, 3)], None)
+    enc = _source_context(params, [(1, 2, 3)], None)
     E = (1, 3, 0)
-    walk = _teacher_forced(params, enc, [E])  # a one-row block
+    walk = _teacher_forced(params, enc, [E], deferred=True)
     expect = 0.0
     for probs, logits, e in zip(walk.steps.probs, walk.steps.logits, E):
         assert np.isfinite(probs).all()
@@ -209,9 +209,9 @@ def test_softmax_outputs_normalized():
 
 def test_log_softmax_matches_log_of_softmax():
     params, table = lexicon_model(74)
-    enc = _block_context(params, [(5, 1, 3)], table)
+    enc = _source_context(params, [(5, 1, 3)], table)
     E = (2, 6, 4, 0)
-    walk = _teacher_forced(params, enc, [E])
+    walk = _teacher_forced(params, enc, [E], deferred=True)
     logp = sum(np.log(probs[e]) for probs, e in zip(walk.steps.probs, E))
     assert _logprobs(walk)[0] == pytest.approx(logp, rel=1e-12, abs=1e-12)
 
@@ -228,8 +228,8 @@ def test_softmax_shift_invariance(values, shift):
     for b in (np.array(values), np.array(values) + shift):
         params = SHIFT_MODEL.copy()
         params.tensors["softmax_b"][:] = b
-        enc = _block_context(params, [(1, 2)], None)
-        walk = _teacher_forced(params, enc, [(4, 0)])
+        enc = _source_context(params, [(1, 2)], None)
+        walk = _teacher_forced(params, enc, [(4, 0)], deferred=True)
         probs.append(walk.steps.probs)
     assert np.allclose(probs[0], probs[1], atol=1e-12)
     assert np.allclose(probs[0].sum(axis=1), 1.0, atol=1e-12)
@@ -240,8 +240,8 @@ def test_pick_and_row_are_one_hot():
     # embedding rows the sentence looked up receive gradient
     params = tiny_model(seed=76)
     F, E = (2, 4, 2), (5,)
-    enc = _block_context(params, [F], None)
-    walk = _teacher_forced(params, enc, [E])
+    enc = _source_context(params, [F], None)
+    walk = _teacher_forced(params, enc, [E], deferred=True)
     grads = zero_grads(params)
     _backward(params, enc, walk, [1.0], grads)
     expect = -walk.steps.probs[0]

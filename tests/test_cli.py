@@ -473,6 +473,28 @@ def test_bad_training_flags_are_usage_errors(tmp_path, capsys, command, flag,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("preprocess", "--merges", "-1"), ("preprocess", "--src-vocab-size", "0"),
+    ("preprocess", "--tgt-vocab-size", "-4"), ("align", "--iterations", "0"),
+    ("align", "--min-prob", "1.0"), ("align", "--min-prob", "-0.5"),
+    ("align", "--min-prob", "nan")])
+def test_bad_corpus_flags_are_usage_errors(tmp_path, capsys, command, flag,
+                                           value):
+    # refused before any file is read: every input named here is missing,
+    # which would exit 2 once loading began
+    out = tmp_path / "out"
+    inputs = {"preprocess": ["--train-src", "--train-tgt", "--dev-src",
+                             "--dev-tgt"],
+              "align": ["--src", "--tgt", "--src-vocab", "--tgt-vocab"]}
+    argv = [command, {"preprocess": "--outdir", "align": "--out"}[command],
+            str(out), *(arg for name in inputs[command]
+                        for arg in (name, str(tmp_path / "x")))]
+    assert main([*argv, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "COMMAND" in capsys.readouterr().out

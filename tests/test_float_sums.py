@@ -26,6 +26,8 @@ ALLOWED = {
     ("metrics.py", "length_ratio", "(len(list(h)) for h in hypotheses)"),
     ("model.py", "ensemble_distribution", "distributions"),
     ("model.py", "load_checkpoint", "counts"),
+    ("model.py", "save_checkpoint",
+     "(math.prod(t['shape']) for t in header['tensors'])"),
     ("train.py", "train_ml", "(len(p.target) + 1 for p in batch)"),
 }
 

@@ -1,5 +1,6 @@
 """Encoder, attention, decoder step, ensembles, and checkpoint tests."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -68,20 +69,32 @@ def test_lstm_forget_gate_is_one_minus_input_gate():
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
 def test_encode_matches_oracle(attention):
-    # each sentence alone, and all three as the ragged rows of one block
+    # each sentence alone, and all three as the ragged rows of one context
     params = tiny_model(attention=attention, seed=3)
+    table = random_lexicon(np.random.default_rng(3), params.src_vocab_size,
+                           params.tgt_vocab_size)
     sources = [(2,), (1, 4, 3), (5, 5, 0, 2)]
-    block = _encode_g(params, sources)
+    block = _source_context(params, sources, table)
     assert block.R.shape == (3, params.dec_hid, 4)
     for r, F in enumerate(sources):
         R_ref, init_ref = ref_encode(params, F)
-        alone = _source_context(params, F, None)
-        assert alone.R.shape == (params.dec_hid, len(F))
-        for R, init in ((alone.R, alone.init_state[0]),
+        L = build_lexicon_matrix(F, table, params.tgt_vocab_size)
+        alone = _source_context(params, [F], table)
+        assert alone.R.shape == (1, params.dec_hid, len(F))
+        assert np.array_equal(alone.pad, np.zeros((1, len(F))))  # exact add
+        for R, init in ((alone.R[0], alone.init_state[0]),
                         (block.R[r], block.init_state[r])):
             assert np.allclose(R[:, :len(F)], R_ref, rtol=1e-9, atol=1e-12)
             assert not R[:, len(F):].any()
             assert np.allclose(init, init_ref, rtol=1e-9, atol=1e-12)
+        # the one-sentence context is row r of the three-sentence one
+        assert np.allclose(alone.R[0], block.R[r, :, :len(F)], rtol=1e-9,
+                           atol=1e-12)
+        assert np.allclose(alone.init_state[0], block.init_state[r],
+                           rtol=1e-9, atol=1e-12)
+        assert np.array_equal(block.lexicon_matrix[r, :, :len(F)], L)
+        assert not block.lexicon_matrix[r, :, len(F):].any()
+        assert np.array_equal(alone.lexicon_matrix[0], L)
 
 
 def test_encode_columns_are_backward_then_forward():
@@ -103,7 +116,7 @@ def test_encode_columns_are_backward_then_forward():
         h, c = _lstm_step(t["enc_bwd_W"], t["enc_bwd_b"], xs[j], h, c)
         bwd[j] = h
 
-    R = _source_context(params, F, None).R
+    R = _source_context(params, [F], None).R[0]
     for j in range(len(F)):
         assert np.allclose(R[:d, j], bwd[j], atol=1e-12)
         assert np.allclose(R[d:, j], fwd[j], atol=1e-12)
@@ -117,7 +130,7 @@ def test_encode_rejects_empty_source():
 
 def test_init_decoder_state_zero_cell_and_context():
     params = tiny_model(seed=5)
-    enc = _source_context(params, (1, 2), None)
+    enc = _source_context(params, [(1, 2)], None)
     state = _init_state(params, enc)  # a one-row block
     assert state.hidden.shape == (1, params.dec_hid)
     assert np.array_equal(state.hidden, enc.init_state)
@@ -133,10 +146,10 @@ def test_attend_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=6)
     rng = np.random.default_rng(6)
     h = rng.normal(size=params.dec_hid)
-    enc = _source_context(params, (1, 4, 2, 3, 0), None)
+    enc = _source_context(params, [(1, 4, 2, 3, 0)], None)
     a, ctx, _ = _attend(params, h[None], enc)  # a one-row block
     a, ctx = a[0], ctx[0]
-    R = enc.R
+    R = enc.R[0]
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(a >= 0)
     assert np.allclose(a, ref_attention(params, h, R), rtol=1e-9, atol=1e-12)
@@ -218,7 +231,7 @@ def test_block_rows_are_batch_invariant(attention, V, d):
     params = init_params(30, V, d_emb=d, d_hid=d, attention=attention,
                          use_lexicon=True, seed=V, init_scale=0.3)
     F = tuple(int(f) for f in rng.integers(0, 30, 9))
-    enc = _source_context(params, F, random_lexicon(rng, 30, V))
+    enc = _source_context(params, [F], random_lexicon(rng, 30, V))
     n = 2 * BLOCK_ROWS
     prev = rng.integers(0, V, n)
     state = DecoderState(*rng.uniform(-1, 1, (3, n, params.dec_hid)))
@@ -287,7 +300,7 @@ def test_target_ids_outside_vocabulary_are_rejected(entry, which):
         elif entry == "mrt_loss_frozen":
             mrt_loss_frozen(params, F, (3,), [(bad, eos)], alpha=1.0)
         else:  # the teacher-forced decoder steps behind every scorer
-            _teacher_forced(params, _source_context(params, F, None),
+            _teacher_forced(params, _source_context(params, [F], None),
                             [(bad, eos)])
 
 
@@ -432,6 +445,29 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     save_checkpoint(p1, params, src, tgt)
     save_checkpoint(p2, params.copy(), src, tgt)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    # the tensor data fails after the header is written: the checkpoint
+    # already there stays byte for byte, and no partial file is left
+    params = tiny_model(seed=27)
+    src, tgt = _vocabs(params)
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, params, src, tgt)
+    before = path.read_bytes()
+
+    class Unwritable:
+        shape = params.tensors["tgt_emb"].shape
+
+        def __array__(self, *args, **kwargs):
+            raise RuntimeError("write cut short")
+
+    broken = params.copy()
+    broken.tensors["tgt_emb"] = Unwritable()  # the last tensor written
+    with pytest.raises(RuntimeError, match="write cut short"):
+        save_checkpoint(path, broken, src, tgt)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["best.ckpt"]
 
 
 def test_checkpoint_corruption_errors(tmp_path):

@@ -172,6 +172,25 @@ def test_corpus_nll_is_token_averaged():
     assert corpus_nll(params, pairs) == pytest.approx(total / tokens, rel=1e-9)
 
 
+@pytest.mark.parametrize("use_lexicon", [False, True])
+@pytest.mark.parametrize("attention", ["dot", "mlp"])
+def test_deferred_and_padded_walks_agree(attention, use_lexicon):
+    # nll_loss scores a sentence on the deferred walk (one unpadded row, the
+    # output layer after the walk), sentence_logprob on the padded walk of
+    # search: the two differ only in rounding
+    params = tiny_model(attention=attention, seed=54, use_lexicon=use_lexicon,
+                        epsilon=1e-3, init_scale=0.8)
+    rng = np.random.default_rng(54)
+    table = (random_lexicon(rng, params.src_vocab_size, params.tgt_vocab_size)
+             if use_lexicon else None)
+    for _ in range(5):
+        F = tuple(int(x) for x in rng.integers(0, 6, rng.integers(1, 7)))
+        E = tuple(int(x) for x in rng.integers(1, 7, rng.integers(1, 7)))
+        loss, _ = nll_loss(params, [SentencePair(F, E)], table)
+        padded = sentence_logprob(params, F, E + (params.tgt_eos,), table)
+        assert loss == pytest.approx(-padded, rel=1e-12)
+
+
 def test_token_accuracy_counts_argmax_matches():
     params = tiny_model(seed=35)
     pairs = [SentencePair((1, 2), (3, 4)), SentencePair((5,), (1,))]
