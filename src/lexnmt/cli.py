@@ -21,7 +21,7 @@ from .align import ibm1_train, load_lexicon, prune_lexicon, save_lexicon
 from .corpus import (Vocabulary, apply_bpe, build_vocab, encode_pairs,
                      invert_bpe, learn_bpe, load_bpe, normalize_halfwidth,
                      read_lines, read_parallel, save_bpe, write_lines)
-from .decode import beam_search, score_hypothesis
+from .decode import beam_search_all, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
 from .model import init_params, load_checkpoint, save_checkpoint
@@ -383,17 +383,16 @@ def _cmd_decode(args):
     bpe = load_bpe(args.bpe) if args.bpe else None
     lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
 
-    def translate_line(line):
-        ids = _source_ids(line, bpe, src_vocab)
-        if not ids:
-            return "", 0.0
-        hyp = beam_search(models, ids, beam_size=args.beam,
-                          word_penalty=args.word_penalty,
-                          max_len=args.max_len, lexicon=lexicon)
-        return (_target_text(hyp.tokens, bpe, tgt_vocab),
-                score_hypothesis(hyp, args.word_penalty))
-
-    results = [translate_line(line) for line in read_lines(args.input)]
+    sources = [_source_ids(line, bpe, src_vocab)
+               for line in read_lines(args.input)]
+    found = iter(beam_search_all(models, [F for F in sources if F],
+                                 beam_size=args.beam,
+                                 word_penalty=args.word_penalty,
+                                 max_len=args.max_len, lexicon=lexicon))
+    hyps = [next(found) if F else None for F in sources]
+    results = [("", 0.0) if hyp is None else
+               (_target_text(hyp.tokens, bpe, tgt_vocab),
+                score_hypothesis(hyp, args.word_penalty)) for hyp in hyps]
     write_lines(args.output or None, (text for text, _ in results))
     if args.scores:
         write_lines(args.scores, (f"{score:.6f}" for _, score in results))

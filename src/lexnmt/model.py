@@ -15,8 +15,13 @@ block (:func:`_encode_g`) and padded to the longest, where attention gives
 the padded positions weight exactly 0.  Row r of a decoder block reads
 sentence r; a one-sentence context is read by every row, one product for
 them all.  One step function, :func:`_decoder_step`, steps a block of rows
-and serves beam search, sampling and scoring; it also returns what the step
-computed.  :func:`_lockstep` walks several target sequences forward
+or a stack of blocks and serves beam search, sampling and scoring; it also
+returns what the step computed.  :func:`_block_step` steps rows as a stack
+of blocks of exactly BLOCK_ROWS (8) rows, each block reading its own
+sentence, one product per block: beam search steps the beams of all input
+lines of one source length as one stack, and each block gets the bits it
+gets stepped alone, so decode output is byte-identical to line-by-line
+search.  :func:`_lockstep` walks several target sequences forward
 together, as rows of one block that a row leaves after its last word;
 teacher forcing and ancestral sampling are its two ways of choosing the
 next words.  The caller picks the walk: the padded walk steps fixed-size
@@ -180,8 +185,9 @@ class DecoderState:
 @dataclass
 class _SourceContext:
     """The source context of N sentences for one model, read by every
-    decoder step: row r of a block reads sentence r, and the one sentence of
-    an N = 1 context is read by every row.  Each sentence's columns are zero
+    decoder step: row r of a block reads sentence r, the one sentence of an
+    N = 1 context is read by every row, and the blocks of a stack fall in N
+    equal runs, run s reading sentence s.  Each sentence's columns are zero
     past its end, and ``pad`` is -inf there."""
 
     R: np.ndarray  # (N, D, n)
@@ -193,6 +199,13 @@ class _SourceContext:
     mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R: (N, a, n)
     lexicon_matrix: np.ndarray | None = None  # L_F (N, V, n); None: no bias
 
+    def sentences(self, keep) -> "_SourceContext":
+        """The context of the kept sentences, for stepping; it keeps no
+        encoder activations, so no backward pass walks it."""
+        return replace(self, chain=None, **{
+            name: getattr(self, name)[keep] for name in _PER_SENTENCE
+            if getattr(self, name) is not None})
+
     def take(self, rows) -> "_SourceContext":
         """What attention reads for the given rows: their sentences, or the
         context itself when it holds one sentence."""
@@ -201,6 +214,10 @@ class _SourceContext:
         return replace(self, R=self.R[rows], pad=self.pad[rows],
                        mlp_proj=(None if self.mlp_proj is None
                                  else self.mlp_proj[rows]))
+
+
+_PER_SENTENCE = ("R", "init_state", "lengths", "pad", "mlp_proj",
+                 "lexicon_matrix")  # the fields of _SourceContext by sentence
 
 
 class _Step(NamedTuple):
@@ -291,7 +308,12 @@ class _Walk(NamedTuple):
 def _lstm(W, b, u, c):
     """Coupled-gate LSTM step on u = [x; h]: the forget gate is one minus the
     input gate.  Returns (hidden, cell, activations).  A stack of weights
-    steps a stack of blocks, one product each."""
+    steps a stack of blocks, one product each.
+
+    A gate's exp(-z) overflows to inf on a large negative z, which gives the
+    gate 0.  The loops that step the LSTM (:func:`_encode_g`,
+    :func:`_lockstep`, :func:`_ensemble_logp`) ignore that overflow, once
+    per loop: an errstate per call costs a few percent of a small step."""
     n = c.shape[-1]
     z = u @ W.swapaxes(-1, -2) + b
     gates = 1.0 / (1.0 + np.exp(-z[..., :2 * n]))
@@ -309,6 +331,7 @@ def _encoder_weights(params: ModelParams):
             np.stack([t["enc_fwd_b"], t["enc_bwd_b"]])[:, None])
 
 
+@np.errstate(over="ignore")  # see _lstm
 def _encode_g(params: ModelParams, sources) -> _SourceContext:
     """Run both encoder directions over the sentences of ``sources`` as the
     rows of one block, one stacked product per position; a row leaves the
@@ -370,22 +393,54 @@ def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
     return enc
 
 
+def _stack_contexts(encs) -> _SourceContext:
+    """The one-model contexts of sentences of one length as one context
+    whose sentence s is ``encs[s]``, for stepping a stack of blocks; it
+    keeps no encoder activations, so no backward pass walks it."""
+    if len(encs) == 1:
+        return encs[0]
+    return replace(encs[0], chain=None, **{
+        name: np.concatenate([getattr(enc, name) for enc in encs])
+        for name in _PER_SENTENCE if getattr(encs[0], name) is not None})
+
+
 def _by_row(x, M):
-    """Each row of the (B, k) block ``x`` times its sentence's matrix of the
-    (N, k, m) ``M``: one product ``x @ M[0]`` for N = 1, else row r times
-    M[r]."""
-    return x @ M[0] if len(M) == 1 else np.matmul(x[:, None], M)[:, 0]
+    """Each row of ``x`` times its sentence's matrix of the (N, k, m) ``M``.
+
+    ``x`` is a (B, k) block, whose row r reads sentence r, or a (K,
+    BLOCK_ROWS, k) stack of blocks, whose blocks fall in N equal runs, run s
+    reading sentence s; all rows read the one sentence of N = 1.  A block of
+    one sentence takes one product, and so does each block of a stack."""
+    if len(M) == 1:
+        return x @ M[0]
+    if x.ndim == 2:
+        return np.matmul(x[:, None], M)[:, 0]
+    runs = x.reshape(len(M), -1, *x.shape[1:])
+    return (runs @ M[:, None]).reshape(x.shape[:-1] + M.shape[-1:])
+
+
+def _add_by_row(x, A):
+    """Each row of ``x`` plus its sentence's entry of the (N, ...) ``A``,
+    rows read as in :func:`_by_row`; an entry broadcasts against the axes
+    of a row."""
+    if len(A) == 1 or x.ndim == A.ndim:
+        return x + A
+    runs = x.reshape(len(A), -1, *x.shape[1:])
+    total = runs + A[:, None, None]
+    return total.reshape(-1, *total.shape[2:])
 
 
 def _attend(params: ModelParams, h, enc: _SourceContext):
-    """Attention weights, context vector and (MLP only) tanh activations."""
+    """Attention weights, context vector and (MLP only) tanh activations of
+    a block or stack of rows ``h`` (see :func:`_by_row`)."""
     if enc.mlp_proj is None:
         m = None
         scores = _by_row(h, enc.R)
     else:
-        m = np.tanh(enc.mlp_proj + (h @ enc.w1_h.T)[..., None])
+        m = np.tanh(_add_by_row((h @ enc.w1_h.T)[..., None], enc.mlp_proj))
         scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
-    scores = scores + enc.pad  # exp(-inf) = 0: padding weighs nothing
+    # exp(-inf) = 0: padding weighs nothing
+    scores = _add_by_row(scores, enc.pad)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
     return a, _by_row(a, enc.R.swapaxes(-1, -2)), m
@@ -399,16 +454,17 @@ def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
 
 def _recurrence(params: ModelParams, prev, state: DecoderState,
                 enc: _SourceContext):
-    """The LSTM and attention of one decoder step of B rows ((B,) ids, a (B,
-    D) state): the new state and the first four fields of its
+    """The LSTM and attention of one decoder step of a block of B rows ((B,)
+    ids, a (B, D) state) or a stack of blocks ((K, BLOCK_ROWS) ids and
+    state rows): the new state and the first four fields of its
     :class:`_Step`."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
-                       axis=1)
+                       axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
     a, ctx, m = _attend(params, h, enc)
     return DecoderState(h, c, ctx), (lstm, a, m, np.concatenate([h, ctx],
-                                                                axis=1))
+                                                                axis=-1))
 
 
 def _output_layer(params: ModelParams, q, lex):
@@ -421,17 +477,17 @@ def _output_layer(params: ModelParams, q, lex):
     if lex is not None:
         lex = lex + params.epsilon
         logits = logits + np.log(lex)
-    top = logits.max(axis=1, keepdims=True)
+    top = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - top)
-    total = e.sum(axis=1, keepdims=True)
-    return eta, lex, logits, top[:, 0], total[:, 0], e / total
+    total = e.sum(axis=-1, keepdims=True)
+    return eta, lex, logits, top[..., 0], total[..., 0], e / total
 
 
 def _decoder_step(params: ModelParams, prev, state: DecoderState,
                   enc: _SourceContext):
-    """One decoder step of B rows ((B,) ids, a (B, D) state), row r against
-    sentence r of ``enc`` or all against its one sentence: (new state,
-    :class:`_Step`); the next-word distribution is the ``probs``."""
+    """One decoder step of a block or stack of rows (see :func:`_recurrence`),
+    each row against its sentence of ``enc`` (see :func:`_by_row`): (new
+    state, :class:`_Step`); the next-word distribution is the ``probs``."""
     state, (lstm, a, m, q) = _recurrence(params, prev, state, enc)
     lex = (None if enc.lexicon_matrix is None
            else _by_row(a, enc.lexicon_matrix.swapaxes(1, 2)))
@@ -440,35 +496,46 @@ def _decoder_step(params: ModelParams, prev, state: DecoderState,
 
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                 enc: _SourceContext):
-    """Step the given rows of ``state`` (None: all, in order) on
-    ``prev_ids`` against the one sentence of ``enc``, in blocks of exactly
-    BLOCK_ROWS rows, the last padded: (new (B, D) state, :class:`_Step` of
-    the B rows).
+    """Step B rows for each of the S sentences of ``enc`` on ``prev_ids``,
+    an (S, B) array ((B,) for one sentence): row j of sentence s continues
+    row ``rows[s, j]`` of that sentence's rows in ``state`` (None: row j),
+    which holds the same number of rows for every sentence, sentence by
+    sentence.
+
+    Each sentence's rows are padded with copies of its real rows to whole
+    blocks of exactly BLOCK_ROWS rows, and all blocks are stepped as one
+    (K, BLOCK_ROWS) stack in which each block reads its own sentence.
+    Returns (new state, :class:`_Step`) of the S * P padded rows, P per
+    sentence: row j < B of sentence s is row s * P + j.
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
-    fixed-size block depends neither on its position nor on the other rows.
-    So search, scoring, sampling, minimum-risk scoring and the
-    exhaustive-search oracle, which all step here, agree with ``==``
-    whichever rows share a block."""
-    n = len(prev_ids)
-    pad = np.arange(n + -n % BLOCK_ROWS) % n  # pad with copies of real rows
-    prev = np.asarray(prev_ids)[pad]
-    state = state.take(pad if rows is None else np.asarray(rows)[pad])
-    parts = [_decoder_step(params, prev[i:i + BLOCK_ROWS],
-                           state.take(slice(i, i + BLOCK_ROWS)), enc)
-             for i in range(0, len(pad), BLOCK_ROWS)]
-    if len(parts) == 1:
-        state, step = parts[0]
-    else:
-        state = DecoderState(*(np.concatenate(x) for x in zip(
-            *((s.hidden, s.cell, s.context) for s, _ in parts))))
-        step = _stack([step for _, step in parts])
-    if n == len(pad):
+    fixed-size block depends neither on its position nor on the other rows,
+    and numpy runs a stacked product as one product per block.  So search,
+    scoring, sampling, minimum-risk scoring and the exhaustive-search
+    oracle, which all step here, agree with ``==`` whichever rows and
+    sentences share a stack."""
+    prev = np.asarray(prev_ids).reshape(len(enc.R), -1)
+    S, B = prev.shape
+    pad = np.arange(B + -B % BLOCK_ROWS) % B  # pad with copies of real rows
+    at = pad if rows is None else np.asarray(rows).reshape(S, B)[:, pad]
+    if S > 1:  # each sentence's rows follow those of the one before
+        at = at + np.arange(0, len(state.hidden),
+                            len(state.hidden) // S)[:, None]
+    blocks = at.reshape(-1, BLOCK_ROWS)
+    if len(blocks) == 1:  # a stack of one block steps as that block
+        blocks = blocks[0]
+    state, step = _decoder_step(params, prev[:, pad].reshape(blocks.shape),
+                                state.take(blocks), enc)
+    if blocks.ndim == 1:
         return state, step
-    return (DecoderState(state.hidden[:n], state.cell[:n], state.context[:n]),
-            _map_step(lambda x: x[:n], step))
+
+    def flat(x):
+        return x.reshape(-1, *x.shape[2:])
+    return (DecoderState(flat(state.hidden), flat(state.cell),
+                         flat(state.context)), _map_step(flat, step))
 
 
+@np.errstate(over="ignore")  # see _lstm
 def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
               choose, *, deferred: bool = False) -> _Walk:
     """Walk ``n_rows`` rows forward together from the initial state, row r
@@ -496,6 +563,8 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
             s = _Step(*s, *[None] * 6)  # the output layer runs after the walk
         else:
             state, s = _block_step(params, prev, state, keep, ctx)
+            if len(s.probs) > len(live):  # the real rows, not the padding
+                s = _map_step(lambda x: x[:len(live)], s)
         prev, goes_on = choose(len(steps), live, s.probs)
         steps.append(s)
         chosen.append((live, prev))
@@ -782,11 +851,17 @@ def ensemble_distribution(distributions) -> np.ndarray:
 
 def _ensemble_logp(models, encs, states, rows, prev_ids):
     """One :func:`_block_step` of every member from the given rows of its
-    block state: (new states, log of the averaged (B, V) distributions)."""
-    steps = [_block_step(m, prev_ids, state, rows, enc)
-             for m, state, enc in zip(models, states, encs)]
-    with np.errstate(divide="ignore"):
-        logp = np.log(ensemble_distribution([s.probs for _, s in steps]))
+    state, B rows for each of the S sentences of its context: (new states,
+    log of the averaged (S, B, V) distributions of the real rows)."""
+    S, B = prev_ids.shape
+    with np.errstate(over="ignore", divide="ignore"):  # see _lstm
+        steps = [_block_step(m, prev_ids, state, rows, enc)
+                 for m, state, enc in zip(models, states, encs)]
+        probs = [s.probs.reshape(S, -1, s.probs.shape[-1])[:, :B]
+                 for _, s in steps]
+        # one member's distribution is its own mean
+        logp = np.log(probs[0] if len(probs) == 1
+                      else ensemble_distribution(probs))
     return [state for state, _ in steps], logp
 
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import lexnmt.cli as cli_mod
+import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
 from lexnmt.align import load_lexicon
 from lexnmt.cli import main
 from lexnmt.corpus import Vocabulary, load_bpe
+from lexnmt.decode import beam_search, score_hypothesis
 from lexnmt.errors import DataError, NumericalError
-from lexnmt.model import load_checkpoint, save_checkpoint
+from lexnmt.model import init_params, load_checkpoint, save_checkpoint
 
 from helpers import count_calls, tiny_model
 
@@ -150,6 +152,49 @@ def test_decode_ensemble_and_lexicon(pipeline, tmp_path, capsys):
                  "--bpe", str(pipeline["data"] / "bpe.merges"),
                  "--lexicon", str(pipeline["lexicon"])]) == 0
     assert capsys.readouterr().out.count("\n") == 1
+
+
+@pytest.mark.parametrize("stack", [32, 2], ids=["one-stack", "split"])
+@pytest.mark.parametrize("members", [1, 2])
+def test_decode_equals_line_by_line_search(pipeline, tmp_path, monkeypatch,
+                                           stack, members):
+    # decode searches the lines of one source length together, and a line
+    # leaves the stack when its search ends; every line must still get what
+    # searching it alone gives, in input order
+    monkeypatch.setattr(decode_mod, "STACK_SENTENCES", stack)
+    trained, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
+    other = tmp_path / "other.ckpt"
+    save_checkpoint(other, init_params(
+        len(src_vocab), len(tgt_vocab), d_emb=8, d_hid=8, seed=5,
+        init_scale=0.5, src_eos=src_vocab.eos_id, tgt_eos=tgt_vocab.eos_id),
+        src_vocab, tgt_vocab)
+    models = [load_checkpoint(other)[0], trained][:members]
+    # searches of these lengths end after 1 to 16 words, most before the cap
+    lines = ["cinco tres", "tres", "tres cinco cinco", "uno dos", "",
+             "seis cinco", "cinco", "tres seis", "seis dos tres",
+             "cinco cinco", "uno", "dos tres", "cuatro cinco cinco"]
+    inp, out = tmp_path / "input.txt", tmp_path / "output.txt"
+    scores, merges = tmp_path / "scores.txt", pipeline["data"] / "bpe.merges"
+    inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    # a beam of 10 rows spans two 8-row blocks
+    argv = ["decode", "--input", str(inp), "--output", str(out),
+            "--scores", str(scores), "--bpe", str(merges), "--beam", "10",
+            "--word-penalty", "2"]
+    for path in [other, pipeline["ckpt"]][:members]:
+        argv += ["--checkpoint", str(path)]
+    assert main(argv) == 0
+    bpe = load_bpe(merges)
+    want_text, want_scores = [], []
+    for line in lines:
+        ids = cli_mod._source_ids(line, bpe, src_vocab)
+        hyp = (beam_search(models, ids, beam_size=10, word_penalty=2.0)
+               if ids else None)
+        want_text.append(cli_mod._target_text(hyp.tokens, bpe, tgt_vocab)
+                         if hyp else "")
+        want_scores.append(f"{score_hypothesis(hyp, 2.0):.6f}" if hyp
+                           else "0.000000")
+    assert out.read_text(encoding="utf-8").split("\n")[:-1] == want_text
+    assert scores.read_text(encoding="utf-8").splitlines() == want_scores
 
 
 def test_decode_rejects_mismatched_ensemble(pipeline, tmp_path, capsys):

@@ -119,7 +119,8 @@ def _script(monkeypatch, row_step):
     """Run beam search on ``row_step(prefix, prev) -> (prefix, probs)``; the
     scripted block state is the token prefix of each row."""
     def fake_block(params, prev_ids, state, rows, enc):
-        steps = [row_step(state[r], prev) for r, prev in zip(rows, prev_ids)]
+        steps = [row_step(state[r], prev)  # one sentence: rows (1, B)
+                 for r, prev in zip(np.ravel(rows), np.ravel(prev_ids))]
         return ([p for p, _ in steps],
                 SimpleNamespace(probs=np.stack([probs for _, probs in steps])))
 

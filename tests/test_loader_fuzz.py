@@ -88,6 +88,9 @@ def _run(argv):
     return code, err.getvalue()
 
 
+# a mutated checkpoint may hold huge finite weights: the model must run them
+# without a numpy warning (an overflowing LSTM gate saturates quietly)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["checkpoint", "lexicon", "vocabulary",
                                   "merges", "config"])
 def test_mutated_input_file_loads_or_fails_as_data_error(valid_files, kind):

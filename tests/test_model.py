@@ -11,7 +11,7 @@ from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           _block_step, _encode_g, _init_state, _lstm,
-                          _source_context, _teacher_forced,
+                          _source_context, _stack_contexts, _teacher_forced,
                           build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
@@ -252,6 +252,48 @@ def test_block_rows_are_batch_invariant(attention, V, d):
                 "other rows, so the search == contracts (exhaustive search, "
                 "search score == teacher-forced score, ensemble identity) "
                 "cannot hold")
+
+
+@pytest.mark.parametrize("attention, use_lexicon, V, d", [
+    ("dot", False, 20, 32), ("dot", True, 20, 32), ("mlp", False, 20, 32),
+    ("mlp", True, 20, 32), ("mlp", True, 2000, 128)],
+    ids=["toy-dot", "toy-dot-lexicon", "toy-mlp", "toy-mlp-lexicon",
+         "wide-mlp-lexicon"])
+def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
+                                                   d):
+    # the premise of stacked search: each block of a stack, whichever
+    # sentence it reads and whatever blocks stand beside it, gets the bits
+    # it gets when stepped alone against that sentence's own context
+    rng = np.random.default_rng(V + d + use_lexicon)
+    params = init_params(30, V, d_emb=d, d_hid=d, attention=attention,
+                         use_lexicon=use_lexicon, seed=V, init_scale=0.3)
+    table = random_lexicon(rng, 30, V) if use_lexicon else None
+    S, B, held = 3, 13, 16  # 13 rows per sentence fill two blocks
+    encs = [_source_context(params, [tuple(int(f) for f in
+                                           rng.integers(0, 30, 7))], table)
+            for _ in range(S)]
+    prev = rng.integers(0, V, (S, B))
+    rows = rng.integers(0, held, (S, B))
+    state = DecoderState(*rng.uniform(-1, 1, (3, S * held, params.dec_hid)))
+    block, step = _block_step(params, prev, state, rows, _stack_contexts(encs))
+    pad = np.arange(2 * BLOCK_ROWS) % B
+    for s in range(S):
+        own = state.take(slice(s * held, (s + 1) * held))
+        for k in range(2):
+            at = pad[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS]
+            alone, alone_step = _block_step(params, prev[s, at], own,
+                                            rows[s, at], encs[s])
+            got = slice((2 * s + k) * BLOCK_ROWS, (2 * s + k + 1) * BLOCK_ROWS)
+            pairs = [(block.hidden[got], alone.hidden),
+                     (block.cell[got], alone.cell),
+                     (block.context[got], alone.context),
+                     (step.probs[got], alone_step.probs)]
+            assert all(np.array_equal(x, y) for x, y in pairs), (
+                f"block {k} of sentence {s} in a stack of {2 * S} blocks "
+                "differs from the same block stepped alone: numpy or the BLAS "
+                "computes a stacked product unlike one product per block, so "
+                "decode output identical to line-by-line search, search score "
+                "== sentence_logprob and MRT scoring == sampling cannot hold")
 
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
