@@ -8,11 +8,14 @@ holds the step's completions.  Search of a sentence ends when its best live
 partial no longer outscores its best completion or when the length cap is
 reached.
 
-Sentences of one source length are searched together: their beams step as
-one stack of 8-row blocks (:func:`lexnmt.model._block_step`), each block
-reading its own sentence, and a sentence leaves the stack when its search
-ends.  A block's rows get the same bits in any stack, so each sentence's
-result is byte-identical to searching it alone.
+Sentences are searched together, shortest first: their beams step as one
+stack of 8-row blocks (:func:`lexnmt.model._block_step`), each block reading
+its own sentence, and a sentence leaves the stack when its search ends or
+its length cap is reached.  Attention runs once per run of sentences of one
+length, everything else once per stack, and a block's rows get the same
+bits in any stack, so each sentence's result is byte-identical to searching
+it alone.  Stacks are cut so that the estimated size of one member's
+decoder step stays within STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -22,10 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # ensemble_distribution is imported to stay importable from this module
-from .model import (_as_model_list, _ensemble_logp, _init_state, _length_cap,
-                    _source_context, _stack_contexts, ensemble_distribution)
+from .model import (BLOCK_ROWS, _as_model_list, _ensemble_logp, _init_state,
+                    _length_cap, _source_context, _stack_contexts,
+                    ensemble_distribution)
 
-STACK_SENTENCES = 32  # most sentences of one length searched as one stack
+# The most estimated bytes of one member's decoder step of a stack.  Each
+# wide-vocabulary line (V = 2000, d = 128) fills it alone, since stacking
+# such lines gains no time and grows memory with the stack; the 13
+# copy-long decode lines (V = 20, d = 32) fit in one stack.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,16 +71,17 @@ def _best_children(scores, eos: int, k: int):
 
 
 def _search(models, sources, beam_size: int, word_penalty: float,
-            max_len: int, lexicon) -> list[Hypothesis]:
-    """The best completions of sentences of one length, searched as one
-    stack: each sentence keeps its own best completion and leaves the stack
-    when its search ends."""
+            max_len: int | None, lexicon) -> list[Hypothesis]:
+    """The best completions of the sentences, searched as one stack: each
+    sentence keeps its own best completion and length cap, and leaves the
+    stack when its search ends or it reaches its cap."""
     eos = models[0].tgt_eos
     encs = [_stack_contexts([_source_context(m, [F], lexicon)
                              for F in sources])
             for m in models]
     states = [_init_state(m, enc) for m, enc in zip(models, encs)]
     live = np.arange(len(sources))  # each stack sentence's input position
+    caps = np.array([_length_cap(F, max_len) for F in sources])
     best = [None] * len(sources)
     best_key = np.full(len(live), -np.inf)  # in stack order
     # each token row starts with the sentence end, the first decoder input
@@ -81,7 +90,7 @@ def _search(models, sources, beam_size: int, word_penalty: float,
     rows = np.zeros((len(live), 1), dtype=np.intp)
     at = np.arange(len(live))[:, None]
 
-    while tokens.shape[2] <= max_len:
+    while True:  # every cap is at least 1
         states, logp = _ensemble_logp(models, encs, states, rows,
                                       tokens[..., -1])
         scores = logprob[..., None] + logp
@@ -108,13 +117,14 @@ def _search(models, sources, beam_size: int, word_penalty: float,
         # the key of the best child; a NaN among the k best children stands
         # for no children at all
         top = logprob.max(axis=1) + penalty
-        goes_on = ~(top <= best_key) & (top == top)
+        goes_on = (~(top <= best_key) & (top == top)
+                   & (caps >= tokens.shape[2]))
         if not goes_on.all():
             live, best_key = live[goes_on], best_key[goes_on]
             if not len(live):
                 break
-            tokens, logprob, rows = (tokens[goes_on], logprob[goes_on],
-                                     rows[goes_on])
+            tokens, logprob, rows, caps = (tokens[goes_on], logprob[goes_on],
+                                           rows[goes_on], caps[goes_on])
             at = at[:len(live)]
             # each state holds the same number of rows for every sentence
             states = [state.take(np.repeat(goes_on, len(state.hidden)
@@ -124,14 +134,47 @@ def _search(models, sources, beam_size: int, word_penalty: float,
     return best
 
 
+def _step_bytes(params, n: int, rows: int, lexicon) -> int:
+    """Estimated bytes of one decoder step of ``params`` for a sentence of
+    ``n`` source words with ``rows`` padded rows: the rows' LSTM, attention
+    and output activations and their (rows, V) arrays, plus the sentence's
+    R, MLP projection and L_F."""
+    D, V = params.dec_hid, params.tgt_vocab_size
+    a = params.attn_dim if params.attention == "mlp" else 0
+    L = 0 if lexicon is None else V
+    lstm = params.d_emb + 11 * D  # [x; ctx; h], gates and states
+    attend = (3 + 2 * a) * n + D  # scores, weights, MLP tanh and context
+    output = 3 * D + 5 * V + 2 * L  # [h; ctx], eta, softmax; L_F a, log
+    return 8 * (rows * (lstm + attend + output) + (D + a + L) * n)
+
+
+def _stacks(models, sources, beam_size: int, lexicon):
+    """The input positions of the sentences, shortest first (a stable sort,
+    so sentences of one length stay in input order), cut into stacks whose
+    estimated step of one member (the largest) fits in STACK_BYTES; a
+    sentence over it is a stack alone."""
+    rows = -(-beam_size // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
+    stack, size = [], 0
+    for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
+        cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
+                   for m in models)
+        if stack and size + cost > STACK_BYTES:
+            yield stack
+            stack, size = [], 0
+        stack.append(i)
+        size += cost
+    if stack:
+        yield stack
+
+
 def beam_search_all(models, sources, beam_size: int = 5,
                     word_penalty: float = 0.0, max_len: int | None = None,
                     lexicon=None) -> list[Hypothesis]:
     """:func:`beam_search` of every sentence of ``sources``, in order.
 
-    Sentences of one length are searched together, in stacks of at most
-    STACK_SENTENCES in input order, and each result is byte-identical to
-    searching its sentence alone."""
+    The sentences are searched together in stacks, shortest first (see
+    :func:`_stacks`), and each result is byte-identical to searching its
+    sentence alone."""
     models = _as_model_list(models)
     sources = [tuple(F) for F in sources]
     if beam_size < 1:
@@ -140,18 +183,12 @@ def beam_search_all(models, sources, beam_size: int = 5,
         raise ValueError("source sentence is empty")
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
-    groups = {}
-    for i, F in enumerate(sources):
-        groups.setdefault(len(F), []).append(i)
     out = [None] * len(sources)
-    for group in groups.values():
-        cap = _length_cap(sources[group[0]], max_len)
-        for j in range(0, len(group), STACK_SENTENCES):
-            stack = group[j:j + STACK_SENTENCES]
-            hyps = _search(models, [sources[i] for i in stack], beam_size,
-                           word_penalty, cap, lexicon)
-            for i, hyp in zip(stack, hyps):
-                out[i] = hyp
+    for stack in _stacks(models, sources, beam_size, lexicon):
+        hyps = _search(models, [sources[i] for i in stack], beam_size,
+                       word_penalty, max_len, lexicon)
+        for i, hyp in zip(stack, hyps):
+            out[i] = hyp
     return out
 
 

@@ -18,10 +18,12 @@ them all.  One step function, :func:`_decoder_step`, steps a block of rows
 or a stack of blocks and serves beam search, sampling and scoring; it also
 returns what the step computed.  :func:`_block_step` steps rows as a stack
 of blocks of exactly BLOCK_ROWS (8) rows, each block reading its own
-sentence, one product per block: beam search steps the beams of all input
-lines of one source length as one stack, and each block gets the bits it
-gets stepped alone, so decode output is byte-identical to line-by-line
-search.  :func:`_lockstep` walks several target sequences forward
+sentence, one product per block: beam search steps the beams of input
+lines of every source length as one stack, whose context
+(:class:`_Stack`) holds runs of sentences of one length.  The LSTM and the
+output layer run once over all blocks, attention and the L_F product once
+per run, and each block gets the bits it gets stepped alone, so decode
+output is byte-identical to line-by-line search.  :func:`_lockstep` walks several target sequences forward
 together, as rows of one block that a row leaves after its last word;
 teacher forcing and ancestral sampling are its two ways of choosing the
 next words.  The caller picks the walk: the padded walk steps fixed-size
@@ -187,8 +189,8 @@ class _SourceContext:
     """The source context of N sentences for one model, read by every
     decoder step: row r of a block reads sentence r, the one sentence of an
     N = 1 context is read by every row, and the blocks of a stack fall in N
-    equal runs, run s reading sentence s.  Each sentence's columns are zero
-    past its end, and ``pad`` is -inf there."""
+    equal shares, share s reading sentence s.  Each sentence's columns are
+    zero past its end, and ``pad`` is -inf there."""
 
     R: np.ndarray  # (N, D, n)
     init_state: np.ndarray  # (N, D): one row per sentence
@@ -220,12 +222,44 @@ _PER_SENTENCE = ("R", "init_state", "lengths", "pad", "mlp_proj",
                  "lexicon_matrix")  # the fields of _SourceContext by sentence
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """The context of a stack of sentences of several source lengths for
+    one model, for stepping: its runs of sentences of one length, in stack
+    order, each the context of its sentences (:func:`_stack_contexts`).
+    A stack holds the same number of blocks for every sentence, so run i
+    holds the blocks of its sentences, and attention and the L_F product,
+    the only parts of a step that read the source length, run once per run
+    over its blocks (:func:`_recurrence`)."""
+
+    runs: tuple
+    init_state: np.ndarray  # (N, D): one row per sentence, in stack order
+
+    def sentences(self, keep) -> "_Stack":
+        """The stack of the kept sentences (a boolean mask)."""
+        runs, at = [], 0
+        for run in self.runs:
+            k = keep[at:at + len(run.init_state)]
+            at += len(k)
+            if k.any():
+                runs.append(run if k.all() else run.sentences(k))
+        return _Stack(tuple(runs), self.init_state[keep])
+
+    def runs_of(self, x) -> list:
+        """(run, its blocks of the stack ``x``) pairs."""
+        per, at, out = len(x) // len(self.init_state), 0, []
+        for run in self.runs:
+            out.append((run, x[at:at + per * len(run.init_state)]))
+            at += per * len(run.init_state)
+        return out
+
+
 class _Step(NamedTuple):
     """What a decoder step computed, kept for the backward pass: one row per
     row of the block, or per row-step of a walk."""
 
     lstm: tuple
-    attn: np.ndarray
+    attn: np.ndarray | None  # None: a stack of several runs (_recurrence)
     mlp: np.ndarray | None  # tanh activations of MLP attention
     out_in: np.ndarray  # [h; ctx]
     eta: np.ndarray | None  # None: the output layer has not run
@@ -393,12 +427,19 @@ def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
     return enc
 
 
-def _stack_contexts(encs) -> _SourceContext:
-    """The one-model contexts of sentences of one length as one context
-    whose sentence s is ``encs[s]``, for stepping a stack of blocks; it
-    keeps no encoder activations, so no backward pass walks it."""
+def _stack_contexts(encs):
+    """The one-model contexts of single sentences as the context of a stack
+    whose sentence s is ``encs[s]``, for stepping a stack of blocks: one
+    context when the sentences share a length, else a :class:`_Stack` of
+    runs of neighbours of one length.  It keeps no encoder activations, so
+    no backward pass walks it."""
     if len(encs) == 1:
         return encs[0]
+    runs = [list(run) for _, run in itertools.groupby(
+        encs, lambda enc: enc.R.shape[2])]
+    if len(runs) > 1:
+        return _Stack(tuple(map(_stack_contexts, runs)),
+                      np.concatenate([enc.init_state for enc in encs]))
     return replace(encs[0], chain=None, **{
         name: np.concatenate([getattr(enc, name) for enc in encs])
         for name in _PER_SENTENCE if getattr(encs[0], name) is not None})
@@ -408,15 +449,16 @@ def _by_row(x, M):
     """Each row of ``x`` times its sentence's matrix of the (N, k, m) ``M``.
 
     ``x`` is a (B, k) block, whose row r reads sentence r, or a (K,
-    BLOCK_ROWS, k) stack of blocks, whose blocks fall in N equal runs, run s
-    reading sentence s; all rows read the one sentence of N = 1.  A block of
-    one sentence takes one product, and so does each block of a stack."""
+    BLOCK_ROWS, k) stack of blocks, whose blocks fall in N equal shares,
+    share s reading sentence s; all rows read the one sentence of N = 1.  A
+    block of one sentence takes one product, and so does each block of a
+    stack."""
     if len(M) == 1:
         return x @ M[0]
     if x.ndim == 2:
         return np.matmul(x[:, None], M)[:, 0]
-    runs = x.reshape(len(M), -1, *x.shape[1:])
-    return (runs @ M[:, None]).reshape(x.shape[:-1] + M.shape[-1:])
+    shares = x.reshape(len(M), -1, *x.shape[1:])
+    return (shares @ M[:, None]).reshape(x.shape[:-1] + M.shape[-1:])
 
 
 def _add_by_row(x, A):
@@ -425,8 +467,8 @@ def _add_by_row(x, A):
     of a row."""
     if len(A) == 1 or x.ndim == A.ndim:
         return x + A
-    runs = x.reshape(len(A), -1, *x.shape[1:])
-    total = runs + A[:, None, None]
+    shares = x.reshape(len(A), -1, *x.shape[1:])
+    total = shares + A[:, None, None]
     return total.reshape(-1, *total.shape[2:])
 
 
@@ -452,19 +494,34 @@ def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
     return DecoderState(enc.init_state, zero, zero)
 
 
-def _recurrence(params: ModelParams, prev, state: DecoderState,
-                enc: _SourceContext):
+def _recurrence(params: ModelParams, prev, state: DecoderState, enc, *,
+                bias: bool = False):
     """The LSTM and attention of one decoder step of a block of B rows ((B,)
     ids, a (B, D) state) or a stack of blocks ((K, BLOCK_ROWS) ids and
-    state rows): the new state and the first four fields of its
-    :class:`_Step`."""
+    state rows): the new state, the first four fields of its
+    :class:`_Step` and, with ``bias``, each row's L_F a (None without L_F).
+
+    The blocks of a :class:`_Stack` attend run by run; since the runs'
+    attention widths differ, the attention fields of a stack of several
+    runs are None."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
-    a, ctx, m = _attend(params, h, enc)
-    return DecoderState(h, c, ctx), (lstm, a, m, np.concatenate([h, ctx],
-                                                                axis=-1))
+    parts = []
+    for run, x in enc.runs_of(h) if isinstance(enc, _Stack) else [(enc, h)]:
+        a, ctx, m = _attend(params, x, run)
+        parts.append((a, ctx, m, None if not bias or run.lexicon_matrix is None
+                      else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
+    if len(parts) == 1:
+        a, ctx, m, lex = parts[0]
+    else:
+        _, ctxs, _, lexes = zip(*parts)
+        a = m = None
+        ctx = np.concatenate(ctxs)
+        lex = None if lexes[0] is None else np.concatenate(lexes)
+    return (DecoderState(h, c, ctx),
+            (lstm, a, m, np.concatenate([h, ctx], axis=-1)), lex)
 
 
 def _output_layer(params: ModelParams, q, lex):
@@ -483,19 +540,18 @@ def _output_layer(params: ModelParams, q, lex):
     return eta, lex, logits, top[..., 0], total[..., 0], e / total
 
 
-def _decoder_step(params: ModelParams, prev, state: DecoderState,
-                  enc: _SourceContext):
+def _decoder_step(params: ModelParams, prev, state: DecoderState, enc):
     """One decoder step of a block or stack of rows (see :func:`_recurrence`),
     each row against its sentence of ``enc`` (see :func:`_by_row`): (new
-    state, :class:`_Step`); the next-word distribution is the ``probs``."""
-    state, (lstm, a, m, q) = _recurrence(params, prev, state, enc)
-    lex = (None if enc.lexicon_matrix is None
-           else _by_row(a, enc.lexicon_matrix.swapaxes(1, 2)))
-    return state, _Step(lstm, a, m, q, *_output_layer(params, q, lex))
+    state, :class:`_Step`); the next-word distribution is the ``probs``.
+    The LSTM and the output layer run once over all blocks, attention and
+    the L_F product once per run of a :class:`_Stack`."""
+    state, s, lex = _recurrence(params, prev, state, enc, bias=True)
+    return state, _Step(*s, *_output_layer(params, s[3], lex))
 
 
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
-                enc: _SourceContext):
+                enc):
     """Step B rows for each of the S sentences of ``enc`` on ``prev_ids``,
     an (S, B) array ((B,) for one sentence): row j of sentence s continues
     row ``rows[s, j]`` of that sentence's rows in ``state`` (None: row j),
@@ -514,7 +570,7 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     scoring, sampling, minimum-risk scoring and the exhaustive-search
     oracle, which all step here, agree with ``==`` whichever rows and
     sentences share a stack."""
-    prev = np.asarray(prev_ids).reshape(len(enc.R), -1)
+    prev = np.asarray(prev_ids).reshape(len(enc.init_state), -1)
     S, B = prev.shape
     pad = np.arange(B + -B % BLOCK_ROWS) % B  # pad with copies of real rows
     at = pad if rows is None else np.asarray(rows).reshape(S, B)[:, pad]
@@ -558,8 +614,8 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
     steps, chosen = [], []
     while len(live):
         if deferred:
-            state, s = _recurrence(params, prev, state if keep is None
-                                   else state.take(keep), ctx)
+            state, s, _ = _recurrence(params, prev, state if keep is None
+                                      else state.take(keep), ctx)
             s = _Step(*s, *[None] * 6)  # the output layer runs after the walk
         else:
             state, s = _block_step(params, prev, state, keep, ctx)
@@ -846,7 +902,10 @@ def ensemble_distribution(distributions) -> np.ndarray:
         raise ValueError("need at least one distribution")
     if any(d.shape != distributions[0].shape for d in distributions):
         raise ValueError("ensemble members have mismatched vocabulary sizes")
-    return sum(distributions) / len(distributions)
+    total = distributions[0]
+    for d in distributions[1:]:  # left to right, from the first member
+        total = total + d
+    return total / len(distributions)
 
 
 def _ensemble_logp(models, encs, states, rows, prev_ids):

@@ -154,14 +154,17 @@ def test_decode_ensemble_and_lexicon(pipeline, tmp_path, capsys):
     assert capsys.readouterr().out.count("\n") == 1
 
 
-@pytest.mark.parametrize("stack", [32, 2], ids=["one-stack", "split"])
+@pytest.mark.parametrize("stack", [None, 2], ids=["one-stack", "split"])
 @pytest.mark.parametrize("members", [1, 2])
 def test_decode_equals_line_by_line_search(pipeline, tmp_path, monkeypatch,
                                            stack, members):
-    # decode searches the lines of one source length together, and a line
+    # decode searches lines of every source length together, and a line
     # leaves the stack when its search ends; every line must still get what
     # searching it alone gives, in input order
-    monkeypatch.setattr(decode_mod, "STACK_SENTENCES", stack)
+    if stack:  # each line's step costs one byte: stacks of two lines
+        monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
+    monkeypatch.setattr(decode_mod, "STACK_BYTES", stack or 1 << 40)
+    searches = count_calls(monkeypatch, decode_mod, "_search")
     trained, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
     other = tmp_path / "other.ckpt"
     save_checkpoint(other, init_params(
@@ -183,6 +186,7 @@ def test_decode_equals_line_by_line_search(pipeline, tmp_path, monkeypatch,
     for path in [other, pipeline["ckpt"]][:members]:
         argv += ["--checkpoint", str(path)]
     assert main(argv) == 0
+    assert len(searches) == (6 if stack else 1)  # 12 non-empty lines
     bpe = load_bpe(merges)
     want_text, want_scores = [], []
     for line in lines:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
 from lexnmt.decode import (Hypothesis, _best_children, beam_search,
-                           ensemble_distribution, score_hypothesis, translate)
+                           beam_search_all, ensemble_distribution,
+                           score_hypothesis, translate)
 from lexnmt.model import init_params, sentence_logprob
 
 from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
@@ -309,6 +310,59 @@ def test_ensemble_rejects_mismatched_targets():
     b = init_params(4, 9, d_emb=3, d_hid=3, seed=9)
     with pytest.raises(ValueError, match="mismatched target"):
         beam_search([a, b], (1,))
+
+
+# ---------------------------------------------------------------------------
+# stacked search of many lines
+# ---------------------------------------------------------------------------
+
+def _mixed_lines(rng, n, src_size, longest):
+    return [tuple(int(f) for f in rng.integers(
+        0, src_size, int(rng.integers(1, longest + 1)))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("beam", [1, 5, 10])
+@pytest.mark.parametrize("members", [1, 2])
+@pytest.mark.parametrize("word_penalty, max_len", [
+    (0.5, None), (40.0, None), (0.0, 4)], ids=["ends", "own-caps", "max-len"])
+def test_stacked_search_equals_search_of_each_line_alone(
+        monkeypatch, beam, members, word_penalty, max_len):
+    # the decode-identity contract: lines of mixed source lengths, searched
+    # as one stack, each get what searching them alone gives, to the bit
+    rng = np.random.default_rng(beam + 10 * members)
+    models = [tiny_model(src_size=9, tgt_size=8, d=5, attention=attention,
+                         seed=k, init_scale=0.5, use_lexicon=True)
+              for k, attention in zip(range(members), ("mlp", "dot"))]
+    if word_penalty > 1:  # no early end: each line runs to its own cap
+        for m in models:
+            m.tensors["softmax_b"][m.tgt_eos] = -40.0
+    table = random_lexicon(rng, 9, 8)
+    lines = _mixed_lines(rng, 12, 9, 14)
+    searches = count_calls(monkeypatch, decode_mod, "_search")
+    got = beam_search_all(models, lines, beam, word_penalty, max_len, table)
+    assert len(searches) == 1  # one stack of every length
+    for F, hyp in zip(lines, got):
+        alone = beam_search(models, F, beam, word_penalty, max_len, table)
+        assert hyp.tokens == alone.tokens
+        assert hyp.logprob == alone.logprob
+        if word_penalty > 1:
+            assert len(hyp.tokens) == 2 * len(F) + 10
+
+
+@pytest.mark.parametrize("V, fewest, most", [(2000, 3, 32), (20, 1, 2)],
+                         ids=["wide", "toy"])
+def test_stack_cuts_keep_search_output(monkeypatch, V, fewest, most):
+    # the byte budget cuts 32 lines into several stacks at a wide vocabulary
+    # and into one or two at a toy one; either way each line gets what
+    # searching it alone gives
+    rng = np.random.default_rng(V)
+    model = init_params(20, V, d_emb=8, d_hid=8, seed=V, init_scale=0.3)
+    lines = _mixed_lines(rng, 32, 20, 6)
+    searches = count_calls(monkeypatch, decode_mod, "_search")
+    got = beam_search_all(model, lines, 5, 0.0, 6)
+    assert fewest <= len(searches) <= most
+    for F, hyp in zip(lines, got):
+        assert hyp == beam_search(model, F, 5, 0.0, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ depend on how the interpreter adds floats.
 From Python 3.12, ``sum`` of floats uses compensated summation, so a float
 sum through it would give other bits than on 3.10 and 3.11; float sums are
 explicit left-to-right loops or numpy reductions instead.  The allowed call
-sites add integers, except ``ensemble_distribution``, which adds numpy
-arrays elementwise (arrays are not floats, so every version adds them in
-order).
+sites add integers.
 """
 
 import ast
@@ -24,7 +22,6 @@ ALLOWED = {
      "(min(c, ref_counts[g]) for g, c in hyp_counts.items())"),
     ("metrics.py", "length_ratio", "(len(list(r)) for r in references)"),
     ("metrics.py", "length_ratio", "(len(list(h)) for h in hypotheses)"),
-    ("model.py", "ensemble_distribution", "distributions"),
     ("model.py", "load_checkpoint", "counts"),
     ("model.py", "save_checkpoint",
      "(math.prod(t['shape']) for t in header['tensors'])"),

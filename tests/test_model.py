@@ -256,44 +256,58 @@ def test_block_rows_are_batch_invariant(attention, V, d):
 
 @pytest.mark.parametrize("attention, use_lexicon, V, d", [
     ("dot", False, 20, 32), ("dot", True, 20, 32), ("mlp", False, 20, 32),
-    ("mlp", True, 20, 32), ("mlp", True, 2000, 128)],
+    ("mlp", True, 20, 32), ("mlp", True, 2000, 128), ("dot", False, 2000, 128)],
     ids=["toy-dot", "toy-dot-lexicon", "toy-mlp", "toy-mlp-lexicon",
-         "wide-mlp-lexicon"])
+         "wide-mlp-lexicon", "wide-dot"])
 def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
                                                    d):
     # the premise of stacked search: each block of a stack, whichever
-    # sentence it reads and whatever blocks stand beside it, gets the bits
-    # it gets when stepped alone against that sentence's own context
+    # sentence it reads, whatever the source lengths of the stack and
+    # whatever blocks stand beside it, gets the bits it gets when stepped
+    # alone against that sentence's own context
     rng = np.random.default_rng(V + d + use_lexicon)
     params = init_params(30, V, d_emb=d, d_hid=d, attention=attention,
                          use_lexicon=use_lexicon, seed=V, init_scale=0.3)
     table = random_lexicon(rng, 30, V) if use_lexicon else None
-    S, B, held = 3, 13, 16  # 13 rows per sentence fill two blocks
-    encs = [_source_context(params, [tuple(int(f) for f in
-                                           rng.integers(0, 30, 7))], table)
-            for _ in range(S)]
-    prev = rng.integers(0, V, (S, B))
-    rows = rng.integers(0, held, (S, B))
-    state = DecoderState(*rng.uniform(-1, 1, (3, S * held, params.dec_hid)))
-    block, step = _block_step(params, prev, state, rows, _stack_contexts(encs))
-    pad = np.arange(2 * BLOCK_ROWS) % B
-    for s in range(S):
-        own = state.take(slice(s * held, (s + 1) * held))
-        for k in range(2):
-            at = pad[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS]
-            alone, alone_step = _block_step(params, prev[s, at], own,
-                                            rows[s, at], encs[s])
-            got = slice((2 * s + k) * BLOCK_ROWS, (2 * s + k + 1) * BLOCK_ROWS)
-            pairs = [(block.hidden[got], alone.hidden),
-                     (block.cell[got], alone.cell),
-                     (block.context[got], alone.context),
-                     (step.probs[got], alone_step.probs)]
-            assert all(np.array_equal(x, y) for x, y in pairs), (
-                f"block {k} of sentence {s} in a stack of {2 * S} blocks "
-                "differs from the same block stepped alone: numpy or the BLAS "
-                "computes a stacked product unlike one product per block, so "
-                "decode output identical to line-by-line search, search score "
-                "== sentence_logprob and MRT scoring == sampling cannot hold")
+    held = 16  # state rows per sentence
+    # (source lengths of the stack, rows per sentence): one length; runs of
+    # three lengths with a one-sentence run in one block; runs of two
+    # lengths with a one-sentence run whose 13 rows fill two blocks
+    for lengths, B in [((7, 7, 7), 13), ((3, 3, 6, 9, 9), 5),
+                       ((4, 8, 8), 13)]:
+        S, per = len(lengths), -(-B // BLOCK_ROWS)  # blocks per sentence
+        encs = [_source_context(params, [tuple(int(f) for f in
+                                               rng.integers(0, 30, n))], table)
+                for n in lengths]
+        stack = _stack_contexts(encs)
+        assert len(getattr(stack, "runs", [stack])) == len(set(lengths))
+        prev = rng.integers(0, V, (S, B))
+        rows = rng.integers(0, held, (S, B))
+        state = DecoderState(*rng.uniform(-1, 1, (3, S * held,
+                                                  params.dec_hid)))
+        block, step = _block_step(params, prev, state, rows, stack)
+        pad = np.arange(per * BLOCK_ROWS) % B
+        for s in range(S):
+            own = state.take(slice(s * held, (s + 1) * held))
+            for k in range(per):
+                at = pad[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS]
+                alone, alone_step = _block_step(params, prev[s, at], own,
+                                                rows[s, at], encs[s])
+                got = slice((per * s + k) * BLOCK_ROWS,
+                            (per * s + k + 1) * BLOCK_ROWS)
+                pairs = [(block.hidden[got], alone.hidden),
+                         (block.cell[got], alone.cell),
+                         (block.context[got], alone.context),
+                         (step.probs[got], alone_step.probs)]
+                assert all(np.array_equal(x, y) for x, y in pairs), (
+                    f"block {k} of sentence {s} in a stack of {per * S} "
+                    f"blocks with source lengths {lengths} differs from the "
+                    "same block stepped alone: numpy or the BLAS computes a "
+                    "stacked product unlike one product per block, so the "
+                    "decode-identity contract (beam_search_all == beam_search "
+                    "of each line alone, decode output == line-by-line "
+                    "search), search score == sentence_logprob and MRT "
+                    "scoring == sampling cannot hold")
 
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
