@@ -6,7 +6,8 @@ of a sentence is a block of rows in lexicographic token order; each step
 scores all their children as one (B, V) key block, whose sentence-end column
 holds the step's completions.  Search of a sentence ends when its best live
 partial no longer outscores its best completion or when the length cap is
-reached.
+reached; that early stop is exact only for a word penalty <= 0 (see
+:func:`beam_search`).
 
 Sentences are searched together, shortest first: their beams step as one
 stack of 8-row blocks (:func:`lexnmt.model._block_step`), each block reading
@@ -14,8 +15,11 @@ its own sentence, and a sentence leaves the stack when its search ends or
 its length cap is reached.  Attention runs once per run of sentences of one
 length, everything else once per stack, and a block's rows get the same
 bits in any stack, so each sentence's result is byte-identical to searching
-it alone.  Stacks are cut so that the estimated size of one member's
-decoder step stays within STACK_BYTES.
+it alone.  Each member encodes a stack's sentences in one pass, each its
+own one-row product, so each context equals encoding its sentence alone
+(:func:`lexnmt.model._sentence_contexts`); each sentence's L_F is built
+once for all members.  Stacks are cut so that the estimated size of one
+member's decoder step stays within STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 # ensemble_distribution is imported to stay importable from this module
 from .model import (BLOCK_ROWS, _as_model_list, _ensemble_logp, _init_state,
-                    _length_cap, _source_context, _stack_contexts,
+                    _length_cap, _sentence_contexts, _stack_contexts,
                     ensemble_distribution)
 
 # The most estimated bytes of one member's decoder step of a stack.  Each
@@ -76,9 +80,8 @@ def _search(models, sources, beam_size: int, word_penalty: float,
     sentence keeps its own best completion and length cap, and leaves the
     stack when its search ends or it reaches its cap."""
     eos = models[0].tgt_eos
-    encs = [_stack_contexts([_source_context(m, [F], lexicon)
-                             for F in sources])
-            for m in models]
+    encs = [_stack_contexts(lines)
+            for lines in _sentence_contexts(models, sources, lexicon)]
     states = [_init_state(m, enc) for m, enc in zip(models, encs)]
     live = np.arange(len(sources))  # each stack sentence's input position
     caps = np.array([_length_cap(F, max_len) for F in sources])
@@ -201,6 +204,15 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
     wins even over a partial still ahead.  Exact score ties go to the shorter,
     then the lexicographically smaller tokens: the beam's rows are in token
     order, so the first of equal keys is the smallest.
+
+    Search stops once the best live partial no longer outscores the best
+    completion.  That stop is exact only for ``word_penalty <= 0``: a
+    positive penalty adds to the key of every later word, so a longer
+    hypothesis can still overtake the completion.  With
+    ``tests/helpers.tiny_model(src_size=9, tgt_size=8, d=5,
+    attention="mlp", seed=0, init_scale=0.5)``, F = (1, 5, 7, 4), beam 5
+    and penalty 40, search returns ``(eos,)`` (score 37.96) after one step,
+    while ``(3, 3, eos)`` scores -6.22 + 120 = 113.78.
     """
     return beam_search_all(models, [F], beam_size, word_penalty, max_len,
                            lexicon)[0]

@@ -9,24 +9,28 @@ source words.
 
 The model is written once, in numpy over plain arrays.  Everything that
 depends only on the source (R, the decoder's initial state, the MLP
-projection W1_r R and L_F) is built once per model and context by
-:func:`_source_context`: N sentences, encoded together as the rows of one
-block (:func:`_encode_g`) and padded to the longest, where attention gives
-the padded positions weight exactly 0.  Row r of a decoder block reads
-sentence r; a one-sentence context is read by every row, one product for
-them all.  One step function, :func:`_decoder_step`, steps a block of rows
-or a stack of blocks and serves beam search, sampling and scoring; it also
-returns what the step computed.  :func:`_block_step` steps rows as a stack
-of blocks of exactly BLOCK_ROWS (8) rows, each block reading its own
-sentence, one product per block: beam search steps the beams of input
-lines of every source length as one stack, whose context
+projection W1_r R and L_F) is built once per model and context, by one
+encoder loop (:func:`_encode_g`) whose caller picks the shape of its rows.
+:func:`_source_context` encodes N sentences as the rows of one block,
+padded to the longest, where attention gives the padded positions weight
+exactly 0, and keeps what the backward walks.  :func:`_sentence_contexts`
+encodes a list of sentences in one pass in which each sentence is its own
+one-row product, the call that encoding it alone makes, and cuts out each
+sentence's one-sentence context, equal to encoding it alone.  Row r of a
+decoder block reads sentence r; a one-sentence context is read by every
+row, one product for them all.  One step function, :func:`_decoder_step`,
+steps a block of rows or a stack of blocks and serves beam search, sampling
+and scoring; it also returns what the step computed.  :func:`_block_step`
+steps rows as a stack of blocks of exactly BLOCK_ROWS (8) rows, each block
+reading its own sentence, one product per block: beam search steps the
+beams of input lines of every source length as one stack, whose context
 (:class:`_Stack`) holds runs of sentences of one length.  The LSTM and the
 output layer run once over all blocks, attention and the L_F product once
 per run, and each block gets the bits it gets stepped alone, so decode
-output is byte-identical to line-by-line search.  :func:`_lockstep` walks several target sequences forward
-together, as rows of one block that a row leaves after its last word;
-teacher forcing and ancestral sampling are its two ways of choosing the
-next words.  The caller picks the walk: the padded walk steps fixed-size
+output is byte-identical to line-by-line search.  :func:`_lockstep` walks
+several target sequences forward together, as rows of one block that a row
+leaves after its last word; teacher forcing and ancestral sampling are its
+two ways of choosing the next words.  The caller picks the walk: the padded walk steps fixed-size
 blocks through :func:`_block_step`, so scoring, sampling and search agree
 bit for bit; the deferred walk, which teacher forcing may take when it
 needs no step's distribution (maximum likelihood), steps only the
@@ -366,11 +370,18 @@ def _encoder_weights(params: ModelParams):
 
 
 @np.errstate(over="ignore")  # see _lstm
-def _encode_g(params: ModelParams, sources) -> _SourceContext:
-    """Run both encoder directions over the sentences of ``sources`` as the
-    rows of one block, one stacked product per position; a row leaves the
-    block after its sentence end.  Returns their context without L_F,
-    keeping each direction's LSTM activations for the backward pass."""
+def _encode_g(params: ModelParams, sources, *,
+              alone: bool = False) -> _SourceContext:
+    """Run both encoder directions over the sentences of ``sources``, one
+    stacked product per position; a sentence leaves after its end.  Returns
+    their padded context without the MLP projection and L_F.
+
+    By default the sentences are the rows of one block, and the context
+    keeps each direction's LSTM activations for the backward pass.  With
+    ``alone``, each sentence is stepped as its own one-row product, the
+    product that encoding it alone makes, so its columns and state are
+    ``np.array_equal`` to encoding it alone; no activations are kept, so no
+    backward pass walks them."""
     sources = [tuple(F) for F in sources]
     for F in sources:
         if len(F) == 0:
@@ -386,17 +397,20 @@ def _encode_g(params: ModelParams, sources) -> _SourceContext:
     for r, F in enumerate(sources):
         ids[:, :len(F), r] = F, F[::-1]
     W, b = _encoder_weights(params)
+    if alone:  # (2, N, 1, k) rows against the weights of each direction
+        W, b = W[:, None], b[:, None]
     H = np.zeros((2, n + 1, N, d))
-    h = c = np.zeros((2, N, d))
+    h = c = np.zeros((2, N, *[1] * alone, d))
     live, ended, acts = slice(None), set(lengths.tolist()), []
     for j in range(n + 1):
         if j - 1 in ended:  # the rows whose sentence end was step j - 1
             keep = lengths[live] >= j
             live, h, c = np.flatnonzero(lengths >= j), h[:, keep], c[:, keep]
-        h, c, act = _lstm(W, b, np.concatenate([t["src_emb"][ids[:, j, live]],
-                                                h], axis=2), c)
-        acts.append(act)
-        H[:, j, live] = h
+        x = t["src_emb"][ids[:, j, live]].reshape(*h.shape[:-1], -1)
+        h, c, act = _lstm(W, b, np.concatenate([x, h], axis=-1), c)
+        if not alone:
+            acts.append(act)
+        H[:, j, live] = h.reshape(2, -1, d)
     fwd, bwd = H
     R = np.zeros((N, 2 * d, n))
     init = np.empty((N, 2 * d))
@@ -404,27 +418,56 @@ def _encode_g(params: ModelParams, sources) -> _SourceContext:
         R[r, :d, :m] = bwd[m - 1::-1, r].T
         R[r, d:, :m] = fwd[:m, r].T
         init[r] = np.concatenate([bwd[m, r], fwd[m, r]])
-    enc = _SourceContext(R, init, lengths, (ids, acts),
-                         np.where(np.arange(n) < lengths[:, None], 0.0,
-                                  -np.inf))
+    return _SourceContext(R, init, lengths, None if alone else (ids, acts),
+                          np.where(np.arange(n) < lengths[:, None], 0.0,
+                                   -np.inf))
+
+
+def _attach_mlp(params: ModelParams, enc: _SourceContext) -> _SourceContext:
+    """``enc`` with the parts of MLP attention that depend only on the
+    source: the h-part of attn_W1 and the projection W1_r R, one product
+    at R's own width (a projection cut from a wider one need not keep its
+    bits)."""
     if params.attention == "mlp":
-        dec = params.dec_hid
-        enc.w1_h = t["attn_W1"][:, :dec].copy()
-        enc.mlp_proj = t["attn_W1"][:, dec:].copy() @ R
+        W1, dec = params.tensors["attn_W1"], params.dec_hid
+        enc.w1_h = W1[:, :dec].copy()
+        enc.mlp_proj = W1[:, dec:].copy() @ enc.R
     return enc
 
 
 def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
     """Encode the sentences as the rows of one block and attach each one's
-    L_F, zero past its end: the one build of a source context."""
-    enc = _encode_g(params, sources)
-    mats = [_lexicon_matrix(params, F, lexicon) for F in sources]
+    L_F, zero past its end: the one build of a block context."""
+    enc = _attach_mlp(params, _encode_g(params, sources))
+    mats = _lexicon_matrices([params], sources, lexicon)
     if mats[0] is not None:
         enc.lexicon_matrix = np.zeros((len(mats), params.tgt_vocab_size,
                                        enc.R.shape[2]))
         for r, L in enumerate(mats):
             enc.lexicon_matrix[r, :, :L.shape[1]] = L
     return enc
+
+
+def _sentence_contexts(models, sources, lexicon) -> list:
+    """Per model, the one-sentence context of each sentence of ``sources``,
+    each ``np.array_equal`` to ``_source_context(model, [F], lexicon)``:
+    one encoder pass per model in which every sentence is its own one-row
+    product (:func:`_encode_g`), each sentence's exact-width columns cut
+    from it, and each sentence's L_F built once and shared by the models,
+    which share the target vocabulary.  The contexts keep no encoder
+    activations, so no backward pass walks them."""
+    passes = [_encode_g(m, sources, alone=True) for m in models]
+    mats = _lexicon_matrices(models, sources, lexicon)
+    out = []
+    for m, enc in zip(models, passes):
+        lines = []
+        for r, (n, L) in enumerate(zip(enc.lengths.tolist(), mats)):
+            lines.append(_attach_mlp(m, _SourceContext(
+                enc.R[r:r + 1, :, :n].copy(), enc.init_state[r:r + 1],
+                enc.lengths[r:r + 1], None, np.zeros((1, n)),
+                lexicon_matrix=None if L is None else L[None])))
+        out.append(lines)
+    return out
 
 
 def _stack_contexts(encs):
@@ -855,22 +898,26 @@ def _as_model_list(models) -> list[ModelParams]:
     return models
 
 
-def _lexicon_matrix(params: ModelParams, F, lexicon):
-    """L_F of one source sentence for one model, or None without a table.
+def _lexicon_matrices(models, sources, lexicon) -> list:
+    """L_F of each source sentence, one matrix shared by the models (they
+    share the target vocabulary), or None for each without a table.
 
-    A lexicon-trained model without a table would silently score unbiased,
-    so that mismatch is an error.
+    Each model is checked on its own: a lexicon-trained model without a
+    table would silently score unbiased, so that mismatch is an error, and
+    the bias needs the model's epsilon finite and positive.
     """
-    if lexicon is None:
-        if params.use_lexicon:
+    for params in models:
+        if lexicon is None and params.use_lexicon:
             raise ValueError(
                 "model was trained with lexicon bias; a lexicon table is required")
-        return None
-    if not 0 < params.epsilon < math.inf:
-        raise ValueError(
-            "lexicon bias requires a finite epsilon > 0 to prevent zero "
-            "probabilities from becoming -inf under the log")
-    return build_lexicon_matrix(F, lexicon, params.tgt_vocab_size)
+        if lexicon is not None and not 0 < params.epsilon < math.inf:
+            raise ValueError(
+                "lexicon bias requires a finite epsilon > 0 to prevent zero "
+                "probabilities from becoming -inf under the log")
+    if lexicon is None:
+        return [None] * len(sources)
+    return [build_lexicon_matrix(F, lexicon, models[0].tgt_vocab_size)
+            for F in sources]
 
 
 def _length_cap(F, max_len: int | None) -> int:

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
 from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
-                    _lockstep, _logprobs, _source_context, _teacher_forced,
-                    save_checkpoint)
+                    _lockstep, _logprobs, _sentence_contexts, _source_context,
+                    _teacher_forced, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -479,10 +479,14 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
 
 def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
                            lexicon=None) -> float:
-    """Mean per-sentence expected error over fresh samples (no gradients)."""
+    """Mean per-sentence expected error over fresh samples (no gradients).
+
+    The sentences are encoded in one pass (each context equal to encoding
+    its sentence alone) and then sampled one after another from ``rng``."""
+    pairs = list(pairs)
     values = []
-    for pair in pairs:
-        enc = _source_context(params, [pair.source], lexicon)
+    encs, = _sentence_contexts([params], [p.source for p in pairs], lexicon)
+    for pair, enc in zip(pairs, encs):
         walk = _distinct_runs(_draw_samples(
             params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len))
         values.append(_expected_error(params, pair.target, walk,

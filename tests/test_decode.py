@@ -125,7 +125,8 @@ def _script(monkeypatch, row_step):
         return ([p for p, _ in steps],
                 SimpleNamespace(probs=np.stack([probs for _, probs in steps])))
 
-    monkeypatch.setattr(decode_mod, "_source_context", lambda *a: None)
+    monkeypatch.setattr(decode_mod, "_sentence_contexts",
+                        lambda models, *a: [[None] for _ in models])
     monkeypatch.setattr(decode_mod, "_init_state", lambda *a: [()])
     monkeypatch.setattr(model_mod, "_block_step", fake_block)
 
@@ -289,8 +290,8 @@ def test_ensemble_of_identical_models_equals_single():
 
 
 def test_ensemble_builds_one_context_per_member(monkeypatch):
-    # the source is encoded and L_F built once per member and sentence,
-    # however many decoder steps the search takes
+    # the source is encoded once per member and its L_F built once for
+    # all members, however many decoder steps the search takes
     a = _tiny(11, use_lexicon=True)
     b = _tiny(12, use_lexicon=True)
     table = random_lexicon(np.random.default_rng(11), 4, 4)
@@ -302,7 +303,7 @@ def test_ensemble_builds_one_context_per_member(monkeypatch):
     beam_search([a, b], (1, 3, 2), beam_size=3, max_len=6, lexicon=table)
     assert len(steps) == 2 * 6  # one block step per member and search step
     assert [id(args[0]) for args in encodes] == [id(a), id(b)]
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_ensemble_rejects_mismatched_targets():

@@ -11,7 +11,8 @@ from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           _block_step, _encode_g, _init_state, _lstm,
-                          _source_context, _stack_contexts, _teacher_forced,
+                          _sentence_contexts, _source_context,
+                          _stack_contexts, _teacher_forced,
                           build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
@@ -126,6 +127,43 @@ def test_encode_rejects_empty_source():
     for sources in ([()], [(1,), ()]):  # alone, and as a row of a block
         with pytest.raises(ValueError, match="empty sentence"):
             _encode_g(tiny_model(), sources)
+
+
+@pytest.mark.parametrize("V, d", [(20, 32), (2000, 128)],
+                         ids=["toy", "wide"])
+@pytest.mark.parametrize("use_lexicon", [False, True],
+                         ids=["no-lexicon", "lexicon"])
+@pytest.mark.parametrize("attention", ["dot", "mlp"])
+def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
+                                                             use_lexicon, V,
+                                                             d):
+    # one encoder pass over a ragged list of sentences, each its own
+    # one-row product, gives every sentence the context that encoding it
+    # alone gives, bit for bit, for every member of an ensemble
+    rng = np.random.default_rng(V + d + use_lexicon)
+    models = [init_params(30, V, d_emb=d, d_hid=d, attention=attention,
+                          use_lexicon=use_lexicon, seed=V + k, init_scale=0.3)
+              for k in range(2)]
+    table = random_lexicon(rng, 30, V) if use_lexicon else None
+    lengths = (5, 1, 14, 5, 9, 1, 14, 3, 3, 12, 2, 7)
+    sources = [tuple(int(f) for f in rng.integers(0, 30, n)) for n in lengths]
+    per_model = _sentence_contexts(models, sources, table)
+    for params, encs in zip(models, per_model):
+        for i, (F, enc) in enumerate(zip(sources, encs)):
+            alone = _source_context(params, [F], table)
+            for name in ("R", "init_state", "pad", "mlp_proj",
+                         "lexicon_matrix"):
+                got, want = getattr(enc, name), getattr(alone, name)
+                assert (got is None) == (want is None), name
+                assert got is None or np.array_equal(got, want), (
+                    f"sentence {i} (length {len(F)}): its one-pass {name} "
+                    "differs from encoding it alone, so stacked decode "
+                    "would not be byte-identical to line-by-line search "
+                    "and the MRT dev errors would not be those of "
+                    "encoding each dev sentence alone")
+    if use_lexicon:  # one L_F per sentence, shared by the members
+        for a, b in zip(*per_model):
+            assert np.shares_memory(a.lexicon_matrix, b.lexicon_matrix)
 
 
 def test_init_decoder_state_zero_cell_and_context():

@@ -11,7 +11,8 @@ import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
 from lexnmt.errors import DataError, NumericalError
 from lexnmt.metrics import sbleu
-from lexnmt.model import BLOCK_ROWS, _teacher_forced, sentence_logprob
+from lexnmt.model import (BLOCK_ROWS, _source_context, _teacher_forced,
+                          sentence_logprob)
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
                           expected_sampled_error, gradient_norm, mrt_loss,
@@ -564,6 +565,34 @@ def test_expected_sampled_error_in_unit_interval():
     err = expected_sampled_error(params, pairs, MrtSettings(num_samples=3),
                                  np.random.default_rng(3))
     assert 0.0 <= err <= 1.0
+
+
+def test_expected_sampled_error_equals_encoding_each_sentence_alone():
+    # the dev set is encoded in one pass and then sampled sentence by
+    # sentence from the shared rng: the same draws and the same value as
+    # one encoding per sentence, so MRT dev errors, logs and checkpoints
+    # keep their bytes
+    params = tiny_model(seed=52, attention="mlp", use_lexicon=True,
+                        init_scale=0.5)
+    table = random_lexicon(np.random.default_rng(52), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    rng = np.random.default_rng(52)
+    pairs = [SentencePair(tuple(int(f) for f in rng.integers(0, 6, n)),
+                          tuple(int(e) for e in rng.integers(1, 7, 3)))
+             for n in (3, 1, 6, 3, 2, 6)]
+    mrt = MrtSettings(num_samples=5, alpha=0.5, max_sample_len=8)
+    got = expected_sampled_error(params, pairs, mrt, np.random.default_rng(9),
+                                 table)
+    rng, values = np.random.default_rng(9), []
+    for pair in pairs:
+        enc = _source_context(params, [pair.source], table)
+        walk = train_mod._distinct_runs(train_mod._draw_samples(
+            params, enc, pair.source, mrt.num_samples, rng,
+            mrt.max_sample_len))
+        values.append(train_mod._expected_error(params, pair.target, walk,
+                                                mrt.alpha)[0])
+    assert got == float(np.mean(values))
+    assert len(set(values)) > 1
 
 
 def test_train_config_validation():
