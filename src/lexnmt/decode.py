@@ -151,14 +151,17 @@ def _step_bytes(params, n: int, rows: int, lexicon) -> int:
     return 8 * (rows * (lstm + attend + output) + (D + a + L) * n)
 
 
-def _stacks(models, sources, beam_size: int, lexicon):
-    """The input positions of the sentences, shortest first (a stable sort,
-    so sentences of one length stay in input order), cut into stacks whose
-    estimated step of one member (the largest) fits in STACK_BYTES; a
-    sentence over it is a stack alone."""
+def _stacks(models, sources, beam_size: int, lexicon, order=None):
+    """The input positions of the sentences in ``order``, by default
+    shortest first (a stable sort, so sentences of one length stay in input
+    order), cut into runs of neighbours, the stacks, whose estimated step
+    of one member (the largest) with ``beam_size`` rows per sentence fits
+    in STACK_BYTES; a sentence over it is a stack alone."""
     rows = -(-beam_size // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
+    if order is None:
+        order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     stack, size = [], 0
-    for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
+    for i in order:
         cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
                    for m in models)
         if stack and size + cost > STACK_BYTES:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .decode import _stacks
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
 from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
@@ -481,16 +482,26 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
                            lexicon=None) -> float:
     """Mean per-sentence expected error over fresh samples (no gradients).
 
-    The sentences are encoded in one pass (each context equal to encoding
-    its sentence alone) and then sampled one after another from ``rng``."""
+    The sentences are sampled one after another from ``rng``.  They are
+    encoded in runs of neighbours cut as decode cuts its stacks (so the
+    contexts held at once stay within the decode byte budget, whatever the
+    size of the dev set), one pass per run, each context equal to encoding
+    its sentence alone."""
     pairs = list(pairs)
+    if not pairs:
+        raise DataError("the dev set is empty")
+    sources = [p.source for p in pairs]
     values = []
-    encs, = _sentence_contexts([params], [p.source for p in pairs], lexicon)
-    for pair, enc in zip(pairs, encs):
-        walk = _distinct_runs(_draw_samples(
-            params, enc, pair.source, mrt.num_samples, rng, mrt.max_sample_len))
-        values.append(_expected_error(params, pair.target, walk,
-                                      mrt.alpha)[0])
+    for run in _stacks([params], sources, mrt.num_samples, lexicon,
+                       order=range(len(pairs))):
+        encs, = _sentence_contexts([params], [sources[i] for i in run],
+                                   lexicon)
+        for i, enc in zip(run, encs):
+            walk = _distinct_runs(_draw_samples(
+                params, enc, sources[i], mrt.num_samples, rng,
+                mrt.max_sample_len))
+            values.append(_expected_error(params, pairs[i].target, walk,
+                                          mrt.alpha)[0])
     return float(np.mean(values))
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
 import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
@@ -567,11 +568,23 @@ def test_expected_sampled_error_in_unit_interval():
     assert 0.0 <= err <= 1.0
 
 
-def test_expected_sampled_error_equals_encoding_each_sentence_alone():
-    # the dev set is encoded in one pass and then sampled sentence by
-    # sentence from the shared rng: the same draws and the same value as
-    # one encoding per sentence, so MRT dev errors, logs and checkpoints
-    # keep their bytes
+def test_expected_sampled_error_refuses_an_empty_dev_set():
+    with pytest.raises(DataError, match="dev set is empty"):
+        expected_sampled_error(tiny_model(seed=50), [], MrtSettings(),
+                               np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("budget", [None, 2], ids=["one-run", "runs-of-two"])
+def test_expected_sampled_error_equals_encoding_each_sentence_alone(
+        monkeypatch, budget):
+    # the dev set is encoded in runs cut under the decode byte budget, one
+    # pass per run, and then sampled sentence by sentence from the shared
+    # rng: the same draws and the same value as one encoding per sentence,
+    # so MRT dev errors, logs and checkpoints keep their bytes
+    if budget:  # each sentence costs one byte: runs of two, in input order
+        monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
+        monkeypatch.setattr(decode_mod, "STACK_BYTES", budget)
+    passes = count_calls(monkeypatch, model_mod, "_sentence_contexts")
     params = tiny_model(seed=52, attention="mlp", use_lexicon=True,
                         init_scale=0.5)
     table = random_lexicon(np.random.default_rng(52), params.src_vocab_size,
@@ -593,6 +606,9 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone():
                                                 mrt.alpha)[0])
     assert got == float(np.mean(values))
     assert len(set(values)) > 1
+    runs = [list(sources) for _, sources, _ in passes]
+    assert sum(runs, []) == [pair.source for pair in pairs]
+    assert [len(run) for run in runs] == ([6] if budget is None else [2] * 3)
 
 
 def test_train_config_validation():
