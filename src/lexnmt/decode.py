@@ -16,10 +16,11 @@ its length cap is reached.  Attention runs once per run of sentences of one
 length, everything else once per stack, and a block's rows get the same
 bits in any stack, so each sentence's result is byte-identical to searching
 it alone.  Each member encodes a stack's sentences in one pass, each its
-own one-row product, so each context equals encoding its sentence alone
-(:func:`lexnmt.model._sentence_contexts`); each sentence's L_F is built
-once for all members.  Stacks are cut so that the estimated size of one
-member's decoder step stays within STACK_BYTES.
+own one-row product, cut straight into the runs
+(:func:`lexnmt.model._stack_contexts`), so each sentence's part equals
+encoding it alone; each run's L_F is built once for all members.  Stacks
+are cut so that the estimated size of one member's decoder step stays
+within STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 
 # ensemble_distribution is imported to stay importable from this module
 from .model import (BLOCK_ROWS, _as_model_list, _ensemble_logp, _init_state,
-                    _length_cap, _sentence_contexts, _stack_contexts,
-                    ensemble_distribution)
+                    _length_cap, _stack_contexts, ensemble_distribution)
 
 # The most estimated bytes of one member's decoder step of a stack.  Each
 # wide-vocabulary line (V = 2000, d = 128) fills it alone, since stacking
@@ -80,9 +80,8 @@ def _search(models, sources, beam_size: int, word_penalty: float,
     sentence keeps its own best completion and length cap, and leaves the
     stack when its search ends or it reaches its cap."""
     eos = models[0].tgt_eos
-    encs = [_stack_contexts(lines)
-            for lines in _sentence_contexts(models, sources, lexicon)]
-    states = [_init_state(m, enc) for m, enc in zip(models, encs)]
+    encs = _stack_contexts(models, sources, lexicon)
+    states = [_init_state(enc) for enc in encs]
     live = np.arange(len(sources))  # each stack sentence's input position
     caps = np.array([_length_cap(F, max_len) for F in sources])
     best = [None] * len(sources)

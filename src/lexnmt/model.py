@@ -11,12 +11,14 @@ The model is written once, in numpy over plain arrays.  Everything that
 depends only on the source (R, the decoder's initial state, the MLP
 projection W1_r R and L_F) is built once per model and context, by one
 encoder loop (:func:`_encode_g`) whose caller picks the shape of its rows.
-:func:`_source_context` encodes N sentences as the rows of one block,
-padded to the longest, where attention gives the padded positions weight
-exactly 0, and keeps what the backward walks.  :func:`_sentence_contexts`
-encodes a list of sentences in one pass in which each sentence is its own
-one-row product, the call that encoding it alone makes, and cuts out each
-sentence's one-sentence context, equal to encoding it alone.  Row r of a
+Training builds its contexts with :func:`_source_context`, which encodes N
+sentences as the rows of one block, padded to the longest, where attention
+gives the padded positions weight exactly 0, and keeps what the backward
+walks.  Stepping without a backward (search, scoring, sampling, MRT dev
+errors) builds them with :func:`_stack_contexts`, which encodes a list of
+sentences in one pass, each sentence its own one-row product, the call
+that encoding it alone makes, cut straight into runs of neighbours of one
+length, so each sentence's part equals encoding it alone.  Row r of a
 decoder block reads sentence r; a one-sentence context is read by every
 row, one product for them all.  One step function, :func:`_decoder_step`,
 steps a block of rows or a stack of blocks and serves beam search, sampling
@@ -448,44 +450,31 @@ def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
     return enc
 
 
-def _sentence_contexts(models, sources, lexicon) -> list:
-    """Per model, the one-sentence context of each sentence of ``sources``,
-    each ``np.array_equal`` to ``_source_context(model, [F], lexicon)``:
-    one encoder pass per model in which every sentence is its own one-row
-    product (:func:`_encode_g`), each sentence's exact-width columns cut
-    from it, and each sentence's L_F built once and shared by the models,
-    which share the target vocabulary.  The contexts keep no encoder
-    activations, so no backward pass walks them."""
+def _stack_contexts(models, sources, lexicon) -> list:
+    """Per model, the context of a stack whose sentence s is ``sources[s]``,
+    for stepping (no backward walks it): one context when the sentences
+    share a length, else a :class:`_Stack` of runs of neighbours of one
+    length.  One encoder pass per model, each sentence its own one-row
+    product (:func:`_encode_g`), is cut straight into the runs; a run's R is
+    copied at its own width, its MLP projection computed from that, and its
+    L_F stacked once for all models.  Each sentence's part is thus
+    ``np.array_equal`` to ``_source_context(model, [F], lexicon)``."""
     passes = [_encode_g(m, sources, alone=True) for m in models]
     mats = _lexicon_matrices(models, sources, lexicon)
+    lengths = passes[0].lengths.tolist()
+    ends = list(itertools.accumulate(
+        len(list(run)) for _, run in itertools.groupby(lengths)))
+    spans = [(a, b, lengths[a]) for a, b in zip([0, *ends], ends)]
+    lexes = [None if mats[0] is None else np.stack(mats[a:b])
+             for a, b, _ in spans]
     out = []
     for m, enc in zip(models, passes):
-        lines = []
-        for r, (n, L) in enumerate(zip(enc.lengths.tolist(), mats)):
-            lines.append(_attach_mlp(m, _SourceContext(
-                enc.R[r:r + 1, :, :n].copy(), enc.init_state[r:r + 1],
-                enc.lengths[r:r + 1], None, np.zeros((1, n)),
-                lexicon_matrix=None if L is None else L[None])))
-        out.append(lines)
+        runs = tuple(_attach_mlp(m, _SourceContext(
+            enc.R[a:b, :, :n].copy(), enc.init_state[a:b], enc.lengths[a:b],
+            None, np.zeros((b - a, n)), lexicon_matrix=L))
+            for (a, b, n), L in zip(spans, lexes))
+        out.append(runs[0] if len(runs) == 1 else _Stack(runs, enc.init_state))
     return out
-
-
-def _stack_contexts(encs):
-    """The one-model contexts of single sentences as the context of a stack
-    whose sentence s is ``encs[s]``, for stepping a stack of blocks: one
-    context when the sentences share a length, else a :class:`_Stack` of
-    runs of neighbours of one length.  It keeps no encoder activations, so
-    no backward pass walks it."""
-    if len(encs) == 1:
-        return encs[0]
-    runs = [list(run) for _, run in itertools.groupby(
-        encs, lambda enc: enc.R.shape[2])]
-    if len(runs) > 1:
-        return _Stack(tuple(map(_stack_contexts, runs)),
-                      np.concatenate([enc.init_state for enc in encs]))
-    return replace(encs[0], chain=None, **{
-        name: np.concatenate([getattr(enc, name) for enc in encs])
-        for name in _PER_SENTENCE if getattr(encs[0], name) is not None})
 
 
 def _by_row(x, M):
@@ -531,7 +520,7 @@ def _attend(params: ModelParams, h, enc: _SourceContext):
     return a, _by_row(a, enc.R.swapaxes(-1, -2)), m
 
 
-def _init_state(params: ModelParams, enc: _SourceContext) -> DecoderState:
+def _init_state(enc) -> DecoderState:
     """The initial block state: one row per sentence of the context."""
     zero = np.zeros(enc.init_state.shape)
     return DecoderState(enc.init_state, zero, zero)
@@ -621,7 +610,10 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
         at = at + np.arange(0, len(state.hidden),
                             len(state.hidden) // S)[:, None]
     blocks = at.reshape(-1, BLOCK_ROWS)
-    if len(blocks) == 1:  # a stack of one block steps as that block
+    # a stack of one block steps as that block: a (1, 8) stack keeps the
+    # bits but made toy-shape mrt_loss 7-8 % slower, in 21 of 21 and again
+    # 5 of 6 interleaved pairs (Xeon guest, one OpenBLAS thread)
+    if len(blocks) == 1:
         blocks = blocks[0]
     state, step = _decoder_step(params, prev[:, pad].reshape(blocks.shape),
                                 state.take(blocks), enc)
@@ -652,7 +644,7 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
     and the lexicon bias run once over all row-steps after the walk."""
     live = np.arange(n_rows)
     prev = np.full(n_rows, params.tgt_eos)
-    state, ctx = _init_state(params, enc), enc
+    state, ctx = _init_state(enc), enc
     keep = live % len(enc.R)  # each row starts from its sentence's state
     steps, chosen = [], []
     while len(live):
@@ -815,7 +807,11 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
             grads["attn_w2"] += (m.transpose(1, 0, 2).reshape(len(m[0]), -1)
                                  @ ds.reshape(-1))
             dpre = t["attn_w2"][:, None] * ds[:, None, :] * (1.0 - m * m)
-            for r, x in zip(sentences, dpre):  # row by row, in row order
+            # row by row, in row order: np.add.at adds the same bits but
+            # took 2-14x as long at these shapes (8 rows: 11 -> 27 us at
+            # a = 32, 13 -> 180 us at a = 128, on the same machine), and toy
+            # ML training lost 5 of 6 benchmark pairs with it
+            for r, x in zip(sentences, dpre):
                 dP[r] += x
             K[at] = dpre.sum(axis=2)
             dh += K[at] @ enc.w1_h
@@ -983,8 +979,8 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
     probs = ensemble_distribution(
-        [_teacher_forced(m, _source_context(m, [F], lexicon), [E]).steps.probs
-         for m in models])
+        [_teacher_forced(m, enc, [E]).steps.probs
+         for m, enc in zip(models, _stack_contexts(models, [F], lexicon))])
     total = 0.0
     with np.errstate(divide="ignore"):
         for logp in np.log(probs[np.arange(len(E)), E]).tolist():

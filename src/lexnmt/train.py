@@ -41,8 +41,8 @@ from .decode import _stacks
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
 from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
-                    _lockstep, _logprobs, _sentence_contexts, _source_context,
-                    _teacher_forced, save_checkpoint)
+                    _lockstep, _logprobs, _source_context, _Stack,
+                    _stack_contexts, _teacher_forced, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -290,8 +290,8 @@ def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
     sample and is included in it; a sample that reaches ``max_len`` without
     drawing it is returned as-is.
     """
-    return _draw_samples(params, _source_context(params, [F], lexicon), F,
-                         num_samples, rng, max_len).words
+    enc, = _stack_contexts([params], [F], lexicon)
+    return _draw_samples(params, enc, F, num_samples, rng, max_len).words
 
 
 def _expected_error(params: ModelParams, E_ref, walk, alpha: float):
@@ -482,23 +482,25 @@ def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
                            lexicon=None) -> float:
     """Mean per-sentence expected error over fresh samples (no gradients).
 
-    The sentences are sampled one after another from ``rng``.  They are
-    encoded in runs of neighbours cut as decode cuts its stacks (so the
+    The sentences are sampled one after another from ``rng``, each from its
+    run of one length, a context equal to encoding it alone.  They are
+    encoded in stacks of neighbours cut as decode cuts its stacks (so the
     contexts held at once stay within the decode byte budget, whatever the
-    size of the dev set), one pass per run, each context equal to encoding
-    its sentence alone."""
+    size of the dev set), one pass per stack."""
     pairs = list(pairs)
     if not pairs:
         raise DataError("the dev set is empty")
     sources = [p.source for p in pairs]
     values = []
-    for run in _stacks([params], sources, mrt.num_samples, lexicon,
-                       order=range(len(pairs))):
-        encs, = _sentence_contexts([params], [sources[i] for i in run],
-                                   lexicon)
-        for i, enc in zip(run, encs):
+    for stack in _stacks([params], sources, mrt.num_samples, lexicon,
+                         order=range(len(pairs))):
+        enc, = _stack_contexts([params], [sources[i] for i in stack], lexicon)
+        lines = (run.sentences(slice(j, j + 1))
+                 for run in (enc.runs if isinstance(enc, _Stack) else [enc])
+                 for j in range(len(run.lengths)))
+        for i, line in zip(stack, lines):
             walk = _distinct_runs(_draw_samples(
-                params, enc, sources[i], mrt.num_samples, rng,
+                params, line, sources[i], mrt.num_samples, rng,
                 mrt.max_sample_len))
             values.append(_expected_error(params, pairs[i].target, walk,
                                           mrt.alpha)[0])

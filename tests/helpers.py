@@ -86,7 +86,7 @@ def graph_stepper(models, F, lexicon=None):
     encs = [_source_context(m, [F], lexicon) for m in models]
 
     def start():
-        return tuple(_init_state(m, enc) for m, enc in zip(models, encs))
+        return tuple(_init_state(enc) for enc in encs)
 
     def step(k, prev, state):
         state, step = _block_step(models[k], [prev], state, [0], encs[k])

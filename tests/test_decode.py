@@ -125,8 +125,8 @@ def _script(monkeypatch, row_step):
         return ([p for p, _ in steps],
                 SimpleNamespace(probs=np.stack([probs for _, probs in steps])))
 
-    monkeypatch.setattr(decode_mod, "_sentence_contexts",
-                        lambda models, *a: [[None] for _ in models])
+    monkeypatch.setattr(decode_mod, "_stack_contexts",
+                        lambda models, *a: [None for _ in models])
     monkeypatch.setattr(decode_mod, "_init_state", lambda *a: [()])
     monkeypatch.setattr(model_mod, "_block_step", fake_block)
 

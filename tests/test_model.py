@@ -1,24 +1,25 @@
 """Encoder, attention, decoder step, ensembles, and checkpoint tests."""
 
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import lexnmt.model as model_mod
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           _block_step, _encode_g, _init_state, _lstm,
-                          _sentence_contexts, _source_context,
-                          _stack_contexts, _teacher_forced,
+                          _source_context, _stack_contexts, _teacher_forced,
                           build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
 from lexnmt.train import mrt_loss_frozen
 
-from helpers import graph_stepper, random_lexicon, tiny_model
+from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
 from oracles import (ref_attention, ref_encode, ref_sentence_logprob,
                      ref_step_distribution)
 
@@ -147,8 +148,13 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
     table = random_lexicon(rng, 30, V) if use_lexicon else None
     lengths = (5, 1, 14, 5, 9, 1, 14, 3, 3, 12, 2, 7)
     sources = [tuple(int(f) for f in rng.integers(0, 30, n)) for n in lengths]
-    per_model = _sentence_contexts(models, sources, table)
-    for params, encs in zip(models, per_model):
+    per_model = [getattr(stack, "runs", [stack])
+                 for stack in _stack_contexts(models, sources, table)]
+    for params, runs in zip(models, per_model):
+        # each sentence taken from its run, in stack order
+        encs = [run.sentences(np.arange(len(run.lengths)) == j)
+                for run in runs for j in range(len(run.lengths))]
+        assert len(encs) == len(sources)
         for i, (F, enc) in enumerate(zip(sources, encs)):
             alone = _source_context(params, [F], table)
             for name in ("R", "init_state", "pad", "mlp_proj",
@@ -161,7 +167,7 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
                     "would not be byte-identical to line-by-line search "
                     "and the MRT dev errors would not be those of "
                     "encoding each dev sentence alone")
-    if use_lexicon:  # one L_F per sentence, shared by the members
+    if use_lexicon:  # one L_F per run, shared by the members
         for a, b in zip(*per_model):
             assert np.shares_memory(a.lexicon_matrix, b.lexicon_matrix)
 
@@ -169,7 +175,7 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
 def test_init_decoder_state_zero_cell_and_context():
     params = tiny_model(seed=5)
     enc = _source_context(params, [(1, 2)], None)
-    state = _init_state(params, enc)  # a one-row block
+    state = _init_state(enc)  # a one-row block
     assert state.hidden.shape == (1, params.dec_hid)
     assert np.array_equal(state.hidden, enc.init_state)
     assert not np.any(state.cell) and not np.any(state.context)
@@ -314,10 +320,10 @@ def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
     for lengths, B in [((7, 7, 7), 13), ((3, 3, 6, 9, 9), 5),
                        ((4, 8, 8), 13)]:
         S, per = len(lengths), -(-B // BLOCK_ROWS)  # blocks per sentence
-        encs = [_source_context(params, [tuple(int(f) for f in
-                                               rng.integers(0, 30, n))], table)
-                for n in lengths]
-        stack = _stack_contexts(encs)
+        sources = [tuple(int(f) for f in rng.integers(0, 30, n))
+                   for n in lengths]
+        encs = [_source_context(params, [F], table) for F in sources]
+        stack, = _stack_contexts([params], sources, table)
         assert len(getattr(stack, "runs", [stack])) == len(set(lengths))
         prev = rng.integers(0, V, (S, B))
         rows = rng.integers(0, held, (S, B))
@@ -428,6 +434,19 @@ def test_ensemble_averages_per_step_probabilities():
     want = (np.log((pa[0][E[0]] + pb[0][E[0]]) / 2)
             + np.log((pa[1][E[1]] + pb[1][E[1]]) / 2))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_lexicon_ensemble_sentence_logprob_builds_l_f_once(monkeypatch):
+    # the members share the target vocabulary, so they read one L_F of the
+    # line: one build for the ensemble, not one per member
+    a = tiny_model(seed=23, use_lexicon=True)
+    b = tiny_model(seed=24, use_lexicon=True)
+    table = random_lexicon(np.random.default_rng(23), a.src_vocab_size,
+                           a.tgt_vocab_size)
+    builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
+    F, E = (2, 4, 1), (1, 5, a.tgt_eos)
+    assert math.isfinite(sentence_logprob([a, b], F, E, lexicon=table))
+    assert [tuple(F_built) for F_built, *_ in builds] == [F]
 
 
 def test_ensemble_requires_shared_target_vocab():

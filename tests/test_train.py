@@ -584,7 +584,7 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
     if budget:  # each sentence costs one byte: runs of two, in input order
         monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
         monkeypatch.setattr(decode_mod, "STACK_BYTES", budget)
-    passes = count_calls(monkeypatch, model_mod, "_sentence_contexts")
+    passes = count_calls(monkeypatch, model_mod, "_stack_contexts")
     params = tiny_model(seed=52, attention="mlp", use_lexicon=True,
                         init_scale=0.5)
     table = random_lexicon(np.random.default_rng(52), params.src_vocab_size,
