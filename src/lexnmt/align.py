@@ -7,8 +7,6 @@ pruned entries are simply absent (the bias epsilon absorbs missing mass).
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from .corpus import Vocabulary, read_lines, write_lines
@@ -16,29 +14,59 @@ from .errors import DataError
 
 
 class LexiconTable:
-    """Sparse map: source token id -> {target token id: probability}."""
+    """Sparse p(e | f) in compressed sparse rows, in the order given: source
+    id ``sources[r]`` has ``targets[starts[r]:starts[r + 1]]`` and their
+    ``probs``.  The first bad probability or source sum over 1 in row order
+    (a row's entries before its sum, added left to right) is refused."""
 
-    def __init__(self, entries: dict[int, dict[int, float]]):
-        self.entries = entries
-        self.validate()
+    def __init__(self, sources, starts, targets, probs):
+        self.sources, self.starts, self.targets = (
+            np.asarray(x, dtype=np.int64) for x in (sources, starts, targets))
+        self.probs = p = np.asarray(probs, dtype=float)
+        self._row = np.full(self.sources.max(initial=-1) + 2, -1)  # last: none
+        self._row[self.sources] = np.arange(len(self))
+        row = np.repeat(np.arange(len(self)), np.diff(self.starts))
+        total = np.bincount(row, weights=p, minlength=len(self))
+        bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))  # nan too
+        over = np.flatnonzero(total > 1.0 + 1e-9)
+        if len(bad) and (not len(over) or row[bad[0]] <= over[0]):
+            k = bad[0]
+            raise DataError("lexicon probability out of range for pair "
+                            f"({self.sources[row[k]]}, {self.targets[k]}): {p[k]}")
+        if len(over):
+            raise DataError(f"lexicon distribution for source id "
+                            f"{self.sources[over[0]]} sums to {total[over[0]]}")
 
-    def validate(self):
-        for f, dist in self.entries.items():
-            total = 0.0
-            for e, p in dist.items():
-                if not (0.0 <= p <= 1.0) or p != p:
-                    raise DataError(
-                        f"lexicon probability out of range for pair ({f}, {e}): {p}")
-                total += p
-            if total > 1.0 + 1e-9:
-                raise DataError(
-                    f"lexicon distribution for source id {f} sums to {total}")
+    def entries_of(self, F):
+        """(entry indices, their positions in ``F``) of the ids of ``F``."""
+        rows = self._row[np.clip(np.asarray(F, dtype=np.int64), -1, len(self._row) - 1)]
+        pos = np.flatnonzero(rows >= 0)
+        start, end = self.starts[rows[pos]], self.starts[rows[pos] + 1]
+        return (np.concatenate([np.arange(0), *map(np.arange, start, end)]),
+                np.repeat(pos, end - start))
 
     def prob(self, f: int, e: int) -> float:
-        return self.entries.get(f, {}).get(e, 0.0)
+        at = self.entries_of([f])[0]
+        return float(self.probs[at][self.targets[at] == e].sum())
+
+    @property
+    def entries(self) -> dict:
+        """A fresh {source id: {target id: probability}} dict of the table."""
+        return {f: dict(zip(self.targets[a:b].tolist(), self.probs[a:b].tolist()))
+                for f, a, b in zip(self.sources.tolist(), self.starts.tolist(),
+                                   self.starts[1:].tolist())}
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.sources)
+
+
+def _grouped(f, e, p) -> LexiconTable:
+    """The table of distinct pairs (f, e) and their probabilities p: rows
+    follow their ids' first pairs, each keeping its entries' order."""
+    ids, head, inverse, counts = np.unique(
+        f, return_index=True, return_inverse=True, return_counts=True)
+    order, rank = np.argsort(head[inverse], kind="stable"), np.argsort(head)
+    return LexiconTable(ids[rank], np.cumsum([0, *counts[rank]]), e[order], p[order])
 
 
 def ibm1_train(pairs, iterations: int) -> LexiconTable:
@@ -64,7 +92,9 @@ def ibm1_train(pairs, iterations: int) -> LexiconTable:
                      for e in p.target for f in p.source], dtype=np.int64)
     row = np.repeat(np.arange(sum(len(p.target) for p in pairs)),
                     [len(p.source) for p in pairs for _ in p.target])
-    _, src_of = np.unique([f for f, _ in index], return_inverse=True)
+    f = np.array([f for f, _ in index], dtype=np.int64)
+    e = np.array([e for _, e in index], dtype=np.int64)
+    _, src_of = np.unique(f, return_inverse=True)
     # uniform init over co-occurring targets
     t = 1.0 / np.bincount(src_of)[src_of]
     for _ in range(iterations):
@@ -72,47 +102,54 @@ def ibm1_train(pairs, iterations: int) -> LexiconTable:
         frac = tl / np.bincount(row, weights=tl)[row]
         total = np.bincount(src_of[link], weights=frac)
         t = np.bincount(link, weights=frac) / total[src_of]
-    entries: dict[int, dict[int, float]] = {}
-    for (f, e), p in zip(index, t.tolist()):
-        entries.setdefault(f, {})[e] = p
-    return LexiconTable(entries)
+    return _grouped(f, e, t)
 
 
 def prune_lexicon(table: LexiconTable, min_prob: float) -> LexiconTable:
     """Drop entries below min_prob without renormalizing the remainder."""
     if not (0.0 <= min_prob < 1.0):
         raise ValueError("min_prob must be in [0, 1)")
-    pruned = {
-        f: {e: p for e, p in dist.items() if p >= min_prob}
-        for f, dist in table.entries.items()
-    }
-    return LexiconTable(pruned)
+    keep = table.probs >= min_prob
+    kept = np.concatenate([[0], np.cumsum(keep)])  # entries kept before each
+    return LexiconTable(table.sources, kept[table.starts],
+                        table.targets[keep], table.probs[keep])
 
 
 def save_lexicon(table: LexiconTable, src_vocab: Vocabulary,
                  tgt_vocab: Vocabulary, path):
     """Write TSV lines "source<TAB>target<TAB>prob" at 17 significant digits."""
+    src = np.repeat(table.sources, np.diff(table.starts))
+    order = np.argsort(src * (table.targets.max(initial=0) + 1) + table.targets)
     write_lines(path, (f"{src_vocab.token(f)}\t{tgt_vocab.token(e)}\t{p:.17g}"
-                       for f, dist in sorted(table.entries.items())
-                       for e, p in sorted(dist.items())))
+                       for f, e, p in zip(src[order].tolist(),
+                                          table.targets[order].tolist(),
+                                          table.probs[order].tolist())))
 
 
 def load_lexicon(path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> LexiconTable:
-    entries: dict[int, dict[int, float]] = defaultdict(dict)
-    src_ids, tgt_ids = src_vocab._ids, tgt_vocab._ids  # one lookup per token
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}: malformed lexicon line {lineno}")
-        src_tok, tgt_tok, prob_s = parts
-        try:
-            prob = float(prob_s)
-        except ValueError:
-            raise DataError(
-                f"{path}: bad probability at line {lineno}: {prob_s!r}")
-        f, e = src_ids.get(src_tok), tgt_ids.get(tgt_tok)
-        if f is not None and e is not None:  # else it cannot bias anything
-            entries[f][e] = prob
-    return LexiconTable(dict(entries))
+    """Read "source<TAB>target<TAB>prob" lines, skipping blank ones; a line with
+    a token outside the vocabularies is dropped once its probability parses."""
+    lines = read_lines(path)
+    rows = list(filter(None, lines))
+    fields = "\t".join(rows).split("\t") if rows else []
+    try:  # one pass, if every line holds two tabs
+        if {row.count("\t") for row in rows} - {2}:
+            raise ValueError
+        probs = np.array(list(map(float, fields[2::3])))
+    except ValueError:  # name the first bad line
+        for lineno, line in enumerate(lines, 1):
+            parts = line.split("\t")
+            if line and len(parts) != 3:
+                raise DataError(f"{path}: malformed lexicon line {lineno}")
+            try:
+                line and float(parts[2])
+            except ValueError:
+                raise DataError(f"{path}: bad probability at line {lineno}: {parts[2]!r}")
+    f = np.array([src_vocab._ids.get(t, -1) for t in fields[0::3]], dtype=np.int64)
+    e = np.array([tgt_vocab._ids.get(t, -1) for t in fields[1::3]], dtype=np.int64)
+    keep = np.flatnonzero((f >= 0) & (e >= 0))  # else it cannot bias anything
+    key = f[keep] * len(tgt_vocab) + e[keep]  # repeated pair: first place, last value
+    first, last = (np.unique(k, return_index=True)[1] for k in (key, key[::-1]))
+    at = np.argsort(first)
+    first, last = keep[first[at]], keep[len(key) - 1 - last[at]]
+    return _grouped(f[first], e[first], probs[last])

@@ -263,8 +263,7 @@ def _cmd_align(args):
     if args.min_prob > 0:
         table = prune_lexicon(table, args.min_prob)
     save_lexicon(table, src_vocab, tgt_vocab, args.out)
-    entries = sum(len(v) for v in table.entries.values())
-    print(f"lexicon: {len(table)} source words, {entries} entries")
+    print(f"lexicon: {len(table)} source words, {len(table.targets)} entries")
     return 0
 
 

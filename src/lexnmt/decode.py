@@ -9,18 +9,11 @@ partial no longer outscores its best completion or when the length cap is
 reached; that early stop is exact only for a word penalty <= 0 (see
 :func:`beam_search`).
 
-Sentences are searched together, shortest first: their beams step as one
-stack of 8-row blocks (:func:`lexnmt.model._block_step`), each block reading
-its own sentence, and a sentence leaves the stack when its search ends or
-its length cap is reached.  Attention runs once per run of sentences of one
-length, everything else once per stack, and a block's rows get the same
-bits in any stack, so each sentence's result is byte-identical to searching
-it alone.  Each member encodes a stack's sentences in one pass, each its
-own one-row product, cut straight into the runs
-(:func:`lexnmt.model._stack_contexts`), so each sentence's part equals
-encoding it alone; each run's L_F is built once for all members.  Stacks
-are cut so that the estimated size of one member's decoder step stays
-within STACK_BYTES.
+Sentences are searched together, shortest first, their beams stepped as
+one stack of 8-row blocks (:func:`lexnmt.model._block_step`) whose rows get
+the bits they get stepped alone, so each result is byte-identical to
+searching its sentence alone.  Stacks are cut so that the estimated size of
+one member's decoder step stays within STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -210,11 +203,7 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
     Search stops once the best live partial no longer outscores the best
     completion.  That stop is exact only for ``word_penalty <= 0``: a
     positive penalty adds to the key of every later word, so a longer
-    hypothesis can still overtake the completion.  With
-    ``tests/helpers.tiny_model(src_size=9, tgt_size=8, d=5,
-    attention="mlp", seed=0, init_scale=0.5)``, F = (1, 5, 7, 4), beam 5
-    and penalty 40, search returns ``(eos,)`` (score 37.96) after one step,
-    while ``(3, 3, eos)`` scores -6.22 + 120 = 113.78.
+    hypothesis can still overtake the completion (README, Notes).
     """
     return beam_search_all(models, [F], beam_size, word_penalty, max_len,
                            lexicon)[0]

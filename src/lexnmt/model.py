@@ -7,39 +7,26 @@ softmax(W_s eta + b_s), optionally biased by log(L_F a + epsilon) where L_F
 is a dense (|V_e|, |F|) slice of the lexical translation probabilities for the
 source words.
 
-The model is written once, in numpy over plain arrays.  Everything that
+The model is written once, in numpy; a model's tensors, like its gradients
+and ADAM moments, are views into one flat buffer (:class:`Tensors`).  What
 depends only on the source (R, the decoder's initial state, the MLP
-projection W1_r R and L_F) is built once per model and context, by one
-encoder loop (:func:`_encode_g`) whose caller picks the shape of its rows.
-Training builds its contexts with :func:`_source_context`, which encodes N
-sentences as the rows of one block, padded to the longest, where attention
-gives the padded positions weight exactly 0, and keeps what the backward
-walks.  Stepping without a backward (search, scoring, sampling, MRT dev
-errors) builds them with :func:`_stack_contexts`, which encodes a list of
-sentences in one pass, each sentence its own one-row product, the call
-that encoding it alone makes, cut straight into runs of neighbours of one
-length, so each sentence's part equals encoding it alone.  Row r of a
-decoder block reads sentence r; a one-sentence context is read by every
-row, one product for them all.  One step function, :func:`_decoder_step`,
-steps a block of rows or a stack of blocks and serves beam search, sampling
-and scoring; it also returns what the step computed.  :func:`_block_step`
-steps rows as a stack of blocks of exactly BLOCK_ROWS (8) rows, each block
-reading its own sentence, one product per block: beam search steps the
-beams of input lines of every source length as one stack, whose context
-(:class:`_Stack`) holds runs of sentences of one length.  The LSTM and the
-output layer run once over all blocks, attention and the L_F product once
-per run, and each block gets the bits it gets stepped alone, so decode
-output is byte-identical to line-by-line search.  :func:`_lockstep` walks
-several target sequences forward together, as rows of one block that a row
-leaves after its last word; teacher forcing and ancestral sampling are its
-two ways of choosing the next words.  The caller picks the walk: the padded walk steps fixed-size
-blocks through :func:`_block_step`, so scoring, sampling and search agree
-bit for bit; the deferred walk, which teacher forcing may take when it
-needs no step's distribution (maximum likelihood), steps only the
-recurrence and attention (:func:`_recurrence`) and runs the output layer
-once over all row-steps after it.  :func:`_backward` derives exact
-gradients from either walk by a hand-written backward pass through time
-that walks the rows back in lockstep too.
+projection W1_r R and L_F) is built once per model and context by one
+encoder loop (:func:`_encode_g`): training encodes N sentences as the padded
+rows of one block and keeps what the backward walks
+(:func:`_source_context`); stepping without a backward encodes each sentence
+as its own one-row product, cut into runs of one length, so each part equals
+encoding it alone (:func:`_stack_contexts`).  One step function,
+:func:`_decoder_step`, steps a block or a stack of blocks for search,
+sampling and scoring.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
+(8) rows, each reading its own sentence, so a row gets the bits it gets
+stepped alone and decode output is byte-identical to line-by-line search.
+:func:`_lockstep` walks target sequences forward together, by teacher
+forcing or sampling: the padded walk steps through :func:`_block_step`, so
+scoring, sampling and search agree bit for bit; the deferred walk (maximum
+likelihood) steps only the recurrence and attention and runs the output
+layer once after it.  :func:`_backward` derives exact gradients from either
+walk by a hand-written backward pass through time that walks the rows back
+in lockstep too.
 """
 
 from __future__ import annotations
@@ -68,6 +55,33 @@ _TENSOR_MAP = ({"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
                if hasattr(mmap, "MAP_PRIVATE") else {})  # Windows: no flags
 
 
+class Tensors(dict):
+    """Named float64 tensors: views into one flat ``buffer`` in sorted-name
+    (checkpoint) order, iterating in the order their shapes were given.
+    They are written in place, never rebound, added or removed."""
+
+    def __init__(self, shapes, buffer=None):
+        names = sorted(shapes)
+        at = [0, *itertools.accumulate(math.prod(shapes[n]) for n in names)]
+        self.buffer = np.zeros(at[-1]) if buffer is None else buffer
+        views = {n: self.buffer[a:b].reshape(shapes[n])
+                 for n, a, b in zip(names, at, at[1:])}
+        super().__init__((n, views[n]) for n in shapes)
+
+    def like(self, buffer=None) -> "Tensors":
+        """Tensors of this layout over ``buffer``, or over fresh zeros."""
+        return Tensors({k: v.shape for k, v in self.items()}, buffer)
+
+    def __setitem__(self, name, value):  # `t[name] += x` stores it back
+        if value is not self.get(name):
+            self._refuse()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("tensors are written in place, not rebound")
+
+    __delitem__ = pop = popitem = clear = update = setdefault = __ior__ = _refuse
+
+
 @dataclass
 class ModelParams:
     """All named tensors of one encoder-decoder instance plus hyperparameters.
@@ -87,7 +101,7 @@ class ModelParams:
     tgt_eos: int
     use_lexicon: bool
     epsilon: float
-    tensors: dict[str, np.ndarray] = field(repr=False)
+    tensors: Tensors = field(repr=False)
 
     def __post_init__(self):
         if self.attention not in ATTENTION_KINDS:
@@ -100,19 +114,25 @@ class ModelParams:
             if got != shape:
                 raise DataError(
                     f"tensor '{name}': expected shape {shape}, found {got}")
+        finite = np.isfinite(self.tensors.buffer).all()  # one scan
         for name in self.tensors:
             if name not in expected:
                 raise DataError(f"tensor '{name}': unexpected")
-            if not np.all(np.isfinite(self.tensors[name])):
+            if not finite and not np.all(np.isfinite(self.tensors[name])):
                 raise DataError(f"tensor '{name}': non-finite values")
 
     @property
     def dec_hid(self) -> int:
         return 2 * self.d_hid
 
-    def copy(self) -> "ModelParams":
-        return replace(self, tensors={k: v.copy()
-                                      for k, v in self.tensors.items()})
+    def copy(self, out: "ModelParams | None" = None) -> "ModelParams":
+        """The model with parameters of its own, checked as a new model is:
+        one buffer copy, into that of ``out`` (of this layout) if given."""
+        if out is None:
+            return replace(self, tensors=self.tensors.like(self.tensors.buffer.copy()))
+        np.copyto(out.tensors.buffer, self.tensors.buffer)
+        out.__post_init__()
+        return out
 
     def hyper_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
@@ -161,12 +181,10 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in expected_shapes(SimpleNamespace(**hyper)).items():
-        if name.endswith("_b"):
-            tensors[name] = np.zeros(shape)
-        else:
-            tensors[name] = rng.uniform(-init_scale, init_scale, shape)
+    tensors = Tensors(expected_shapes(SimpleNamespace(**hyper)))
+    for name, view in tensors.items():  # biases stay zero
+        if not name.endswith("_b"):  # uniform has no out=: one tensor at a time
+            view[...] = rng.uniform(-init_scale, init_scale, view.shape)
     return ModelParams(**hyper, src_eos=src_eos, tgt_eos=tgt_eos,
                        use_lexicon=use_lexicon, epsilon=epsilon, tensors=tensors)
 
@@ -232,11 +250,9 @@ _PER_SENTENCE = ("R", "init_state", "lengths", "pad", "mlp_proj",
 class _Stack:
     """The context of a stack of sentences of several source lengths for
     one model, for stepping: its runs of sentences of one length, in stack
-    order, each the context of its sentences (:func:`_stack_contexts`).
-    A stack holds the same number of blocks for every sentence, so run i
-    holds the blocks of its sentences, and attention and the L_F product,
-    the only parts of a step that read the source length, run once per run
-    over its blocks (:func:`_recurrence`)."""
+    order, each the context of its sentences (:func:`_stack_contexts`).  A
+    stack holds the same number of blocks for every sentence, so run i
+    holds the blocks of its sentences (:func:`_recurrence`)."""
 
     runs: tuple
     init_state: np.ndarray  # (N, D): one row per sentence, in stack order
@@ -441,12 +457,7 @@ def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
     """Encode the sentences as the rows of one block and attach each one's
     L_F, zero past its end: the one build of a block context."""
     enc = _attach_mlp(params, _encode_g(params, sources))
-    mats = _lexicon_matrices([params], sources, lexicon)
-    if mats[0] is not None:
-        enc.lexicon_matrix = np.zeros((len(mats), params.tgt_vocab_size,
-                                       enc.R.shape[2]))
-        for r, L in enumerate(mats):
-            enc.lexicon_matrix[r, :, :L.shape[1]] = L
+    enc.lexicon_matrix = _lexicon_block([params], sources, lexicon)
     return enc
 
 
@@ -457,16 +468,14 @@ def _stack_contexts(models, sources, lexicon) -> list:
     length.  One encoder pass per model, each sentence its own one-row
     product (:func:`_encode_g`), is cut straight into the runs; a run's R is
     copied at its own width, its MLP projection computed from that, and its
-    L_F stacked once for all models.  Each sentence's part is thus
+    L_F built once for all models.  Each sentence's part is thus
     ``np.array_equal`` to ``_source_context(model, [F], lexicon)``."""
     passes = [_encode_g(m, sources, alone=True) for m in models]
-    mats = _lexicon_matrices(models, sources, lexicon)
     lengths = passes[0].lengths.tolist()
     ends = list(itertools.accumulate(
         len(list(run)) for _, run in itertools.groupby(lengths)))
     spans = [(a, b, lengths[a]) for a, b in zip([0, *ends], ends)]
-    lexes = [None if mats[0] is None else np.stack(mats[a:b])
-             for a, b, _ in spans]
+    lexes = [_lexicon_block(models, sources[a:b], lexicon) for a, b, _ in spans]
     out = []
     for m, enc in zip(models, passes):
         runs = tuple(_attach_mlp(m, _SourceContext(
@@ -533,9 +542,10 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc, *,
     state rows): the new state, the first four fields of its
     :class:`_Step` and, with ``bias``, each row's L_F a (None without L_F).
 
-    The blocks of a :class:`_Stack` attend run by run; since the runs'
-    attention widths differ, the attention fields of a stack of several
-    runs are None."""
+    The LSTM runs once over all blocks; the blocks of a :class:`_Stack`
+    attend (and take the L_F product) run by run, the only parts of a step
+    that read the source length, so the attention fields of a stack of
+    several runs are None."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
@@ -575,9 +585,7 @@ def _output_layer(params: ModelParams, q, lex):
 def _decoder_step(params: ModelParams, prev, state: DecoderState, enc):
     """One decoder step of a block or stack of rows (see :func:`_recurrence`),
     each row against its sentence of ``enc`` (see :func:`_by_row`): (new
-    state, :class:`_Step`); the next-word distribution is the ``probs``.
-    The LSTM and the output layer run once over all blocks, attention and
-    the L_F product once per run of a :class:`_Stack`."""
+    state, :class:`_Step`); the next-word distribution is the ``probs``."""
     state, s, lex = _recurrence(params, prev, state, enc, bias=True)
     return state, _Step(*s, *_output_layer(params, s[3], lex))
 
@@ -894,14 +902,11 @@ def _as_model_list(models) -> list[ModelParams]:
     return models
 
 
-def _lexicon_matrices(models, sources, lexicon) -> list:
-    """L_F of each source sentence, one matrix shared by the models (they
-    share the target vocabulary), or None for each without a table.
-
-    Each model is checked on its own: a lexicon-trained model without a
-    table would silently score unbiased, so that mismatch is an error, and
-    the bias needs the model's epsilon finite and positive.
-    """
+def _lexicon_block(models, sources, lexicon):
+    """L_F of the sentences as one (N, V, n) block, zero past each one's end
+    (one :func:`build_lexicon_matrix`), shared by the models, or None without
+    a table.  A lexicon-trained model without a table (it would silently
+    score unbiased) and a bias without a finite epsilon > 0 raise."""
     for params in models:
         if lexicon is None and params.use_lexicon:
             raise ValueError(
@@ -911,9 +916,12 @@ def _lexicon_matrices(models, sources, lexicon) -> list:
                 "lexicon bias requires a finite epsilon > 0 to prevent zero "
                 "probabilities from becoming -inf under the log")
     if lexicon is None:
-        return [None] * len(sources)
-    return [build_lexicon_matrix(F, lexicon, models[0].tgt_vocab_size)
-            for F in sources]
+        return None
+    ids = np.full((len(sources), max(map(len, sources))), -1)  # -1: no entries
+    for r, F in enumerate(sources):
+        ids[r, :len(F)] = F
+    L = build_lexicon_matrix(ids.reshape(-1), lexicon, models[0].tgt_vocab_size)
+    return np.ascontiguousarray(L.reshape(len(L), *ids.shape).swapaxes(0, 1))
 
 
 def _length_cap(F, max_len: int | None) -> int:
@@ -928,13 +936,14 @@ def _length_cap(F, max_len: int | None) -> int:
 def build_lexicon_matrix(F, table: LexiconTable, tgt_vocab) -> np.ndarray:
     """Dense (|V_e|, |F|) matrix; column j holds p(e | f_j), zero if unknown."""
     size = tgt_vocab if isinstance(tgt_vocab, int) else len(tgt_vocab)
+    at, cols = table.entries_of(F)
+    e = table.targets[at]
+    bad = (e < 0) | (e >= size)
+    if bad.any():
+        raise ValueError(f"lexicon entry of source id {F[cols[bad.argmax()]]} "
+                         "outside the target vocabulary")
     L = np.zeros((size, len(F)))
-    for j, f in enumerate(F):
-        dist = table.entries.get(f, {})
-        if not all(0 <= e < size for e in dist):
-            raise ValueError(f"lexicon entry of source id {f} outside the "
-                             "target vocabulary")
-        L[list(dist), j] = list(dist.values())
+    L[e, cols] = table.probs[at]  # one scatter
     return L
 
 
@@ -1000,28 +1009,24 @@ def save_checkpoint(path, params: ModelParams, src_vocab: Vocabulary,
     so a write that fails or is cut short leaves any previous file as it
     was.  Its blocks are allocated before it is written, so a file system
     that allocates late (ext4) has no write-out to start at the rename."""
-    names = sorted(params.tensors)
     header = {
         "hyper": params.hyper_dict(),
         "src_vocab": src_vocab.tokens,
         "tgt_vocab": tgt_vocab.tokens,
         "tensors": [{"name": n, "shape": list(params.tensors[n].shape)}
-                    for n in names],
+                    for n in sorted(params.tensors)],
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"))
     head = _CHECKPOINT_MAGIC + text.encode("utf-8") + b"\n"
-    size = len(head) + 8 * sum(math.prod(t["shape"])
-                               for t in header["tensors"])
+    data = np.ascontiguousarray(params.tensors.buffer, dtype="<f8").data
     partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(partial, "wb") as f:
             if hasattr(os, "posix_fallocate"):  # not on every platform
                 with contextlib.suppress(OSError):
-                    os.posix_fallocate(f.fileno(), 0, size)
+                    os.posix_fallocate(f.fileno(), 0, len(head) + data.nbytes)
             f.write(head)
-            for n in names:  # written from the arrays' own memory, no copy
-                f.write(np.ascontiguousarray(params.tensors[n],
-                                             dtype="<f8").data)
+            f.write(data)  # the buffer is in file order: one write, no copy
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -1032,8 +1037,8 @@ def save_checkpoint(path, params: ModelParams, src_vocab: Vocabulary,
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, src Vocabulary, tgt Vocabulary).
 
-    The tensors are views into one fresh private mapping that the tensor data
-    is read into: a load holds no copy of the file, and where the mapping is
+    The tensor buffer is one fresh private mapping that the tensor data is
+    read into: a load holds no copy of the file, and where the mapping is
     filled as it is made (Linux), costs the same whatever the heap holds."""
     try:
         with open(path, "rb") as f:
@@ -1044,20 +1049,20 @@ def load_checkpoint(path):
             except ValueError as e:
                 raise DataError(f"{path}: corrupt checkpoint header") from e
             _check_header(path, header)
-            counts = [math.prod(t["shape"]) for t in header["tensors"]]
-            excess = os.fstat(f.fileno()).st_size - f.tell() - 8 * sum(counts)
-            what = "trailing bytes after" if excess > 0 else "truncated"
+            shapes = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
+            if len(shapes) < len(header["tensors"]) or list(shapes) != sorted(shapes):
+                raise DataError(f"{path}: tensor entries must name each tensor "
+                                "once, in sorted order")
+            count = sum(map(math.prod, shapes.values()))
+            excess = os.fstat(f.fileno()).st_size - f.tell() - 8 * count
             if excess:
+                what = "trailing bytes after" if excess > 0 else "truncated"
                 raise DataError(f"{path}: {what} tensor data")
-            # mmap refuses a length of 0
-            block = mmap.mmap(-1, max(8 * sum(counts), 1), **_TENSOR_MAP)
+            block = mmap.mmap(-1, max(8 * count, 1), **_TENSOR_MAP)  # mmap refuses 0
             f.readinto(block)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e
-    parts = np.split(np.frombuffer(block, dtype="<f8", count=sum(counts)),
-                     np.cumsum(counts)[:-1])
-    tensors = {t["name"]: part.reshape(t["shape"])
-               for t, part in zip(header["tensors"], parts)}
+    tensors = Tensors(shapes, np.frombuffer(block, dtype="<f8", count=count))
     hyper = header["hyper"]
     vocabs = Vocabulary(header["src_vocab"]), Vocabulary(header["tgt_vocab"])
     for side, vocab in zip(("src", "tgt"), vocabs):

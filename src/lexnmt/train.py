@@ -10,22 +10,12 @@ translations, with sample probabilities sharpened by ``alpha`` and
 renormalized over the sample set.
 
 Both losses take their gradients from the model's backward
-(:func:`lexnmt.model._backward`).  Maximum likelihood steps the sentences
-of a minibatch (or of the dev set) as the rows of blocks of at most
-``model.BLOCK_ROWS`` rows, longest target first: each block is encoded
-together, teacher-forced through the recurrence and attention, scored by
-one output-layer product over all its row-steps, and walked back together
-with -1 per sentence.  Minimum risk is weighted teacher forcing: the
-distinct samples of a sentence are scored against one encoding and each is
-seeded with the derivative of the expected error by its log-probability
-(Shen et al. 2016).  A training run fills one gradient dict, zeroed before
-each loss.
-
-The N samples of a sentence are drawn in lockstep: they are the rows of one
-block state, stepped together in blocks of ``model.BLOCK_ROWS`` rows, with
-one uniform per live row at each step, in sample order.  A sample that draws
-the sentence end leaves the block.  Each distinct sample keeps the steps of
-its first draw, and the backward walks the distinct samples back together.
+(:func:`lexnmt.model._backward`): maximum likelihood walks the blocks of a
+minibatch back with -1 per sentence (:func:`_ml_blocks`), minimum risk the
+distinct samples of a sentence, drawn in lockstep (:func:`_draw_samples`),
+each seeded with the derivative of the expected error by its
+log-probability (Shen et al. 2016).  A training run fills one gradient
+buffer, zeroed before each loss, and keeps its best model in one more.
 """
 
 from __future__ import annotations
@@ -98,47 +88,41 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Per-tensor first/second moment accumulators and a shared step counter."""
+    """ADAM's first and second moments, in the parameters' layout, and step."""
 
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+    def __init__(self, tensors):
+        self.m, self.v = tensors.like(), tensors.like()
         self.step = 0
 
 
-def adam_update(params: ModelParams, grads: dict[str, np.ndarray],
-                state: OptimizerState, lr: float):
+def adam_update(params: ModelParams, grads, state: OptimizerState, lr: float):
     """Bias-corrected ADAM step, applied in place.
 
-    Each tensor is updated in slices of ADAM_SLICE elements through two
-    slice-sized buffers, so the working set stays in cache; every entry takes
-    the elementwise operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2)
-    g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in that order."""
+    Parameters, moments and ``grads`` share one buffer layout, updated in
+    slices of ADAM_SLICE entries through two slice-sized buffers, so the
+    working set stays in cache; each entry takes m = b1 m + (1 - b1) g, v =
+    b2 v + (1 - b2) g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps) in order."""
     state.step += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.step
-    bc2 = 1.0 - ADAM_BETA2 ** state.step
+    bc1, bc2 = 1.0 - ADAM_BETA1 ** state.step, 1.0 - ADAM_BETA2 ** state.step
     num, den = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
-    for name, grad in grads.items():
-        # views: parameters and moments are C-contiguous
-        flat = [x.reshape(-1) for x in (params.tensors[name], state.m[name],
-                                        state.v[name], grad)]
-        for i in range(0, flat[0].size, ADAM_SLICE):
-            p, m, v, g = (x[i:i + ADAM_SLICE] for x in flat)
-            a, b = num[:len(p)], den[:len(p)]
-            m *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, g, out=a)
-            m += a
-            v *= ADAM_BETA2
-            np.multiply(1.0 - ADAM_BETA2, g, out=a)
-            a *= g
-            v += a
-            np.divide(m, bc1, out=a)
-            np.multiply(lr, a, out=a)
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            p -= a
+    flat = (params.tensors.buffer, state.m.buffer, state.v.buffer, grads.buffer)
+    for i in range(0, flat[0].size, ADAM_SLICE):
+        p, m, v, g = (x[i:i + ADAM_SLICE] for x in flat)
+        a, b = num[:len(p)], den[:len(p)]
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
     return params, state
 
 
@@ -179,16 +163,6 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
     return tuple(pair.target) + (params.tgt_eos,)
 
 
-def _zero_grads(params: ModelParams, grads=None) -> dict[str, np.ndarray]:
-    """Zero gradients of every tensor: ``grads`` zeroed in place, or a
-    fresh dict."""
-    if grads is None:
-        return {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    for g in grads.values():
-        g.fill(0.0)
-    return grads
-
-
 def _ml_blocks(params: ModelParams, pairs, lexicon):
     """The teacher-forced walks of ``pairs`` as the rows of blocks of at
     most BLOCK_ROWS rows, longest target first (ties in the given order),
@@ -204,12 +178,13 @@ def _ml_blocks(params: ModelParams, pairs, lexicon):
 
 def nll_loss(params: ModelParams, batch, lexicon=None, *, grads=None):
     """Total negative log-likelihood of a batch and its parameter gradients,
-    filled into ``grads`` (zeroed first) or a fresh dict."""
+    filled into ``grads`` (zeroed first) or fresh ones."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
     total = 0.0
-    grads = _zero_grads(params, grads)
+    grads = params.tensors.like() if grads is None else grads
+    grads.buffer.fill(0.0)
     for enc, walk in _ml_blocks(params, batch, lexicon):
         for logp in _logprobs(walk).tolist():
             total -= logp
@@ -317,7 +292,8 @@ def _risk_gradient(params: ModelParams, enc, E_ref, walk, alpha: float,
     backward pass seeded per sample with d error / d logp, one encoder walk
     for them all."""
     loss, seeds = _expected_error(params, E_ref, walk, alpha)
-    grads = _zero_grads(params, grads)
+    grads = params.tensors.like() if grads is None else grads
+    grads.buffer.fill(0.0)
     _backward(params, enc, walk, seeds, grads)
     return loss, grads
 
@@ -342,7 +318,7 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
              alpha: float = 0.005, rng=None, max_sample_len: int | None = None,
              lexicon=None, *, grads=None):
     """Sampled minimum-risk loss for one sentence; duplicates are collapsed.
-    The gradients fill ``grads`` (zeroed first) or a fresh dict."""
+    The gradients fill ``grads`` (zeroed first) or fresh ones."""
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     _check_alpha(alpha)
@@ -412,26 +388,20 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     batches = make_minibatches(train_pairs, config.word_budget)
     rng = np.random.default_rng(config.seed)
     opt = OptimizerState(params.tensors)
-    grads = _zero_grads(params)
+    grads = params.tensors.like()
     log = TrainLogWriter(run_dir, header=_config_header(config, {"mode": "ml"}))
 
-    best = params.copy()
-    best_dev = math.inf
-    stage = 0
-    sentences_seen = 0
-    since_check = 0
-    since_improve = 0
-    loss_sum = 0.0
-    token_sum = 0
-    stop = False
+    best = params.copy()  # improvements are copied into its buffer
+    best_dev, loss_sum, stop = math.inf, 0.0, False
+    stage = sentences_seen = since_check = since_improve = token_sum = 0
 
     def dev_check():
-        nonlocal best, best_dev, since_improve, since_check, stage, stop
+        nonlocal best_dev, since_improve, since_check, stage, stop
         nonlocal loss_sum, token_sum
         dev = float(corpus_nll(params, dev_pairs, lexicon))
         if dev < best_dev:
             best_dev = dev
-            best = params.copy()
+            params.copy(out=best)
             since_improve = 0
             if run_dir is not None and vocabs is not None:
                 save_checkpoint(os.path.join(run_dir, "best.ckpt"), best,
@@ -440,14 +410,13 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
                     "lr": config.lr_schedule[stage],
                     "train_loss": (loss_sum / token_sum) if token_sum else None,
                     "dev_loss": dev})
-        loss_sum = 0.0
-        token_sum = 0
-        since_check = 0
+        loss_sum, token_sum, since_check = 0.0, 0, 0
         if since_improve >= config.patience:
             if stage + 1 < len(config.lr_schedule):
                 stage += 1
-                params.tensors = {k: v.copy() for k, v in best.tensors.items()}
-                opt.__init__(params.tensors)
+                best.copy(out=params)
+                opt.m.buffer[:] = opt.v.buffer[:] = 0.0
+                opt.step = 0
                 since_improve = 0
             else:
                 stop = True
@@ -521,7 +490,7 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     mrt = config.mrt
     rng = np.random.default_rng(config.seed)
     opt = OptimizerState(params.tensors)
-    grads = _zero_grads(params)
+    grads = params.tensors.like()
     log = TrainLogWriter(run_dir, header=_config_header(config, {"mode": "mrt"}))
 
     best = params.copy()
@@ -554,7 +523,7 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
             np.random.default_rng((config.seed, epoch + 1)), lexicon)
         if dev_err < best_dev:
             best_dev = dev_err
-            best = params.copy()
+            params.copy(out=best)
             if run_dir is not None and vocabs is not None:
                 save_checkpoint(os.path.join(run_dir, "best.ckpt"), best,
                                 vocabs[0], vocabs[1])

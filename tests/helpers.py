@@ -37,8 +37,17 @@ def dict_pairs(rng, n, perm, vocab=20, lmin=1, lmax=6):
     return out
 
 
+def lexicon_table(entries):
+    """The LexiconTable of a {source id: {target id: probability}} dict, in
+    the dict's order."""
+    rows = list(entries.values())
+    return LexiconTable(list(entries), np.cumsum([0, *map(len, rows)]),
+                        [e for row in rows for e in row],
+                        [p for row in rows for p in row.values()])
+
+
 def perfect_lexicon(perm):
-    return LexiconTable({f: {e: 1.0} for f, e in perm.items()})
+    return lexicon_table({f: {e: 1.0} for f, e in perm.items()})
 
 
 def random_lexicon(rng, src_size, tgt_size, fanout=4, mass=0.9):
@@ -48,7 +57,7 @@ def random_lexicon(rng, src_size, tgt_size, fanout=4, mass=0.9):
         targets = rng.choice(tgt_size, min(fanout, tgt_size), replace=False)
         probs = rng.dirichlet(np.ones(len(targets))) * mass
         entries[f] = {int(e): float(p) for e, p in zip(targets, probs)}
-    return LexiconTable(entries)
+    return lexicon_table(entries)
 
 
 def tiny_model(src_size=6, tgt_size=7, d=3, attention="dot", seed=0, **kw):

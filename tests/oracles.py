@@ -411,3 +411,33 @@ def ref_adam_sequence(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         x = x - lr * mhat / (math.sqrt(vhat) + eps)
         out.append(x)
     return out
+
+
+def ref_adam_update(tensors, grads, m, v, step, lr):
+    """The per-tensor ADAM step that the flat one replaced, on dicts of
+    arrays updated in place (``step`` counts this step): each tensor in
+    slices of 16384 entries through two slice-sized buffers, each entry
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p -= lr (m / bc1) /
+    (sqrt(v / bc2) + eps) in that order."""
+    beta1, beta2, eps, size = 0.9, 0.999, 1e-8, 16384
+    bc1, bc2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+    num, den = np.empty(size), np.empty(size)
+    for name, grad in grads.items():
+        flat = [x.reshape(-1) for x in (tensors[name], m[name], v[name], grad)]
+        for i in range(0, flat[0].size, size):
+            p_, m_, v_, g = (x[i:i + size] for x in flat)
+            a, b = num[:len(p_)], den[:len(p_)]
+            m_ *= beta1
+            np.multiply(1.0 - beta1, g, out=a)
+            m_ += a
+            v_ *= beta2
+            np.multiply(1.0 - beta2, g, out=a)
+            a *= g
+            v_ += a
+            np.divide(m_, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v_, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p_ -= a

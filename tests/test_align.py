@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from lexnmt.align import (LexiconTable, ibm1_train, load_lexicon,
-                          prune_lexicon, save_lexicon)
+from lexnmt.align import ibm1_train, load_lexicon, prune_lexicon, save_lexicon
 from lexnmt.corpus import (SentencePair, Vocabulary, build_vocab, encode_pairs,
                            read_parallel)
 from lexnmt.errors import DataError
 
+from helpers import lexicon_table
 from oracles import ibm1_log_likelihood, ref_ibm1, ref_ibm1_in_order
 
 # the two-pair corpus used throughout: a<->x dominant, b<->y by exclusion
@@ -129,7 +129,7 @@ def test_train_input_validation():
 
 
 def test_prune_drops_without_renormalizing():
-    table = LexiconTable({0: {0: 0.95, 1: 0.05}})
+    table = lexicon_table({0: {0: 0.95, 1: 0.05}})
     pruned = prune_lexicon(table, 0.1)
     assert pruned.entries[0] == {0: 0.95}
     assert prune_lexicon(table, 0.0).entries == table.entries
@@ -140,13 +140,13 @@ def test_prune_drops_without_renormalizing():
 
 def test_table_invariants_enforced():
     with pytest.raises(DataError):
-        LexiconTable({0: {0: 1.2}})
+        lexicon_table({0: {0: 1.2}})
     with pytest.raises(DataError):
-        LexiconTable({0: {0: -0.1}})
+        lexicon_table({0: {0: -0.1}})
     with pytest.raises(DataError):
-        LexiconTable({0: {0: 0.8, 1: 0.7}})
+        lexicon_table({0: {0: 0.8, 1: 0.7}})
     with pytest.raises(DataError):
-        LexiconTable({0: {0: float("nan")}})
+        lexicon_table({0: {0: float("nan")}})
 
 
 def test_save_load_round_trip(tmp_path):
@@ -173,12 +173,45 @@ def test_load_skips_out_of_vocab_tokens(tmp_path):
     assert table.entries == {2: {2: 0.5}}
 
 
-def test_load_rejects_malformed_lines(tmp_path):
+@pytest.mark.parametrize("text, expected", [
+    # line numbers count blank lines
+    pytest.param("a\tx\t0.5\n\nx\ta\t0.25\na\tx\n",
+                 "{path}: malformed lexicon line 4", id="after-blank-line"),
+    pytest.param("a\tx\n", "{path}: malformed lexicon line 1",
+                 id="two-fields"),
+    pytest.param("a\tx\t0.5\t0.5\n", "{path}: malformed lexicon line 1",
+                 id="four-fields"),
+    pytest.param("a\tx\tnot_a_number\n",
+                 "{path}: bad probability at line 1: 'not_a_number'",
+                 id="not-a-number"),
+    pytest.param("a\tx\tnan\n",
+                 "lexicon probability out of range for pair (2, 3): nan",
+                 id="nan"),
+    pytest.param("a\tx\t1.5\n",
+                 "lexicon probability out of range for pair (2, 3): 1.5",
+                 id="above-one"),
+    # a token outside the vocabulary drops its line once the number parses
+    pytest.param("zz\tx\tfoo\n", "{path}: bad probability at line 1: 'foo'",
+                 id="unknown-token-bad-number"),
+    pytest.param("zz\tx\t7.5\na\ty\t0.25\n", {2: {4: 0.25}},
+                 id="unknown-token-out-of-range"),
+    # a repeated pair keeps its place and its last value, counted once
+    pytest.param("a\tx\t0.9\na\ty\t0.8\na\tx\t0.3\n",
+                 "lexicon distribution for source id 2 sums to 1.1",
+                 id="repeated-pair-sum"),
+    pytest.param("a\tx\t0.5\na\ty\t0.25\na\tx\t0.125\n",
+                 {2: {3: 0.125, 4: 0.25}}, id="repeated-pair"),
+    pytest.param("x\tx\t0.5\nx\ty\t0.5\na\ty\t0.6\na\tx\t0.5\n",
+                 "lexicon distribution for source id 2 sums to 1.1",
+                 id="sum-above-one"),
+])
+def test_load_rejects_malformed_lines(tmp_path, text, expected):
     path = tmp_path / "lexicon.tsv"
-    path.write_text("a\tx\n", encoding="utf-8")
-    v = Vocabulary(["<s>", "<unk>", "a", "x"])
-    with pytest.raises(DataError, match="line 1"):
+    path.write_text(text, encoding="utf-8")
+    v = Vocabulary(["<s>", "<unk>", "a", "x", "y"])
+    if isinstance(expected, dict):
+        assert load_lexicon(path, v, v).entries == expected
+        return
+    with pytest.raises(DataError) as caught:
         load_lexicon(path, v, v)
-    path.write_text("a\tx\tnot_a_number\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 1"):
-        load_lexicon(path, v, v)
+    assert str(caught.value) == expected.format(path=path)

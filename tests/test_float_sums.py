@@ -17,14 +17,11 @@ PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
 # (file, enclosing function, the summed expression)
 ALLOWED = {
     ("align.py", "ibm1_train", "(len(p.target) for p in pairs)"),
-    ("cli.py", "_cmd_align", "(len(v) for v in table.entries.values())"),
     ("metrics.py", "_clipped_matches",
      "(min(c, ref_counts[g]) for g, c in hyp_counts.items())"),
     ("metrics.py", "length_ratio", "(len(list(r)) for r in references)"),
     ("metrics.py", "length_ratio", "(len(list(h)) for h in hypotheses)"),
-    ("model.py", "load_checkpoint", "counts"),
-    ("model.py", "save_checkpoint",
-     "(math.prod(t['shape']) for t in header['tensors'])"),
+    ("model.py", "load_checkpoint", "map(math.prod, shapes.values())"),
     ("train.py", "train_ml", "(len(p.target) + 1 for p in batch)"),
 }
 

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexnmt.align import LexiconTable, save_lexicon
+from lexnmt.align import save_lexicon
 from lexnmt.cli import main
 from lexnmt.corpus import BpeModel, Vocabulary, save_bpe
 from lexnmt.model import init_params, save_checkpoint
+
+from helpers import lexicon_table
 
 WORDS = ["ab", "ba", "abc", "cab"]
 
@@ -55,7 +57,7 @@ def valid_files(tmp_path_factory):
                              attention="mlp", use_lexicon=use_lexicon,
                              seed=3, init_scale=0.5)
         save_checkpoint(root / name, params, vocab, vocab)
-    save_lexicon(LexiconTable({2: {3: 0.75, 4: 0.25}, 5: {2: 0.5}}), vocab,
+    save_lexicon(lexicon_table({2: {3: 0.75, 4: 0.25}, 5: {2: 0.5}}), vocab,
                  vocab, root / "lexicon.tsv")
     save_bpe(BpeModel([("a", "b"), ("c", "ab"), ("ab", "</w>")]),
              root / "bpe.merges")

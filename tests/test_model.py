@@ -1,14 +1,16 @@
 """Encoder, attention, decoder step, ensembles, and checkpoint tests."""
 
+import io
+import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import lexnmt.model as model_mod
-from lexnmt.align import LexiconTable
 from lexnmt.corpus import Vocabulary
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
@@ -19,7 +21,8 @@ from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           save_checkpoint, sentence_logprob)
 from lexnmt.train import mrt_loss_frozen
 
-from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
+from helpers import (count_calls, graph_stepper, lexicon_table, random_lexicon,
+                     tiny_model)
 from oracles import (ref_attention, ref_encode, ref_sentence_logprob,
                      ref_step_distribution)
 
@@ -242,7 +245,7 @@ def test_decoder_step_lexicon_bias_matches_oracle():
 
 def test_lexicon_bias_promotes_supported_tokens():
     params = tiny_model(seed=10)
-    table = LexiconTable({4: {5: 1.0}})
+    table = lexicon_table({4: {5: 1.0}})
     F = (4,)
 
     def first_step(lexicon):
@@ -258,7 +261,7 @@ def test_decoder_step_rejects_nonpositive_epsilon():
     # the bias is refused when the sentence's L_F is built, before any step;
     # nan and inf are refused too
     params = tiny_model(seed=11)
-    table = LexiconTable({1: {1: 0.5}})
+    table = lexicon_table({1: {1: 0.5}})
     for bad in (0.0, -1e-9, float("nan"), float("inf")):
         params.epsilon = bad
         with pytest.raises(ValueError, match="epsilon > 0"):
@@ -461,7 +464,7 @@ def test_ensemble_requires_shared_target_vocab():
 # ---------------------------------------------------------------------------
 
 def test_build_lexicon_matrix_layout():
-    table = LexiconTable({3: {1: 0.7, 2: 0.2}, 9: {0: 1.0}})
+    table = lexicon_table({3: {1: 0.7, 2: 0.2}, 9: {0: 1.0}})
     L = build_lexicon_matrix((3, 5, 3), table, 6)
     assert isinstance(L, np.ndarray) and L.dtype == np.float64
     assert L.shape == (6, 3)
@@ -472,7 +475,7 @@ def test_build_lexicon_matrix_layout():
     assert np.array_equal(L[:, 2], col)  # repeated word, repeated column
     for bad in (6, -1):
         with pytest.raises(ValueError, match="outside the target vocabulary"):
-            build_lexicon_matrix((3,), LexiconTable({3: {bad: 0.5}}), 6)
+            build_lexicon_matrix((3,), lexicon_table({3: {bad: 0.5}}), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +563,8 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path,
+                                                        monkeypatch):
     # the tensor data fails after the header is written: the checkpoint
     # already there stays byte for byte, and no partial file is left
     params = tiny_model(seed=27)
@@ -569,18 +573,37 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
     save_checkpoint(path, params, src, tgt)
     before = path.read_bytes()
 
-    class Unwritable:
-        shape = params.tensors["tgt_emb"].shape
+    class CutShort(io.FileIO):
+        writes = 0
 
-        def __array__(self, *args, **kwargs):
-            raise RuntimeError("write cut short")
+        def write(self, data):  # the header goes through, the data fails
+            self.writes += 1
+            if self.writes > 1:
+                raise RuntimeError("write cut short")
+            return super().write(data)
 
-    broken = params.copy()
-    broken.tensors["tgt_emb"] = Unwritable()  # the last tensor written
+    monkeypatch.setattr(model_mod, "open", CutShort, raising=False)
     with pytest.raises(RuntimeError, match="write cut short"):
-        save_checkpoint(path, broken, src, tgt)
+        save_checkpoint(path, params.copy(), src, tgt)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["best.ckpt"]
+
+
+def test_tensors_refuse_rebinding():
+    # a rebound tensor would leave the buffer that copies, saves and the
+    # optimizer read; writing into a tensor, `+=` included, stays in it
+    params = tiny_model(seed=28)
+    t = params.tensors
+    for change in (lambda: t.__setitem__("dec_b", np.ones_like(t["dec_b"])),
+                   lambda: t.__setitem__("extra", np.ones(2)),
+                   lambda: t.__delitem__("dec_b"), lambda: t.pop("dec_b"),
+                   lambda: t.update(dec_b=np.ones(2)), t.clear):
+        with pytest.raises(TypeError, match="not rebound"):
+            change()
+    assert list(t) == list(expected_shapes(params))
+    params.tensors["dec_b"] += 1.0
+    assert np.shares_memory(params.tensors["dec_b"], params.tensors.buffer)
+    assert params.tensors["dec_b"].all()
 
 
 def test_checkpoint_corruption_errors(tmp_path):
@@ -602,6 +625,20 @@ def test_checkpoint_corruption_errors(tmp_path):
         load_checkpoint(bad)
     with pytest.raises(DataError, match="cannot read"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+    # a header that names a tensor twice, or out of sorted order, would
+    # load a tensor from the wrong block of the buffer
+    head, data = raw.split(b"\n", 2)[1:]
+    entries = json.loads(head)["tensors"]
+    out_b = next(t for t in entries if t["name"] == "out_b")
+    for tensors, extra in ((entries + [out_b], [7.0] * out_b["shape"][0]),
+                           (entries[::-1], [])):
+        header = {**json.loads(head), "tensors": tensors}
+        bad.write_bytes(model_mod._CHECKPOINT_MAGIC + json.dumps(header).encode()
+                        + b"\n" + data + np.array(extra, "<f8").tobytes())
+        with pytest.raises(DataError, match=re.escape(f"{bad}: tensor entries "
+                           "must name each tensor once, in sorted order")):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_load_reads_tensors_outside_the_heap(tmp_path):

@@ -23,7 +23,7 @@ from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
 from helpers import (copy_pairs, count_calls, graph_stepper, random_lexicon,
                      tiny_model)
 from oracles import (mean_sampled_sbleu, mrt_expected_error, ref_adam_sequence,
-                     ref_lockstep_samples, token_accuracy)
+                     ref_adam_update, ref_lockstep_samples, token_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -33,18 +33,48 @@ from oracles import (mean_sampled_sbleu, mrt_expected_error, ref_adam_sequence,
 def test_adam_matches_scalar_reference():
     params = tiny_model(seed=30)
     params.tensors["dec_b"][:] = 0.0
+    before = params.copy()
     opt = OptimizerState(params.tensors)
     gs = [0.3, -1.1, 0.7, 0.05, 2.0]
     got = []
     for g in gs:
-        grad = np.zeros_like(params.tensors["dec_b"])
-        grad[0] = g
-        adam_update(params, {"dec_b": grad}, opt, lr=0.01)
+        grads = params.tensors.like()  # zero but for one entry
+        grads["dec_b"][0] = g
+        adam_update(params, grads, opt, lr=0.01)
         got.append(params.tensors["dec_b"][0])
     want = ref_adam_sequence(0.0, gs, 0.01)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
     # untouched entries must not move (zero gradient, zero moments)
     assert not params.tensors["dec_b"][1:].any()
+    for name, value in before.tensors.items():
+        if name != "dec_b":
+            assert np.array_equal(params.tensors[name], value), name
+
+
+@pytest.mark.parametrize("shape", [
+    {"src_size": 6, "tgt_size": 7, "d": 3},
+    {"src_size": 2000, "tgt_size": 2000, "d": 128, "attention": "mlp"}])
+def test_flat_adam_matches_per_tensor_reference(shape):
+    # clip-then-ADAM steps on the flat buffers give, entry for entry, the
+    # bits of the per-tensor update on separate arrays
+    params = tiny_model(seed=34, **shape)
+    ref = {k: v.copy() for k, v in params.tensors.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+    opt = OptimizerState(params.tensors)
+    rng = np.random.default_rng(35)
+    for step, scale in enumerate((0.05, 1.0, 0.2), 1):
+        grads = params.tensors.like()
+        grads.buffer[:] = rng.normal(0.0, scale, grads.buffer.size)
+        ref_grads = {k: v.copy() for k, v in grads.items()}
+        clip_gradients(grads, 5.0)
+        clip_gradients(ref_grads, 5.0)
+        adam_update(params, grads, opt, lr=0.01)
+        ref_adam_update(ref, ref_grads, ref_m, ref_v, step, 0.01)
+    for name, value in ref.items():
+        assert np.array_equal(params.tensors[name], value), name
+        assert np.array_equal(opt.m[name], ref_m[name]), name
+        assert np.array_equal(opt.v[name], ref_v[name]), name
 
 
 def test_clip_gradients_scales_only_above_threshold():
@@ -109,7 +139,8 @@ def test_losses_zero_a_reused_gradient_dict():
                     lambda **k: mrt_loss(params, (1, 2), (3,), num_samples=4,
                                          rng=np.random.default_rng(2), **k)):
         want, fresh = loss_fn()
-        reused = {k: np.full_like(v, 7.0) for k, v in params.tensors.items()}
+        reused = params.tensors.like()
+        reused.buffer.fill(7.0)
         loss, grads = loss_fn(grads=reused)
         assert grads is reused and loss == want
         for name in params.tensors:
