@@ -25,8 +25,7 @@ from .decode import beam_search_all, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
 from .model import init_params, load_checkpoint, save_checkpoint
-from .train import (MrtSettings, TrainConfig, sample_translations, train_ml,
-                    train_mrt)
+from .train import MrtSettings, TrainConfig, _sampled, train_ml, train_mrt
 
 
 class _UsageError(Exception):
@@ -416,21 +415,20 @@ def _cmd_sample(args):
     params, src_vocab, tgt_vocab = load_checkpoint(args.checkpoint)
     bpe = load_bpe(args.bpe) if args.bpe else None
     lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
-    rng = np.random.default_rng(args.seed)
+    sources = [_source_ids(line, bpe, src_vocab)
+               for line in read_lines(args.input)]
+    drawn = _sampled(params, [F for F in sources if F], args.samples,
+                     args.max_len, np.random.default_rng(args.seed), lexicon)
 
-    def sample_lines(line):
-        ids = _source_ids(line, bpe, src_vocab)
-        if not ids:
+    def sample_lines(F):
+        if not F:
             return [""] * args.samples
-        samples = sample_translations(params, ids, args.samples,
-                                      args.max_len, rng, lexicon)
-        texts = [_target_text(sample, bpe, tgt_vocab) for sample in samples]
+        texts = [_target_text(s, bpe, tgt_vocab) for s in next(drawn).words]
         return (texts if args.samples == 1
                 else [f"{k}\t{text}" for k, text in enumerate(texts)])
 
-    write_lines(args.output or None,
-                (text for line in read_lines(args.input)
-                 for text in sample_lines(line)))
+    lines = [text for F in sources for text in sample_lines(F)]
+    write_lines(args.output or None, lines)
     return 0
 
 

@@ -67,13 +67,13 @@ def _best_children(scores, eos: int, k: int):
     return best // (V - 1), live[best % (V - 1)]
 
 
-def _search(models, sources, beam_size: int, word_penalty: float,
-            max_len: int | None, lexicon) -> list[Hypothesis]:
-    """The best completions of the sentences, searched as one stack: each
-    sentence keeps its own best completion and length cap, and leaves the
-    stack when its search ends or it reaches its cap."""
+def _search(models, sources, encs, beam_size: int, word_penalty: float,
+            max_len: int | None) -> list[Hypothesis]:
+    """The best completions of the sentences, searched as one stack from
+    each member's context ``encs`` (see :func:`_stacks`): each sentence
+    keeps its own best completion and length cap, and leaves the stack when
+    its search ends or it reaches its cap."""
     eos = models[0].tgt_eos
-    encs = _stack_contexts(models, sources, lexicon)
     states = [_init_state(enc) for enc in encs]
     live = np.arange(len(sources))  # each stack sentence's input position
     caps = np.array([_length_cap(F, max_len) for F in sources])
@@ -144,25 +144,27 @@ def _step_bytes(params, n: int, rows: int, lexicon) -> int:
 
 
 def _stacks(models, sources, beam_size: int, lexicon, order=None):
-    """The input positions of the sentences in ``order``, by default
-    shortest first (a stable sort, so sentences of one length stay in input
-    order), cut into runs of neighbours, the stacks, whose estimated step
-    of one member (the largest) with ``beam_size`` rows per sentence fits
-    in STACK_BYTES; a sentence over it is a stack alone."""
+    """The stacks that search and sampling step: the sentences in ``order``,
+    by default shortest first (a stable sort, so sentences of one length stay
+    in input order), cut into runs of neighbours whose estimated step of
+    one member (the largest) with ``beam_size`` rows per sentence fits in
+    STACK_BYTES, a sentence over it alone.  Yields each stack's input
+    positions and, built as it is reached, each member's context of it."""
     rows = -(-beam_size // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
     if order is None:
         order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
-    stack, size = [], 0
+    stacks, size = [[]], 0
     for i in order:
         cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
                    for m in models)
-        if stack and size + cost > STACK_BYTES:
-            yield stack
-            stack, size = [], 0
-        stack.append(i)
+        if stacks[-1] and size + cost > STACK_BYTES:
+            stacks.append([])
+            size = 0
+        stacks[-1].append(i)
         size += cost
-    if stack:
-        yield stack
+    for stack in filter(None, stacks):
+        yield stack, _stack_contexts(models, [sources[i] for i in stack],
+                                     lexicon)
 
 
 def beam_search_all(models, sources, beam_size: int = 5,
@@ -182,9 +184,9 @@ def beam_search_all(models, sources, beam_size: int = 5,
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1")
     out = [None] * len(sources)
-    for stack in _stacks(models, sources, beam_size, lexicon):
-        hyps = _search(models, [sources[i] for i in stack], beam_size,
-                       word_penalty, max_len, lexicon)
+    for stack, encs in _stacks(models, sources, beam_size, lexicon):
+        hyps = _search(models, [sources[i] for i in stack], encs, beam_size,
+                       word_penalty, max_len)
         for i, hyp in zip(stack, hyps):
             out[i] = hyp
     return out

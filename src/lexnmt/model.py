@@ -14,19 +14,18 @@ projection W1_r R and L_F) is built once per model and context by one
 encoder loop (:func:`_encode_g`): training encodes N sentences as the padded
 rows of one block and keeps what the backward walks
 (:func:`_source_context`); stepping without a backward encodes each sentence
-as its own one-row product, cut into runs of one length, so each part equals
-encoding it alone (:func:`_stack_contexts`).  One step function,
-:func:`_decoder_step`, steps a block or a stack of blocks for search,
-sampling and scoring.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
-(8) rows, each reading its own sentence, so a row gets the bits it gets
-stepped alone and decode output is byte-identical to line-by-line search.
-:func:`_lockstep` walks target sequences forward together, by teacher
-forcing or sampling: the padded walk steps through :func:`_block_step`, so
-scoring, sampling and search agree bit for bit; the deferred walk (maximum
-likelihood) steps only the recurrence and attention and runs the output
-layer once after it.  :func:`_backward` derives exact gradients from either
-walk by a hand-written backward pass through time that walks the rows back
-in lockstep too.
+as its own one-row product, cut into a stack of runs of one length whose L_F
+is built once for all members of an ensemble, so each part equals encoding
+it alone (:func:`_stack_contexts`).  :func:`_block_step` steps fixed blocks
+of BLOCK_ROWS (8) rows for search, sampling and scoring, each block reading
+its own sentence, so a row gets the bits it gets stepped alone and decode
+output is byte-identical to line-by-line search.  :func:`_lockstep` walks
+target sequences forward together, by teacher forcing or sampling: the
+padded walk steps through :func:`_block_step`, so scoring, sampling and
+search agree bit for bit; the deferred walk (maximum likelihood) steps only
+the recurrence and attention and runs the output layer once after it.
+:func:`_backward` derives exact gradients from either walk by a hand-written
+backward pass through time that walks the rows back in lockstep too.
 """
 
 from __future__ import annotations
@@ -106,6 +105,7 @@ class ModelParams:
     def __post_init__(self):
         if self.attention not in ATTENTION_KINDS:
             raise ValueError(f"unknown attention kind: {self.attention!r}")
+        _check_widths(self, DataError)  # a checkpoint's widths
         expected = expected_shapes(self)
         for name, shape in expected.items():
             if name not in self.tensors:
@@ -137,6 +137,12 @@ class ModelParams:
     def hyper_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "tensors"}
+
+
+def _check_widths(hp, error=ValueError):
+    """Refuse a width below 1: a model that computes nothing."""
+    if min(hp.d_emb, hp.d_hid, hp.attn_dim) < 1:
+        raise error("d_emb, d_hid and attn_dim must be >= 1")
 
 
 def expected_shapes(hp) -> dict[str, tuple[int, ...]]:
@@ -176,8 +182,7 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
     hyper = dict(d_emb=d_emb, d_hid=d_hid, attention=attention,
                  attn_dim=attn_dim if attn_dim is not None else d_hid,
                  src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size)
-    if min(d_emb, d_hid, hyper["attn_dim"]) < 1:
-        raise ValueError("d_emb, d_hid and attn_dim must be >= 1")
+    _check_widths(SimpleNamespace(**hyper))
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     rng = np.random.default_rng(seed)
@@ -214,14 +219,14 @@ class _SourceContext:
     decoder step: row r of a block reads sentence r, the one sentence of an
     N = 1 context is read by every row, and the blocks of a stack fall in N
     equal shares, share s reading sentence s.  Each sentence's columns are
-    zero past its end, and ``pad`` is -inf there."""
+    zero past its end, and ``pad`` is -inf there.  Every field but ``chain``
+    is per sentence."""
 
     R: np.ndarray  # (N, D, n)
     init_state: np.ndarray  # (N, D): one row per sentence
     lengths: np.ndarray  # (N,) source lengths
     chain: tuple  # (source ids (2, n+1, N), LSTM activations): both directions
     pad: np.ndarray  # (N, n) 0 or -inf
-    w1_h: np.ndarray | None = None  # attn_W1[:, h-part] for MLP attention
     mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R: (N, a, n)
     lexicon_matrix: np.ndarray | None = None  # L_F (N, V, n); None: no bias
 
@@ -229,8 +234,8 @@ class _SourceContext:
         """The context of the kept sentences, for stepping; it keeps no
         encoder activations, so no backward pass walks it."""
         return replace(self, chain=None, **{
-            name: getattr(self, name)[keep] for name in _PER_SENTENCE
-            if getattr(self, name) is not None})
+            f.name: getattr(self, f.name)[keep] for f in fields(self)
+            if f.name != "chain" and getattr(self, f.name) is not None})
 
     def take(self, rows) -> "_SourceContext":
         """What attention reads for the given rows: their sentences, or the
@@ -242,17 +247,13 @@ class _SourceContext:
                                  else self.mlp_proj[rows]))
 
 
-_PER_SENTENCE = ("R", "init_state", "lengths", "pad", "mlp_proj",
-                 "lexicon_matrix")  # the fields of _SourceContext by sentence
-
-
 @dataclass(frozen=True)
 class _Stack:
-    """The context of a stack of sentences of several source lengths for
-    one model, for stepping: its runs of sentences of one length, in stack
-    order, each the context of its sentences (:func:`_stack_contexts`).  A
-    stack holds the same number of blocks for every sentence, so run i
-    holds the blocks of its sentences (:func:`_recurrence`)."""
+    """The context of a stack of sentences for one model, for stepping: its
+    runs of sentences of one source length, in stack order, each the context
+    of its sentences (:func:`_stack_contexts`).  A stack holds the same
+    number of blocks for every sentence, so run i holds the blocks of its
+    sentences (:func:`_recurrence`)."""
 
     runs: tuple
     init_state: np.ndarray  # (N, D): one row per sentence, in stack order
@@ -267,13 +268,12 @@ class _Stack:
                 runs.append(run if k.all() else run.sentences(k))
         return _Stack(tuple(runs), self.init_state[keep])
 
-    def runs_of(self, x) -> list:
+    def runs_of(self, x):
         """(run, its blocks of the stack ``x``) pairs."""
-        per, at, out = len(x) // len(self.init_state), 0, []
+        per, at = len(x) // len(self.init_state), 0
         for run in self.runs:
-            out.append((run, x[at:at + per * len(run.init_state)]))
+            yield run, x[at:at + per * len(run.init_state)]
             at += per * len(run.init_state)
-        return out
 
 
 class _Step(NamedTuple):
@@ -442,14 +442,11 @@ def _encode_g(params: ModelParams, sources, *,
 
 
 def _attach_mlp(params: ModelParams, enc: _SourceContext) -> _SourceContext:
-    """``enc`` with the parts of MLP attention that depend only on the
-    source: the h-part of attn_W1 and the projection W1_r R, one product
-    at R's own width (a projection cut from a wider one need not keep its
-    bits)."""
+    """``enc`` with the part of MLP attention that depends only on the
+    source, the projection W1_r R: one product at R's own width (a
+    projection cut from a wider one need not keep its bits)."""
     if params.attention == "mlp":
-        W1, dec = params.tensors["attn_W1"], params.dec_hid
-        enc.w1_h = W1[:, :dec].copy()
-        enc.mlp_proj = W1[:, dec:].copy() @ enc.R
+        enc.mlp_proj = params.tensors["attn_W1"][:, params.dec_hid:] @ enc.R
     return enc
 
 
@@ -462,14 +459,16 @@ def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
 
 
 def _stack_contexts(models, sources, lexicon) -> list:
-    """Per model, the context of a stack whose sentence s is ``sources[s]``,
-    for stepping (no backward walks it): one context when the sentences
-    share a length, else a :class:`_Stack` of runs of neighbours of one
-    length.  One encoder pass per model, each sentence its own one-row
-    product (:func:`_encode_g`), is cut straight into the runs; a run's R is
-    copied at its own width, its MLP projection computed from that, and its
-    L_F built once for all models.  Each sentence's part is thus
-    ``np.array_equal`` to ``_source_context(model, [F], lexicon)``."""
+    """Per model, the :class:`_Stack` whose sentence s is ``sources[s]``,
+    for stepping (no backward walks it): runs of neighbours of one length.
+    One encoder pass per model, each sentence its own one-row product
+    (:func:`_encode_g`), is cut straight into the runs; a run's R is copied
+    at its own width, its MLP projection computed from that, and its L_F
+    built once for all models.  Each sentence's part is thus
+    ``np.array_equal`` to ``_source_context(model, [F], lexicon)``.  Zero
+    padding to a longer run's width would not keep that: at toy and copy
+    widths the 8-row products ``a @ R^T`` and ``a @ L_F^T`` change bits once
+    the source axis is padded to 32 positions or more."""
     passes = [_encode_g(m, sources, alone=True) for m in models]
     lengths = passes[0].lengths.tolist()
     ends = list(itertools.accumulate(
@@ -482,7 +481,7 @@ def _stack_contexts(models, sources, lexicon) -> list:
             enc.R[a:b, :, :n].copy(), enc.init_state[a:b], enc.lengths[a:b],
             None, np.zeros((b - a, n)), lexicon_matrix=L))
             for (a, b, n), L in zip(spans, lexes))
-        out.append(runs[0] if len(runs) == 1 else _Stack(runs, enc.init_state))
+        out.append(_Stack(runs, enc.init_state))
     return out
 
 
@@ -520,7 +519,8 @@ def _attend(params: ModelParams, h, enc: _SourceContext):
         m = None
         scores = _by_row(h, enc.R)
     else:
-        m = np.tanh(_add_by_row((h @ enc.w1_h.T)[..., None], enc.mlp_proj))
+        h_part = params.tensors["attn_W1"][:, :params.dec_hid]
+        m = np.tanh(_add_by_row((h @ h_part.T)[..., None], enc.mlp_proj))
         scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
     # exp(-inf) = 0: padding weighs nothing
     scores = _add_by_row(scores, enc.pad)
@@ -545,7 +545,7 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc, *,
     The LSTM runs once over all blocks; the blocks of a :class:`_Stack`
     attend (and take the L_F product) run by run, the only parts of a step
     that read the source length, so the attention fields of a stack of
-    several runs are None."""
+    several runs are None; a training context attends as one run."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
@@ -555,13 +555,12 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc, *,
         a, ctx, m = _attend(params, x, run)
         parts.append((a, ctx, m, None if not bias or run.lexicon_matrix is None
                       else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
-    if len(parts) == 1:
-        a, ctx, m, lex = parts[0]
-    else:
+    a, ctx, m, lex = parts[0]
+    if len(parts) > 1:
         _, ctxs, _, lexes = zip(*parts)
         a = m = None
         ctx = np.concatenate(ctxs)
-        lex = None if lexes[0] is None else np.concatenate(lexes)
+        lex = None if lex is None else np.concatenate(lexes)
     return (DecoderState(h, c, ctx),
             (lstm, a, m, np.concatenate([h, ctx], axis=-1)), lex)
 
@@ -582,14 +581,6 @@ def _output_layer(params: ModelParams, q, lex):
     return eta, lex, logits, top[..., 0], total[..., 0], e / total
 
 
-def _decoder_step(params: ModelParams, prev, state: DecoderState, enc):
-    """One decoder step of a block or stack of rows (see :func:`_recurrence`),
-    each row against its sentence of ``enc`` (see :func:`_by_row`): (new
-    state, :class:`_Step`); the next-word distribution is the ``probs``."""
-    state, s, lex = _recurrence(params, prev, state, enc, bias=True)
-    return state, _Step(*s, *_output_layer(params, s[3], lex))
-
-
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                 enc):
     """Step B rows for each of the S sentences of ``enc`` on ``prev_ids``,
@@ -602,7 +593,8 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     blocks of exactly BLOCK_ROWS rows, and all blocks are stepped as one
     (K, BLOCK_ROWS) stack in which each block reads its own sentence.
     Returns (new state, :class:`_Step`) of the S * P padded rows, P per
-    sentence: row j < B of sentence s is row s * P + j.
+    sentence: row j < B of sentence s is row s * P + j; the next-word
+    distributions are the ``probs``.
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows,
@@ -623,8 +615,9 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     # 5 of 6 interleaved pairs (Xeon guest, one OpenBLAS thread)
     if len(blocks) == 1:
         blocks = blocks[0]
-    state, step = _decoder_step(params, prev[:, pad].reshape(blocks.shape),
-                                state.take(blocks), enc)
+    state, s, lex = _recurrence(params, prev[:, pad].reshape(blocks.shape),
+                                state.take(blocks), enc, bias=True)
+    step = _Step(*s, *_output_layer(params, s[3], lex))
     if blocks.ndim == 1:
         return state, step
 
@@ -635,10 +628,11 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
 
 
 @np.errstate(over="ignore")  # see _lstm
-def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
-              choose, *, deferred: bool = False) -> _Walk:
+def _lockstep(params: ModelParams, enc, n_rows: int, choose, *,
+              deferred: bool = False) -> _Walk:
     """Walk ``n_rows`` rows forward together from the initial state, row r
-    reading sentence r of ``enc`` or all its one sentence.
+    reading sentence r of ``enc`` or all its one sentence: a training
+    context, or the :class:`_Stack` of one sentence on the padded walk.
 
     At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
     and their (B, V) next-word distributions, and returns their next words
@@ -653,7 +647,7 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
     live = np.arange(n_rows)
     prev = np.full(n_rows, params.tgt_eos)
     state, ctx = _init_state(enc), enc
-    keep = live % len(enc.R)  # each row starts from its sentence's state
+    keep = live % len(enc.init_state)  # each row starts at its sentence's state
     steps, chosen = [], []
     while len(live):
         if deferred:
@@ -671,7 +665,8 @@ def _lockstep(params: ModelParams, enc: _SourceContext, n_rows: int,
             keep = None
         else:
             keep = np.flatnonzero(goes_on)
-            live, prev, ctx = live[keep], prev[keep], ctx.take(keep)
+            live, prev = live[keep], prev[keep]
+            ctx = ctx.take(keep) if deferred else ctx  # padded: one sentence
     ids = np.zeros((len(steps), n_rows), dtype=np.intp)
     alive = np.zeros(ids.shape, dtype=bool)
     for t, (rows, chosen_ids) in enumerate(chosen):
@@ -696,7 +691,7 @@ def _check_target(params: ModelParams, E):
         raise ValueError(f"target id outside vocabulary in {list(E)}")
 
 
-def _teacher_forced(params: ModelParams, enc: _SourceContext, targets, *,
+def _teacher_forced(params: ModelParams, enc, targets, *,
                     deferred: bool = False) -> _Walk:
     """The lockstep walk that feeds each target sequence its own reference
     words: by default the padded walk that sampling steps, so a sequence
@@ -822,7 +817,7 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
             for r, x in zip(sentences, dpre):
                 dP[r] += x
             K[at] = dpre.sum(axis=2)
-            dh += K[at] @ enc.w1_h
+            dh += K[at] @ t["attn_W1"][:, :D]
         else:
             dh += _by_row(ds, R.swapaxes(-1, -2))
         dc = _lstm_back([x[at] for x in s.lstm], dh, dc, dZ[at])

@@ -16,6 +16,8 @@ distinct samples of a sentence, drawn in lockstep (:func:`_draw_samples`),
 each seeded with the derivative of the expected error by its
 log-probability (Shen et al. 2016).  A training run fills one gradient
 buffer, zeroed before each loss, and keeps its best model in one more.
+Sampling without gradients (the MRT dev check, :func:`sample_translations`
+and ``lexnmt sample``) runs one loop over decode's stacks (:func:`_sampled`).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .decode import _stacks
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
 from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
-                    _lockstep, _logprobs, _source_context, _Stack,
-                    _stack_contexts, _teacher_forced, save_checkpoint)
+                    _lockstep, _logprobs, _source_context, _teacher_forced,
+                    save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -256,6 +258,21 @@ def _distinct_runs(walk):
     return walk.take(list(first.values()))
 
 
+def _sampled(params: ModelParams, sources, num_samples: int,
+             max_len: int | None, rng, lexicon):
+    """Each sentence's ``num_samples`` ancestral samples (a walk), in input
+    order, sampled one after another from ``rng``: the sentences are encoded
+    in decode's stacks (:func:`lexnmt.decode._stacks`), so the contexts held
+    at once stay within its byte budget, and each is sampled from its run,
+    a context equal to encoding it alone."""
+    for stack, (enc,) in _stacks([params], sources, num_samples, lexicon,
+                                 order=range(len(sources))):
+        for j, i in enumerate(stack):
+            line = enc.sentences(np.arange(len(stack)) == j)
+            yield _draw_samples(params, line, sources[i], num_samples, rng,
+                                max_len)
+
+
 def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
                         rng, lexicon=None) -> list[tuple[int, ...]]:
     """``num_samples`` ancestral samples of F, in draw order, from one encoding.
@@ -265,8 +282,8 @@ def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
     sample and is included in it; a sample that reaches ``max_len`` without
     drawing it is returned as-is.
     """
-    enc, = _stack_contexts([params], [F], lexicon)
-    return _draw_samples(params, enc, F, num_samples, rng, max_len).words
+    walk, = _sampled(params, [F], num_samples, max_len, rng, lexicon)
+    return walk.words
 
 
 def _expected_error(params: ModelParams, E_ref, walk, alpha: float):
@@ -449,31 +466,17 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
 
 def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
                            lexicon=None) -> float:
-    """Mean per-sentence expected error over fresh samples (no gradients).
-
-    The sentences are sampled one after another from ``rng``, each from its
-    run of one length, a context equal to encoding it alone.  They are
-    encoded in stacks of neighbours cut as decode cuts its stacks (so the
-    contexts held at once stay within the decode byte budget, whatever the
-    size of the dev set), one pass per stack."""
+    """Mean per-sentence expected error over fresh samples (no gradients),
+    the sentences sampled one after another from ``rng`` (:func:`_sampled`),
+    whatever the size of the dev set."""
     pairs = list(pairs)
     if not pairs:
         raise DataError("the dev set is empty")
-    sources = [p.source for p in pairs]
-    values = []
-    for stack in _stacks([params], sources, mrt.num_samples, lexicon,
-                         order=range(len(pairs))):
-        enc, = _stack_contexts([params], [sources[i] for i in stack], lexicon)
-        lines = (run.sentences(slice(j, j + 1))
-                 for run in (enc.runs if isinstance(enc, _Stack) else [enc])
-                 for j in range(len(run.lengths)))
-        for i, line in zip(stack, lines):
-            walk = _distinct_runs(_draw_samples(
-                params, line, sources[i], mrt.num_samples, rng,
-                mrt.max_sample_len))
-            values.append(_expected_error(params, pairs[i].target, walk,
-                                          mrt.alpha)[0])
-    return float(np.mean(values))
+    walks = _sampled(params, [p.source for p in pairs], mrt.num_samples,
+                     mrt.max_sample_len, rng, lexicon)
+    return float(np.mean([
+        _expected_error(params, pair.target, _distinct_runs(walk),
+                        mrt.alpha)[0] for pair, walk in zip(pairs, walks)]))
 
 
 def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,

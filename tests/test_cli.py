@@ -2,6 +2,7 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from lexnmt.cli import main
 from lexnmt.corpus import Vocabulary, load_bpe
 from lexnmt.decode import beam_search, score_hypothesis
 from lexnmt.errors import DataError, NumericalError
-from lexnmt.model import init_params, load_checkpoint, save_checkpoint
+from lexnmt.model import (Tensors, expected_shapes, init_params,
+                          load_checkpoint, save_checkpoint)
+from lexnmt.train import sample_translations
 
 from helpers import count_calls, tiny_model
 
@@ -100,6 +103,21 @@ def test_align_output_format(pipeline):
         by_source[s] += float(p)
     for total in by_source.values():
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_align_min_prob_drops_entries_below_it(pipeline, tmp_path):
+    # entries below the bound are dropped, the others written unchanged
+    data, pruned = pipeline["data"], tmp_path / "pruned.tsv"
+    assert main(["align", "--src", str(data / "train.src"),
+                 "--tgt", str(data / "train.tgt"),
+                 "--src-vocab", str(data / "vocab.src"),
+                 "--tgt-vocab", str(data / "vocab.tgt"),
+                 "--out", str(pruned), "--iterations", "4",
+                 "--min-prob", "0.2"]) == 0
+    lines = pipeline["lexicon"].read_text().splitlines()
+    kept = [line for line in lines if float(line.split("\t")[2]) >= 0.2]
+    assert 0 < len(kept) < len(lines)
+    assert pruned.read_text().splitlines() == kept
 
 
 def test_train_outputs(pipeline):
@@ -216,6 +234,48 @@ def test_decode_rejects_mismatched_ensemble(pipeline, tmp_path, capsys):
     assert "vocabulary differs" in err and "Traceback" not in err
 
 
+def _save_layout(path, hyper, shapes_of, vocabs):
+    """Write a checkpoint of ``hyper`` whose tensors are zeros of the shapes
+    ``expected_shapes`` gives ``shapes_of``: a file ``load_checkpoint``
+    reads up to the model's own checks."""
+    tensors = Tensors(expected_shapes(SimpleNamespace(**shapes_of)))
+    save_checkpoint(path, SimpleNamespace(hyper_dict=lambda: hyper,
+                                          tensors=tensors), *vocabs)
+
+
+@pytest.mark.parametrize("widths", [
+    {"d_emb": 0}, {"d_hid": 0}, {"attention": "mlp", "attn_dim": 0},
+    {"attention": "dot", "unexpected": "mlp"}])
+def test_decode_refuses_checkpoint_init_params_would_not_make(
+        pipeline, tmp_path, capsys, widths):
+    # a width below 1 (a model that computes nothing), and tensors that the
+    # attention kind does not use (MLP attention tensors in a dot model)
+    params, *vocabs = load_checkpoint(pipeline["ckpt"])
+    hyper = {**params.hyper_dict(), **widths}
+    shapes_of = {**hyper, "attention": hyper.pop("unexpected",
+                                                 hyper["attention"])}
+    bad = tmp_path / "bad.ckpt"
+    _save_layout(bad, hyper, shapes_of, vocabs)
+    inp = tmp_path / "input.txt"
+    inp.write_text("uno\n", encoding="utf-8")
+    assert main(["decode", "--input", str(inp), "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert ("tensor 'attn_W1': unexpected" if "unexpected" in widths
+            else "d_emb, d_hid and attn_dim must be >= 1") in err
+    with pytest.raises(DataError):
+        load_checkpoint(bad)
+
+
+def test_decode_refuses_repeated_merge(pipeline, tmp_path, capsys):
+    merges = (pipeline["data"] / "bpe.merges").read_text().splitlines()
+    bad = tmp_path / "bpe.merges"
+    bad.write_text("\n".join(merges + merges[:1]) + "\n", encoding="utf-8")
+    assert main(_decode_argv(pipeline, "--bpe", str(bad))) == 2
+    err = capsys.readouterr().err
+    assert "duplicate BPE merge" in err and "Traceback" not in err
+
+
 def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
@@ -310,9 +370,11 @@ def test_sample_formats(pipeline, tmp_path, capsys):
 
 def test_sample_encodes_each_line_once(pipeline, tmp_path, monkeypatch,
                                        capsys):
-    # the --samples draws of a line share one encoding and one L_F
+    # the lines are encoded in stacks, one encoder pass per stack, and the
+    # --samples draws of a line share its part of that encoding and one L_F
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
+    stacks = count_calls(monkeypatch, model_mod, "_stack_contexts")
     inp = tmp_path / "input.txt"
     inp.write_text("uno dos\n\ntres cuatro\n", encoding="utf-8")
     assert main(["sample", "--input", str(inp),
@@ -321,7 +383,45 @@ def test_sample_encodes_each_line_once(pipeline, tmp_path, monkeypatch,
                  "--lexicon", str(pipeline["lexicon"]),
                  "--max-len", "8", "--samples", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 9
-    assert len(encodes) == len(builds) == 2  # the non-empty lines
+    (_, sources, _), = stacks  # the non-empty lines, one stack
+    assert len(encodes) == 1
+    assert len(builds) == len(set(map(len, sources)))  # one per run
+
+
+@pytest.mark.parametrize("budget", [None, 2], ids=["one-stack", "runs-of-two"])
+def test_sample_equals_sampling_each_line_alone(pipeline, tmp_path,
+                                                monkeypatch, capsys, budget):
+    # sample encodes its lines in stacks cut as decode cuts them and then
+    # samples line by line from the one rng: the same draws and output as
+    # sample_translations of each line in turn
+    if budget:  # each line costs one byte: stacks of two, in input order
+        monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
+        monkeypatch.setattr(decode_mod, "STACK_BYTES", budget)
+    lines = ["cinco tres", "tres", "", "tres cinco cinco", "uno dos",
+             "seis cinco", "cinco"]
+    inp, merges = tmp_path / "input.txt", pipeline["data"] / "bpe.merges"
+    inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    stacks = count_calls(monkeypatch, model_mod, "_stack_contexts")
+    assert main(["sample", "--input", str(inp), "--checkpoint",
+                 str(pipeline["ckpt"]), "--bpe", str(merges),
+                 "--lexicon", str(pipeline["lexicon"]), "--max-len", "6",
+                 "--samples", "4", "--seed", "8"]) == 0
+    assert [len(sources) for _, sources, _ in stacks] == (
+        [6] if budget is None else [2] * 3)
+    params, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
+    bpe = load_bpe(merges)
+    lexicon = load_lexicon(pipeline["lexicon"], src_vocab, tgt_vocab)
+    rng, want = np.random.default_rng(8), []
+    for line in lines:
+        ids = cli_mod._source_ids(line, bpe, src_vocab)
+        if not ids:
+            want += [""] * 4
+            continue
+        samples = sample_translations(params, ids, 4, 6, rng, lexicon)
+        want += [f"{k}\t{cli_mod._target_text(s, bpe, tgt_vocab)}"
+                 for k, s in enumerate(samples)]
+    assert capsys.readouterr().out.splitlines() == want
+    assert len(set(want)) > 4
 
 
 def test_sample_from_lexicon_model_requires_lexicon(pipeline, tmp_path, capsys):

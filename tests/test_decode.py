@@ -297,7 +297,7 @@ def test_ensemble_builds_one_context_per_member(monkeypatch):
     table = random_lexicon(np.random.default_rng(11), 4, 4)
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
-    steps = count_calls(monkeypatch, model_mod, "_decoder_step")
+    steps = count_calls(monkeypatch, model_mod, "_block_step")
     for m in (a, b):  # sentence end suppressed: search runs to the cap
         m.tensors["softmax_b"][m.tgt_eos] = -40.0
     beam_search([a, b], (1, 3, 2), beam_size=3, max_len=6, lexicon=table)

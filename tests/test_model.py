@@ -12,6 +12,7 @@ import pytest
 
 import lexnmt.model as model_mod
 from lexnmt.corpus import Vocabulary
+from lexnmt.decode import beam_search
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           _block_step, _encode_g, _init_state, _lstm,
@@ -151,7 +152,7 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
     table = random_lexicon(rng, 30, V) if use_lexicon else None
     lengths = (5, 1, 14, 5, 9, 1, 14, 3, 3, 12, 2, 7)
     sources = [tuple(int(f) for f in rng.integers(0, 30, n)) for n in lengths]
-    per_model = [getattr(stack, "runs", [stack])
+    per_model = [stack.runs
                  for stack in _stack_contexts(models, sources, table)]
     for params, runs in zip(models, per_model):
         # each sentence taken from its run, in stack order
@@ -327,7 +328,7 @@ def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
                    for n in lengths]
         encs = [_source_context(params, [F], table) for F in sources]
         stack, = _stack_contexts([params], sources, table)
-        assert len(getattr(stack, "runs", [stack])) == len(set(lengths))
+        assert len(stack.runs) == len(set(lengths))
         prev = rng.integers(0, V, (S, B))
         rows = rng.integers(0, held, (S, B))
         state = DecoderState(*rng.uniform(-1, 1, (3, S * held,
@@ -405,6 +406,21 @@ def test_target_ids_outside_vocabulary_are_rejected(entry, which):
         else:  # the teacher-forced decoder steps behind every scorer
             _teacher_forced(params, _source_context(params, [F], None),
                             [(bad, eos)])
+
+
+@pytest.mark.parametrize("which", ["minus-one", "vocab-size"])
+@pytest.mark.parametrize("entry", ["beam_search", "sentence_logprob"])
+def test_source_ids_outside_vocabulary_are_rejected(entry, which):
+    # the encoder refuses them before any embedding lookup: -1 would read
+    # the last source embedding row, V would raise an IndexError
+    params = tiny_model(seed=23)
+    bad = {"minus-one": -1, "vocab-size": params.src_vocab_size}[which]
+    F = (1, bad, 2)
+    with pytest.raises(ValueError, match=f"source id {bad} outside vocabulary"):
+        if entry == "beam_search":
+            beam_search(params, F)
+        else:
+            sentence_logprob(params, F, (3, params.tgt_eos))
 
 
 def test_lexicon_model_requires_table():

@@ -430,6 +430,8 @@ def test_mrt_loss_validation(monkeypatch):
             mrt_loss(params, (1,), (2,), alpha=alpha, rng=None)
         with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
             mrt_loss_frozen(params, (1,), (2,), [(2, params.tgt_eos)], alpha)
+    with pytest.raises(ValueError, match="sample set must be non-empty"):
+        mrt_loss_frozen(params, (1,), (2,), [], 1.0)
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
     monkeypatch.setattr(
@@ -597,6 +599,17 @@ def test_expected_sampled_error_in_unit_interval():
     err = expected_sampled_error(params, pairs, MrtSettings(num_samples=3),
                                  np.random.default_rng(3))
     assert 0.0 <= err <= 1.0
+
+
+@pytest.mark.parametrize("empty", ["train", "dev"])
+def test_train_mrt_refuses_an_empty_set(empty):
+    # checked before the first dev check, which would refuse an empty dev
+    # set in other words, and before an epoch of no updates
+    pairs = [SentencePair((1, 2), (3, 4))]
+    sets = {"train": pairs, "dev": pairs, empty: []}
+    with pytest.raises(DataError, match="train and dev sets must be non-empty"):
+        train_mrt(tiny_model(seed=49), sets["train"], sets["dev"],
+                  TrainConfig(mrt=MrtSettings(num_samples=2, epochs=1)))
 
 
 def test_expected_sampled_error_refuses_an_empty_dev_set():
