@@ -9,11 +9,11 @@ partial no longer outscores its best completion or when the length cap is
 reached; that early stop is exact only for a word penalty <= 0 (see
 :func:`beam_search`).
 
-Sentences are searched together, shortest first, their beams stepped as
-one stack of 8-row blocks (:func:`lexnmt.model._block_step`) whose rows get
-the bits they get stepped alone, so each result is byte-identical to
-searching its sentence alone.  Stacks are cut so that the estimated size of
-one member's decoder step stays within STACK_BYTES.
+Sentences are searched together, shortest first, in the stacks that
+:func:`lexnmt.model._stacks` cuts and builds, their beams stepped as one
+stack of 8-row blocks (:func:`lexnmt.model._block_step`) whose rows get the
+bits they get stepped alone, so each result is byte-identical to searching
+its sentence alone.  This module only searches.
 """
 
 from __future__ import annotations
@@ -23,14 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # ensemble_distribution is imported to stay importable from this module
-from .model import (BLOCK_ROWS, _as_model_list, _ensemble_logp, _init_state,
-                    _length_cap, _stack_contexts, ensemble_distribution)
-
-# The most estimated bytes of one member's decoder step of a stack.  Each
-# wide-vocabulary line (V = 2000, d = 128) fills it alone, since stacking
-# such lines gains no time and grows memory with the stack; the 13
-# copy-long decode lines (V = 20, d = 32) fit in one stack.
-STACK_BYTES = 1 << 20
+from .model import (_as_model_list, _ensemble_logp, _init_state, _length_cap,
+                    _stacks, ensemble_distribution)
 
 
 @dataclass(frozen=True)
@@ -50,14 +44,14 @@ def _best_children(scores, eos: int, k: int):
     the order a stable argsort of the block's negated live scores gives; a
     partition finds each block's k-th score, and only the scores up to it
     are sorted.  NaN sorts last, so it is among a block's k only when its
-    k-th score is NaN."""
+    k-th score is NaN.  A model has at least two target words, so with
+    k >= 1 every block has a child."""
     *lead, B, V = scores.shape
     live = np.arange(V - 1)
     live[eos:] += 1  # the words other than the sentence end
     neg = -scores[..., live].reshape(-1, B * (V - 1))
     k = min(k, neg.shape[1])
-    cut = (np.partition(neg, k - 1, axis=1)[:, k - 1:k] if k
-           else np.full((len(neg), 1), -np.inf))
+    cut = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     block, best = np.nonzero(~(neg > cut))
     best = best[np.lexsort((neg[block, best], block))]
     if len(best) > len(neg) * k:  # ties at a cut: keep each block's first k
@@ -70,9 +64,9 @@ def _best_children(scores, eos: int, k: int):
 def _search(models, sources, encs, beam_size: int, word_penalty: float,
             max_len: int | None) -> list[Hypothesis]:
     """The best completions of the sentences, searched as one stack from
-    each member's context ``encs`` (see :func:`_stacks`): each sentence
-    keeps its own best completion and length cap, and leaves the stack when
-    its search ends or it reaches its cap."""
+    each member's context ``encs`` (:func:`lexnmt.model._stacks`): each
+    sentence keeps its own best completion and length cap, and leaves the
+    stack when its search ends or it reaches its cap."""
     eos = models[0].tgt_eos
     states = [_init_state(enc) for enc in encs]
     live = np.arange(len(sources))  # each stack sentence's input position
@@ -103,8 +97,6 @@ def _search(models, sources, encs, beam_size: int, word_penalty: float,
                 best[i] = Hypothesis((*prefix, eos), logp_end)
             best_key = np.where(improved, end_key, best_key)
         rows, words = _best_children(keys, eos, beam_size)
-        if not rows.shape[1]:
-            break
         V = keys.shape[2]
         rows, words = np.divmod(np.sort(rows * V + words), V)  # token order
         tokens = np.concatenate([tokens[at, rows], words[..., None]], axis=2)
@@ -129,52 +121,14 @@ def _search(models, sources, encs, beam_size: int, word_penalty: float,
     return best
 
 
-def _step_bytes(params, n: int, rows: int, lexicon) -> int:
-    """Estimated bytes of one decoder step of ``params`` for a sentence of
-    ``n`` source words with ``rows`` padded rows: the rows' LSTM, attention
-    and output activations and their (rows, V) arrays, plus the sentence's
-    R, MLP projection and L_F."""
-    D, V = params.dec_hid, params.tgt_vocab_size
-    a = params.attn_dim if params.attention == "mlp" else 0
-    L = 0 if lexicon is None else V
-    lstm = params.d_emb + 11 * D  # [x; ctx; h], gates and states
-    attend = (3 + 2 * a) * n + D  # scores, weights, MLP tanh and context
-    output = 3 * D + 5 * V + 2 * L  # [h; ctx], eta, softmax; L_F a, log
-    return 8 * (rows * (lstm + attend + output) + (D + a + L) * n)
-
-
-def _stacks(models, sources, beam_size: int, lexicon, order=None):
-    """The stacks that search and sampling step: the sentences in ``order``,
-    by default shortest first (a stable sort, so sentences of one length stay
-    in input order), cut into runs of neighbours whose estimated step of
-    one member (the largest) with ``beam_size`` rows per sentence fits in
-    STACK_BYTES, a sentence over it alone.  Yields each stack's input
-    positions and, built as it is reached, each member's context of it."""
-    rows = -(-beam_size // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
-    if order is None:
-        order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
-    stacks, size = [[]], 0
-    for i in order:
-        cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
-                   for m in models)
-        if stacks[-1] and size + cost > STACK_BYTES:
-            stacks.append([])
-            size = 0
-        stacks[-1].append(i)
-        size += cost
-    for stack in filter(None, stacks):
-        yield stack, _stack_contexts(models, [sources[i] for i in stack],
-                                     lexicon)
-
-
 def beam_search_all(models, sources, beam_size: int = 5,
                     word_penalty: float = 0.0, max_len: int | None = None,
                     lexicon=None) -> list[Hypothesis]:
     """:func:`beam_search` of every sentence of ``sources``, in order.
 
     The sentences are searched together in stacks, shortest first (see
-    :func:`_stacks`), and each result is byte-identical to searching its
-    sentence alone."""
+    :func:`lexnmt.model._stacks`), and each result is byte-identical to
+    searching its sentence alone."""
     models = _as_model_list(models)
     sources = [tuple(F) for F in sources]
     if beam_size < 1:

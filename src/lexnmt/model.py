@@ -10,22 +10,21 @@ source words.
 The model is written once, in numpy; a model's tensors, like its gradients
 and ADAM moments, are views into one flat buffer (:class:`Tensors`).  What
 depends only on the source (R, the decoder's initial state, the MLP
-projection W1_r R and L_F) is built once per model and context by one
-encoder loop (:func:`_encode_g`): training encodes N sentences as the padded
-rows of one block and keeps what the backward walks
-(:func:`_source_context`); stepping without a backward encodes each sentence
-as its own one-row product, cut into a stack of runs of one length whose L_F
-is built once for all members of an ensemble, so each part equals encoding
-it alone (:func:`_stack_contexts`).  :func:`_block_step` steps fixed blocks
-of BLOCK_ROWS (8) rows for search, sampling and scoring, each block reading
-its own sentence, so a row gets the bits it gets stepped alone and decode
-output is byte-identical to line-by-line search.  :func:`_lockstep` walks
-target sequences forward together, by teacher forcing or sampling: the
-padded walk steps through :func:`_block_step`, so scoring, sampling and
-search agree bit for bit; the deferred walk (maximum likelihood) steps only
-the recurrence and attention and runs the output layer once after it.
-:func:`_backward` derives exact gradients from either walk by a hand-written
-backward pass through time that walks the rows back in lockstep too.
+projection W1_r R and L_F) is built by one encoder loop (:func:`_encode_g`):
+training encodes N sentences as the padded rows of one block and keeps what
+the backward walks (:func:`_source_context`); everything stepped without a
+backward takes its contexts from :func:`_stacks`, the one place sentences
+are cut (under STACK_BYTES) into stacks of runs of one length, each part
+equal to encoding its sentence alone.  :func:`_block_step` steps fixed
+blocks of BLOCK_ROWS (8) rows for search, sampling and scoring, each block
+reading its own sentence, so a row gets the bits it gets stepped alone and
+decode output is byte-identical to line-by-line search.  :func:`_lockstep`
+walks target sequences forward together, by teacher forcing or sampling:
+the padded walk steps one sentence's rows through :func:`_block_step`, so
+scoring, sampling and search agree bit for bit; the deferred walk (maximum
+likelihood) steps only the recurrence and attention and runs the output
+layer once after it.  :func:`_backward` derives exact gradients from either
+walk by a hand-written backward pass through time, in lockstep too.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ _TENSOR_MAP = ({"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
 
 class Tensors(dict):
     """Named float64 tensors: views into one flat ``buffer`` in sorted-name
-    (checkpoint) order, iterating in the order their shapes were given.
+    (checkpoint) order, iterating in that order however they were made.
     They are written in place, never rebound, added or removed."""
 
     def __init__(self, shapes, buffer=None):
@@ -65,7 +64,7 @@ class Tensors(dict):
         self.buffer = np.zeros(at[-1]) if buffer is None else buffer
         views = {n: self.buffer[a:b].reshape(shapes[n])
                  for n, a, b in zip(names, at, at[1:])}
-        super().__init__((n, views[n]) for n in shapes)
+        super().__init__(views)
 
     def like(self, buffer=None) -> "Tensors":
         """Tensors of this layout over ``buffer``, or over fresh zeros."""
@@ -140,9 +139,12 @@ class ModelParams:
 
 
 def _check_widths(hp, error=ValueError):
-    """Refuse a width below 1: a model that computes nothing."""
+    """Refuse a width below 1 (a model that computes nothing) and a target
+    vocabulary without a word besides the sentence end to search or draw."""
     if min(hp.d_emb, hp.d_hid, hp.attn_dim) < 1:
         raise error("d_emb, d_hid and attn_dim must be >= 1")
+    if hp.tgt_vocab_size < 2:
+        raise error("tgt_vocab_size must be >= 2")
 
 
 def expected_shapes(hp) -> dict[str, tuple[int, ...]]:
@@ -176,9 +178,9 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
                 init_scale: float = 0.08) -> ModelParams:
     """Fresh parameters with uniform(-init_scale, init_scale) weights, zero biases.
 
-    A width below 1 (a model that computes nothing) and a non-finite
-    ``epsilon`` (a checkpoint that :func:`load_checkpoint` refuses) raise
-    ValueError."""
+    A width below 1 (a model that computes nothing), a target vocabulary
+    below 2 words and a non-finite ``epsilon`` (a checkpoint that
+    :func:`load_checkpoint` refuses) raise ValueError."""
     hyper = dict(d_emb=d_emb, d_hid=d_hid, attention=attention,
                  attn_dim=attn_dim if attn_dim is not None else d_hid,
                  src_vocab_size=src_vocab_size, tgt_vocab_size=tgt_vocab_size)
@@ -186,10 +188,11 @@ def init_params(src_vocab_size: int, tgt_vocab_size: int, *, d_emb: int = 64,
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     rng = np.random.default_rng(seed)
-    tensors = Tensors(expected_shapes(SimpleNamespace(**hyper)))
-    for name, view in tensors.items():  # biases stay zero
+    shapes = expected_shapes(SimpleNamespace(**hyper))
+    tensors = Tensors(shapes)
+    for name, shape in shapes.items():  # drawn in this order; biases stay zero
         if not name.endswith("_b"):  # uniform has no out=: one tensor at a time
-            view[...] = rng.uniform(-init_scale, init_scale, view.shape)
+            tensors[name][...] = rng.uniform(-init_scale, init_scale, shape)
     return ModelParams(**hyper, src_eos=src_eos, tgt_eos=tgt_eos,
                        use_lexicon=use_lexicon, epsilon=epsilon, tensors=tensors)
 
@@ -247,13 +250,20 @@ class _SourceContext:
                                  else self.mlp_proj[rows]))
 
 
+# The most estimated bytes of one member's decoder step of a stack
+# (:func:`_stacks`).  Each wide-vocabulary line (V = 2000, d = 128) fills it
+# alone, since stacking such lines gains no time and grows memory with the
+# stack; the 13 copy-long decode lines (V = 20, d = 32) fit in one stack.
+STACK_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class _Stack:
     """The context of a stack of sentences for one model, for stepping: its
     runs of sentences of one source length, in stack order, each the context
-    of its sentences (:func:`_stack_contexts`).  A stack holds the same
-    number of blocks for every sentence, so run i holds the blocks of its
-    sentences (:func:`_recurrence`)."""
+    of its sentences (cut and built by :func:`_stacks`).  A stack holds the
+    same number of blocks for every sentence, so run i holds the blocks of
+    its sentences (:func:`_recurrence`)."""
 
     runs: tuple
     init_state: np.ndarray  # (N, D): one row per sentence, in stack order
@@ -458,31 +468,61 @@ def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
     return enc
 
 
-def _stack_contexts(models, sources, lexicon) -> list:
-    """Per model, the :class:`_Stack` whose sentence s is ``sources[s]``,
-    for stepping (no backward walks it): runs of neighbours of one length.
-    One encoder pass per model, each sentence its own one-row product
-    (:func:`_encode_g`), is cut straight into the runs; a run's R is copied
-    at its own width, its MLP projection computed from that, and its L_F
-    built once for all models.  Each sentence's part is thus
-    ``np.array_equal`` to ``_source_context(model, [F], lexicon)``.  Zero
-    padding to a longer run's width would not keep that: at toy and copy
-    widths the 8-row products ``a @ R^T`` and ``a @ L_F^T`` change bits once
-    the source axis is padded to 32 positions or more."""
-    passes = [_encode_g(m, sources, alone=True) for m in models]
-    lengths = passes[0].lengths.tolist()
-    ends = list(itertools.accumulate(
-        len(list(run)) for _, run in itertools.groupby(lengths)))
-    spans = [(a, b, lengths[a]) for a, b in zip([0, *ends], ends)]
-    lexes = [_lexicon_block(models, sources[a:b], lexicon) for a, b, _ in spans]
-    out = []
-    for m, enc in zip(models, passes):
-        runs = tuple(_attach_mlp(m, _SourceContext(
+def _step_bytes(params, n: int, rows: int, lexicon) -> int:
+    """Estimated bytes of one decoder step of ``params`` for a sentence of
+    ``n`` source words with ``rows`` padded rows: the rows' LSTM, attention
+    and output activations and their (rows, V) arrays, plus the sentence's
+    R, MLP projection and L_F."""
+    D, V = params.dec_hid, params.tgt_vocab_size
+    a = params.attn_dim if params.attention == "mlp" else 0
+    L = 0 if lexicon is None else V
+    lstm = params.d_emb + 11 * D  # [x; ctx; h], gates and states
+    attend = (3 + 2 * a) * n + D  # scores, weights, MLP tanh and context
+    output = 3 * D + 5 * V + 2 * L  # [h; ctx], eta, softmax; L_F a, log
+    return 8 * (rows * (lstm + attend + output) + (D + a + L) * n)
+
+
+def _stacks(models, sources, rows: int, lexicon, order=None):
+    """The one way to get a :class:`_Stack`: the sentences in ``order``, by
+    default shortest first (a stable sort), cut into stacks of neighbours
+    whose estimated step of the largest member with ``rows`` rows per
+    sentence fits in STACK_BYTES, a sentence over it alone.  Yields each
+    stack's input positions and, built as it is reached, each member's
+    :class:`_Stack` of it.
+
+    Each member encodes a stack in one pass, each sentence its own one-row
+    product (:func:`_encode_g`), cut straight into runs of one length: a
+    run's R is copied at its own width, its MLP projection computed from
+    that, and its L_F built once for all members, so each sentence's part
+    is ``np.array_equal`` to ``_source_context(model, [F], lexicon)``.
+    Zero padding to a longer run's width would not keep that: at toy and
+    copy widths the 8-row products ``a @ R^T`` and ``a @ L_F^T`` change bits
+    once the source axis is padded to 32 positions or more."""
+    rows = -(-rows // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
+    if order is None:
+        order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    stacks, size = [[]], 0
+    for i in order:
+        cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
+                   for m in models)
+        if stacks[-1] and size + cost > STACK_BYTES:
+            stacks.append([])
+            size = 0
+        stacks[-1].append(i)
+        size += cost
+    for stack in filter(None, stacks):
+        stacked = [sources[i] for i in stack]
+        passes = [_encode_g(m, stacked, alone=True) for m in models]
+        lengths = passes[0].lengths.tolist()
+        cuts = [0, *np.flatnonzero(np.diff(lengths)) + 1, len(lengths)]
+        spans = [(a, b, lengths[a]) for a, b in zip(cuts, cuts[1:])]
+        lexes = [_lexicon_block(models, stacked[a:b], lexicon)
+                 for a, b, _ in spans]
+        yield stack, [_Stack(tuple(_attach_mlp(m, _SourceContext(
             enc.R[a:b, :, :n].copy(), enc.init_state[a:b], enc.lengths[a:b],
             None, np.zeros((b - a, n)), lexicon_matrix=L))
-            for (a, b, n), L in zip(spans, lexes))
-        out.append(_Stack(runs, enc.init_state))
-    return out
+            for (a, b, n), L in zip(spans, lexes)), enc.init_state)
+            for m, enc in zip(models, passes)]
 
 
 def _by_row(x, M):
@@ -630,9 +670,11 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
 @np.errstate(over="ignore")  # see _lstm
 def _lockstep(params: ModelParams, enc, n_rows: int, choose, *,
               deferred: bool = False) -> _Walk:
-    """Walk ``n_rows`` rows forward together from the initial state, row r
-    reading sentence r of ``enc`` or all its one sentence: a training
-    context, or the :class:`_Stack` of one sentence on the padded walk.
+    """Walk ``n_rows`` rows forward together from the initial state.  The
+    deferred walk reads a training context, row r reading sentence r or
+    every row its one sentence; the padded walk steps the rows of one
+    sentence (a training context or :class:`_Stack` of one sentence) and
+    refuses a context of more with ValueError.
 
     At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
     and their (B, V) next-word distributions, and returns their next words
@@ -644,6 +686,8 @@ def _lockstep(params: ModelParams, enc, n_rows: int, choose, *,
     through the recurrence and attention alone, and ``probs`` is None: for
     teacher forcing, which never feeds the output back, the output layer
     and the lexicon bias run once over all row-steps after the walk."""
+    if not deferred and len(enc.init_state) > 1:
+        raise ValueError("the padded walk steps one sentence")
     live = np.arange(n_rows)
     prev = np.full(n_rows, params.tgt_eos)
     state, ctx = _init_state(enc), enc
@@ -982,9 +1026,9 @@ def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float
     models = _as_model_list(models)
     if not E or E[-1] != models[0].tgt_eos:
         raise ValueError("E must end with the sentence-end id")
-    probs = ensemble_distribution(
-        [_teacher_forced(m, enc, [E]).steps.probs
-         for m, enc in zip(models, _stack_contexts(models, [F], lexicon))])
+    (_, encs), = _stacks(models, [F], 1, lexicon)
+    probs = ensemble_distribution([_teacher_forced(m, enc, [E]).steps.probs
+                                   for m, enc in zip(models, encs)])
     total = 0.0
     with np.errstate(divide="ignore"):
         for logp in np.log(probs[np.arange(len(E)), E]).tolist():

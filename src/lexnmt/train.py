@@ -17,7 +17,8 @@ each seeded with the derivative of the expected error by its
 log-probability (Shen et al. 2016).  A training run fills one gradient
 buffer, zeroed before each loss, and keeps its best model in one more.
 Sampling without gradients (the MRT dev check, :func:`sample_translations`
-and ``lexnmt sample``) runs one loop over decode's stacks (:func:`_sampled`).
+and ``lexnmt sample``) runs one loop (:func:`_sampled`) over the model's
+stacks (:func:`lexnmt.model._stacks`).
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .decode import _stacks
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
 from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
-                    _lockstep, _logprobs, _source_context, _teacher_forced,
-                    save_checkpoint)
+                    _lockstep, _logprobs, _source_context, _stacks,
+                    _teacher_forced, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -262,9 +262,9 @@ def _sampled(params: ModelParams, sources, num_samples: int,
              max_len: int | None, rng, lexicon):
     """Each sentence's ``num_samples`` ancestral samples (a walk), in input
     order, sampled one after another from ``rng``: the sentences are encoded
-    in decode's stacks (:func:`lexnmt.decode._stacks`), so the contexts held
-    at once stay within its byte budget, and each is sampled from its run,
-    a context equal to encoding it alone."""
+    in stacks taken in input order (:func:`lexnmt.model._stacks`), so the
+    contexts held at once stay within the stack byte budget, and each is
+    sampled from its run, a context equal to encoding it alone."""
     for stack, (enc,) in _stacks([params], sources, num_samples, lexicon,
                                  order=range(len(sources))):
         for j, i in enumerate(stack):

@@ -180,8 +180,8 @@ def test_decode_equals_line_by_line_search(pipeline, tmp_path, monkeypatch,
     # leaves the stack when its search ends; every line must still get what
     # searching it alone gives, in input order
     if stack:  # each line's step costs one byte: stacks of two lines
-        monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
-    monkeypatch.setattr(decode_mod, "STACK_BYTES", stack or 1 << 40)
+        monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
+    monkeypatch.setattr(model_mod, "STACK_BYTES", stack or 1 << 40)
     searches = count_calls(monkeypatch, decode_mod, "_search")
     trained, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
     other = tmp_path / "other.ckpt"
@@ -374,7 +374,6 @@ def test_sample_encodes_each_line_once(pipeline, tmp_path, monkeypatch,
     # --samples draws of a line share its part of that encoding and one L_F
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
-    stacks = count_calls(monkeypatch, model_mod, "_stack_contexts")
     inp = tmp_path / "input.txt"
     inp.write_text("uno dos\n\ntres cuatro\n", encoding="utf-8")
     assert main(["sample", "--input", str(inp),
@@ -383,8 +382,7 @@ def test_sample_encodes_each_line_once(pipeline, tmp_path, monkeypatch,
                  "--lexicon", str(pipeline["lexicon"]),
                  "--max-len", "8", "--samples", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 9
-    (_, sources, _), = stacks  # the non-empty lines, one stack
-    assert len(encodes) == 1
+    (_, sources), = encodes  # the non-empty lines, one stack
     assert len(builds) == len(set(map(len, sources)))  # one per run
 
 
@@ -395,18 +393,20 @@ def test_sample_equals_sampling_each_line_alone(pipeline, tmp_path,
     # samples line by line from the one rng: the same draws and output as
     # sample_translations of each line in turn
     if budget:  # each line costs one byte: stacks of two, in input order
-        monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
-        monkeypatch.setattr(decode_mod, "STACK_BYTES", budget)
+        monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
+        monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
     lines = ["cinco tres", "tres", "", "tres cinco cinco", "uno dos",
              "seis cinco", "cinco"]
     inp, merges = tmp_path / "input.txt", pipeline["data"] / "bpe.merges"
     inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    stacks = count_calls(monkeypatch, model_mod, "_stack_contexts")
+    encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     assert main(["sample", "--input", str(inp), "--checkpoint",
                  str(pipeline["ckpt"]), "--bpe", str(merges),
                  "--lexicon", str(pipeline["lexicon"]), "--max-len", "6",
                  "--samples", "4", "--seed", "8"]) == 0
-    assert [len(sources) for _, sources, _ in stacks] == (
+    # one encoder pass per stack, counted before the reference below
+    # encodes each line again
+    assert [len(sources) for _, sources in encodes] == (
         [6] if budget is None else [2] * 3)
     params, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
     bpe = load_bpe(merges)

@@ -67,6 +67,19 @@ def test_learn_bpe_empty_corpus():
         learn_bpe(["", "   "], 5)
 
 
+def test_corpus_functions_refuse_sizes_below_their_floor():
+    with pytest.raises(ValueError, match="num_merges must be >= 0"):
+        learn_bpe(["a b"], -1)
+    with pytest.raises(ValueError, match="word_budget must be >= 1"):
+        make_minibatches([SentencePair((1,), (2,))], 0)
+
+
+def test_build_vocab_refuses_an_empty_corpus():
+    for corpus in ([], ["", "  "]):
+        with pytest.raises(DataError, match="empty corpus"):
+            build_vocab(corpus, 5)
+
+
 def test_learn_bpe_merges_are_unique():
     corpus = ["the cat sat on the mat", "the hat of the cat"]
     model = learn_bpe(corpus, 30)

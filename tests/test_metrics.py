@@ -85,6 +85,16 @@ def test_corpus_bleu_input_validation():
         bleu(["a".split()], [])
     with pytest.raises(ValueError):
         bleu([], [])
+    # references of no tokens give no brevity penalty to compare against
+    with pytest.raises(ValueError, match="references must be non-empty"):
+        bleu(["a".split()], [[]])
+
+
+def test_length_ratio_input_validation():
+    with pytest.raises(ValueError, match="length mismatch"):
+        length_ratio(["a".split()], ["a".split(), "b".split()])
+    with pytest.raises(ValueError, match="references must be non-empty"):
+        length_ratio(["a".split(), []], [[], []])
 
 
 def test_mrt_error_is_one_minus_sbleu():

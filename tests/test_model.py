@@ -6,21 +6,22 @@ import math
 import os
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lexnmt.model as model_mod
-from lexnmt.corpus import Vocabulary
+from lexnmt.corpus import SentencePair, Vocabulary
 from lexnmt.decode import beam_search
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           _block_step, _encode_g, _init_state, _lstm,
-                          _source_context, _stack_contexts, _teacher_forced,
+                          _source_context, _stacks, _teacher_forced,
                           build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
-from lexnmt.train import mrt_loss_frozen
+from lexnmt.train import gradient_norm, mrt_loss_frozen, nll_loss
 
 from helpers import (count_calls, graph_stepper, lexicon_table, random_lexicon,
                      tiny_model)
@@ -139,9 +140,8 @@ def test_encode_rejects_empty_source():
 @pytest.mark.parametrize("use_lexicon", [False, True],
                          ids=["no-lexicon", "lexicon"])
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
-def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
-                                                             use_lexicon, V,
-                                                             d):
+def test_one_pass_contexts_equal_each_sentence_encoded_alone(
+        monkeypatch, attention, use_lexicon, V, d):
     # one encoder pass over a ragged list of sentences, each its own
     # one-row product, gives every sentence the context that encoding it
     # alone gives, bit for bit, for every member of an ensemble
@@ -152,8 +152,11 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(attention,
     table = random_lexicon(rng, 30, V) if use_lexicon else None
     lengths = (5, 1, 14, 5, 9, 1, 14, 3, 3, 12, 2, 7)
     sources = [tuple(int(f) for f in rng.integers(0, 30, n)) for n in lengths]
-    per_model = [stack.runs
-                 for stack in _stack_contexts(models, sources, table)]
+    # one stack of the sentences in the given order, whatever their size
+    monkeypatch.setattr(model_mod, "STACK_BYTES", 1 << 40)
+    (_, stacks), = _stacks(models, sources, 1, table,
+                           order=range(len(sources)))
+    per_model = [stack.runs for stack in stacks]
     for params, runs in zip(models, per_model):
         # each sentence taken from its run, in stack order
         encs = [run.sentences(np.arange(len(run.lengths)) == j)
@@ -307,8 +310,8 @@ def test_block_rows_are_batch_invariant(attention, V, d):
     ("mlp", True, 20, 32), ("mlp", True, 2000, 128), ("dot", False, 2000, 128)],
     ids=["toy-dot", "toy-dot-lexicon", "toy-mlp", "toy-mlp-lexicon",
          "wide-mlp-lexicon", "wide-dot"])
-def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
-                                                   d):
+def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
+                                                   use_lexicon, V, d):
     # the premise of stacked search: each block of a stack, whichever
     # sentence it reads, whatever the source lengths of the stack and
     # whatever blocks stand beside it, gets the bits it gets when stepped
@@ -318,6 +321,7 @@ def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
                          use_lexicon=use_lexicon, seed=V, init_scale=0.3)
     table = random_lexicon(rng, 30, V) if use_lexicon else None
     held = 16  # state rows per sentence
+    monkeypatch.setattr(model_mod, "STACK_BYTES", 1 << 40)  # one stack
     # (source lengths of the stack, rows per sentence): one length; runs of
     # three lengths with a one-sentence run in one block; runs of two
     # lengths with a one-sentence run whose 13 rows fill two blocks
@@ -327,7 +331,8 @@ def test_stacked_blocks_equal_blocks_stepped_alone(attention, use_lexicon, V,
         sources = [tuple(int(f) for f in rng.integers(0, 30, n))
                    for n in lengths]
         encs = [_source_context(params, [F], table) for F in sources]
-        stack, = _stack_contexts([params], sources, table)
+        (_, (stack,)), = _stacks([params], sources, B, table,
+                                 order=range(S))
         assert len(stack.runs) == len(set(lengths))
         prev = rng.integers(0, V, (S, B))
         rows = rng.integers(0, held, (S, B))
@@ -522,6 +527,20 @@ def test_init_params_refuses_models_no_checkpoint_should_hold(hyper):
                              **hyper})
 
 
+def test_a_target_vocabulary_of_one_word_is_refused():
+    # its one word is the sentence end, so search and sampling have no word
+    # to choose; no vocabulary file yields it, since <s> and <unk> are in
+    # every vocabulary
+    with pytest.raises(ValueError, match="tgt_vocab_size must be >= 2"):
+        init_params(5, 1, d_emb=3, d_hid=3, seed=1)
+    with pytest.raises(DataError, match="tgt_vocab_size must be >= 2"):
+        replace(tiny_model(), tgt_vocab_size=1)
+    # two words are enough: each beam row has one child
+    hyp = beam_search(init_params(5, 2, d_emb=3, d_hid=3, seed=1), (1, 2),
+                      beam_size=3, max_len=4)
+    assert hyp.tokens[-1] == 0 and len(hyp.tokens) <= 4
+
+
 def test_dot_attention_has_no_attention_tensors():
     params = tiny_model(attention="dot")
     assert "attn_W1" not in params.tensors
@@ -555,6 +574,36 @@ def _vocabs(params):
     tgt = Vocabulary(["<s>", "<unk>"] + [f"t{i}" for i in
                                          range(params.tgt_vocab_size - 2)])
     return src, tgt
+
+
+def test_a_model_and_its_reload_clip_alike(tmp_path):
+    # the tensors iterate in buffer (checkpoint) order however they were
+    # made, so gradient_norm adds the per-tensor sums of a fresh model and
+    # of its reload in one order, and a training step clips them alike
+    rng = np.random.default_rng(29)
+    for seed in range(20):
+        fresh = init_params(20, 20, d_emb=16, d_hid=16, attention="mlp",
+                            seed=seed)
+        save_checkpoint(tmp_path / "model.ckpt", fresh, *_vocabs(fresh))
+        loaded, _, _ = load_checkpoint(tmp_path / "model.ckpt")
+        assert list(fresh.tensors) == list(loaded.tensors)
+        batch = [SentencePair(*(tuple(int(x) for x in rng.integers(
+            0, 20, rng.integers(1, 6))) for _ in range(2)))
+            for _ in range(6)]
+        (_, got), (_, want) = nll_loss(loaded, batch), nll_loss(fresh, batch)
+        assert np.array_equal(got.buffer, want.buffer)
+        assert gradient_norm(got) == gradient_norm(want), seed
+
+
+def test_padded_walk_refuses_a_context_of_several_sentences():
+    # the padded walk steps the rows of one sentence; the deferred walk
+    # reads sentence r for row r
+    params = tiny_model(seed=3)
+    enc = _source_context(params, [(1, 2), (3, 4, 5)], None)
+    targets = [(2, params.tgt_eos), (3, 4, params.tgt_eos)]
+    with pytest.raises(ValueError, match="padded walk steps one sentence"):
+        _teacher_forced(params, enc, targets)
+    assert _teacher_forced(params, enc, targets, deferred=True).words == targets
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -616,7 +665,7 @@ def test_tensors_refuse_rebinding():
                    lambda: t.update(dec_b=np.ones(2)), t.clear):
         with pytest.raises(TypeError, match="not rebound"):
             change()
-    assert list(t) == list(expected_shapes(params))
+    assert list(t) == sorted(expected_shapes(params))
     params.tensors["dec_b"] += 1.0
     assert np.shares_memory(params.tensors["dec_b"], params.tensors.buffer)
     assert params.tensors["dec_b"].all()

@@ -1,6 +1,8 @@
-"""Stacks of sentences are built and stepped in two modules only: the model
-defines them (``_Stack``, ``_stack_contexts``) and decode cuts the stacks
-(``decode._stacks``) that search and sampling take their contexts from."""
+"""Stacks of sentences are cut and built in one module: the model defines
+them (``_Stack``) and cuts them under its byte budget (``STACK_BYTES``,
+``_step_bytes``) in its one generator of stacks (``_stacks``), which search,
+sampling and scoring take their contexts from.  Decode only searches: no
+package module but the command line and the package root imports it."""
 
 import ast
 import os
@@ -9,8 +11,8 @@ import lexnmt
 
 PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
 
-STACK_NAMES = {"_Stack", "_stack_contexts"}
-STACK_MODULES = {"model.py", "decode.py"}
+STACK_NAMES = {"_Stack", "STACK_BYTES", "_step_bytes"}
+DECODE_IMPORTERS = {"cli.py", "__init__.py"}
 
 
 def _names(tree):
@@ -24,14 +26,40 @@ def _names(tree):
             yield from ((node.lineno, alias.name) for alias in node.names)
 
 
-def test_only_model_and_decode_name_the_stack_builder():
-    stray = []
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if not filename.endswith(".py") or filename in STACK_MODULES:
+def _decode_imports(tree):
+    """Lines of every import of the decode module under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = ([node.module] if node.module
+                       else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
             continue
-        path = os.path.join(PACKAGE_DIR, filename)
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
-        stray += [f"{filename}:{line} names {name}"
-                  for line, name in _names(tree) if name in STACK_NAMES]
+        if {"decode", "lexnmt.decode"} & set(modules):
+            yield node.lineno
+
+
+def _package_modules():
+    """(file name, syntax tree) of every module of the package."""
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if filename.endswith(".py"):
+            path = os.path.join(PACKAGE_DIR, filename)
+            with open(path, encoding="utf-8") as f:
+                yield filename, ast.parse(f.read(), path)
+
+
+def test_only_model_names_the_stack_builder():
+    stray = [f"{filename}:{line} names {name}"
+             for filename, tree in _package_modules() if filename != "model.py"
+             for line, name in _names(tree) if name in STACK_NAMES]
+    assert stray == []
+
+
+def test_only_the_command_line_and_package_root_import_decode():
+    # training samples from the model's stacks; it does not reach into search
+    stray = [f"{filename}:{line} imports decode"
+             for filename, tree in _package_modules()
+             if filename not in DECODE_IMPORTERS
+             for line in _decode_imports(tree)]
     assert stray == []

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import lexnmt.decode as decode_mod
 import lexnmt.model as model_mod
 import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
@@ -432,6 +431,8 @@ def test_mrt_loss_validation(monkeypatch):
             mrt_loss_frozen(params, (1,), (2,), [(2, params.tgt_eos)], alpha)
     with pytest.raises(ValueError, match="sample set must be non-empty"):
         mrt_loss_frozen(params, (1,), (2,), [], 1.0)
+    with pytest.raises(ValueError, match="target sequences must be non-empty"):
+        mrt_loss_frozen(params, (1,), (2,), [(2, params.tgt_eos), ()], 1.0)
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
     monkeypatch.setattr(
@@ -557,6 +558,16 @@ def test_train_ml_raises_on_nonfinite_loss(monkeypatch):
         train_ml(params, pairs, pairs, TrainConfig(max_epochs=1))
 
 
+def test_train_mrt_raises_on_nonfinite_loss(monkeypatch):
+    params = tiny_model(seed=45)
+    pairs = [SentencePair((1,), (2,))]
+    monkeypatch.setattr(train_mod, "mrt_loss", lambda params, *a, **k: (
+        float("nan"), params.tensors.like()))
+    with pytest.raises(NumericalError, match="non-finite loss on sentence 0"):
+        train_mrt(params, pairs, pairs,
+                  TrainConfig(mrt=MrtSettings(num_samples=2, epochs=1)))
+
+
 def test_train_ml_log_file_is_deterministic(tmp_path):
     rng = np.random.default_rng(46)
     pairs = copy_pairs(rng, 6, vocab=6, lmax=3)
@@ -626,9 +637,9 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
     # rng: the same draws and the same value as one encoding per sentence,
     # so MRT dev errors, logs and checkpoints keep their bytes
     if budget:  # each sentence costs one byte: runs of two, in input order
-        monkeypatch.setattr(decode_mod, "_step_bytes", lambda *a: 1)
-        monkeypatch.setattr(decode_mod, "STACK_BYTES", budget)
-    passes = count_calls(monkeypatch, model_mod, "_stack_contexts")
+        monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
+        monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
+    passes = count_calls(monkeypatch, model_mod, "_encode_g")
     params = tiny_model(seed=52, attention="mlp", use_lexicon=True,
                         init_scale=0.5)
     table = random_lexicon(np.random.default_rng(52), params.src_vocab_size,
@@ -640,6 +651,9 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
     mrt = MrtSettings(num_samples=5, alpha=0.5, max_sample_len=8)
     got = expected_sampled_error(params, pairs, mrt, np.random.default_rng(9),
                                  table)
+    # one encoder pass per run, counted before the reference below encodes
+    # each sentence again
+    runs = [list(sources) for _, sources in passes]
     rng, values = np.random.default_rng(9), []
     for pair in pairs:
         enc = _source_context(params, [pair.source], table)
@@ -650,7 +664,6 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
                                                 mrt.alpha)[0])
     assert got == float(np.mean(values))
     assert len(set(values)) > 1
-    runs = [list(sources) for _, sources, _ in passes]
     assert sum(runs, []) == [pair.source for pair in pairs]
     assert [len(run) for run in runs] == ([6] if budget is None else [2] * 3)
 
