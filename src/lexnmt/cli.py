@@ -412,6 +412,8 @@ def _cmd_score(args):
 
 def _cmd_sample(args):
     _check_positive(args, "samples", "max_len")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     params, src_vocab, tgt_vocab = load_checkpoint(args.checkpoint)
     bpe = load_bpe(args.bpe) if args.bpe else None
     lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)

@@ -5,9 +5,8 @@ hypothesis length, so a positive penalty favors longer output.  The live beam
 of a sentence is a block of rows in lexicographic token order; each step
 scores all their children as one (B, V) key block, whose sentence-end column
 holds the step's completions.  Search of a sentence ends when its best live
-partial no longer outscores its best completion or when the length cap is
-reached; that early stop is exact only for a word penalty <= 0 (see
-:func:`beam_search`).
+partial can no longer outscore its best completion within the length cap,
+or when the cap is reached (see :func:`beam_search`).
 
 Sentences are searched together, shortest first, in the stacks that
 :func:`lexnmt.model._stacks` cuts and builds, their beams stepped as one
@@ -104,6 +103,8 @@ def _search(models, sources, encs, beam_size: int, word_penalty: float,
         # the key of the best child; a NaN among the k best children stands
         # for no children at all
         top = logprob.max(axis=1) + penalty
+        if word_penalty > 0:  # each later word adds log p <= 0 plus this
+            top = top + word_penalty * (caps - tokens.shape[2] + 1)
         goes_on = (~(top <= best_key) & (top == top)
                    & (caps >= tokens.shape[2]))
         if not goes_on.all():
@@ -113,10 +114,7 @@ def _search(models, sources, encs, beam_size: int, word_penalty: float,
             tokens, logprob, rows, caps = (tokens[goes_on], logprob[goes_on],
                                            rows[goes_on], caps[goes_on])
             at = at[:len(live)]
-            # each state holds the same number of rows for every sentence
-            states = [state.take(np.repeat(goes_on, len(state.hidden)
-                                           // len(goes_on)))
-                      for state in states]
+            states = [state.sentences(goes_on) for state in states]
             encs = [enc.sentences(goes_on) for enc in encs]
     return best
 
@@ -156,10 +154,10 @@ def beam_search(models, F, beam_size: int = 5, word_penalty: float = 0.0,
     then the lexicographically smaller tokens: the beam's rows are in token
     order, so the first of equal keys is the smallest.
 
-    Search stops once the best live partial no longer outscores the best
-    completion.  That stop is exact only for ``word_penalty <= 0``: a
-    positive penalty adds to the key of every later word, so a longer
-    hypothesis can still overtake the completion (README, Notes).
+    Search stops once the best live partial can no longer outscore the
+    best completion: each later word adds log p <= 0 plus the penalty, so
+    a positive ``word_penalty`` first raises the partial's key by the
+    penalty of every word the length cap still allows.
     """
     return beam_search_all(models, [F], beam_size, word_penalty, max_len,
                            lexicon)[0]

@@ -10,21 +10,22 @@ source words.
 The model is written once, in numpy; a model's tensors, like its gradients
 and ADAM moments, are views into one flat buffer (:class:`Tensors`).  What
 depends only on the source (R, the decoder's initial state, the MLP
-projection W1_r R and L_F) is built by one encoder loop (:func:`_encode_g`):
-training encodes N sentences as the padded rows of one block and keeps what
-the backward walks (:func:`_source_context`); everything stepped without a
-backward takes its contexts from :func:`_stacks`, the one place sentences
-are cut (under STACK_BYTES) into stacks of runs of one length, each part
-equal to encoding its sentence alone.  :func:`_block_step` steps fixed
-blocks of BLOCK_ROWS (8) rows for search, sampling and scoring, each block
-reading its own sentence, so a row gets the bits it gets stepped alone and
-decode output is byte-identical to line-by-line search.  :func:`_lockstep`
-walks target sequences forward together, by teacher forcing or sampling:
-the padded walk steps one sentence's rows through :func:`_block_step`, so
-scoring, sampling and search agree bit for bit; the deferred walk (maximum
-likelihood) steps only the recurrence and attention and runs the output
-layer once after it.  :func:`_backward` derives exact gradients from either
-walk by a hand-written backward pass through time, in lockstep too.
+projection W1_r R and L_F) is built by one encoder loop (:func:`_encode_g`)
+and read by every decoder step as one context type, a :class:`_Stack` of
+runs: training encodes N sentences as one padded run that keeps what the
+backward walks (:func:`_source_context`); everything stepped without a
+backward takes its stacks from :func:`_stacks`, the one place sentences are
+cut (under STACK_BYTES) into runs of one length, each part equal to encoding
+its sentence alone.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
+(8) rows for search, sampling and scoring, each block reading its own
+sentence, so a row gets the bits it gets stepped alone and decode output is
+byte-identical to line-by-line search.  :func:`_lockstep` walks target
+sequences forward together, by teacher forcing or sampling: the padded walk
+steps one sentence's rows through :func:`_block_step`, so scoring, sampling
+and search agree bit for bit; the deferred walk (maximum likelihood) steps
+only the recurrence and attention and runs the output layer once after it.
+:func:`_backward` derives exact gradients from either walk by a hand-written
+backward pass through time, in lockstep too.
 """
 
 from __future__ import annotations
@@ -215,15 +216,19 @@ class DecoderState:
         return DecoderState(self.hidden[rows], self.cell[rows],
                             self.context[rows])
 
+    def sentences(self, keep) -> "DecoderState":
+        """The rows of the kept sentences (a boolean mask) of a stack's
+        state, which holds the same number of rows for every sentence."""
+        return self.take(np.repeat(keep, len(self.hidden) // len(keep)))
+
 
 @dataclass
-class _SourceContext:
-    """The source context of N sentences for one model, read by every
-    decoder step: row r of a block reads sentence r, the one sentence of an
-    N = 1 context is read by every row, and the blocks of a stack fall in N
-    equal shares, share s reading sentence s.  Each sentence's columns are
-    zero past its end, and ``pad`` is -inf there.  Every field but ``chain``
-    is per sentence."""
+class _Run:
+    """A run of a :class:`_Stack`: the source context of N sentences for one
+    model, each zero past its end (``pad`` -inf there).  Row r of a block
+    reads sentence r, every row the one sentence of N = 1, and the blocks of
+    a stack fall in N equal shares, share s reading sentence s.  Every field
+    but ``chain`` is per sentence."""
 
     R: np.ndarray  # (N, D, n)
     init_state: np.ndarray  # (N, D): one row per sentence
@@ -233,21 +238,12 @@ class _SourceContext:
     mlp_proj: np.ndarray | None = None  # attn_W1[:, r-part] @ R: (N, a, n)
     lexicon_matrix: np.ndarray | None = None  # L_F (N, V, n); None: no bias
 
-    def sentences(self, keep) -> "_SourceContext":
-        """The context of the kept sentences, for stepping; it keeps no
-        encoder activations, so no backward pass walks it."""
+    def sentences(self, keep) -> "_Run":
+        """The run of the kept sentences, for stepping; it keeps no encoder
+        activations, so no backward pass walks it."""
         return replace(self, chain=None, **{
             f.name: getattr(self, f.name)[keep] for f in fields(self)
             if f.name != "chain" and getattr(self, f.name) is not None})
-
-    def take(self, rows) -> "_SourceContext":
-        """What attention reads for the given rows: their sentences, or the
-        context itself when it holds one sentence."""
-        if len(self.R) == 1:
-            return self
-        return replace(self, R=self.R[rows], pad=self.pad[rows],
-                       mlp_proj=(None if self.mlp_proj is None
-                                 else self.mlp_proj[rows]))
 
 
 # The most estimated bytes of one member's decoder step of a stack
@@ -259,11 +255,16 @@ STACK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class _Stack:
-    """The context of a stack of sentences for one model, for stepping: its
-    runs of sentences of one source length, in stack order, each the context
-    of its sentences (cut and built by :func:`_stacks`).  A stack holds the
-    same number of blocks for every sentence, so run i holds the blocks of
-    its sentences (:func:`_recurrence`)."""
+    """The context of a stack of sentences for one model, the one context
+    every decoder step reads: its runs (:class:`_Run`), in stack order.
+
+    - A run is a block of sentences padded to its longest.
+    - :func:`_stacks` cuts runs of one length, so its runs have no padding.
+    - A training stack (:func:`_source_context`) is one padded run that
+      holds the encoder activations.
+
+    A stack holds the same number of blocks for every sentence, so run i
+    holds the blocks of its sentences (:meth:`runs_of`)."""
 
     runs: tuple
     init_state: np.ndarray  # (N, D): one row per sentence, in stack order
@@ -399,12 +400,12 @@ def _encoder_weights(params: ModelParams):
 
 @np.errstate(over="ignore")  # see _lstm
 def _encode_g(params: ModelParams, sources, *,
-              alone: bool = False) -> _SourceContext:
+              alone: bool = False) -> _Run:
     """Run both encoder directions over the sentences of ``sources``, one
     stacked product per position; a sentence leaves after its end.  Returns
-    their padded context without the MLP projection and L_F.
+    their padded run without the MLP projection and L_F.
 
-    By default the sentences are the rows of one block, and the context
+    By default the sentences are the rows of one block, and the run
     keeps each direction's LSTM activations for the backward pass.  With
     ``alone``, each sentence is stepped as its own one-row product, the
     product that encoding it alone makes, so its columns and state are
@@ -446,26 +447,26 @@ def _encode_g(params: ModelParams, sources, *,
         R[r, :d, :m] = bwd[m - 1::-1, r].T
         R[r, d:, :m] = fwd[:m, r].T
         init[r] = np.concatenate([bwd[m, r], fwd[m, r]])
-    return _SourceContext(R, init, lengths, None if alone else (ids, acts),
-                          np.where(np.arange(n) < lengths[:, None], 0.0,
-                                   -np.inf))
+    return _Run(R, init, lengths, None if alone else (ids, acts),
+                np.where(np.arange(n) < lengths[:, None], 0.0, -np.inf))
 
 
-def _attach_mlp(params: ModelParams, enc: _SourceContext) -> _SourceContext:
-    """``enc`` with the part of MLP attention that depends only on the
+def _attach_mlp(params: ModelParams, run: _Run) -> _Run:
+    """``run`` with the part of MLP attention that depends only on the
     source, the projection W1_r R: one product at R's own width (a
     projection cut from a wider one need not keep its bits)."""
     if params.attention == "mlp":
-        enc.mlp_proj = params.tensors["attn_W1"][:, params.dec_hid:] @ enc.R
-    return enc
+        run.mlp_proj = params.tensors["attn_W1"][:, params.dec_hid:] @ run.R
+    return run
 
 
-def _source_context(params: ModelParams, sources, lexicon) -> _SourceContext:
+def _source_context(params: ModelParams, sources, lexicon) -> _Stack:
     """Encode the sentences as the rows of one block and attach each one's
-    L_F, zero past its end: the one build of a block context."""
-    enc = _attach_mlp(params, _encode_g(params, sources))
-    enc.lexicon_matrix = _lexicon_block([params], sources, lexicon)
-    return enc
+    L_F, zero past its end: a training stack, one padded run that keeps the
+    encoder activations for the backward pass."""
+    run = _attach_mlp(params, _encode_g(params, sources))
+    run.lexicon_matrix = _lexicon_block([params], sources, lexicon)
+    return _Stack((run,), run.init_state)
 
 
 def _step_bytes(params, n: int, rows: int, lexicon) -> int:
@@ -518,7 +519,7 @@ def _stacks(models, sources, rows: int, lexicon, order=None):
         spans = [(a, b, lengths[a]) for a, b in zip(cuts, cuts[1:])]
         lexes = [_lexicon_block(models, stacked[a:b], lexicon)
                  for a, b, _ in spans]
-        yield stack, [_Stack(tuple(_attach_mlp(m, _SourceContext(
+        yield stack, [_Stack(tuple(_attach_mlp(m, _Run(
             enc.R[a:b, :, :n].copy(), enc.init_state[a:b], enc.lengths[a:b],
             None, np.zeros((b - a, n)), lexicon_matrix=L))
             for (a, b, n), L in zip(spans, lexes)), enc.init_state)
@@ -552,46 +553,45 @@ def _add_by_row(x, A):
     return total.reshape(-1, *total.shape[2:])
 
 
-def _attend(params: ModelParams, h, enc: _SourceContext):
+def _attend(params: ModelParams, h, run: _Run):
     """Attention weights, context vector and (MLP only) tanh activations of
     a block or stack of rows ``h`` (see :func:`_by_row`)."""
-    if enc.mlp_proj is None:
+    if run.mlp_proj is None:
         m = None
-        scores = _by_row(h, enc.R)
+        scores = _by_row(h, run.R)
     else:
         h_part = params.tensors["attn_W1"][:, :params.dec_hid]
-        m = np.tanh(_add_by_row((h @ h_part.T)[..., None], enc.mlp_proj))
+        m = np.tanh(_add_by_row((h @ h_part.T)[..., None], run.mlp_proj))
         scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
     # exp(-inf) = 0: padding weighs nothing
-    scores = _add_by_row(scores, enc.pad)
+    scores = _add_by_row(scores, run.pad)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
-    return a, _by_row(a, enc.R.swapaxes(-1, -2)), m
+    return a, _by_row(a, run.R.swapaxes(-1, -2)), m
 
 
-def _init_state(enc) -> DecoderState:
-    """The initial block state: one row per sentence of the context."""
+def _init_state(enc: _Stack) -> DecoderState:
+    """The initial block state: one row per sentence of the stack."""
     zero = np.zeros(enc.init_state.shape)
     return DecoderState(enc.init_state, zero, zero)
 
 
-def _recurrence(params: ModelParams, prev, state: DecoderState, enc, *,
-                bias: bool = False):
+def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
+                *, bias: bool = False):
     """The LSTM and attention of one decoder step of a block of B rows ((B,)
     ids, a (B, D) state) or a stack of blocks ((K, BLOCK_ROWS) ids and
     state rows): the new state, the first four fields of its
     :class:`_Step` and, with ``bias``, each row's L_F a (None without L_F).
 
-    The LSTM runs once over all blocks; the blocks of a :class:`_Stack`
-    attend (and take the L_F product) run by run, the only parts of a step
-    that read the source length, so the attention fields of a stack of
-    several runs are None; a training context attends as one run."""
+    The LSTM runs once over all blocks; the blocks attend (and take the L_F
+    product) run by run, the only parts of a step that read the source
+    length, so the attention fields of a stack of several runs are None."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
     parts = []
-    for run, x in enc.runs_of(h) if isinstance(enc, _Stack) else [(enc, h)]:
+    for run, x in enc.runs_of(h):
         a, ctx, m = _attend(params, x, run)
         parts.append((a, ctx, m, None if not bias or run.lexicon_matrix is None
                       else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
@@ -622,7 +622,7 @@ def _output_layer(params: ModelParams, q, lex):
 
 
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
-                enc):
+                enc: _Stack):
     """Step B rows for each of the S sentences of ``enc`` on ``prev_ids``,
     an (S, B) array ((B,) for one sentence): row j of sentence s continues
     row ``rows[s, j]`` of that sentence's rows in ``state`` (None: row j),
@@ -668,13 +668,12 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
 
 
 @np.errstate(over="ignore")  # see _lstm
-def _lockstep(params: ModelParams, enc, n_rows: int, choose, *,
+def _lockstep(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
               deferred: bool = False) -> _Walk:
     """Walk ``n_rows`` rows forward together from the initial state.  The
-    deferred walk reads a training context, row r reading sentence r or
-    every row its one sentence; the padded walk steps the rows of one
-    sentence (a training context or :class:`_Stack` of one sentence) and
-    refuses a context of more with ValueError.
+    deferred walk reads a training stack (:func:`_source_context`), row r
+    reading sentence r or every row its one sentence; the padded walk steps
+    the rows of a stack of one sentence and refuses more with ValueError.
 
     At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
     and their (B, V) next-word distributions, and returns their next words
@@ -710,7 +709,8 @@ def _lockstep(params: ModelParams, enc, n_rows: int, choose, *,
         else:
             keep = np.flatnonzero(goes_on)
             live, prev = live[keep], prev[keep]
-            ctx = ctx.take(keep) if deferred else ctx  # padded: one sentence
+            if len(ctx.init_state) > 1:  # row r reads sentence r
+                ctx = ctx.sentences(goes_on)
     ids = np.zeros((len(steps), n_rows), dtype=np.intp)
     alive = np.zeros(ids.shape, dtype=bool)
     for t, (rows, chosen_ids) in enumerate(chosen):
@@ -721,9 +721,9 @@ def _lockstep(params: ModelParams, enc, n_rows: int, choose, *,
                  ids, alive, _stack(steps))
     if not deferred:
         return walk
-    s = walk.steps
-    lex = (None if enc.lexicon_matrix is None else
-           walk.per_row(s.attn, enc.lexicon_matrix.swapaxes(1, 2)))
+    s, (run,) = walk.steps, enc.runs
+    lex = (None if run.lexicon_matrix is None else
+           walk.per_row(s.attn, run.lexicon_matrix.swapaxes(1, 2)))
     return walk._replace(steps=_Step(*s[:4], *_output_layer(params, s.out_in,
                                                            lex)))
 
@@ -780,13 +780,12 @@ def _lstm_back(act, dh, dc, dz):
     return dc * (1.0 - i)
 
 
-def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
-              grads):
+def _backward(params: ModelParams, enc: _Stack, walk: _Walk, seeds, grads):
     """Add to ``grads`` the gradient of sum_r seeds[r] * log p(E_r | F_r).
 
     ``walk`` holds the target sequences E_r and their teacher-forced steps
     against ``enc``, by either walk: row r reads F_r, sentence r of the
-    context, or the one sentence F of a one-sentence context.  Teacher
+    training run, or the one sentence F of a one-sentence run.  Teacher
     forcing never feeds the output layer back into the recurrence, so the
     output layer and the lexicon bias are differentiated for all steps at
     once, and the LSTM weights take one product after the walk back through
@@ -798,8 +797,8 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     if len(seeds) != len(walk.words):
         raise ValueError(f"{len(seeds)} seeds for {len(walk.words)} target "
                          "sequences")
-    t = params.tensors
-    D, d_emb, N = params.dec_hid, params.d_emb, len(enc.R)
+    t, (run,) = params.tensors, enc.runs
+    D, d_emb, N = params.dec_hid, params.d_emb, len(run.R)
     s = walk.steps
     # the row-steps are in step order, each step's rows in row order
     alive, ids = walk.alive, walk.ids
@@ -820,17 +819,17 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     grads["out_b"] += dEta.sum(axis=0)
     dQ = dEta @ t["out_W"]
     dA = np.zeros_like(A)
-    if enc.lexicon_matrix is not None:
-        dA += walk.per_row(G / s.lex, enc.lexicon_matrix)
+    if run.lexicon_matrix is not None:
+        dA += walk.per_row(G / s.lex, run.lexicon_matrix)
 
-    mlp = enc.mlp_proj is not None
+    mlp = run.mlp_proj is not None
     dCtx = dQ[:, D:].copy()
     dS = np.empty_like(A)
     dZ = np.empty((len(G), 3 * D))
     dU = np.empty((len(G), t["dec_W"].shape[1]))
     if mlp:
         K = np.empty((len(G), params.attn_dim))
-        dP = np.zeros_like(enc.mlp_proj)
+        dP = np.zeros_like(run.mlp_proj)
     # the recurrent gradients, one row per row of the later step's block
     dh_next = dc = dctx_next = np.zeros((0, D))
     for k in reversed(range(len(alive))):
@@ -841,7 +840,8 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
             dh_next, dc, dctx_next = (_rows_into(x, goes_on)
                                       for x in (dh_next, dc, dctx_next))
             rows = np.flatnonzero(alive[k])
-            R = enc.take(rows).R  # the sentences of this step's rows
+            # the sentences of this step's rows (one sentence: one product)
+            R = run.R if N == 1 else run.R[rows]
             sentences = (rows % N).tolist()
         attn = A[at]
         dCtx[at] += dctx_next
@@ -875,13 +875,13 @@ def _backward(params: ModelParams, enc: _SourceContext, walk: _Walk, seeds,
     dR = walk.row_outer(dCtx, A, N)
     if mlp:
         grads["attn_W1"][:, :D] += K.T @ Q[:, :D]
-        grads["attn_W1"][:, D:] += (dP @ enc.R.swapaxes(1, 2)).sum(axis=0)
+        grads["attn_W1"][:, D:] += (dP @ run.R.swapaxes(1, 2)).sum(axis=0)
         dR += t["attn_W1"][:, D:].T @ dP
     else:
         dR += walk.row_outer(Q[:, :D], dS, N)
     d_init = np.zeros((N, D))  # every row is alive at step 0
     np.add.at(d_init, np.arange(len(dh_next)) % N, dh_next)
-    _encoder_backward(params, enc, dR, d_init, grads)
+    _encoder_backward(params, run, dR, d_init, grads)
 
 
 def _rows_into(x, rows):
@@ -892,13 +892,12 @@ def _rows_into(x, rows):
     return out
 
 
-def _encoder_backward(params: ModelParams, enc: _SourceContext, dR, d_init,
-                      grads):
+def _encoder_backward(params: ModelParams, run: _Run, dR, d_init, grads):
     """Walk both encoder directions back, all rows together, from the
     gradients of the rows' R ((N, D, n)) and of their decoder initial
     states ((N, D)); a row joins at its sentence end."""
-    d, d_emb, lengths = params.d_hid, params.d_emb, enc.lengths
-    ids, acts = enc.chain
+    d, d_emb, lengths = params.d_hid, params.d_emb, run.lengths
+    ids, acts = run.chain
     n = ids.shape[1] - 1
     # each row's positions in run order, then its sentence-end step, which
     # feeds the initial state

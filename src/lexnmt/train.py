@@ -82,6 +82,10 @@ class TrainConfig:
             raise ValueError("mrt.max_sample_len must be >= 1")
         if self.mrt.num_samples < 2:
             raise ValueError("mrt.num_samples must be >= 2")
+        if self.mrt.epochs < 1:
+            raise ValueError("mrt.epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_alpha(self.mrt.alpha)
 
     @property
@@ -168,7 +172,7 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
 def _ml_blocks(params: ModelParams, pairs, lexicon):
     """The teacher-forced walks of ``pairs`` as the rows of blocks of at
     most BLOCK_ROWS rows, longest target first (ties in the given order),
-    on the deferred walk: (source context, walk) per block."""
+    on the deferred walk: (training stack, walk) per block."""
     pairs = sorted(pairs, key=lambda p: -len(p.target))
     for i in range(0, len(pairs), BLOCK_ROWS):
         block = pairs[i:i + BLOCK_ROWS]

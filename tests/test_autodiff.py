@@ -1,10 +1,10 @@
 """Structural checks of the model's hand-derived reverse mode.
 
 ``model._backward`` adds the gradient of sum_s seeds[s] * log p(E_s | F) for
-teacher-forced target sequences scored against one source context; the
-finite-difference checks here cover every coordinate of a tensor slice
-behind one forward operation, those in ``test_train.py`` and
-``test_acceptance.py`` sample every tensor.  The other tests pin how the
+teacher-forced target sequences scored against a training stack (one padded
+run of source sentences); the finite-difference checks here cover every
+coordinate of a tensor slice behind one forward operation, those in
+``test_train.py`` and ``test_acceptance.py`` sample every tensor.  The other tests pin how the
 backward accumulates, where it scatters, and the step's softmax and
 log-softmax.
 """

@@ -584,7 +584,8 @@ def test_usage_errors_exit_one(capsys):
     ("decode", "--beam", "0"), ("decode", "--beam", "-3"),
     ("decode", "--max-len", "0"), ("decode", "--word-penalty", "nan"),
     ("decode", "--word-penalty", "inf"), ("decode", "--word-penalty", "-inf"),
-    ("sample", "--max-len", "0"), ("sample", "--samples", "0")])
+    ("sample", "--max-len", "0"), ("sample", "--samples", "0"),
+    ("sample", "--seed", "-1")])
 def test_bad_search_flags_are_usage_errors(tmp_path, capsys, command, flag,
                                            value):
     # refused before any file is read: the checkpoint named here is missing,
@@ -606,7 +607,8 @@ def test_bad_search_flags_are_usage_errors(tmp_path, capsys, command, flag,
     ("train", "--max-epochs", "0"), ("train", "--max-epochs", "-2"),
     ("mrt-train", "--samples", "1"), ("mrt-train", "--alpha", "nan"),
     ("mrt-train", "--alpha", "0"), ("mrt-train", "--lr", "-1"),
-    ("mrt-train", "--max-sample-len", "0")])
+    ("mrt-train", "--max-sample-len", "0"), ("mrt-train", "--mrt-epochs", "0"),
+    ("mrt-train", "--seed", "-1"), ("train", "--seed", "-1")])
 def test_bad_training_flags_are_usage_errors(tmp_path, capsys, command, flag,
                                              value):
     # refused before any file is read: every input named here is missing,

@@ -19,8 +19,8 @@ from oracles import argmax_hypothesis, enumerate_complete, greedy_decode
 
 
 def _tiny(seed, tgt_size=4, init_scale=0.02, **kw):
-    # small weights keep every per-step probability below exp(-0.8), which
-    # makes early termination exact under the word penalties tested here
+    # small weights keep every per-step probability below exp(-0.8), so at
+    # penalties up to 0.8 every later word lowers a key
     return tiny_model(src_size=4, tgt_size=tgt_size, d=3, seed=seed,
                       init_scale=init_scale, **kw)
 
@@ -45,7 +45,9 @@ def test_score_is_affine_in_length():
 # exactness against exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("word_penalty", [0.0, 0.8])
+# from 1.5 on, above log V, every later word raises a key: the early stop
+# must bound what each line's length cap still allows
+@pytest.mark.parametrize("word_penalty", [0.0, 0.8, 1.5, 2.5, 5.0])
 def test_wide_beam_matches_exhaustive_search(word_penalty):
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -59,6 +61,23 @@ def test_wide_beam_matches_exhaustive_search(word_penalty):
         assert got.tokens[-1] == model.tgt_eos
         assert got.tokens == want_tokens
         assert got.logprob == want_lp  # same accumulation order: bitwise
+
+
+def test_positive_penalty_search_goes_on_past_a_beaten_child():
+    # at penalty 40 the first completion (eos,) scores 37.96 and its best
+    # child's key is lower, yet (3, 3, eos) scores 113.78: search must go on
+    # while the penalty still due to the cap could lift a child above it
+    model = tiny_model(src_size=9, tgt_size=8, d=5, attention="mlp", seed=0,
+                       init_scale=0.5)
+    F = (1, 5, 7, 4)
+    eos = model.tgt_eos
+    hyp = beam_search(model, F, beam_size=5, word_penalty=40.0)
+    beaten = score_hypothesis(
+        Hypothesis((3, 3, eos), sentence_logprob(model, F, (3, 3, eos))), 40.0)
+    assert round(beaten, 2) == 113.78
+    assert len(hyp.tokens) == 2 * len(F) + 10  # the default cap
+    assert round(score_hypothesis(hyp, 40.0), 2) == 683.48
+    assert hyp.logprob == sentence_logprob(model, F, hyp.tokens)
 
 
 def test_wide_beam_matches_exhaustive_search_for_ensembles():

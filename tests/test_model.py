@@ -81,12 +81,12 @@ def test_encode_matches_oracle(attention):
     table = random_lexicon(np.random.default_rng(3), params.src_vocab_size,
                            params.tgt_vocab_size)
     sources = [(2,), (1, 4, 3), (5, 5, 0, 2)]
-    block = _source_context(params, sources, table)
+    block = _source_context(params, sources, table).runs[0]
     assert block.R.shape == (3, params.dec_hid, 4)
     for r, F in enumerate(sources):
         R_ref, init_ref = ref_encode(params, F)
         L = build_lexicon_matrix(F, table, params.tgt_vocab_size)
-        alone = _source_context(params, [F], table)
+        alone = _source_context(params, [F], table).runs[0]
         assert alone.R.shape == (1, params.dec_hid, len(F))
         assert np.array_equal(alone.pad, np.zeros((1, len(F))))  # exact add
         for R, init in ((alone.R[0], alone.init_state[0]),
@@ -123,7 +123,7 @@ def test_encode_columns_are_backward_then_forward():
         h, c = _lstm_step(t["enc_bwd_W"], t["enc_bwd_b"], xs[j], h, c)
         bwd[j] = h
 
-    R = _source_context(params, [F], None).R[0]
+    R = _source_context(params, [F], None).runs[0].R[0]
     for j in range(len(F)):
         assert np.allclose(R[:d, j], bwd[j], atol=1e-12)
         assert np.allclose(R[d:, j], fwd[j], atol=1e-12)
@@ -163,7 +163,7 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(
                 for run in runs for j in range(len(run.lengths))]
         assert len(encs) == len(sources)
         for i, (F, enc) in enumerate(zip(sources, encs)):
-            alone = _source_context(params, [F], table)
+            alone = _source_context(params, [F], table).runs[0]
             for name in ("R", "init_state", "pad", "mlp_proj",
                          "lexicon_matrix"):
                 got, want = getattr(enc, name), getattr(alone, name)
@@ -197,10 +197,10 @@ def test_attend_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=6)
     rng = np.random.default_rng(6)
     h = rng.normal(size=params.dec_hid)
-    enc = _source_context(params, [(1, 4, 2, 3, 0)], None)
-    a, ctx, _ = _attend(params, h[None], enc)  # a one-row block
+    run = _source_context(params, [(1, 4, 2, 3, 0)], None).runs[0]
+    a, ctx, _ = _attend(params, h[None], run)  # a one-row block
     a, ctx = a[0], ctx[0]
-    R = enc.R[0]
+    R = run.R[0]
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(a >= 0)
     assert np.allclose(a, ref_attention(params, h, R), rtol=1e-9, atol=1e-12)

@@ -1,8 +1,10 @@
 """Stacks of sentences are cut and built in one module: the model defines
-them (``_Stack``) and cuts them under its byte budget (``STACK_BYTES``,
-``_step_bytes``) in its one generator of stacks (``_stacks``), which search,
-sampling and scoring take their contexts from.  Decode only searches: no
-package module but the command line and the package root imports it."""
+them (``_Stack``, of ``_Run``s) and cuts them under its byte budget
+(``STACK_BYTES``, ``_step_bytes``) in its one generator of stacks
+(``_stacks``), which search, sampling and scoring take their contexts from;
+the layout of a stack's decoder state is the model's too.  Decode only
+searches: no package module but the command line and the package root
+imports it."""
 
 import ast
 import os
@@ -11,7 +13,9 @@ import lexnmt
 
 PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
 
-STACK_NAMES = {"_Stack", "STACK_BYTES", "_step_bytes"}
+STACK_NAMES = {"_Stack", "_Run", "STACK_BYTES", "_step_bytes"}
+# what computing a stack state's rows per sentence takes
+STATE_LAYOUT_NAMES = {"repeat", "hidden", "cell", "context"}
 DECODE_IMPORTERS = {"cli.py", "__init__.py"}
 
 
@@ -50,9 +54,22 @@ def _package_modules():
 
 
 def test_only_model_names_the_stack_builder():
+    trees = dict(_package_modules())
     stray = [f"{filename}:{line} names {name}"
-             for filename, tree in _package_modules() if filename != "model.py"
+             for filename, tree in trees.items() if filename != "model.py"
              for line, name in _names(tree) if name in STACK_NAMES]
+    assert stray == []
+    # a renamed class would pass the check above by being named nowhere
+    assert STACK_NAMES <= {name for _, name in _names(trees["model.py"])}
+
+
+def test_decode_computes_no_state_layout():
+    # search drops finished sentences through the model's state and stack
+    # (``sentences``); it neither repeats masks over rows nor reads states
+    trees = dict(_package_modules())
+    stray = [f"decode.py:{line} names {name}"
+             for line, name in _names(trees["decode.py"])
+             if name in STATE_LAYOUT_NAMES]
     assert stray == []
 
 

@@ -689,8 +689,12 @@ def test_train_config_validation():
         TrainConfig(mrt=MrtSettings(alpha=0.0))
     with pytest.raises(ValueError):
         TrainConfig(mrt=MrtSettings(alpha=float("nan")))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    # no MRT epoch would write the initial model back as the result
     for bad in ({"max_epochs": 0}, {"max_epochs": -1},
-                {"mrt": MrtSettings(max_sample_len=0)}):
+                {"mrt": MrtSettings(max_sample_len=0)},
+                {"mrt": MrtSettings(epochs=0)}):
         with pytest.raises(ValueError, match=">= 1"):
             TrainConfig(**bad)
     assert TrainConfig(max_epochs=None).max_epochs is None
