@@ -18,19 +18,22 @@ backward takes its stacks from :func:`_stacks`, the one place sentences are
 cut (under STACK_BYTES) into runs of one length, each part equal to encoding
 its sentence alone.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
 (8) rows for search, sampling and scoring, each block reading its own
-sentence, so a row gets the bits it gets stepped alone and decode output is
-byte-identical to line-by-line search.  :func:`_lockstep` walks target
-sequences forward together, by teacher forcing or sampling: the padded walk
-steps one sentence's rows through :func:`_block_step`, so scoring, sampling
-and search agree bit for bit; the deferred walk (maximum likelihood) steps
-only the recurrence and attention and runs the output layer once after it.
-:func:`_backward` derives exact gradients from either walk by a hand-written
-backward pass through time, in lockstep too.
+sentence; a stack's blocks share flat products against a weight only where
+the running BLAS gives every row the bits of its own block's product
+(:func:`_product`), so a row gets the bits it gets stepped alone and decode
+output is byte-identical to line-by-line search.  :func:`_lockstep` walks
+target sequences forward together, by teacher forcing or sampling: the
+padded walk steps one sentence's rows through :func:`_block_step`, so
+scoring, sampling and search agree bit for bit; the deferred walk (maximum
+likelihood) steps only the recurrence and attention and runs the output
+layer once after it.  :func:`_backward` derives exact gradients from either
+walk by a hand-written backward pass through time, in lockstep too.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -50,6 +53,7 @@ ATTENTION_KINDS = ("dot", "mlp")
 
 _CHECKPOINT_MAGIC = b"LEXNMT/CKPT/v1\n"
 BLOCK_ROWS = 8  # rows of every decoder block step (see _block_step)
+FLAT_BLOCKS = 4  # blocks of a stack in one flat product (see _product)
 _TENSOR_MAP = ({"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
                if hasattr(mmap, "MAP_PRIVATE") else {})  # Windows: no flags
 
@@ -247,10 +251,11 @@ class _Run:
 
 
 # The most estimated bytes of one member's decoder step of a stack
-# (:func:`_stacks`).  Each wide-vocabulary line (V = 2000, d = 128) fills it
-# alone, since stacking such lines gains no time and grows memory with the
-# stack; the 13 copy-long decode lines (V = 20, d = 32) fit in one stack.
-STACK_BYTES = 1 << 20
+# (:func:`_stacks`): the smallest power of two that stacks all 40 toy dev
+# lines (V = 12, d = 32) and two or three wide-vocabulary lines (V = 2000,
+# d = 128), whose flat products (:func:`_product`) run faster than one
+# product per block.
+STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -375,20 +380,61 @@ class _Walk(NamedTuple):
 def _lstm(W, b, u, c):
     """Coupled-gate LSTM step on u = [x; h]: the forget gate is one minus the
     input gate.  Returns (hidden, cell, activations).  A stack of weights
-    steps a stack of blocks, one product each.
+    steps a stack of blocks, one product each; a 2-D weight takes its
+    product through :func:`_product`.
 
     A gate's exp(-z) overflows to inf on a large negative z, which gives the
     gate 0.  The loops that step the LSTM (:func:`_encode_g`,
     :func:`_lockstep`, :func:`_ensemble_logp`) ignore that overflow, once
     per loop: an errstate per call costs a few percent of a small step."""
     n = c.shape[-1]
-    z = u @ W.swapaxes(-1, -2) + b
+    z = _product(u, W) + b
     gates = 1.0 / (1.0 + np.exp(-z[..., :2 * n]))
     i, o = gates[..., :n], gates[..., n:]
     g = np.tanh(z[..., 2 * n:])
     c_new = (1.0 - i) * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (u, c, i, o, g, tc)
+
+
+def _product(x, W):
+    """``x @ W^T``, for a 2-D weight W against a block of rows or a (K,
+    BLOCK_ROWS, k) stack of blocks; a stacked W takes one product per item.
+
+    numpy runs a stacked product as one product per block.  A stack's whole
+    chunks of FLAT_BLOCKS blocks, and its remaining blocks, each take one
+    flat product instead where :func:`_keeps_rows` found that a product of
+    that many rows gives every row the bits of its own block's product on
+    the running BLAS; elsewhere they keep one product per block.  So every
+    row gets the bits it gets stepped alone either way."""
+    if x.ndim != 3 or W.ndim > 2:
+        return x @ W.swapaxes(-1, -2)
+    out = np.empty((*x.shape[:-1], len(W)))
+    whole = len(x) - len(x) % FLAT_BLOCKS
+    for a, b in (0, whole), (whole, len(x)):
+        if a == b:
+            continue
+        rows = min(b - a, FLAT_BLOCKS) * BLOCK_ROWS  # of one flat product
+        part, into = x[a:b], out[a:b]
+        if rows > BLOCK_ROWS and _keeps_rows(rows, *W.shape):
+            part, into = (y.reshape(-1, rows, y.shape[-1]) for y in (part, into))
+        np.matmul(part, W.T, out=into)
+    return out
+
+
+@functools.cache
+def _keeps_rows(rows: int, n: int, k: int) -> bool:
+    """Whether a product ``x @ W^T`` of ``rows`` rows against an (n, k)
+    weight gives each row the bits that the product of its own
+    BLOCK_ROWS-row block gives, on the running BLAS and thread setting:
+    checked once per process and shape, when first asked.  The BLAS picks
+    its kernels by shape, so the shape decides, not the data, which are
+    pseudo-random: the sines of successive integers (numpy.random would
+    take longer to import than the check takes)."""
+    data = np.sin(np.arange((rows + n) * k, dtype=float)).reshape(-1, k)
+    x, W = data[:rows], data[rows:]
+    blocks = x.reshape(-1, BLOCK_ROWS, k) @ W.T
+    return np.array_equal(x @ W.T, blocks.reshape(rows, n))
 
 
 def _encoder_weights(params: ModelParams):
@@ -561,7 +607,7 @@ def _attend(params: ModelParams, h, run: _Run):
         scores = _by_row(h, run.R)
     else:
         h_part = params.tensors["attn_W1"][:, :params.dec_hid]
-        m = np.tanh(_add_by_row((h @ h_part.T)[..., None], run.mlp_proj))
+        m = np.tanh(_add_by_row(_product(h, h_part)[..., None], run.mlp_proj))
         scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
     # exp(-inf) = 0: padding weighs nothing
     scores = _add_by_row(scores, run.pad)
@@ -610,8 +656,8 @@ def _output_layer(params: ModelParams, q, lex):
     [h; ctx]; ``lex`` holds each row's L_F a, or is None without the
     bias."""
     t = params.tensors
-    eta = q @ t["out_W"].T + t["out_b"]
-    logits = eta @ t["softmax_W"].T + t["softmax_b"]
+    eta = _product(q, t["out_W"]) + t["out_b"]
+    logits = _product(eta, t["softmax_W"]) + t["softmax_b"]
     if lex is not None:
         lex = lex + params.epsilon
         logits = logits + np.log(lex)
@@ -638,10 +684,10 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows,
-    and numpy runs a stacked product as one product per block.  So search,
-    scoring, sampling, minimum-risk scoring and the exhaustive-search
-    oracle, which all step here, agree with ``==`` whichever rows and
-    sentences share a stack."""
+    and a stack's products give each block the bits of its own product
+    (:func:`_product`).  So search, scoring, sampling, minimum-risk scoring
+    and the exhaustive-search oracle, which all step here, agree with ``==``
+    whichever rows and sentences share a stack."""
     prev = np.asarray(prev_ids).reshape(len(enc.init_state), -1)
     S, B = prev.shape
     pad = np.arange(B + -B % BLOCK_ROWS) % B  # pad with copies of real rows
@@ -690,6 +736,9 @@ def _lockstep(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
     live = np.arange(n_rows)
     prev = np.full(n_rows, params.tgt_eos)
     state, ctx = _init_state(enc), enc
+    if deferred:  # no copy of L_F at each drop: only the bias after it reads L_F
+        ctx = replace(enc, runs=tuple(replace(run, lexicon_matrix=None)
+                                      for run in enc.runs))
     keep = live % len(enc.init_state)  # each row starts at its sentence's state
     steps, chosen = [], []
     while len(live):

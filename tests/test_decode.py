@@ -1,5 +1,8 @@
 """Beam search, ensembling, and word-penalty tests."""
 
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -369,20 +372,63 @@ def test_stacked_search_equals_search_of_each_line_alone(
             assert len(hyp.tokens) == 2 * len(F) + 10
 
 
-@pytest.mark.parametrize("V, fewest, most", [(2000, 3, 32), (20, 1, 2)],
-                         ids=["wide", "toy"])
-def test_stack_cuts_keep_search_output(monkeypatch, V, fewest, most):
+@pytest.mark.parametrize("V", [2000, 20], ids=["wide", "toy"])
+def test_stack_cuts_keep_search_output(monkeypatch, V):
     # the byte budget cuts 32 lines into several stacks at a wide vocabulary
-    # and into one or two at a toy one; either way each line gets what
-    # searching it alone gives
+    # and into one at a toy one; either way each line gets what searching
+    # it alone gives
     rng = np.random.default_rng(V)
     model = init_params(20, V, d_emb=8, d_hid=8, seed=V, init_scale=0.3)
     lines = _mixed_lines(rng, 32, 20, 6)
     searches = count_calls(monkeypatch, decode_mod, "_search")
     got = beam_search_all(model, lines, 5, 0.0, 6)
-    assert fewest <= len(searches) <= most
+    # a cut under the budget makes at least total / budget stacks, and two
+    # neighbouring stacks together pass it
+    total = sum(model_mod._step_bytes(model, len(F), model_mod.BLOCK_ROWS,
+                                      None) for F in lines)
+    fewest = -(-total // model_mod.STACK_BYTES)
+    assert (fewest > 1) == (V == 2000)
+    assert fewest <= len(searches) <= 2 * fewest
     for F, hyp in zip(lines, got):
         assert hyp == beam_search(model, F, 5, 0.0, 6)
+
+
+_THREADS_SCRIPT = """
+import json
+import numpy as np
+import lexnmt.model as model_mod
+from lexnmt.decode import beam_search_all
+from lexnmt.model import init_params
+from helpers import random_lexicon
+
+model_mod.STACK_BYTES = 1 << 40  # every line in one stack
+rng = np.random.default_rng(11)
+lexicon = random_lexicon(rng, 30, 2000)
+models = [init_params(30, 2000, d_emb=128, d_hid=128, attention="mlp",
+                      use_lexicon=True, seed=seed, init_scale=0.3)
+          for seed in (1, 2)]
+lines = [tuple(int(f) for f in rng.integers(0, 30, n))
+         for n in (3, 4, 4, 5, 6, 7)]
+print(json.dumps([[[h.tokens, h.logprob.hex()]
+                   for h in beam_search_all(members, lines, 5, 3.0, 6,
+                                            lexicon)]
+                  for members in (models[:1], models)]))
+"""
+
+
+def test_wide_decode_keeps_its_bits_at_two_blas_threads():
+    # decode output must not depend on the BLAS thread count, which is why
+    # the flat-product check (model._keeps_rows) runs under the process's
+    # own setting: six wide lines in one stack, one model and two
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model_mod.__file__)))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    assert outs[0] == outs[1] != ""
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from lexnmt.decode import beam_search
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
                           _block_step, _encode_g, _init_state, _lstm,
-                          _source_context, _stacks, _teacher_forced,
+                          _product, _source_context, _stacks, _teacher_forced,
                           build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
@@ -361,6 +361,57 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
                     "of each line alone, decode output == line-by-line "
                     "search), search score == sentence_logprob and MRT "
                     "scoring == sampling cannot hold")
+
+
+def _stacked_weights(V, d):
+    """The 2-D weights a stack of blocks multiplies by (:func:`_product`), as
+    the decoder step reads them: the MLP attention's h-part a column slice."""
+    params = init_params(30, V, d_emb=d, d_hid=d, attention="mlp",
+                         use_lexicon=True, seed=V, init_scale=0.3)
+    t = params.tensors
+    return [t["dec_W"], t["out_W"], t["softmax_W"],
+            t["attn_W1"][:, :params.dec_hid]]
+
+
+@pytest.mark.parametrize("V, d", [(20, 32), (2000, 128)], ids=["toy", "wide"])
+def test_flat_product_check_is_never_optimistic(V, d):
+    # a stack's blocks take one flat product only where the running BLAS
+    # keeps every row's bits: each product shape the check accepts does so
+    # in fresh trials, and any stack gets one product per block's bits
+    rng = np.random.default_rng(V + d)
+    for W in _stacked_weights(V, d):
+        n, k = W.shape
+        for blocks in range(2, model_mod.FLAT_BLOCKS + 1):
+            rows = blocks * BLOCK_ROWS
+            if not model_mod._keeps_rows(rows, n, k):
+                continue
+            for _ in range(20):
+                x = rng.uniform(-1, 1, (blocks, BLOCK_ROWS, k))
+                flat = x.reshape(rows, k) @ W.T
+                assert np.array_equal(flat.reshape(blocks, BLOCK_ROWS, n),
+                                      x @ W.T), (
+                    f"the check accepted {rows}-row products against a "
+                    f"({n}, {k}) weight, but one changed a row's bits")
+        for K in range(1, 2 * model_mod.FLAT_BLOCKS + 2):
+            x = rng.uniform(-1, 1, (K, BLOCK_ROWS, k))
+            assert np.array_equal(_product(x, W), x @ W.T)
+
+
+def test_refused_product_shapes_keep_one_product_per_block(monkeypatch):
+    # where the check refuses a shape, a stack takes one product per block
+    shapes, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        shapes.append(a.shape)
+        return matmul(a, b, **kwargs)
+    monkeypatch.setattr(model_mod, "_keeps_rows", lambda *key: False)
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(5)
+    for W in _stacked_weights(20, 32):
+        for K in range(2, 2 * model_mod.FLAT_BLOCKS + 2):
+            x = rng.uniform(-1, 1, (K, BLOCK_ROWS, W.shape[1]))
+            assert np.array_equal(_product(x, W), x @ W.T)
+    assert shapes and all(s[-2] == BLOCK_ROWS for s in shapes)
 
 
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
