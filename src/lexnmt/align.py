@@ -42,8 +42,11 @@ class LexiconTable:
         rows = self._row[np.clip(np.asarray(F, dtype=np.int64), -1, len(self._row) - 1)]
         pos = np.flatnonzero(rows >= 0)
         start, end = self.starts[rows[pos]], self.starts[rows[pos] + 1]
-        return (np.concatenate([np.arange(0), *map(np.arange, start, end)]),
-                np.repeat(pos, end - start))
+        size = end - start
+        # entry j of position p's run is start[p] + j: one index for all
+        at = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size),
+                                               size)
+        return at, np.repeat(pos, size)
 
     def prob(self, f: int, e: int) -> float:
         at = self.entries_of([f])[0]

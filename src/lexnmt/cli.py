@@ -10,12 +10,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .align import ibm1_train, load_lexicon, prune_lexicon, save_lexicon
 from .corpus import (Vocabulary, apply_bpe, build_vocab, encode_pairs,
@@ -25,7 +24,8 @@ from .decode import beam_search_all, score_hypothesis
 from .errors import DataError, NumericalError
 from .metrics import bleu, length_ratio, sbleu
 from .model import init_params, load_checkpoint, save_checkpoint
-from .train import MrtSettings, TrainConfig, _sampled, train_ml, train_mrt
+from .train import (MrtSettings, TrainConfig, _sampled, _stream, train_ml,
+                    train_mrt)
 
 
 class _UsageError(Exception):
@@ -151,6 +151,16 @@ def _build_parser():
     p.set_defaults(func=_cmd_sample)
 
     return parser, subparsers
+
+
+@functools.cache
+def _parser():
+    """The parser tree, built once per process, and each subcommand
+    action's built-in default (``_apply_config`` overwrites defaults)."""
+    parser, subparsers = _build_parser()
+    defaults = [(action, action.default) for sp in subparsers.values()
+                for action in sp._actions]
+    return parser, subparsers, defaults
 
 
 def _add_data_flags(p, vocab_flags: bool = True):
@@ -419,13 +429,15 @@ def _cmd_sample(args):
     lexicon = _load_optional_lexicon(args, src_vocab, tgt_vocab)
     sources = [_source_ids(line, bpe, src_vocab)
                for line in read_lines(args.input)]
-    drawn = _sampled(params, [F for F in sources if F], args.samples,
-                     args.max_len, np.random.default_rng(args.seed), lexicon)
+    drawn = iter(_sampled(params, [F for F in sources if F], args.samples,
+                          args.max_len, [_stream(args.seed, 4, 0, j)
+                                         for j, F in enumerate(sources) if F],
+                          lexicon))
 
     def sample_lines(F):
         if not F:
             return [""] * args.samples
-        texts = [_target_text(s, bpe, tgt_vocab) for s in next(drawn).words]
+        texts = [_target_text(s, bpe, tgt_vocab) for s in next(drawn)[0]]
         return (texts if args.samples == 1
                 else [f"{k}\t{text}" for k, text in enumerate(texts)])
 
@@ -440,9 +452,13 @@ def _cmd_sample(args):
 
 def run_command(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
-    config_errors = _apply_config(parser, subparsers, argv)
-    args = parser.parse_args(argv)
+    parser, subparsers, defaults = _parser()
+    try:
+        config_errors = _apply_config(parser, subparsers, argv)
+        args = parser.parse_args(argv)
+    finally:  # a --config default holds for this command only
+        for action, default in defaults:
+            action.default = default
     if not hasattr(args, "func"):
         parser.print_help()
         return 1

@@ -28,6 +28,9 @@ scoring, sampling and search agree bit for bit; the deferred walk (maximum
 likelihood) steps only the recurrence and attention and runs the output
 layer once after it.  :func:`_backward` derives exact gradients from either
 walk by a hand-written backward pass through time, in lockstep too.
+Sampling without a backward steps all sentences of a stack together
+(:func:`_walk_stack`), each row as in its sentence's padded walk, and keeps
+only each row-step's word and log-probability term.
 """
 
 from __future__ import annotations
@@ -429,12 +432,26 @@ def _keeps_rows(rows: int, n: int, k: int) -> bool:
     BLOCK_ROWS-row block gives, on the running BLAS and thread setting:
     checked once per process and shape, when first asked.  The BLAS picks
     its kernels by shape, so the shape decides, not the data, which are
-    pseudo-random: the sines of successive integers (numpy.random would
-    take longer to import than the check takes)."""
-    data = np.sin(np.arange((rows + n) * k, dtype=float)).reshape(-1, k)
+    pseudo-random (:func:`_check_data`)."""
+    data = _check_data((rows + n) * k).reshape(-1, k)
     x, W = data[:rows], data[rows:]
     blocks = x.reshape(-1, BLOCK_ROWS, k) @ W.T
     return np.array_equal(x @ W.T, blocks.reshape(rows, n))
+
+
+def _check_data(size: int) -> np.ndarray:
+    """``size`` pseudo-random floats in [-0.5, 0.5) with full mantissas:
+    the top 52 bits of i times an odd 64-bit constant (a Weyl sequence by
+    the golden ratio), for i = 0, 1, ..., made in place in one array.
+    Sines of the integers took longer to make than the products the check
+    compares, and numpy.random takes longer to import than both."""
+    bits = np.arange(size, dtype=np.uint64)
+    bits *= np.uint64(0x9E3779B97F4A7C15)
+    bits >>= np.uint64(12)  # the mantissa of a float in [1, 2)
+    bits |= np.uint64(0x3FF0000000000000)
+    data = bits.view(np.float64)
+    data -= 1.5
+    return data
 
 
 def _encoder_weights(params: ModelParams):
@@ -529,13 +546,12 @@ def _step_bytes(params, n: int, rows: int, lexicon) -> int:
     return 8 * (rows * (lstm + attend + output) + (D + a + L) * n)
 
 
-def _stacks(models, sources, rows: int, lexicon, order=None):
-    """The one way to get a :class:`_Stack`: the sentences in ``order``, by
-    default shortest first (a stable sort), cut into stacks of neighbours
-    whose estimated step of the largest member with ``rows`` rows per
-    sentence fits in STACK_BYTES, a sentence over it alone.  Yields each
-    stack's input positions and, built as it is reached, each member's
-    :class:`_Stack` of it.
+def _stacks(models, sources, rows: int, lexicon):
+    """The one way to get a :class:`_Stack`: the sentences shortest first
+    (a stable sort), cut into stacks of neighbours whose estimated step of
+    the largest member with ``rows`` rows per sentence fits in STACK_BYTES,
+    a sentence over it alone.  Yields each stack's input positions and,
+    built as it is reached, each member's :class:`_Stack` of it.
 
     Each member encodes a stack in one pass, each sentence its own one-row
     product (:func:`_encode_g`), cut straight into runs of one length: a
@@ -546,10 +562,8 @@ def _stacks(models, sources, rows: int, lexicon, order=None):
     copy widths the 8-row products ``a @ R^T`` and ``a @ L_F^T`` change bits
     once the source axis is padded to 32 positions or more."""
     rows = -(-rows // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
-    if order is None:
-        order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     stacks, size = [[]], 0
-    for i in order:
+    for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
         cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
                    for m in models)
         if stacks[-1] and size + cost > STACK_BYTES:
@@ -760,14 +774,7 @@ def _lockstep(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
             live, prev = live[keep], prev[keep]
             if len(ctx.init_state) > 1:  # row r reads sentence r
                 ctx = ctx.sentences(goes_on)
-    ids = np.zeros((len(steps), n_rows), dtype=np.intp)
-    alive = np.zeros(ids.shape, dtype=bool)
-    for t, (rows, chosen_ids) in enumerate(chosen):
-        ids[t, rows] = chosen_ids
-        alive[t, rows] = True
-    lengths = alive.sum(axis=0).tolist()
-    walk = _Walk([tuple(w[:n]) for w, n in zip(ids.T.tolist(), lengths)],
-                 ids, alive, _stack(steps))
+    walk = _Walk(*_chosen(chosen, n_rows), _stack(steps))
     if not deferred:
         return walk
     s, (run,) = walk.steps, enc.runs
@@ -775,6 +782,69 @@ def _lockstep(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
            walk.per_row(s.attn, run.lexicon_matrix.swapaxes(1, 2)))
     return walk._replace(steps=_Step(*s[:4], *_output_layer(params, s.out_in,
                                                            lex)))
+
+
+def _chosen(chosen, n_rows: int):
+    """(words, ids, alive) of a walk of ``n_rows`` rows, from each step's
+    (live rows, their chosen ids): see :class:`_Walk`."""
+    ids = np.zeros((len(chosen), n_rows), dtype=np.intp)
+    alive = np.zeros(ids.shape, dtype=bool)
+    for t, (rows, chosen_ids) in enumerate(chosen):
+        ids[t, rows] = chosen_ids
+        alive[t, rows] = True
+    lengths = alive.sum(axis=0).tolist()
+    return ([tuple(w[:n]) for w, n in zip(ids.T.tolist(), lengths)], ids,
+            alive)
+
+
+@np.errstate(over="ignore")  # see _lstm
+def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose):
+    """Walk ``n_rows`` rows of every sentence of the stack ``enc`` forward
+    together: one :func:`_block_step` per step over the live rows of all
+    its sentences, each sentence's rows padded with copies of its own to
+    the most rows any of them has.
+
+    At step t, ``choose(t, sentences, counts, probs)`` gets the stack
+    positions of the live sentences, the number of live rows of each and
+    the (rows, V) next-word distributions of those rows, sentence by
+    sentence and each sentence's rows in row order; it returns their next
+    words and whether each row goes on.  A row that stops leaves its
+    sentence's block, and a sentence leaves the stack with its last row,
+    as search drops lines.  Of a row-step only its word and log-probability
+    term are kept, not its :class:`_Step`.
+
+    Returns each sentence's (words of each row, log p of each row), in
+    stack order.  Every row steps as in the padded walk of its sentence
+    alone (:func:`_lockstep`), so both are ``==`` to that walk's."""
+    total = len(enc.init_state) * n_rows
+    counts = np.full(len(enc.init_state), n_rows)
+    sentences = np.arange(len(counts))  # the live ones' stack positions
+    # the live rows, sentence by sentence: each one's row of the walk, its
+    # last word and its place among its sentence's rows of the state
+    live = np.arange(total)
+    prev = np.full(len(live), params.tgt_eos)
+    at = np.zeros(len(live), dtype=np.intp)
+    state, chosen, terms = _init_state(enc), [], []
+    while len(live):
+        starts = np.cumsum(counts) - counts
+        rows = starts[:, None] + np.arange(counts.max()) % counts[:, None]
+        state, s = _block_step(params, prev[rows], state, at[rows], enc)
+        of = np.repeat(np.arange(len(counts)), counts)
+        at = np.arange(len(live)) - starts[of]
+        real = of * (len(s.probs) // len(counts)) + at
+        words, goes_on = choose(len(chosen), sentences, counts, s.probs[real])
+        chosen.append((live, words))
+        terms.append(_log_terms(s, words, real))
+        live, prev, at = live[goes_on], words[goes_on], at[goes_on]
+        counts = np.bincount(of[goes_on], minlength=len(counts))
+        if not counts.all():
+            left = counts > 0
+            state, enc = state.sentences(left), enc.sentences(left)
+            sentences, counts = sentences[left], counts[left]
+    words, _, alive = _chosen(chosen, total)
+    logp = _row_logprobs(np.concatenate(terms), alive, words)
+    return [(words[i:i + n_rows], logp[i:i + n_rows])
+            for i in range(0, total, n_rows)]
 
 
 def _check_target(params: ModelParams, E):
@@ -802,14 +872,26 @@ def _teacher_forced(params: ModelParams, enc, targets, *,
                      deferred=deferred)
 
 
+def _log_terms(step: _Step, ids, rows) -> np.ndarray:
+    """log p of ``ids`` at the given rows of ``step`` (log-softmax)."""
+    return step.logits[rows, ids] - (step.logit_max[rows]
+                                     + np.log(step.exp_sum[rows]))
+
+
+def _row_logprobs(terms, alive, words) -> np.ndarray:
+    """log p of each row's words from the terms of its steps, given step
+    by step with each step's rows in row order, added in word order."""
+    per_row = np.zeros(alive.shape[::-1])  # (N, T): each row in order
+    per_row.T[alive] = terms
+    return np.array([per_row[r, :len(w)].sum() for r, w in enumerate(words)])
+
+
 def _logprobs(walk: _Walk) -> np.ndarray:
-    """log p of each row's words from its steps (log-softmax per step)."""
+    """log p of each row's words from its steps."""
     s = walk.steps
-    terms = np.zeros(walk.alive.shape[::-1])  # (N, T): each row in order
-    terms.T[walk.alive] = (s.logits[np.arange(len(s.logits)),
-                                    walk.ids[walk.alive]]
-                           - (s.logit_max + np.log(s.exp_sum)))
-    return np.array([terms[r, :len(w)].sum() for r, w in enumerate(walk.words)])
+    return _row_logprobs(_log_terms(s, walk.ids[walk.alive],
+                                    np.arange(len(s.logits))),
+                         walk.alive, walk.words)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,14 @@ distinct samples of a sentence, drawn in lockstep (:func:`_draw_samples`),
 each seeded with the derivative of the expected error by its
 log-probability (Shen et al. 2016).  A training run fills one gradient
 buffer, zeroed before each loss, and keeps its best model in one more.
-Sampling without gradients (the MRT dev check, :func:`sample_translations`
-and ``lexnmt sample``) runs one loop (:func:`_sampled`) over the model's
-stacks (:func:`lexnmt.model._stacks`).
+
+Every sampled sentence draws from a random stream of its own, keyed by
+seed, stage, epoch and sentence index (:func:`_stream`), so its samples do
+not depend on what was drawn before it.  Sampling without gradients (the
+MRT dev check, :func:`sample_translations` and ``lexnmt sample``) runs one
+loop (:func:`_sampled`) that steps all sentences of each of the model's
+stacks (:func:`lexnmt.model._stacks`) in lockstep
+(:func:`lexnmt.model._walk_stack`).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import DataError, NumericalError
 from .metrics import mrt_error
 from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
                     _lockstep, _logprobs, _source_context, _stacks,
-                    _teacher_forced, save_checkpoint)
+                    _teacher_forced, _walk_stack, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -213,6 +218,33 @@ def corpus_nll(params: ModelParams, pairs, lexicon=None) -> float:
 # sampling and minimum risk
 # ---------------------------------------------------------------------------
 
+def _stream(*key):
+    """The random stream of ``key``: numpy's default generator seeded by
+    the SeedSequence of the key, the one place training and sampling make
+    a generator.  The keys are ``seed`` for the order of the ML minibatches;
+    ``seed, 1, epoch`` for MRT's sentence order in an epoch; ``seed, 2,
+    epoch, i`` for the samples of training sentence i (its index in the
+    training set); ``seed, 3, c, j`` for dev sentence j at MRT dev check c
+    (0 before training, epoch + 1 after each epoch); and ``seed, 4, 0, j``
+    for input line j of ``lexnmt sample --seed``.  So a sentence's samples
+    depend only on its own key, not on what was drawn before it."""
+    return np.random.default_rng(list(key))
+
+
+def _categorical(probs, u):
+    """Each row's word drawn by its uniform ``u`` in [0, 1): the first id
+    whose cumulative probability exceeds u times the row's total
+    (searchsorted side="right" per row), the last id at most."""
+    cum = np.cumsum(probs, axis=1)
+    u = u * cum[:, -1]
+    return np.minimum((cum <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+
+def _check_sampling(num_samples: int, caps):
+    if num_samples < 1 or min(caps, default=1) < 1:
+        raise ValueError("num_samples and max_len must be >= 1")
+
+
 def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
                   max_sample_len: int | None):
     """``num_samples`` ancestral samples of F from its context, drawn in
@@ -222,15 +254,11 @@ def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
     sample order.  A sample ends with the sentence end or at the length cap;
     its steps are the steps teacher forcing over it would compute."""
     max_len = _length_cap(F, max_sample_len)
-    if num_samples < 1 or max_len < 1:
-        raise ValueError("num_samples and max_len must be >= 1")
+    _check_sampling(num_samples, [max_len])
     eos = params.tgt_eos
 
     def draw(t, rows, probs):
-        cum = np.cumsum(probs, axis=1)
-        u = rng.random(len(rows)) * cum[:, -1]
-        # searchsorted(cum, u, side="right") per row, the last id at most
-        ids = np.minimum((cum <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
+        ids = _categorical(probs, rng.random(len(rows)))
         return ids, (ids != eos) & (t + 1 < max_len)
 
     return _lockstep(params, enc, num_samples, draw)
@@ -253,28 +281,53 @@ class _EmptySamples(ValueError):
     """Every distinct sample of a sentence is the bare sentence end."""
 
 
+def _first_draws(samples) -> list[int]:
+    """The index of each distinct sample's first draw, in first-draw
+    order."""
+    first = {}
+    for r, sample in enumerate(samples):
+        first.setdefault(sample, r)
+    return list(first.values())
+
+
 def _distinct_runs(walk):
     """The walk of the distinct samples, each the row of its first draw, in
     first-draw order."""
-    first = {}
-    for r, sample in enumerate(walk.words):
-        first.setdefault(sample, r)
-    return walk.take(list(first.values()))
+    return walk.take(_first_draws(walk.words))
 
 
 def _sampled(params: ModelParams, sources, num_samples: int,
-             max_len: int | None, rng, lexicon):
-    """Each sentence's ``num_samples`` ancestral samples (a walk), in input
-    order, sampled one after another from ``rng``: the sentences are encoded
-    in stacks taken in input order (:func:`lexnmt.model._stacks`), so the
-    contexts held at once stay within the stack byte budget, and each is
-    sampled from its run, a context equal to encoding it alone."""
-    for stack, (enc,) in _stacks([params], sources, num_samples, lexicon,
-                                 order=range(len(sources))):
-        for j, i in enumerate(stack):
-            line = enc.sentences(np.arange(len(stack)) == j)
-            yield _draw_samples(params, line, sources[i], num_samples, rng,
-                                max_len)
+             max_len: int | None, streams, lexicon):
+    """Each sentence's ``num_samples`` ancestral samples and their
+    log-probabilities, in input order, sentence i drawing from its own
+    generator ``streams[i]``.
+
+    The sentences are sampled in the stacks of
+    :func:`lexnmt.model._stacks`, shortest first, all sentences of a stack
+    in lockstep (:func:`lexnmt.model._walk_stack`): at each step each
+    sentence draws one uniform per live row from its stream, and each row
+    steps as it steps alone.  So a sentence's samples are those it draws
+    alone from its stream, whichever stack it is in."""
+    if len(streams) != len(sources):
+        raise ValueError("sampling needs one stream per sentence")
+    caps = [_length_cap(F, max_len) for F in sources]
+    _check_sampling(num_samples, caps)
+    eos, out = params.tgt_eos, [None] * len(sources)
+    for stack, (enc,) in _stacks([params], sources, num_samples, lexicon):
+        rngs = [streams[i] for i in stack]
+        stack_caps = np.array([caps[i] for i in stack])
+
+        def draw(t, sentences, counts, probs):
+            u = np.concatenate([rngs[s].random(n) for s, n in
+                                zip(sentences.tolist(), counts.tolist())])
+            ids = _categorical(probs, u)
+            cap = np.repeat(stack_caps[sentences], counts)
+            return ids, (ids != eos) & (t + 1 < cap)
+
+        for i, drawn in zip(stack, _walk_stack(params, enc, num_samples,
+                                               draw)):
+            out[i] = drawn
+    return out
 
 
 def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
@@ -286,14 +339,14 @@ def sample_translations(params: ModelParams, F, num_samples: int, max_len: int,
     sample and is included in it; a sample that reaches ``max_len`` without
     drawing it is returned as-is.
     """
-    walk, = _sampled(params, [F], num_samples, max_len, rng, lexicon)
-    return walk.words
+    (samples, _), = _sampled(params, [F], num_samples, max_len, [rng], lexicon)
+    return samples
 
 
-def _expected_error(params: ModelParams, E_ref, walk, alpha: float):
-    """Expected error 1 - SBLEU over the samples of ``walk`` (rows stepped
-    against one context), weighted by P^alpha renormalized over the sample
-    set.
+def _expected_error(params: ModelParams, E_ref, samples, logprobs,
+                    alpha: float):
+    """Expected error 1 - SBLEU over ``samples`` with log-probabilities
+    ``logprobs``, weighted by P^alpha renormalized over the sample set.
 
     Returns the error and the derivative of the error by each sample's
     log-probability: with weights w = softmax(alpha * logp) and error
@@ -301,8 +354,8 @@ def _expected_error(params: ModelParams, E_ref, walk, alpha: float):
     """
     ref = tuple(E_ref)
     errors = np.array([mrt_error(ref, _strip_eos(s, params.tgt_eos))
-                       for s in walk.words])
-    weights = mrt_weights(_logprobs(walk), alpha)
+                       for s in samples])
+    weights = mrt_weights(logprobs, alpha)
     loss = float(weights @ errors)
     return loss, alpha * weights * (errors - loss)
 
@@ -312,7 +365,8 @@ def _risk_gradient(params: ModelParams, enc, E_ref, walk, alpha: float,
     """Expected error over the samples of ``walk`` and its gradient: one
     backward pass seeded per sample with d error / d logp, one encoder walk
     for them all."""
-    loss, seeds = _expected_error(params, E_ref, walk, alpha)
+    loss, seeds = _expected_error(params, E_ref, walk.words, _logprobs(walk),
+                                  alpha)
     grads = params.tensors.like() if grads is None else grads
     grads.buffer.fill(0.0)
     _backward(params, enc, walk, seeds, grads)
@@ -407,7 +461,7 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
         raise DataError("train and dev sets must be non-empty")
 
     batches = make_minibatches(train_pairs, config.word_budget)
-    rng = np.random.default_rng(config.seed)
+    rng = _stream(config.seed)
     opt = OptimizerState(params.tensors)
     grads = params.tensors.like()
     log = TrainLogWriter(run_dir, header=_config_header(config, {"mode": "ml"}))
@@ -468,19 +522,24 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
     return best, log.records
 
 
-def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings, rng,
-                           lexicon=None) -> float:
+def expected_sampled_error(params: ModelParams, pairs, mrt: MrtSettings,
+                           streams, lexicon=None) -> float:
     """Mean per-sentence expected error over fresh samples (no gradients),
-    the sentences sampled one after another from ``rng`` (:func:`_sampled`),
-    whatever the size of the dev set."""
+    pair j sampled from its own generator ``streams[j]``, all sentences of
+    a stack in lockstep (:func:`_sampled`), and each sentence's distinct
+    samples weighted as in training."""
     pairs = list(pairs)
     if not pairs:
         raise DataError("the dev set is empty")
-    walks = _sampled(params, [p.source for p in pairs], mrt.num_samples,
-                     mrt.max_sample_len, rng, lexicon)
-    return float(np.mean([
-        _expected_error(params, pair.target, _distinct_runs(walk),
-                        mrt.alpha)[0] for pair, walk in zip(pairs, walks)]))
+    drawn = _sampled(params, [p.source for p in pairs], mrt.num_samples,
+                     mrt.max_sample_len, streams, lexicon)
+    errors = []
+    for pair, (samples, logprobs) in zip(pairs, drawn):
+        first = _first_draws(samples)
+        errors.append(_expected_error(
+            params, pair.target, [samples[r] for r in first], logprobs[first],
+            mrt.alpha)[0])
+    return float(np.mean(errors))
 
 
 def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
@@ -489,29 +548,35 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
 
     Expects ``params`` to be a trained ML checkpoint (warm start).  Model
     selection is on dev expected sampled error; returns (best params, log).
-    """
+    Each epoch's sentence order, each training sentence's samples and each
+    dev sentence's samples at each check come from streams of their own
+    (:func:`_stream`)."""
     train_pairs = list(train_pairs)
     dev_pairs = list(dev_pairs)
     if not train_pairs or not dev_pairs:
         raise DataError("train and dev sets must be non-empty")
     mrt = config.mrt
-    rng = np.random.default_rng(config.seed)
     opt = OptimizerState(params.tensors)
     grads = params.tensors.like()
     log = TrainLogWriter(run_dir, header=_config_header(config, {"mode": "mrt"}))
 
+    def dev_error(model, check):
+        streams = [_stream(config.seed, 3, check, j)
+                   for j in range(len(dev_pairs))]
+        return expected_sampled_error(model, dev_pairs, mrt, streams, lexicon)
+
     best = params.copy()
-    best_dev = expected_sampled_error(
-        best, dev_pairs, mrt, np.random.default_rng((config.seed, 0)), lexicon)
+    best_dev = dev_error(best, 0)
     sentences_seen = 0
     for epoch in range(mrt.epochs):
         epoch_losses = []
-        for i in rng.permutation(len(train_pairs)):
+        for i in _stream(config.seed, 1, epoch).permutation(len(train_pairs)):
             pair = train_pairs[i]
             try:
                 loss, grads = mrt_loss(
                     params, pair.source, pair.target,
-                    num_samples=mrt.num_samples, alpha=mrt.alpha, rng=rng,
+                    num_samples=mrt.num_samples, alpha=mrt.alpha,
+                    rng=_stream(config.seed, 2, epoch, i),
                     max_sample_len=mrt.max_sample_len, lexicon=lexicon,
                     grads=grads)
             except _EmptySamples:
@@ -525,9 +590,7 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
                 adam_update(params, grads, opt, config.initial_lr)
             epoch_losses.append(loss)
             sentences_seen += 1
-        dev_err = expected_sampled_error(
-            params, dev_pairs, mrt,
-            np.random.default_rng((config.seed, epoch + 1)), lexicon)
+        dev_err = dev_error(params, epoch + 1)
         if dev_err < best_dev:
             best_dev = dev_err
             params.copy(out=best)

@@ -389,9 +389,10 @@ def test_sample_encodes_each_line_once(pipeline, tmp_path, monkeypatch,
 @pytest.mark.parametrize("budget", [None, 2], ids=["one-stack", "runs-of-two"])
 def test_sample_equals_sampling_each_line_alone(pipeline, tmp_path,
                                                 monkeypatch, capsys, budget):
-    # sample encodes its lines in stacks cut as decode cuts them and then
-    # samples line by line from the one rng: the same draws and output as
-    # sample_translations of each line in turn
+    # sample encodes its lines in stacks cut as decode cuts them and samples
+    # all lines of a stack in lockstep, input line j from its own stream
+    # (seed, 4, 0, j): the same draws and output as sample_translations of
+    # each line alone from that stream
     if budget:  # each line costs one byte: stacks of two, in input order
         monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
         monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
@@ -411,17 +412,52 @@ def test_sample_equals_sampling_each_line_alone(pipeline, tmp_path,
     params, src_vocab, tgt_vocab = load_checkpoint(pipeline["ckpt"])
     bpe = load_bpe(merges)
     lexicon = load_lexicon(pipeline["lexicon"], src_vocab, tgt_vocab)
-    rng, want = np.random.default_rng(8), []
-    for line in lines:
+    want = []
+    for j, line in enumerate(lines):
         ids = cli_mod._source_ids(line, bpe, src_vocab)
         if not ids:
             want += [""] * 4
             continue
-        samples = sample_translations(params, ids, 4, 6, rng, lexicon)
+        samples = sample_translations(params, ids, 4, 6,
+                                      np.random.default_rng([8, 4, 0, j]),
+                                      lexicon)
         want += [f"{k}\t{cli_mod._target_text(s, bpe, tgt_vocab)}"
                  for k, s in enumerate(samples)]
     assert capsys.readouterr().out.splitlines() == want
     assert len(set(want)) > 4
+
+
+def test_mrt_train_bytes_do_not_depend_on_stack_cuts(pipeline, tmp_path,
+                                                     monkeypatch, capsys):
+    # every dev sentence samples from its own stream, so cutting the dev
+    # set into other stacks leaves the dev errors, the log and the selected
+    # model byte for byte as they were
+    data = pipeline["data"]
+    encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+
+    def run(run_dir):
+        assert main(["mrt-train",
+                     "--train-src", str(data / "dev.src"),
+                     "--train-tgt", str(data / "dev.tgt"),
+                     "--dev-src", str(data / "train.src"),
+                     "--dev-tgt", str(data / "train.tgt"),
+                     "--init", str(pipeline["ckpt"]), "--run-dir", str(run_dir),
+                     "--samples", "4", "--alpha", "1.0", "--mrt-epochs", "2",
+                     "--lr", "0.01", "--seed", "6"]) == 0
+        passes = len(encodes)
+        encodes.clear()
+        return ((run_dir / "model.ckpt").read_bytes(),
+                (run_dir / "trainlog.jsonl").read_bytes(), passes)
+
+    *whole, whole_passes = run(tmp_path / "one-stack")
+    # each dev line costs one byte: stacks of two lines
+    monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
+    monkeypatch.setattr(model_mod, "STACK_BYTES", 2)
+    *cut, cut_passes = run(tmp_path / "stacks-of-two")
+    assert cut == whole
+    assert cut_passes > whole_passes  # the dev checks were cut
+    records = [json.loads(line) for line in whole[1].decode().splitlines()]
+    assert len({r["dev_expected_error"] for r in records[1:]}) > 1
 
 
 def test_sample_from_lexicon_model_requires_lexicon(pipeline, tmp_path, capsys):
@@ -514,6 +550,27 @@ def test_config_supplies_defaults_but_flags_win(tmp_path, capsys):
                  "--train-src", str(train_src), "--train-tgt", str(train_tgt),
                  "--outdir", str(out2), "--merges", "1"]) == 0
     assert "merges: 1 " in capsys.readouterr().out
+
+
+def test_a_config_default_holds_for_its_command_only(tmp_path, capsys):
+    # the parser is built once per process: the defaults a --config file
+    # installs are undone after its command, whether it ran or failed, so
+    # a later command without the file sees the built-in defaults
+    train_src, train_tgt = _write_corpus(tmp_path, 6, seed=4)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"merges": 2}), encoding="utf-8")
+    argv = ["preprocess", "--train-src", str(train_src),
+            "--train-tgt", str(train_tgt), "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    built_in = capsys.readouterr().out
+    assert "merges: 2 " not in built_in
+    assert main(["--config", str(config)] + argv) == 0
+    assert "merges: 2 " in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == built_in
+    assert main(["--config", str(config), "preprocess"]) == 1  # no data
+    assert main(argv) == 0
+    assert capsys.readouterr().out == built_in
 
 
 def test_config_error_handling(pipeline, tmp_path, capsys):

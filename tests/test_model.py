@@ -152,17 +152,18 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(
     table = random_lexicon(rng, 30, V) if use_lexicon else None
     lengths = (5, 1, 14, 5, 9, 1, 14, 3, 3, 12, 2, 7)
     sources = [tuple(int(f) for f in rng.integers(0, 30, n)) for n in lengths]
-    # one stack of the sentences in the given order, whatever their size
+    # one stack of all the sentences, shortest first, whatever their size
     monkeypatch.setattr(model_mod, "STACK_BYTES", 1 << 40)
-    (_, stacks), = _stacks(models, sources, 1, table,
-                           order=range(len(sources)))
+    (order, stacks), = _stacks(models, sources, 1, table)
     per_model = [stack.runs for stack in stacks]
     for params, runs in zip(models, per_model):
         # each sentence taken from its run, in stack order
         encs = [run.sentences(np.arange(len(run.lengths)) == j)
                 for run in runs for j in range(len(run.lengths))]
         assert len(encs) == len(sources)
-        for i, (F, enc) in enumerate(zip(sources, encs)):
+        assert sorted(order) == list(range(len(sources)))
+        for i, enc in zip(order, encs):
+            F = sources[i]
             alone = _source_context(params, [F], table).runs[0]
             for name in ("R", "init_state", "pad", "mlp_proj",
                          "lexicon_matrix"):
@@ -331,8 +332,7 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
         sources = [tuple(int(f) for f in rng.integers(0, 30, n))
                    for n in lengths]
         encs = [_source_context(params, [F], table) for F in sources]
-        (_, (stack,)), = _stacks([params], sources, B, table,
-                                 order=range(S))
+        (_, (stack,)), = _stacks([params], sources, B, table)  # sorted
         assert len(stack.runs) == len(set(lengths))
         prev = rng.integers(0, V, (S, B))
         rows = rng.integers(0, held, (S, B))

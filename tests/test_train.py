@@ -11,8 +11,8 @@ import lexnmt.train as train_mod
 from lexnmt.corpus import SentencePair
 from lexnmt.errors import DataError, NumericalError
 from lexnmt.metrics import sbleu
-from lexnmt.model import (BLOCK_ROWS, _source_context, _teacher_forced,
-                          sentence_logprob)
+from lexnmt.model import (BLOCK_ROWS, _logprobs, _source_context,
+                          _teacher_forced, sentence_logprob)
 from lexnmt.train import (MrtSettings, OptimizerState, TrainConfig,
                           adam_update, clip_gradients, corpus_nll,
                           expected_sampled_error, gradient_norm, mrt_loss,
@@ -412,8 +412,8 @@ def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
     mrt_loss(params, (1, 2, 3), (3, 4), num_samples=6, alpha=0.5,
              rng=np.random.default_rng(5), lexicon=table)
     assert [args[3] for args in draws] == [6]  # one walk of 6 samples
-    _, _, distinct, _ = scored[0]
-    assert len(distinct.words) >= 2
+    _, _, distinct, _, _ = scored[0]
+    assert len(distinct) >= 2
     assert len(encodes) == 1
     assert len(builds) == 1
 
@@ -608,7 +608,7 @@ def test_expected_sampled_error_in_unit_interval():
     params = tiny_model(seed=50)
     pairs = [SentencePair((1, 2), (3,)), SentencePair((4,), (5, 2))]
     err = expected_sampled_error(params, pairs, MrtSettings(num_samples=3),
-                                 np.random.default_rng(3))
+                                 [np.random.default_rng([3, j]) for j in (0, 1)])
     assert 0.0 <= err <= 1.0
 
 
@@ -625,17 +625,17 @@ def test_train_mrt_refuses_an_empty_set(empty):
 
 def test_expected_sampled_error_refuses_an_empty_dev_set():
     with pytest.raises(DataError, match="dev set is empty"):
-        expected_sampled_error(tiny_model(seed=50), [], MrtSettings(),
-                               np.random.default_rng(3))
+        expected_sampled_error(tiny_model(seed=50), [], MrtSettings(), [])
 
 
 @pytest.mark.parametrize("budget", [None, 2], ids=["one-run", "runs-of-two"])
 def test_expected_sampled_error_equals_encoding_each_sentence_alone(
         monkeypatch, budget):
-    # the dev set is encoded in runs cut under the decode byte budget, one
-    # pass per run, and then sampled sentence by sentence from the shared
-    # rng: the same draws and the same value as one encoding per sentence,
-    # so MRT dev errors, logs and checkpoints keep their bytes
+    # the dev set is encoded in stacks cut under the decode byte budget, one
+    # pass per stack, shortest first, and every stack's sentences are
+    # sampled in lockstep, sentence j from its own stream: the same draws
+    # and the same value as one encoding and one walk per sentence, so MRT
+    # dev errors, logs and checkpoints do not depend on the cuts
     if budget:  # each sentence costs one byte: runs of two, in input order
         monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
         monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
@@ -649,23 +649,95 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
                           tuple(int(e) for e in rng.integers(1, 7, 3)))
              for n in (3, 1, 6, 3, 2, 6)]
     mrt = MrtSettings(num_samples=5, alpha=0.5, max_sample_len=8)
-    got = expected_sampled_error(params, pairs, mrt, np.random.default_rng(9),
-                                 table)
-    # one encoder pass per run, counted before the reference below encodes
-    # each sentence again
+    got = expected_sampled_error(
+        params, pairs, mrt, [np.random.default_rng([9, j]) for j in range(6)],
+        table)
+    # one encoder pass per stack, counted before the reference below
+    # encodes each sentence again
     runs = [list(sources) for _, sources in passes]
-    rng, values = np.random.default_rng(9), []
-    for pair in pairs:
+    values = []
+    for j, pair in enumerate(pairs):
         enc = _source_context(params, [pair.source], table)
         walk = train_mod._distinct_runs(train_mod._draw_samples(
-            params, enc, pair.source, mrt.num_samples, rng,
-            mrt.max_sample_len))
-        values.append(train_mod._expected_error(params, pair.target, walk,
-                                                mrt.alpha)[0])
+            params, enc, pair.source, mrt.num_samples,
+            np.random.default_rng([9, j]), mrt.max_sample_len))
+        values.append(train_mod._expected_error(
+            params, pair.target, walk.words, _logprobs(walk), mrt.alpha)[0])
     assert got == float(np.mean(values))
     assert len(set(values)) > 1
-    assert sum(runs, []) == [pair.source for pair in pairs]
+    assert sum(runs, []) == sorted((pair.source for pair in pairs), key=len)
     assert [len(run) for run in runs] == ([6] if budget is None else [2] * 3)
+
+
+@pytest.mark.parametrize("budget", [None, 2], ids=["one-stack", "stacks-of-two"])
+@pytest.mark.parametrize("num_samples", [8, 20])
+@pytest.mark.parametrize("attention", ["mlp-lexicon", "dot"])
+@pytest.mark.parametrize("count", [1, 5])
+def test_a_sentence_samples_alike_alone_and_in_a_stack(
+        monkeypatch, budget, num_samples, attention, count):
+    # each sentence draws from its own stream, so inside a stack stepped in
+    # lockstep it draws the words, with the log-probabilities, that it
+    # draws alone: one walk of its own, and sample_translations; at 20
+    # samples (3 blocks) sentences step with different numbers of blocks
+    if budget:  # each sentence costs one byte: stacks of two
+        monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
+        monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
+    params = tiny_model(seed=70, attention=attention[:3],
+                        use_lexicon=attention == "mlp-lexicon", init_scale=0.5)
+    table = (random_lexicon(np.random.default_rng(70), params.src_vocab_size,
+                            params.tgt_vocab_size)
+             if params.use_lexicon else None)
+    rng = np.random.default_rng(71)
+    sources = [tuple(int(f) for f in rng.integers(0, 6, n))
+               for n in (3, 1, 6, 3, 2)[:count]]
+    live, walk_stack = [], train_mod._walk_stack
+
+    def spy(params, enc, n_rows, choose):
+        def seen(t, sentences, counts, probs):
+            live.append(counts.tolist())
+            return choose(t, sentences, counts, probs)
+        return walk_stack(params, enc, n_rows, seen)
+    monkeypatch.setattr(train_mod, "_walk_stack", spy)
+    got = train_mod._sampled(params, sources, num_samples, 8,
+                             [np.random.default_rng([72, j])
+                              for j in range(count)], table)
+    blocks = [{-(-n // BLOCK_ROWS) for n in counts} for counts in live]
+    for j, (F, (samples, logp)) in enumerate(zip(sources, got)):
+        walk = train_mod._draw_samples(
+            params, _source_context(params, [F], table), F, num_samples,
+            np.random.default_rng([72, j]), 8)
+        assert samples == walk.words
+        assert logp.tolist() == _logprobs(walk).tolist()
+        assert samples == sample_translations(
+            params, F, num_samples, 8, np.random.default_rng([72, j]), table)
+    assert len({len(s) for samples, _ in got for s in samples}) > 1
+    if count > 1:  # sentences of a stack with different live rows
+        assert any(len(set(counts)) > 1 for counts in live)
+        assert (num_samples > BLOCK_ROWS) == any(len(b) > 1 for b in blocks)
+
+
+def test_a_drawn_sample_scores_alike_under_teacher_forcing():
+    # a sample's log-probability as drawn in a stack is what teacher
+    # forcing scores it, so the dev check weighs a sample set as
+    # mrt_loss_frozen does
+    params = tiny_model(seed=73, attention="mlp", use_lexicon=True,
+                        init_scale=0.5)
+    table = random_lexicon(np.random.default_rng(73), params.src_vocab_size,
+                           params.tgt_vocab_size)
+    sources, E = [(1, 2, 3), (4,), (5, 0)], (3, 4)
+    drawn = train_mod._sampled(params, sources, 8, None,
+                               [np.random.default_rng([74, j])
+                                for j in range(3)], table)
+    for F, (samples, logp) in zip(sources, drawn):
+        enc = _source_context(params, [F], table)
+        assert (_logprobs(_teacher_forced(params, enc, samples)).tolist()
+                == logp.tolist())
+        first = train_mod._first_draws(samples)
+        distinct = [samples[r] for r in first]
+        assert len(distinct) > 1
+        want = train_mod._expected_error(params, E, distinct, logp[first],
+                                         0.5)[0]
+        assert mrt_loss_frozen(params, F, E, distinct, 0.5, table)[0] == want
 
 
 def test_train_config_validation():
