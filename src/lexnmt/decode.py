@@ -9,10 +9,11 @@ partial can no longer outscore its best completion within the length cap,
 or when the cap is reached (see :func:`beam_search`).
 
 Sentences are searched together, shortest first, in the stacks that
-:func:`lexnmt.model._stacks` cuts and builds, their beams stepped as one
-stack of 8-row blocks (:func:`lexnmt.model._block_step`) whose rows get the
-bits they get stepped alone, so each result is byte-identical to searching
-its sentence alone.  This module only searches.
+:func:`lexnmt.model._stacks` cuts and builds, the beams of all of a stack's
+sentences packed into shared 8-row blocks (:func:`lexnmt.model._block_step`)
+whose rows get the bits they get stepped alone, so each result is
+byte-identical to searching its sentence alone.  This module only
+searches.
 """
 
 from __future__ import annotations

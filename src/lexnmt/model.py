@@ -17,16 +17,17 @@ backward walks (:func:`_source_context`); everything stepped without a
 backward takes its stacks from :func:`_stacks`, the one place sentences are
 cut (under STACK_BYTES) into runs of one length, each part equal to encoding
 its sentence alone.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
-(8) rows for search, sampling and scoring, each block reading its own
-sentence; a stack's blocks share flat products against a weight only where
-the running BLAS gives every row the bits of its own block's product
-(:func:`_product`), so a row gets the bits it gets stepped alone and decode
-output is byte-identical to line-by-line search.  :func:`_lockstep` walks
-target sequences forward together, by teacher forcing or sampling: the
-padded walk steps one sentence's rows through :func:`_block_step`, so
-scoring, sampling and search agree bit for bit; the deferred walk (maximum
-likelihood) steps only the recurrence and attention and runs the output
-layer once after it.  :func:`_backward` derives exact gradients from either
+(8) rows for search, sampling and scoring: the rows of all sentences of a
+stack share packed blocks where a step reads only weights and a row's own
+values, and attend in blocks that each read one sentence; a stack's blocks
+share flat products against a weight only where the running BLAS gives
+every row the bits of its own block's product (:func:`_product`), so a row
+gets the bits it gets stepped alone and decode output is byte-identical to
+line-by-line search.  :func:`_lockstep` walks target sequences forward
+together, by teacher forcing or sampling: the padded walk steps one
+sentence's rows through :func:`_block_step`, so scoring, sampling and
+search agree bit for bit; the deferred walk (maximum likelihood) steps only
+the recurrence and attention and runs the output layer once after it.  :func:`_backward` derives exact gradients from either
 walk by a hand-written backward pass through time, in lockstep too.
 Sampling without a backward steps all sentences of a stack together
 (:func:`_walk_stack`), each row as in its sentence's padded walk, and keeps
@@ -300,7 +301,7 @@ class _Step(NamedTuple):
     row of the block, or per row-step of a walk."""
 
     lstm: tuple
-    attn: np.ndarray | None  # None: a stack of several runs (_recurrence)
+    attn: np.ndarray | None  # None: several runs or packed rows (_recurrence)
     mlp: np.ndarray | None  # tanh activations of MLP attention
     out_in: np.ndarray  # [h; ctx]
     eta: np.ndarray | None  # None: the output layer has not run
@@ -388,8 +389,9 @@ def _lstm(W, b, u, c):
 
     A gate's exp(-z) overflows to inf on a large negative z, which gives the
     gate 0.  The loops that step the LSTM (:func:`_encode_g`,
-    :func:`_lockstep`, :func:`_ensemble_logp`) ignore that overflow, once
-    per loop: an errstate per call costs a few percent of a small step."""
+    :func:`_lockstep`, :func:`_walk_stack`, :func:`_ensemble_logp`) ignore
+    that overflow, once per loop: an errstate per call costs a few percent
+    of a small step."""
     n = c.shape[-1]
     z = _product(u, W) + b
     gates = 1.0 / (1.0 + np.exp(-z[..., :2 * n]))
@@ -534,8 +536,9 @@ def _source_context(params: ModelParams, sources, lexicon) -> _Stack:
 
 def _step_bytes(params, n: int, rows: int, lexicon) -> int:
     """Estimated bytes of one decoder step of ``params`` for a sentence of
-    ``n`` source words with ``rows`` padded rows: the rows' LSTM, attention
-    and output activations and their (rows, V) arrays, plus the sentence's
+    ``n`` source words with ``rows`` rows: the rows' LSTM and output
+    activations and their (rows, V) arrays, the attention of the rows
+    padded to whole blocks (see :func:`_block_step`), plus the sentence's
     R, MLP projection and L_F."""
     D, V = params.dec_hid, params.tgt_vocab_size
     a = params.attn_dim if params.attention == "mlp" else 0
@@ -543,14 +546,16 @@ def _step_bytes(params, n: int, rows: int, lexicon) -> int:
     lstm = params.d_emb + 11 * D  # [x; ctx; h], gates and states
     attend = (3 + 2 * a) * n + D  # scores, weights, MLP tanh and context
     output = 3 * D + 5 * V + 2 * L  # [h; ctx], eta, softmax; L_F a, log
-    return 8 * (rows * (lstm + attend + output) + (D + a + L) * n)
+    blocked = rows + -rows % BLOCK_ROWS
+    return 8 * (rows * (lstm + output) + blocked * attend + (D + a + L) * n)
 
 
 def _stacks(models, sources, rows: int, lexicon):
     """The one way to get a :class:`_Stack`: the sentences shortest first
     (a stable sort), cut into stacks of neighbours whose estimated step of
-    the largest member with ``rows`` rows per sentence fits in STACK_BYTES,
-    a sentence over it alone.  Yields each stack's input positions and,
+    the largest member with ``rows`` rows per sentence (:func:`_step_bytes`:
+    packed, as :func:`_block_step` packs them) fits in STACK_BYTES, a
+    sentence over it alone.  Yields each stack's input positions and,
     built as it is reached, each member's :class:`_Stack` of it.
 
     Each member encodes a stack in one pass, each sentence its own one-row
@@ -561,7 +566,6 @@ def _stacks(models, sources, rows: int, lexicon):
     Zero padding to a longer run's width would not keep that: at toy and
     copy widths the 8-row products ``a @ R^T`` and ``a @ L_F^T`` change bits
     once the source axis is padded to 32 positions or more."""
-    rows = -(-rows // BLOCK_ROWS) * BLOCK_ROWS  # a sentence's block rows
     stacks, size = [[]], 0
     for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
         cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
@@ -637,7 +641,7 @@ def _init_state(enc: _Stack) -> DecoderState:
 
 
 def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
-                *, bias: bool = False):
+                *, bias: bool = False, spread=None):
     """The LSTM and attention of one decoder step of a block of B rows ((B,)
     ids, a (B, D) state) or a stack of blocks ((K, BLOCK_ROWS) ids and
     state rows): the new state, the first four fields of its
@@ -645,13 +649,17 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
 
     The LSTM runs once over all blocks; the blocks attend (and take the L_F
     product) run by run, the only parts of a step that read the source
-    length, so the attention fields of a stack of several runs are None."""
+    length, so the attention fields of a stack of several runs are None.
+    With ``spread``, a pair of row indices (see :func:`_block_step`), the
+    rows attend in the blocks ``spread[0]`` gathers from them, each block
+    reading one sentence, and ``spread[1]`` gathers their context and L_F a
+    back; the attention fields are then None too."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
     parts = []
-    for run, x in enc.runs_of(h):
+    for run, x in enc.runs_of(h if spread is None else _gather(h, spread[0])):
         a, ctx, m = _attend(params, x, run)
         parts.append((a, ctx, m, None if not bias or run.lexicon_matrix is None
                       else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
@@ -661,8 +669,18 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
         a = m = None
         ctx = np.concatenate(ctxs)
         lex = None if lex is None else np.concatenate(lexes)
+    if spread is not None:
+        a = m = None
+        ctx = _gather(ctx, spread[1])
+        lex = None if lex is None else _gather(lex, spread[1])
     return (DecoderState(h, c, ctx),
             (lstm, a, m, np.concatenate([h, ctx], axis=-1)), lex)
+
+
+def _gather(x, rows):
+    """The rows ``rows`` (an index array of any shape) of the rows of a
+    block or stack of blocks ``x``, laid out as ``rows``."""
+    return x.reshape(-1, x.shape[-1])[rows]
 
 
 def _output_layer(params: ModelParams, q, lex):
@@ -689,40 +707,60 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     which holds the same number of rows for every sentence, sentence by
     sentence.
 
-    Each sentence's rows are padded with copies of its real rows to whole
-    blocks of exactly BLOCK_ROWS rows, and all blocks are stepped as one
-    (K, BLOCK_ROWS) stack in which each block reads its own sentence.
-    Returns (new state, :class:`_Step`) of the S * P padded rows, P per
-    sentence: row j < B of sentence s is row s * P + j; the next-word
-    distributions are the ``probs``.
+    The S * B rows, sentence by sentence, are packed into blocks of exactly
+    BLOCK_ROWS rows, the last padded with copies of the first, and stepped
+    as one (K, BLOCK_ROWS) stack through the parts that read only shared
+    weights or a row's own values: the embedding, the LSTM, the output
+    layer and the bias log(L_F a + epsilon).  Attention and the L_F
+    product, which read a row's sentence, run on the rows gathered into
+    blocks of one sentence each, its rows padded with copies of its own,
+    and gathered back.  Where packing saves no block (one sentence, or B a
+    multiple of BLOCK_ROWS), every part runs on those per-sentence blocks
+    and nothing is gathered.  Returns (new state, :class:`_Step`) of S * P
+    rows, P per sentence: row j < B of sentence s is row s * P + j, where P
+    is B when packed and B rounded up to whole blocks otherwise; the
+    next-word distributions are the ``probs``.
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows,
     and a stack's products give each block the bits of its own product
     (:func:`_product`).  So search, scoring, sampling, minimum-risk scoring
     and the exhaustive-search oracle, which all step here, agree with ``==``
-    whichever rows and sentences share a stack."""
+    whichever rows and sentences share a block."""
     prev = np.asarray(prev_ids).reshape(len(enc.init_state), -1)
     S, B = prev.shape
-    pad = np.arange(B + -B % BLOCK_ROWS) % B  # pad with copies of real rows
+    P = B + -B % BLOCK_ROWS
+    pad = np.arange(P) % B  # pad with copies of real rows
     at = pad if rows is None else np.asarray(rows).reshape(S, B)[:, pad]
     if S > 1:  # each sentence's rows follow those of the one before
         at = at + np.arange(0, len(state.hidden),
                             len(state.hidden) // S)[:, None]
+    at, prev, lay = at.reshape(-1), prev[:, pad].reshape(-1), None
+    K = -(-S * B // BLOCK_ROWS)  # blocks of the packed rows
+    if K < S * P // BLOCK_ROWS:  # packing saves a block
+        # each packed row's padded row: the rows, then copies of the first
+        lay = np.arange(K * BLOCK_ROWS) % (S * B)
+        lay = lay // B * P + lay % B
+        at, prev = at[lay], prev[lay]
     blocks = at.reshape(-1, BLOCK_ROWS)
     # a stack of one block steps as that block: a (1, 8) stack keeps the
     # bits but made toy-shape mrt_loss 7-8 % slower, in 21 of 21 and again
     # 5 of 6 interleaved pairs (Xeon guest, one OpenBLAS thread)
     if len(blocks) == 1:
         blocks = blocks[0]
-    state, s, lex = _recurrence(params, prev[:, pad].reshape(blocks.shape),
-                                state.take(blocks), enc, bias=True)
+    spread = None
+    if lay is not None:  # each sentence's padded rows among the packed ones
+        per = np.arange(0, S * B, B)[:, None] + pad
+        spread, P = (per.reshape(-1, BLOCK_ROWS), lay.reshape(blocks.shape)), B
+    state, s, lex = _recurrence(params, prev.reshape(blocks.shape),
+                                state.take(blocks), enc, bias=True,
+                                spread=spread)
     step = _Step(*s, *_output_layer(params, s[3], lex))
-    if blocks.ndim == 1:
+    if blocks.ndim == 1 and spread is None:
         return state, step
 
-    def flat(x):
-        return x.reshape(-1, *x.shape[2:])
+    def flat(x):  # the S * P rows
+        return x.reshape(-1, *x.shape[blocks.ndim:])[:S * P]
     return (DecoderState(flat(state.hidden), flat(state.cell),
                          flat(state.context)), _map_step(flat, step))
 

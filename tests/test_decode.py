@@ -15,7 +15,7 @@ import lexnmt.model as model_mod
 from lexnmt.decode import (Hypothesis, _best_children, beam_search,
                            beam_search_all, ensemble_distribution,
                            score_hypothesis, translate)
-from lexnmt.model import init_params, sentence_logprob
+from lexnmt.model import BLOCK_ROWS, init_params, sentence_logprob
 
 from helpers import count_calls, graph_stepper, random_lexicon, tiny_model
 from oracles import argmax_hypothesis, enumerate_complete, greedy_decode
@@ -384,13 +384,37 @@ def test_stack_cuts_keep_search_output(monkeypatch, V):
     got = beam_search_all(model, lines, 5, 0.0, 6)
     # a cut under the budget makes at least total / budget stacks, and two
     # neighbouring stacks together pass it
-    total = sum(model_mod._step_bytes(model, len(F), model_mod.BLOCK_ROWS,
-                                      None) for F in lines)
+    total = sum(model_mod._step_bytes(model, len(F), 5, None) for F in lines)
     fewest = -(-total // model_mod.STACK_BYTES)
     assert (fewest > 1) == (V == 2000)
     assert fewest <= len(searches) <= 2 * fewest
     for F, hyp in zip(lines, got):
         assert hyp == beam_search(model, F, 5, 0.0, 6)
+
+
+def test_stacked_steps_pack_the_rows_of_all_sentences(monkeypatch):
+    # a count, not a clock: each decoder step of a stack of S sentences of
+    # B live rows steps ceil(S * B / 8) blocks, not S * ceil(B / 8)
+    model = tiny_model(src_size=9, tgt_size=8, d=5, seed=3, init_scale=0.5,
+                       use_lexicon=True)
+    table = random_lexicon(np.random.default_rng(3), 9, 8)
+    for lines, beam in [(_mixed_lines(np.random.default_rng(4), 12, 9, 6), 5),
+                        ([(1, 2, 3)] * 16, 1)]:
+        steps = count_calls(monkeypatch, model_mod, "_block_step")
+        lstms = count_calls(monkeypatch, model_mod, "_lstm")
+        if beam == 1:  # sentence end suppressed: every line runs to the cap
+            model.tensors["softmax_b"][model.tgt_eos] = -40.0
+        beam_search_all(model, lines, beam, 0.0, None, table)
+        shapes = [np.shape(args[1]) for args in steps]
+        rows = [args[2].size // args[2].shape[-1] for args in lstms
+                if args[0].ndim == 2]  # the encoder's weights are stacked
+        assert rows == [-(-S * B // BLOCK_ROWS) * BLOCK_ROWS for S, B in shapes]
+        if beam == 1:  # 16 greedy lines: 2 blocks a step, not 16
+            assert rows == [2 * BLOCK_ROWS] * (2 * 3 + 10)
+        else:
+            assert any(-(-S * B // BLOCK_ROWS) < S * -(-B // BLOCK_ROWS)
+                       for S, B in shapes)
+        monkeypatch.undo()
 
 
 _THREADS_SCRIPT = """

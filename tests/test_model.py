@@ -325,10 +325,16 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
     monkeypatch.setattr(model_mod, "STACK_BYTES", 1 << 40)  # one stack
     # (source lengths of the stack, rows per sentence): one length; runs of
     # three lengths with a one-sentence run in one block; runs of two
-    # lengths with a one-sentence run whose 13 rows fill two blocks
+    # lengths with a one-sentence run whose 13 rows fill two blocks; one
+    # row of each of four runs in one block; five rows of a one-sentence
+    # run and three of the next run's in one block; two sentences of five
+    # rows, which packing would not save a block for
     for lengths, B in [((7, 7, 7), 13), ((3, 3, 6, 9, 9), 5),
-                       ((4, 8, 8), 13)]:
+                       ((4, 8, 8), 13), ((2, 5, 5, 8, 11), 1),
+                       ((4, 9, 9), 5), ((6, 10), 5)]:
         S, per = len(lengths), -(-B // BLOCK_ROWS)  # blocks per sentence
+        # a stack's rows are packed where that saves a block
+        P = B if -(-S * B // BLOCK_ROWS) < S * per else per * BLOCK_ROWS
         sources = [tuple(int(f) for f in rng.integers(0, 30, n))
                    for n in lengths]
         encs = [_source_context(params, [F], table) for F in sources]
@@ -339,6 +345,7 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
         state = DecoderState(*rng.uniform(-1, 1, (3, S * held,
                                                   params.dec_hid)))
         block, step = _block_step(params, prev, state, rows, stack)
+        assert len(block.hidden) == len(step.probs) == S * P
         pad = np.arange(per * BLOCK_ROWS) % B
         for s in range(S):
             own = state.take(slice(s * held, (s + 1) * held))
@@ -346,12 +353,13 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
                 at = pad[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS]
                 alone, alone_step = _block_step(params, prev[s, at], own,
                                                 rows[s, at], encs[s])
-                got = slice((per * s + k) * BLOCK_ROWS,
-                            (per * s + k + 1) * BLOCK_ROWS)
-                pairs = [(block.hidden[got], alone.hidden),
-                         (block.cell[got], alone.cell),
-                         (block.context[got], alone.context),
-                         (step.probs[got], alone_step.probs)]
+                got = slice(P * s + k * BLOCK_ROWS,
+                            P * s + min((k + 1) * BLOCK_ROWS, P))
+                n = got.stop - got.start  # the block's rows in the stack
+                pairs = [(block.hidden[got], alone.hidden[:n]),
+                         (block.cell[got], alone.cell[:n]),
+                         (block.context[got], alone.context[:n]),
+                         (step.probs[got], alone_step.probs[:n])]
                 assert all(np.array_equal(x, y) for x, y in pairs), (
                     f"block {k} of sentence {s} in a stack of {per * S} "
                     f"blocks with source lengths {lengths} differs from the "
