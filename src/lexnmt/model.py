@@ -23,15 +23,14 @@ values, and attend in blocks that each read one sentence; a stack's blocks
 share flat products against a weight only where the running BLAS gives
 every row the bits of its own block's product (:func:`_product`), so a row
 gets the bits it gets stepped alone and decode output is byte-identical to
-line-by-line search.  :func:`_lockstep` walks target sequences forward
-together, by teacher forcing or sampling: the padded walk steps one
-sentence's rows through :func:`_block_step`, so scoring, sampling and
-search agree bit for bit; the deferred walk (maximum likelihood) steps only
-the recurrence and attention and runs the output layer once after it.  :func:`_backward` derives exact gradients from either
-walk by a hand-written backward pass through time, in lockstep too.
-Sampling without a backward steps all sentences of a stack together
-(:func:`_walk_stack`), each row as in its sentence's padded walk, and keeps
-only each row-step's word and log-probability term.
+line-by-line search.  :func:`_walk_stack`, the one padded walk, steps the
+rows of all sentences of a stack through :func:`_block_step`, sampling or
+teacher-forced (:func:`_teacher_forced`), so scoring, sampling and search
+agree bit for bit, and keeps each row-step's :class:`_Step` when asked.
+Maximum likelihood's deferred walk (:func:`_lockstep`) steps only the
+recurrence and attention and runs the output layer once after it.
+:func:`_backward` derives exact gradients from either walk by a
+hand-written backward pass through time, in lockstep too.
 """
 
 from __future__ import annotations
@@ -320,9 +319,10 @@ def _map_step(fn, step: _Step) -> _Step:
 
 
 def _stack(steps) -> _Step:
-    """The rows of the given :class:`_Step` blocks, one after another."""
+    """The rows of the given :class:`_Step` blocks, one after another; a
+    field that any block lacks (a packed step's attention) is None."""
     def cat(*xs):
-        return None if xs[0] is None else np.concatenate(xs)
+        return None if any(x is None for x in xs) else np.concatenate(xs)
     return _Step(tuple(map(cat, *(s.lstm for s in steps))),
                  *map(cat, *(s[1:] for s in steps)))
 
@@ -340,19 +340,15 @@ class _Walk(NamedTuple):
     alive: np.ndarray
     steps: _Step
 
-    def entries(self) -> np.ndarray:
-        """(T, N) index of each row's steps in ``steps``, -1 past its end."""
-        at = np.full(self.alive.shape, -1)
-        at[self.alive] = np.arange(len(self.steps.probs))
-        return at
-
     def take(self, rows) -> "_Walk":
         """The walk of the given rows, which must be in increasing order."""
         if len(rows) == len(self.words):
             return self
+        at = np.full(self.alive.shape, -1)  # each row-step's entry in steps
+        at[self.alive] = np.arange(len(self.steps.probs))
         alive = self.alive[:, rows]
         alive = alive[alive.any(axis=1)]  # drop the steps after the last end
-        at = self.entries()[:len(alive), rows][alive]
+        at = at[:len(alive), rows][alive]
         return _Walk([self.words[r] for r in rows],
                      self.ids[:len(alive), rows], alive,
                      _map_step(lambda x: x[at], self.steps))
@@ -388,10 +384,10 @@ def _lstm(W, b, u, c):
     product through :func:`_product`.
 
     A gate's exp(-z) overflows to inf on a large negative z, which gives the
-    gate 0.  The loops that step the LSTM (:func:`_encode_g`,
-    :func:`_lockstep`, :func:`_walk_stack`, :func:`_ensemble_logp`) ignore
-    that overflow, once per loop: an errstate per call costs a few percent
-    of a small step."""
+    gate 0.  The loops that step the LSTM (:func:`_encode_g`, the deferred
+    walk :func:`_lockstep`, the padded walk :func:`_walk_stack` and search's
+    :func:`_ensemble_logp`) ignore that overflow, once per loop: an
+    errstate per call costs a few percent of a small step."""
     n = c.shape[-1]
     z = _product(u, W) + b
     gates = 1.0 / (1.0 + np.exp(-z[..., :2 * n]))
@@ -731,11 +727,12 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     S, B = prev.shape
     P = B + -B % BLOCK_ROWS
     pad = np.arange(P) % B  # pad with copies of real rows
-    at = pad if rows is None else np.asarray(rows).reshape(S, B)[:, pad]
+    cols = pad if P > B else slice(None)  # whole blocks: no copies to take
+    at = pad if rows is None else np.asarray(rows).reshape(S, B)[:, cols]
     if S > 1:  # each sentence's rows follow those of the one before
         at = at + np.arange(0, len(state.hidden),
                             len(state.hidden) // S)[:, None]
-    at, prev, lay = at.reshape(-1), prev[:, pad].reshape(-1), None
+    at, prev, lay = at.reshape(-1), prev[:, cols].reshape(-1), None
     K = -(-S * B // BLOCK_ROWS)  # blocks of the packed rows
     if K < S * P // BLOCK_ROWS:  # packing saves a block
         # each packed row's padded row: the rows, then copies of the first
@@ -765,45 +762,41 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                          flat(state.context)), _map_step(flat, step))
 
 
+def _target_ids(params: ModelParams, targets):
+    """The target sequences as a (rows, T) id array, zero past each end,
+    and their lengths; refuses an empty sequence or a foreign id."""
+    for E in targets:
+        if not E:
+            raise ValueError("target sequences must be non-empty")
+        if not all(0 <= e < params.tgt_vocab_size for e in E):
+            raise ValueError(f"target id outside vocabulary in {list(E)}")
+    lengths = np.array([len(E) for E in targets])
+    ids = np.zeros((len(targets), lengths.max()), dtype=np.intp)
+    for r, E in enumerate(targets):
+        ids[r, :len(E)] = E
+    return ids, lengths
+
+
 @np.errstate(over="ignore")  # see _lstm
-def _lockstep(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
-              deferred: bool = False) -> _Walk:
-    """Walk ``n_rows`` rows forward together from the initial state.  The
-    deferred walk reads a training stack (:func:`_source_context`), row r
-    reading sentence r or every row its one sentence; the padded walk steps
-    the rows of a stack of one sentence and refuses more with ValueError.
-
-    At step t, ``choose(t, rows, probs)`` gets the live rows (in row order)
-    and their (B, V) next-word distributions, and returns their next words
-    and whether each row goes on; a row that stops leaves the block, as a
-    finished beam row does.
-
-    The padded walk steps the rows of one sentence through
-    :func:`_block_step`.  The ``deferred`` walk steps the rows unpadded
-    through the recurrence and attention alone, and ``probs`` is None: for
-    teacher forcing, which never feeds the output back, the output layer
-    and the lexicon bias run once over all row-steps after the walk."""
-    if not deferred and len(enc.init_state) > 1:
-        raise ValueError("the padded walk steps one sentence")
-    live = np.arange(n_rows)
-    prev = np.full(n_rows, params.tgt_eos)
-    state, ctx = _init_state(enc), enc
-    if deferred:  # no copy of L_F at each drop: only the bias after it reads L_F
-        ctx = replace(enc, runs=tuple(replace(run, lexicon_matrix=None)
-                                      for run in enc.runs))
+def _lockstep(params: ModelParams, enc: _Stack, targets) -> _Walk:
+    """The deferred walk of maximum likelihood: teacher-force the targets
+    together on a training stack (:func:`_source_context`), row r reading
+    sentence r or every row its one sentence, unpadded through the
+    recurrence and attention alone; a row that ends leaves the block.  The
+    output layer and lexicon bias run once over all row-steps after it."""
+    ids, lengths = _target_ids(params, targets)
+    live, state = np.arange(len(lengths)), _init_state(enc)
+    prev = np.full(len(live), params.tgt_eos)
+    # no copy of L_F at each drop: only the bias after the walk reads L_F
+    ctx = replace(enc, runs=tuple(replace(run, lexicon_matrix=None)
+                                  for run in enc.runs))
     keep = live % len(enc.init_state)  # each row starts at its sentence's state
     steps, chosen = [], []
     while len(live):
-        if deferred:
-            state, s, _ = _recurrence(params, prev, state if keep is None
-                                      else state.take(keep), ctx)
-            s = _Step(*s, *[None] * 6)  # the output layer runs after the walk
-        else:
-            state, s = _block_step(params, prev, state, keep, ctx)
-            if len(s.probs) > len(live):  # the real rows, not the padding
-                s = _map_step(lambda x: x[:len(live)], s)
-        prev, goes_on = choose(len(steps), live, s.probs)
-        steps.append(s)
+        state, s, _ = _recurrence(params, prev, state if keep is None
+                                  else state.take(keep), ctx)
+        prev, goes_on = ids[live, len(steps)], lengths[live] > len(steps) + 1
+        steps.append(_Step(*s, *[None] * 6))  # the output layer runs after
         chosen.append((live, prev))
         if goes_on.all():
             keep = None
@@ -812,9 +805,7 @@ def _lockstep(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
             live, prev = live[keep], prev[keep]
             if len(ctx.init_state) > 1:  # row r reads sentence r
                 ctx = ctx.sentences(goes_on)
-    walk = _Walk(*_chosen(chosen, n_rows), _stack(steps))
-    if not deferred:
-        return walk
+    walk = _Walk(*_chosen(chosen, len(lengths)), _stack(steps))
     s, (run,) = walk.steps, enc.runs
     lex = (None if run.lexicon_matrix is None else
            walk.per_row(s.attn, run.lexicon_matrix.swapaxes(1, 2)))
@@ -836,78 +827,90 @@ def _chosen(chosen, n_rows: int):
 
 
 @np.errstate(over="ignore")  # see _lstm
-def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose):
+def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
+                keep: bool = False):
     """Walk ``n_rows`` rows of every sentence of the stack ``enc`` forward
-    together: one :func:`_block_step` per step over the live rows of all
-    its sentences, each sentence's rows padded with copies of its own to
-    the most rows any of them has.
+    together, row ``i * n_rows + j`` being row j of sentence i: one
+    :func:`_block_step` per step over the live rows, each sentence's padded
+    with copies of its own to the most any sentence has.  Every row steps
+    as it steps in the walk of its sentence alone.
 
-    At step t, ``choose(t, sentences, counts, probs)`` gets the stack
-    positions of the live sentences, the number of live rows of each and
-    the (rows, V) next-word distributions of those rows, sentence by
-    sentence and each sentence's rows in row order; it returns their next
-    words and whether each row goes on.  A row that stops leaves its
-    sentence's block, and a sentence leaves the stack with its last row,
-    as search drops lines.  Of a row-step only its word and log-probability
-    term are kept, not its :class:`_Step`.
+    At step t, ``choose(t, rows, sentences, counts, probs)`` gets the live
+    rows (sentence by sentence, in row order), the live sentences' stack
+    positions and live rows (lists) and the rows' next-word distributions,
+    and returns their next words and whether each row goes on.  A row that
+    stops leaves its sentence's block, and a sentence leaves the stack
+    with its last row, as search drops lines.
 
-    Returns each sentence's (words of each row, log p of each row), in
-    stack order.  Every row steps as in the padded walk of its sentence
-    alone (:func:`_lockstep`), so both are ``==`` to that walk's."""
+    Returns each sentence's (words, log p) of its rows, in stack order,
+    keeping only each row-step's word and log-probability term; with
+    ``keep``, the :class:`_Walk` of all rows, with the :class:`_Step` of
+    every row-step for the backward pass (:func:`_backward`)."""
     total = len(enc.init_state) * n_rows
-    counts = np.full(len(enc.init_state), n_rows)
-    sentences = np.arange(len(counts))  # the live ones' stack positions
-    # the live rows, sentence by sentence: each one's row of the walk, its
-    # last word and its place among its sentence's rows of the state
     live = np.arange(total)
+    sentences = list(range(len(enc.init_state)))  # the live ones
+    counts = [n_rows] * len(sentences)  # the live rows of each
     prev = np.full(len(live), params.tgt_eos)
+    # each live row's place among its sentence's rows of the state
     at = np.zeros(len(live), dtype=np.intp)
-    state, chosen, terms = _init_state(enc), [], []
+    state, chosen, kept = _init_state(enc), [], []
     while len(live):
-        starts = np.cumsum(counts) - counts
-        rows = starts[:, None] + np.arange(counts.max()) % counts[:, None]
-        state, s = _block_step(params, prev[rows], state, at[rows], enc)
-        of = np.repeat(np.arange(len(counts)), counts)
-        at = np.arange(len(live)) - starts[of]
-        real = of * (len(s.probs) // len(counts)) + at
-        words, goes_on = choose(len(chosen), sentences, counts, s.probs[real])
+        B, n = max(counts), len(live)
+        even = min(counts) == B
+        if even:  # no sentence is padded: no gathers
+            state, s = _block_step(params, prev, state, at, enc)
+            of, within = ((0, np.arange(n)) if len(counts) == 1
+                          else np.divmod(np.arange(n), B))
+        else:
+            starts = np.cumsum(counts) - counts
+            pad = starts[:, None] + np.arange(B) % np.array(counts)[:, None]
+            state, s = _block_step(params, prev[pad], state, at[pad], enc)
+            of = np.repeat(np.arange(len(counts)), counts)
+            within = np.arange(n) - starts[of]
+        per = len(s.probs) // len(counts)  # each sentence's rows of the step
+        # the real rows: a prefix when the step pads no sentence or has one
+        real = (slice(n) if per * len(counts) == n or len(counts) == 1
+                else of * per + within)
+        words, goes_on = choose(len(chosen), live, sentences, counts,
+                                s.probs[real])
         chosen.append((live, words))
-        terms.append(_log_terms(s, words, real))
-        live, prev, at = live[goes_on], words[goes_on], at[goes_on]
-        counts = np.bincount(of[goes_on], minlength=len(counts))
-        if not counts.all():
-            left = counts > 0
+        if keep:
+            kept.append(s if len(s.probs) == n
+                        else _map_step(lambda x: x[real], s))
+        else:
+            kept.append(_log_terms(s, words, of * per + within))
+        if goes_on.all():  # None: row j of each sentence goes on as row j
+            prev, at = words, None if even else within
+            continue
+        live, prev, at = live[goes_on], words[goes_on], within[goes_on]
+        if len(counts) == 1:
+            counts = [len(live)]
+            continue
+        counts = np.bincount(of[goes_on], minlength=len(counts)).tolist()
+        if 0 in counts and len(live):
+            left = np.array(counts) > 0
             state, enc = state.sentences(left), enc.sentences(left)
-            sentences, counts = sentences[left], counts[left]
-    words, _, alive = _chosen(chosen, total)
-    logp = _row_logprobs(np.concatenate(terms), alive, words)
+            sentences = [i for i, c in zip(sentences, counts) if c]
+            counts = [c for c in counts if c]
+    words, ids, alive = _chosen(chosen, total)
+    if keep:
+        return _Walk(words, ids, alive, _stack(kept))
+    logp = _row_logprobs(np.concatenate(kept), alive, words)
     return [(words[i:i + n_rows], logp[i:i + n_rows])
             for i in range(0, total, n_rows)]
 
 
-def _check_target(params: ModelParams, E):
-    if not E:
-        raise ValueError("target sequences must be non-empty")
-    if not all(0 <= e < params.tgt_vocab_size for e in E):
-        raise ValueError(f"target id outside vocabulary in {list(E)}")
-
-
-def _teacher_forced(params: ModelParams, enc, targets, *,
-                    deferred: bool = False) -> _Walk:
-    """The lockstep walk that feeds each target sequence its own reference
-    words: by default the padded walk that sampling steps, so a sequence
-    scores what it scored as drawn; ``deferred``, the walk that runs the
-    output layer once after it (see :func:`_lockstep`)."""
-    targets = [tuple(E) for E in targets]
-    for E in targets:
-        _check_target(params, E)
-    lengths = np.array([len(E) for E in targets])
-    ids = np.zeros((len(targets), lengths.max()), dtype=np.intp)
-    for r, E in enumerate(targets):
-        ids[r, :len(E)] = E
-    return _lockstep(params, enc, len(targets),
-                     lambda t, rows, _: (ids[rows, t], lengths[rows] > t + 1),
-                     deferred=deferred)
+def _teacher_forced(params: ModelParams, enc: _Stack, targets) -> _Walk:
+    """The padded walk (:func:`_walk_stack`) that feeds each row its own
+    target, with its steps, share i of the targets the rows of sentence i:
+    a sequence scores what it scored as drawn, as search scored it."""
+    ids, lengths = _target_ids(params, targets)
+    if len(targets) % len(enc.init_state):
+        raise ValueError("every sentence of the stack needs as many targets")
+    return _walk_stack(params, enc, len(targets) // len(enc.init_state),
+                       lambda t, rows, *_: (ids[rows, t],
+                                            lengths[rows] > t + 1),
+                       keep=True)
 
 
 def _log_terms(step: _Step, ids, rows) -> np.ndarray:
@@ -1186,10 +1189,10 @@ def _ensemble_logp(models, encs, states, rows, prev_ids):
 def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float:
     """Teacher-forced log p(E | F); ensembles average per-step probabilities.
 
-    ``E`` must end with the target sentence-end id.  Each member walks E as
-    one row of the padded blocks that search steps, and the step log
-    probabilities add left to right as in search, so a hypothesis scores
-    here exactly what search scored it.
+    ``E`` must end with the target sentence-end id.  Each member
+    teacher-forces E in the padded walk (:func:`_teacher_forced`), and the
+    step log probabilities add left to right as in search, so a hypothesis
+    scores here exactly what search scored it.
     """
     models = _as_model_list(models)
     if not E or E[-1] != models[0].tgt_eos:

@@ -12,18 +12,19 @@ renormalized over the sample set.
 Both losses take their gradients from the model's backward
 (:func:`lexnmt.model._backward`): maximum likelihood walks the blocks of a
 minibatch back with -1 per sentence (:func:`_ml_blocks`), minimum risk the
-distinct samples of a sentence, drawn in lockstep (:func:`_draw_samples`),
-each seeded with the derivative of the expected error by its
-log-probability (Shen et al. 2016).  A training run fills one gradient
-buffer, zeroed before each loss, and keeps its best model in one more.
+distinct samples of a sentence, drawn in lockstep (:func:`mrt_loss`), each
+seeded with the derivative of the expected error by its log-probability
+(Shen et al. 2016).  A training run fills one gradient buffer, zeroed
+before each loss, and keeps its best model in one more.
 
 Every sampled sentence draws from a random stream of its own, keyed by
 seed, stage, epoch and sentence index (:func:`_stream`), so its samples do
-not depend on what was drawn before it.  Sampling without gradients (the
-MRT dev check, :func:`sample_translations` and ``lexnmt sample``) runs one
-loop (:func:`_sampled`) that steps all sentences of each of the model's
-stacks (:func:`lexnmt.model._stacks`) in lockstep
-(:func:`lexnmt.model._walk_stack`).
+not depend on what was drawn before it.  Every sample is drawn by one
+rule (:func:`_drawing`) in the one padded walk
+(:func:`lexnmt.model._walk_stack`): MRT training walks one sentence's
+samples with their steps; sampling without gradients (the MRT dev check,
+:func:`sample_translations`, ``lexnmt sample``) walks the model's stacks
+(:func:`lexnmt.model._stacks`) in one loop (:func:`_sampled`).
 """
 
 from __future__ import annotations
@@ -177,14 +178,14 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
 def _ml_blocks(params: ModelParams, pairs, lexicon):
     """The teacher-forced walks of ``pairs`` as the rows of blocks of at
     most BLOCK_ROWS rows, longest target first (ties in the given order),
-    on the deferred walk: (training stack, walk) per block."""
+    on the deferred walk (:func:`lexnmt.model._lockstep`): (training
+    stack, walk) per block."""
     pairs = sorted(pairs, key=lambda p: -len(p.target))
     for i in range(0, len(pairs), BLOCK_ROWS):
         block = pairs[i:i + BLOCK_ROWS]
         enc = _source_context(params, [p.source for p in block], lexicon)
-        yield enc, _teacher_forced(
-            params, enc, [_target_with_eos(params, p) for p in block],
-            deferred=True)
+        yield enc, _lockstep(
+            params, enc, [_target_with_eos(params, p) for p in block])
 
 
 def nll_loss(params: ModelParams, batch, lexicon=None, *, grads=None):
@@ -245,23 +246,20 @@ def _check_sampling(num_samples: int, caps):
         raise ValueError("num_samples and max_len must be >= 1")
 
 
-def _draw_samples(params: ModelParams, enc, F, num_samples: int, rng,
-                  max_sample_len: int | None):
-    """``num_samples`` ancestral samples of F from its context, drawn in
-    lockstep as the rows of one walk (a :class:`lexnmt.model._Walk`).
+def _drawing(eos: int, rngs, caps):
+    """The ``choose`` of a sampling walk (:func:`lexnmt.model._walk_stack`):
+    at each step sentence s draws one uniform per live row from ``rngs[s]``,
+    and a row ends with the sentence end or at ``caps[s]`` words."""
+    def draw(t, rows, sentences, counts, probs):
+        u = [rngs[s].random(n) for s, n in zip(sentences, counts)]
+        ids = _categorical(probs, u[0] if len(u) == 1 else np.concatenate(u))
+        goes_on = ids != eos
+        below = [t + 1 < caps[s] for s in sentences]
+        if not all(below):  # a sentence at its cap
+            goes_on &= np.repeat(below, counts)
+        return ids, goes_on
 
-    Each step draws ``rng.random(n_live)``, one uniform per live row in
-    sample order.  A sample ends with the sentence end or at the length cap;
-    its steps are the steps teacher forcing over it would compute."""
-    max_len = _length_cap(F, max_sample_len)
-    _check_sampling(num_samples, [max_len])
-    eos = params.tgt_eos
-
-    def draw(t, rows, probs):
-        ids = _categorical(probs, rng.random(len(rows)))
-        return ids, (ids != eos) & (t + 1 < max_len)
-
-    return _lockstep(params, enc, num_samples, draw)
+    return draw
 
 
 def _strip_eos(sample, eos: int) -> tuple[int, ...]:
@@ -312,18 +310,10 @@ def _sampled(params: ModelParams, sources, num_samples: int,
         raise ValueError("sampling needs one stream per sentence")
     caps = [_length_cap(F, max_len) for F in sources]
     _check_sampling(num_samples, caps)
-    eos, out = params.tgt_eos, [None] * len(sources)
+    out = [None] * len(sources)
     for stack, (enc,) in _stacks([params], sources, num_samples, lexicon):
-        rngs = [streams[i] for i in stack]
-        stack_caps = np.array([caps[i] for i in stack])
-
-        def draw(t, sentences, counts, probs):
-            u = np.concatenate([rngs[s].random(n) for s, n in
-                                zip(sentences.tolist(), counts.tolist())])
-            ids = _categorical(probs, u)
-            cap = np.repeat(stack_caps[sentences], counts)
-            return ids, (ids != eos) & (t + 1 < cap)
-
+        draw = _drawing(params.tgt_eos, [streams[i] for i in stack],
+                        [caps[i] for i in stack])
         for i, drawn in zip(stack, _walk_stack(params, enc, num_samples,
                                                draw)):
             out[i] = drawn
@@ -378,8 +368,9 @@ def mrt_loss_frozen(params: ModelParams, F, E_ref, samples, alpha: float,
     """Expected error over a fixed sample set, with exact gradients through
     both the error-weighted numerator and the renormalizer.
 
-    The samples are teacher-forced as rows of the blocks that sampling
-    steps, so a sample scores here exactly what it scored as drawn."""
+    The samples are teacher-forced in the padded walk that sampling steps
+    (:func:`lexnmt.model._teacher_forced`), so a sample scores here
+    exactly what it scored as drawn."""
     _check_alpha(alpha)
     samples = [tuple(s) for s in samples]
     if not samples:
@@ -393,15 +384,20 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
              alpha: float = 0.005, rng=None, max_sample_len: int | None = None,
              lexicon=None, *, grads=None):
     """Sampled minimum-risk loss for one sentence; duplicates are collapsed.
-    The gradients fill ``grads`` (zeroed first) or fresh ones."""
+    The gradients fill ``grads`` (zeroed first) or fresh ones.  The samples
+    are drawn as :func:`_sampled` draws them, on the sentence's training
+    stack, and keep the steps teacher forcing over them would compute."""
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     _check_alpha(alpha)
     if rng is None:
         raise ValueError("an rng is required for sampling")
+    cap = _length_cap(F, max_sample_len)
+    _check_sampling(num_samples, [cap])
     enc = _source_context(params, [F], lexicon)
-    walk = _distinct_runs(
-        _draw_samples(params, enc, F, num_samples, rng, max_sample_len))
+    walk = _distinct_runs(_walk_stack(
+        params, enc, num_samples, _drawing(params.tgt_eos, [rng], [cap]),
+        keep=True))
     if all(len(_strip_eos(s, params.tgt_eos)) == 0 for s in walk.words):
         raise _EmptySamples("all sampled translations are empty")
     return _risk_gradient(params, enc, E_ref, walk, alpha, grads)

@@ -318,13 +318,13 @@ def greedy_decode(models, F, max_len=None, lexicon=None):
 def token_accuracy(params, pairs, lexicon=None):
     """Fraction of target positions where the argmax next-word prediction is
     correct under teacher forcing (sentence-end step included)."""
-    from lexnmt.model import _source_context, _teacher_forced
+    from lexnmt.model import _lockstep, _source_context
     correct = 0
     total = 0
     for pair in pairs:
         enc = _source_context(params, [pair.source], lexicon)
         E = tuple(pair.target) + (params.tgt_eos,)
-        steps = _teacher_forced(params, enc, [E], deferred=True).steps
+        steps = _lockstep(params, enc, [E]).steps
         for e, logits in zip(E, steps.logits):
             correct += int(np.argmax(logits) == e)
             total += 1
@@ -335,13 +335,16 @@ def mean_sampled_sbleu(params, pairs, num_samples, rng, max_sample_len=None,
                        lexicon=None):
     """Mean SBLEU of ancestral samples against their references."""
     from lexnmt.metrics import sbleu
-    from lexnmt.model import _source_context
-    from lexnmt.train import _draw_samples, _strip_eos
+    from lexnmt.model import _length_cap, _source_context, _walk_stack
+    from lexnmt.train import _drawing, _strip_eos
     scores = []
     for pair in pairs:
+        # the samples mrt_loss draws: one walk on the training stack
         enc = _source_context(params, [pair.source], lexicon)
-        for s in _draw_samples(params, enc, pair.source, num_samples, rng,
-                               max_sample_len).words:
+        draw = _drawing(params.tgt_eos, [rng],
+                        [_length_cap(pair.source, max_sample_len)])
+        (samples, _), = _walk_stack(params, enc, num_samples, draw)
+        for s in samples:
             scores.append(sbleu(_strip_eos(s, params.tgt_eos), pair.target))
     return float(np.mean(scores))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import lexnmt.model as model_mod
 from lexnmt.corpus import SentencePair
-from lexnmt.model import (_backward, _logprobs, _source_context,
+from lexnmt.model import (_backward, _lockstep, _logprobs, _source_context,
                           _teacher_forced)
 from lexnmt.train import mrt_loss_frozen, nll_loss
 
@@ -141,8 +141,8 @@ def test_block_rows_equal_their_one_sentence_losses(attention, use_lexicon):
              SentencePair((4, 2, 5, 1, 3), (6,)),
              SentencePair((2, 3), (2, 4, 4)), SentencePair((5, 5, 1), (1, 6))]
     enc = _source_context(params, [p.source for p in batch], table)
-    walk = _teacher_forced(params, enc, [tuple(p.target) + (params.tgt_eos,)
-                                         for p in batch], deferred=True)
+    walk = _lockstep(params, enc, [tuple(p.target) + (params.tgt_eos,)
+                                   for p in batch])
     logp = _logprobs(walk)
     for r, pair in enumerate(batch):
         loss, alone = nll_loss(params, [pair], table)
@@ -195,7 +195,7 @@ def test_softmax_outputs_normalized():
     params.tensors["softmax_b"][:] = [3.0, -1.0, 0.5, 900.0, 0.0, -2.0, 1.0]
     enc = _source_context(params, [(1, 2, 3)], None)
     E = (1, 3, 0)
-    walk = _teacher_forced(params, enc, [E], deferred=True)
+    walk = _lockstep(params, enc, [E])
     expect = 0.0
     for probs, logits, e in zip(walk.steps.probs, walk.steps.logits, E):
         assert np.isfinite(probs).all()
@@ -211,7 +211,7 @@ def test_log_softmax_matches_log_of_softmax():
     params, table = lexicon_model(74)
     enc = _source_context(params, [(5, 1, 3)], table)
     E = (2, 6, 4, 0)
-    walk = _teacher_forced(params, enc, [E], deferred=True)
+    walk = _lockstep(params, enc, [E])
     logp = sum(np.log(probs[e]) for probs, e in zip(walk.steps.probs, E))
     assert _logprobs(walk)[0] == pytest.approx(logp, rel=1e-12, abs=1e-12)
 
@@ -229,7 +229,7 @@ def test_softmax_shift_invariance(values, shift):
         params = SHIFT_MODEL.copy()
         params.tensors["softmax_b"][:] = b
         enc = _source_context(params, [(1, 2)], None)
-        walk = _teacher_forced(params, enc, [(4, 0)], deferred=True)
+        walk = _lockstep(params, enc, [(4, 0)])
         probs.append(walk.steps.probs)
     assert np.allclose(probs[0], probs[1], atol=1e-12)
     assert np.allclose(probs[0].sum(axis=1), 1.0, atol=1e-12)
@@ -241,7 +241,7 @@ def test_pick_and_row_are_one_hot():
     params = tiny_model(seed=76)
     F, E = (2, 4, 2), (5,)
     enc = _source_context(params, [F], None)
-    walk = _teacher_forced(params, enc, [E], deferred=True)
+    walk = _lockstep(params, enc, [E])
     grads = zero_grads(params)
     _backward(params, enc, walk, [1.0], grads)
     expect = -walk.steps.probs[0]

@@ -16,9 +16,9 @@ from lexnmt.corpus import SentencePair, Vocabulary
 from lexnmt.decode import beam_search
 from lexnmt.errors import DataError
 from lexnmt.model import (BLOCK_ROWS, DecoderState, ModelParams, _attend,
-                          _block_step, _encode_g, _init_state, _lstm,
-                          _product, _source_context, _stacks, _teacher_forced,
-                          build_lexicon_matrix,
+                          _block_step, _encode_g, _init_state, _lockstep,
+                          _logprobs, _lstm, _product, _source_context,
+                          _stacks, _teacher_forced, build_lexicon_matrix,
                           expected_shapes, init_params, load_checkpoint,
                           save_checkpoint, sentence_logprob)
 from lexnmt.train import gradient_norm, mrt_loss_frozen, nll_loss
@@ -654,15 +654,20 @@ def test_a_model_and_its_reload_clip_alike(tmp_path):
         assert gradient_norm(got) == gradient_norm(want), seed
 
 
-def test_padded_walk_refuses_a_context_of_several_sentences():
-    # the padded walk steps the rows of one sentence; the deferred walk
-    # reads sentence r for row r
+def test_both_walks_teacher_force_a_context_of_several_sentences():
+    # on a training stack of two sentences, row r of either walk reads
+    # sentence r and walks to its own targets: the deferred walk of
+    # maximum likelihood and the padded walk, whose rows read only their
+    # own sentence's share of the targets
     params = tiny_model(seed=3)
     enc = _source_context(params, [(1, 2), (3, 4, 5)], None)
     targets = [(2, params.tgt_eos), (3, 4, params.tgt_eos)]
-    with pytest.raises(ValueError, match="padded walk steps one sentence"):
-        _teacher_forced(params, enc, targets)
-    assert _teacher_forced(params, enc, targets, deferred=True).words == targets
+    deferred = _lockstep(params, enc, targets)
+    padded = _teacher_forced(params, enc, targets)
+    assert deferred.words == padded.words == targets
+    assert _logprobs(padded) == pytest.approx(_logprobs(deferred), rel=1e-12)
+    with pytest.raises(ValueError, match="as many targets"):
+        _teacher_forced(params, enc, targets + [(2, params.tgt_eos)])
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -364,10 +364,10 @@ def test_mrt_loss_deduplicates_samples(monkeypatch):
     eos = params.tgt_eos
     fixed = [(3, eos), (3, eos), (2, 4, eos), (3, eos)]
 
-    def fake_draw_samples(params, enc, F, num_samples, rng, max_sample_len):
-        return _teacher_forced(params, enc, fixed[:num_samples])
+    def fake_walk(params, enc, n_rows, choose, *, keep=False):
+        return _teacher_forced(params, enc, fixed[:n_rows])
 
-    monkeypatch.setattr(train_mod, "_draw_samples", fake_draw_samples)
+    monkeypatch.setattr(train_mod, "_walk_stack", fake_walk)
     loss, grads = mrt_loss(params, (1, 2), (3,), num_samples=4, alpha=0.5,
                            rng=np.random.default_rng(0))
     want_loss, want_grads = mrt_loss_frozen(params, (1, 2), (3,),
@@ -407,11 +407,11 @@ def test_mrt_loss_encodes_and_builds_lexicon_once(monkeypatch):
                            params.tgt_vocab_size)
     encodes = count_calls(monkeypatch, model_mod, "_encode_g")
     builds = count_calls(monkeypatch, model_mod, "build_lexicon_matrix")
-    draws = count_calls(monkeypatch, train_mod, "_draw_samples")
+    draws = count_calls(monkeypatch, train_mod, "_walk_stack")
     scored = count_calls(monkeypatch, train_mod, "_expected_error")
     mrt_loss(params, (1, 2, 3), (3, 4), num_samples=6, alpha=0.5,
              rng=np.random.default_rng(5), lexicon=table)
-    assert [args[3] for args in draws] == [6]  # one walk of 6 samples
+    assert [args[2] for args in draws] == [6]  # one walk of 6 samples
     _, _, distinct, _, _ = scored[0]
     assert len(distinct) >= 2
     assert len(encodes) == 1
@@ -436,11 +436,27 @@ def test_mrt_loss_validation(monkeypatch):
     with pytest.raises(ValueError, match="rng"):
         mrt_loss(params, (1,), (2,))
     monkeypatch.setattr(
-        train_mod, "_draw_samples",
-        lambda params, enc, F, n, *a: _teacher_forced(
+        train_mod, "_walk_stack",
+        lambda params, enc, n, *a, **k: _teacher_forced(
             params, enc, [(params.tgt_eos,)] * n))
     with pytest.raises(ValueError, match="empty"):
         mrt_loss(params, (1,), (2,), num_samples=4, rng=rng)
+
+
+@pytest.mark.parametrize("max_sample_len", [0, -3])
+def test_mrt_loss_refuses_a_sample_length_below_one(monkeypatch,
+                                                    max_sample_len):
+    # refused before any draw: nothing is encoded, the rng is untouched
+    params = tiny_model(seed=40)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+    with pytest.raises(ValueError,
+                       match="num_samples and max_len must be >= 1"):
+        mrt_loss(params, (1,), (2,), num_samples=4, rng=rng,
+                 max_sample_len=max_sample_len)
+    assert rng.bit_generator.state == before
+    assert encodes == []
 
 
 def test_mean_sampled_sbleu_equals_public_sampling_loop():
@@ -657,10 +673,12 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
     runs = [list(sources) for _, sources in passes]
     values = []
     for j, pair in enumerate(pairs):
+        # the walk of mrt_loss: its samples, one sentence alone
         enc = _source_context(params, [pair.source], table)
-        walk = train_mod._distinct_runs(train_mod._draw_samples(
-            params, enc, pair.source, mrt.num_samples,
-            np.random.default_rng([9, j]), mrt.max_sample_len))
+        draw = train_mod._drawing(params.tgt_eos, [np.random.default_rng(
+            [9, j])], [mrt.max_sample_len])
+        walk = train_mod._distinct_runs(train_mod._walk_stack(
+            params, enc, mrt.num_samples, draw, keep=True))
         values.append(train_mod._expected_error(
             params, pair.target, walk.words, _logprobs(walk), mrt.alpha)[0])
     assert got == float(np.mean(values))
@@ -693,9 +711,9 @@ def test_a_sentence_samples_alike_alone_and_in_a_stack(
     live, walk_stack = [], train_mod._walk_stack
 
     def spy(params, enc, n_rows, choose):
-        def seen(t, sentences, counts, probs):
-            live.append(counts.tolist())
-            return choose(t, sentences, counts, probs)
+        def seen(t, rows, sentences, counts, probs):
+            live.append(list(counts))
+            return choose(t, rows, sentences, counts, probs)
         return walk_stack(params, enc, n_rows, seen)
     monkeypatch.setattr(train_mod, "_walk_stack", spy)
     got = train_mod._sampled(params, sources, num_samples, 8,
@@ -703,9 +721,12 @@ def test_a_sentence_samples_alike_alone_and_in_a_stack(
                               for j in range(count)], table)
     blocks = [{-(-n // BLOCK_ROWS) for n in counts} for counts in live]
     for j, (F, (samples, logp)) in enumerate(zip(sources, got)):
-        walk = train_mod._draw_samples(
-            params, _source_context(params, [F], table), F, num_samples,
-            np.random.default_rng([72, j]), 8)
+        # the walk of mrt_loss: the sentence's training stack alone
+        walk = walk_stack(
+            params, _source_context(params, [F], table), num_samples,
+            train_mod._drawing(params.tgt_eos,
+                               [np.random.default_rng([72, j])], [8]),
+            keep=True)
         assert samples == walk.words
         assert logp.tolist() == _logprobs(walk).tolist()
         assert samples == sample_translations(
