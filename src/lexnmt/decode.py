@@ -9,11 +9,11 @@ partial can no longer outscore its best completion within the length cap,
 or when the cap is reached (see :func:`beam_search`).
 
 Sentences are searched together, shortest first, in the stacks that
-:func:`lexnmt.model._stacks` cuts and builds, the beams of all of a stack's
-sentences packed into shared 8-row blocks (:func:`lexnmt.model._block_step`)
-whose rows get the bits they get stepped alone, so each result is
-byte-identical to searching its sentence alone.  This module only
-searches.
+:func:`lexnmt.model._stacks` cuts and builds, stepped by the model's one
+walk (:func:`lexnmt.model._walk`), which packs the beams of all of a
+stack's sentences into shared 8-row blocks whose rows get the bits they get
+stepped alone, so each result is byte-identical to searching its sentence
+alone.  This module only chooses the children: it holds no decoder state.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # ensemble_distribution is imported to stay importable from this module
-from .model import (_as_model_list, _ensemble_logp, _init_state, _length_cap,
-                    _stacks, ensemble_distribution)
+from .model import (_as_model_list, _length_cap, _stacks, _walk,
+                    ensemble_distribution)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ def score_hypothesis(hyp: Hypothesis, word_penalty: float) -> float:
 def _best_children(scores, eos: int, k: int):
     """(rows, words) of the k best children in each (B, V) score block of
     ``scores`` (..., B, V), words other than ``eos``, as (..., k) arrays in
-    the order a stable argsort of the block's negated live scores gives; a
+    the order a stable argsort of the block's negated live scores gives,
+    the rows counted through all blocks (row r of block b is b * B + r); a
     partition finds each block's k-th score, and only the scores up to it
     are sorted.  NaN sorts last, so it is among a block's k only when its
     k-th score is NaN.  A model has at least two target words, so with
@@ -52,8 +53,9 @@ def _best_children(scores, eos: int, k: int):
     neg = -scores[..., live].reshape(-1, B * (V - 1))
     k = min(k, neg.shape[1])
     cut = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    block, best = np.nonzero(~(neg > cut))
-    best = best[np.lexsort((neg[block, best], block))]
+    block, best = np.nonzero(~(neg > cut))  # block comes sorted
+    best = (block * neg.shape[1] + best)[np.lexsort((neg[block, best],
+                                                      block))]
     if len(best) > len(neg) * k:  # ties at a cut: keep each block's first k
         best = best[np.searchsorted(block, np.arange(len(neg)))[:, None]
                     + np.arange(k)]
@@ -64,25 +66,21 @@ def _best_children(scores, eos: int, k: int):
 def _search(models, sources, encs, beam_size: int, word_penalty: float,
             max_len: int | None) -> list[Hypothesis]:
     """The best completions of the sentences, searched as one stack from
-    each member's context ``encs`` (:func:`lexnmt.model._stacks`): each
-    sentence keeps its own best completion and length cap, and leaves the
-    stack when its search ends or it reaches its cap."""
+    each member's context ``encs`` (:func:`lexnmt.model._stacks`) in one
+    walk (:func:`lexnmt.model._walk`): each sentence keeps its own best
+    completion and length cap, and leaves the stack when its search ends
+    or it reaches its cap."""
     eos = models[0].tgt_eos
-    states = [_init_state(enc) for enc in encs]
-    live = np.arange(len(sources))  # each stack sentence's input position
     caps = np.array([_length_cap(F, max_len) for F in sources])
     best = [None] * len(sources)
-    best_key = np.full(len(live), -np.inf)  # in stack order
+    best_key = np.full(len(sources), -np.inf)  # of the live sentences
     # each token row starts with the sentence end, the first decoder input
-    tokens = np.full((len(live), 1, 1), eos)
-    logprob = np.zeros((len(live), 1))
-    rows = np.zeros((len(live), 1), dtype=np.intp)
-    at = np.arange(len(live))[:, None]
+    tokens = np.full((len(sources), 1, 1), eos)
+    logprob = np.zeros((len(sources), 1))
 
-    while True:  # every cap is at least 1
-        states, logp = _ensemble_logp(models, encs, states, rows,
-                                      tokens[..., -1])
-        scores = logprob[..., None] + logp
+    def choose(t, live, counts, probs, *_):
+        nonlocal tokens, logprob, best_key, caps
+        scores = logprob[..., None] + np.log(probs).reshape(*logprob.shape, -1)
         penalty = word_penalty * tokens.shape[2]
         keys = scores + penalty
         ends = keys[..., eos]
@@ -99,8 +97,9 @@ def _search(models, sources, encs, beam_size: int, word_penalty: float,
         rows, words = _best_children(keys, eos, beam_size)
         V = keys.shape[2]
         rows, words = np.divmod(np.sort(rows * V + words), V)  # token order
-        tokens = np.concatenate([tokens[at, rows], words[..., None]], axis=2)
-        logprob = scores[at, rows, words]
+        tokens = np.concatenate([tokens.reshape(len(probs), -1)[rows],
+                                 words[..., None]], axis=2)
+        logprob = scores.reshape(-1, V)[rows, words]
         # the key of the best child; a NaN among the k best children stands
         # for no children at all
         top = logprob.max(axis=1) + penalty
@@ -108,15 +107,13 @@ def _search(models, sources, encs, beam_size: int, word_penalty: float,
             top = top + word_penalty * (caps - tokens.shape[2] + 1)
         goes_on = (~(top <= best_key) & (top == top)
                    & (caps >= tokens.shape[2]))
-        if not goes_on.all():
-            live, best_key = live[goes_on], best_key[goes_on]
-            if not len(live):
-                break
-            tokens, logprob, rows, caps = (tokens[goes_on], logprob[goes_on],
-                                           rows[goes_on], caps[goes_on])
-            at = at[:len(live)]
-            states = [state.sentences(goes_on) for state in states]
-            encs = [enc.sentences(goes_on) for enc in encs]
+        if goes_on.all():
+            return rows, words
+        best_key, caps, tokens, logprob = (
+            x[goes_on] for x in (best_key, caps, tokens, logprob))
+        return rows[goes_on], words[goes_on]
+
+    _walk(models, encs, 1, choose)
     return best
 
 
@@ -132,6 +129,8 @@ def beam_search_all(models, sources, beam_size: int = 5,
     sources = [tuple(F) for F in sources]
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
+    if not -np.inf < word_penalty < np.inf:
+        raise ValueError("word_penalty must be finite")
     if not all(sources):
         raise ValueError("source sentence is empty")
     if max_len is not None and max_len < 1:

@@ -23,10 +23,10 @@ values, and attend in blocks that each read one sentence; a stack's blocks
 share flat products against a weight only where the running BLAS gives
 every row the bits of its own block's product (:func:`_product`), so a row
 gets the bits it gets stepped alone and decode output is byte-identical to
-line-by-line search.  :func:`_walk_stack`, the one padded walk, steps the
-rows of all sentences of a stack through :func:`_block_step`, sampling or
-teacher-forced (:func:`_teacher_forced`), so scoring, sampling and search
-agree bit for bit, and keeps each row-step's :class:`_Step` when asked.
+line-by-line search.  :func:`_walk`, the one walk that calls it, steps
+the rows of all sentences of a stack on every member of an ensemble for
+search, sampling and teacher forcing (:func:`_walk_stack`,
+:func:`_teacher_forced`), so scoring, sampling and search agree bit for bit.
 Maximum likelihood's deferred walk (:func:`_lockstep`) steps only the
 recurrence and attention and runs the output layer once after it.
 :func:`_backward` derives exact gradients from either walk by a
@@ -223,11 +223,6 @@ class DecoderState:
         return DecoderState(self.hidden[rows], self.cell[rows],
                             self.context[rows])
 
-    def sentences(self, keep) -> "DecoderState":
-        """The rows of the kept sentences (a boolean mask) of a stack's
-        state, which holds the same number of rows for every sentence."""
-        return self.take(np.repeat(keep, len(self.hidden) // len(keep)))
-
 
 @dataclass
 class _Run:
@@ -385,9 +380,9 @@ def _lstm(W, b, u, c):
 
     A gate's exp(-z) overflows to inf on a large negative z, which gives the
     gate 0.  The loops that step the LSTM (:func:`_encode_g`, the deferred
-    walk :func:`_lockstep`, the padded walk :func:`_walk_stack` and search's
-    :func:`_ensemble_logp`) ignore that overflow, once per loop: an
-    errstate per call costs a few percent of a small step."""
+    walk :func:`_lockstep` and the walk :func:`_walk`) ignore that
+    overflow, once per loop: an errstate per call costs a few percent of a
+    small step."""
     n = c.shape[-1]
     z = _product(u, W) + b
     gates = 1.0 / (1.0 + np.exp(-z[..., :2 * n]))
@@ -698,10 +693,9 @@ def _output_layer(params: ModelParams, q, lex):
 def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
                 enc: _Stack):
     """Step B rows for each of the S sentences of ``enc`` on ``prev_ids``,
-    an (S, B) array ((B,) for one sentence): row j of sentence s continues
-    row ``rows[s, j]`` of that sentence's rows in ``state`` (None: row j),
-    which holds the same number of rows for every sentence, sentence by
-    sentence.
+    an (S, B) array or its S * B ids in sentence order: row j of sentence s
+    continues row ``rows[s, j]`` of ``state``, ``rows`` laid out as
+    ``prev_ids``.
 
     The S * B rows, sentence by sentence, are packed into blocks of exactly
     BLOCK_ROWS rows, the last padded with copies of the first, and stepped
@@ -728,11 +722,8 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     P = B + -B % BLOCK_ROWS
     pad = np.arange(P) % B  # pad with copies of real rows
     cols = pad if P > B else slice(None)  # whole blocks: no copies to take
-    at = pad if rows is None else np.asarray(rows).reshape(S, B)[:, cols]
-    if S > 1:  # each sentence's rows follow those of the one before
-        at = at + np.arange(0, len(state.hidden),
-                            len(state.hidden) // S)[:, None]
-    at, prev, lay = at.reshape(-1), prev[:, cols].reshape(-1), None
+    at = np.asarray(rows).reshape(S, B)[:, cols].reshape(-1)
+    prev, lay = prev[:, cols].reshape(-1), None
     K = -(-S * B // BLOCK_ROWS)  # blocks of the packed rows
     if K < S * P // BLOCK_ROWS:  # packing saves a block
         # each packed row's padded row: the rows, then copies of the first
@@ -826,72 +817,94 @@ def _chosen(chosen, n_rows: int):
             alive)
 
 
-@np.errstate(over="ignore")  # see _lstm
-def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
-                keep: bool = False):
-    """Walk ``n_rows`` rows of every sentence of the stack ``enc`` forward
-    together, row ``i * n_rows + j`` being row j of sentence i: one
-    :func:`_block_step` per step over the live rows, each sentence's padded
-    with copies of its own to the most any sentence has.  Every row steps
-    as it steps in the walk of its sentence alone.
-
-    At step t, ``choose(t, rows, sentences, counts, probs)`` gets the live
-    rows (sentence by sentence, in row order), the live sentences' stack
-    positions and live rows (lists) and the rows' next-word distributions,
-    and returns their next words and whether each row goes on.  A row that
-    stops leaves its sentence's block, and a sentence leaves the stack
-    with its last row, as search drops lines.
-
-    Returns each sentence's (words, log p) of its rows, in stack order,
-    keeping only each row-step's word and log-probability term; with
-    ``keep``, the :class:`_Walk` of all rows, with the :class:`_Step` of
-    every row-step for the backward pass (:func:`_backward`)."""
-    total = len(enc.init_state) * n_rows
-    live = np.arange(total)
-    sentences = list(range(len(enc.init_state)))  # the live ones
-    counts = [n_rows] * len(sentences)  # the live rows of each
-    prev = np.full(len(live), params.tgt_eos)
-    # each live row's place among its sentence's rows of the state
-    at = np.zeros(len(live), dtype=np.intp)
-    state, chosen, kept = _init_state(enc), [], []
-    while len(live):
-        B, n = max(counts), len(live)
-        even = min(counts) == B
-        if even:  # no sentence is padded: no gathers
-            state, s = _block_step(params, prev, state, at, enc)
-            of, within = ((0, np.arange(n)) if len(counts) == 1
-                          else np.divmod(np.arange(n), B))
-        else:
+@np.errstate(over="ignore", divide="ignore")  # see _lstm; search's log 0
+def _walk(models, encs, n_rows: int, choose):
+    """Walk ``n_rows`` rows of every sentence of a stack forward together,
+    member k on its context ``encs[k]``: one :func:`_block_step` per member
+    and step over the live rows, in sentence order, each sentence's padded
+    with copies of its own to the most any sentence has, so every row steps
+    as it steps in the walk of its sentence alone.  At step t,
+    ``choose(t, sentences, counts, probs, steps, rows)`` gets the live
+    sentences' stack positions (an array) and live rows (a list), the live
+    rows' next-word distributions averaged over the members from the first
+    (:func:`ensemble_distribution`), and the members' :class:`_Step`s with
+    the live rows' place among their rows (a slice or an index).  It
+    returns the parents of the next rows, indices into the live rows in
+    sentence order (an (S', k) array when k rows of each of S' sentences go
+    on; None: every row goes on as itself), and their input words.  A
+    sentence leaves the stacks with its last row."""
+    S = len(encs[0].init_state)
+    sentences, counts, B, even = np.arange(S), [n_rows] * S, n_rows, True
+    states = [_init_state(enc) for enc in encs]
+    prev = np.full(S * n_rows, models[0].tgt_eos)
+    at = np.repeat(np.arange(S), n_rows)  # each row's parent state row
+    for t in itertools.count():
+        S, n, ids, rows = len(counts), at.size, prev, at
+        if not even:
             starts = np.cumsum(counts) - counts
             pad = starts[:, None] + np.arange(B) % np.array(counts)[:, None]
-            state, s = _block_step(params, prev[pad], state, at[pad], enc)
-            of = np.repeat(np.arange(len(counts)), counts)
-            within = np.arange(n) - starts[of]
-        per = len(s.probs) // len(counts)  # each sentence's rows of the step
-        # the real rows: a prefix when the step pads no sentence or has one
-        real = (slice(n) if per * len(counts) == n or len(counts) == 1
-                else of * per + within)
-        words, goes_on = choose(len(chosen), live, sentences, counts,
-                                s.probs[real])
-        chosen.append((live, words))
-        if keep:
-            kept.append(s if len(s.probs) == n
-                        else _map_step(lambda x: x[real], s))
+            ids, rows = prev[pad], at[pad]
+        states, steps = zip(*[_block_step(m, ids, state, rows, enc) for
+                              m, state, enc in zip(models, states, encs)])
+        per = len(steps[0].probs) // S  # each sentence's rows of the step
+        real = slice(n)  # the live rows: a prefix unless a sentence is padded
+        if per * S != n and S > 1:
+            real = (np.arange(0, S * per, per)[:, None] + np.arange(B))[
+                np.arange(B) < np.array(counts)[:, None]]
+        probs = [step.probs[real] for step in steps]
+        # one member's distribution is its own mean
+        probs = probs[0] if len(probs) == 1 else ensemble_distribution(probs)
+        parents, prev = choose(t, sentences, counts, probs, steps, real)
+        if parents is None:
+            parents = np.arange(n)
+        elif not parents.size:
+            return
+        elif parents.ndim == 2 and len(parents) == S:
+            counts, B, even = [parents.shape[1]] * S, parents.shape[1], True
         else:
-            kept.append(_log_terms(s, words, of * per + within))
-        if goes_on.all():  # None: row j of each sentence goes on as row j
-            prev, at = words, None if even else within
-            continue
-        live, prev, at = live[goes_on], words[goes_on], within[goes_on]
-        if len(counts) == 1:
-            counts = [len(live)]
-            continue
-        counts = np.bincount(of[goes_on], minlength=len(counts)).tolist()
-        if 0 in counts and len(live):
-            left = np.array(counts) > 0
-            state, enc = state.sentences(left), enc.sentences(left)
-            sentences = [i for i, c in zip(sentences, counts) if c]
-            counts = [c for c in counts if c]
+            kept = np.bincount(np.repeat(np.arange(S), counts)[
+                parents.reshape(-1)], minlength=S)
+            if not kept.all():
+                encs = [enc.sentences(kept > 0) for enc in encs]
+                sentences, kept = sentences[kept > 0], kept[kept > 0]
+            counts, B = kept.tolist(), kept.max()
+            even = kept.min() == B
+        at = parents if isinstance(real, slice) else real[parents]
+        # drop the step before the next one: held over, its arrays made toy
+        # search 3-4 % slower (interleaved pairs, one OpenBLAS thread)
+        del steps, probs
+
+
+def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
+                keep: bool = False):
+    """The one-model :func:`_walk` of ``n_rows`` rows of every sentence of
+    the stack ``enc``, row ``i * n_rows + j`` being row j of sentence i, in
+    which ``choose(t, rows, sentences, counts, probs)`` gives each live row
+    of ``rows`` its next word and whether it goes on.  Returns each
+    sentence's (words, log p) of its rows, in stack order, keeping only each
+    row-step's word and log-probability term; with ``keep``, the
+    :class:`_Walk` of all rows, with the :class:`_Step` of every row-step
+    for the backward pass (:func:`_backward`)."""
+    total = len(enc.init_state) * n_rows
+    live, chosen, kept = np.arange(total), [], []
+
+    def step(t, sentences, counts, probs, steps, rows):
+        nonlocal live
+        words, goes_on = choose(t, live, sentences.tolist(), counts, probs)
+        chosen.append((live, words))
+        s, = steps
+        if keep:
+            kept.append(s if len(s.probs) == len(words)
+                        else _map_step(lambda x: x[rows], s))
+        else:
+            kept.append(_log_terms(s, words, np.arange(len(s.probs))[rows]))
+        if goes_on.all():
+            return None, words
+        parents = np.flatnonzero(goes_on)
+        live = live[parents]
+        return parents, words[parents]
+
+    _walk([params], [enc], n_rows, step)
     words, ids, alive = _chosen(chosen, total)
     if keep:
         return _Walk(words, ids, alive, _stack(kept))
@@ -901,7 +914,7 @@ def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
 
 
 def _teacher_forced(params: ModelParams, enc: _Stack, targets) -> _Walk:
-    """The padded walk (:func:`_walk_stack`) that feeds each row its own
+    """The walk (:func:`_walk_stack`) that feeds each row its own
     target, with its steps, share i of the targets the rows of sentence i:
     a sequence scores what it scored as drawn, as search scored it."""
     ids, lengths = _target_ids(params, targets)
@@ -1170,29 +1183,13 @@ def ensemble_distribution(distributions) -> np.ndarray:
     return total / len(distributions)
 
 
-def _ensemble_logp(models, encs, states, rows, prev_ids):
-    """One :func:`_block_step` of every member from the given rows of its
-    state, B rows for each of the S sentences of its context: (new states,
-    log of the averaged (S, B, V) distributions of the real rows)."""
-    S, B = prev_ids.shape
-    with np.errstate(over="ignore", divide="ignore"):  # see _lstm
-        steps = [_block_step(m, prev_ids, state, rows, enc)
-                 for m, state, enc in zip(models, states, encs)]
-        probs = [s.probs.reshape(S, -1, s.probs.shape[-1])[:, :B]
-                 for _, s in steps]
-        # one member's distribution is its own mean
-        logp = np.log(probs[0] if len(probs) == 1
-                      else ensemble_distribution(probs))
-    return [state for state, _ in steps], logp
-
-
 def sentence_logprob(models, F, E, lexicon: LexiconTable | None = None) -> float:
     """Teacher-forced log p(E | F); ensembles average per-step probabilities.
 
     ``E`` must end with the target sentence-end id.  Each member
-    teacher-forces E in the padded walk (:func:`_teacher_forced`), and the
-    step log probabilities add left to right as in search, so a hypothesis
-    scores here exactly what search scored it.
+    teacher-forces E in the walk that search steps (:func:`_teacher_forced`),
+    and the step log probabilities add left to right as in search, so a
+    hypothesis scores here exactly what search scored it.
     """
     models = _as_model_list(models)
     if not E or E[-1] != models[0].tgt_eos:

@@ -20,8 +20,9 @@ before each loss, and keeps its best model in one more.
 Every sampled sentence draws from a random stream of its own, keyed by
 seed, stage, epoch and sentence index (:func:`_stream`), so its samples do
 not depend on what was drawn before it.  Every sample is drawn by one
-rule (:func:`_drawing`) in the one padded walk
-(:func:`lexnmt.model._walk_stack`): MRT training walks one sentence's
+rule (:func:`_drawing`) in the one-model walk
+(:func:`lexnmt.model._walk_stack`) over the walk that search steps too
+(:func:`lexnmt.model._walk`): MRT training walks one sentence's
 samples with their steps; sampling without gradients (the MRT dev check,
 :func:`sample_translations`, ``lexnmt sample``) walks the model's stacks
 (:func:`lexnmt.model._stacks`) in one loop (:func:`_sampled`).

@@ -1,13 +1,31 @@
-"""Shared builders for synthetic tasks and random model inputs."""
+"""Shared builders for synthetic tasks and random model inputs, and the
+syntax trees of the package for the guards that read its source."""
 
+import ast
+import os
 import sys
 
 import numpy as np
 
+import lexnmt
 from lexnmt.align import LexiconTable
 from lexnmt.corpus import SentencePair
 from lexnmt.model import (_block_step, _init_state, _source_context,
                           init_params)
+
+PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+
+
+def package_modules():
+    """(path from the package directory, syntax tree) of every module of
+    the package, its subdirectories included, in sorted order."""
+    for dirpath, dirnames, filenames in os.walk(PACKAGE_DIR):
+        dirnames.sort()
+        for filename in sorted(f for f in filenames if f.endswith(".py")):
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), path)
+            yield os.path.relpath(path, PACKAGE_DIR), tree
 
 
 def copy_pairs(rng, n, vocab=20, lmin=1, lmax=6):

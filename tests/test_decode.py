@@ -148,8 +148,9 @@ def _script(monkeypatch, row_step):
                 SimpleNamespace(probs=np.stack([probs for _, probs in steps])))
 
     monkeypatch.setattr(decode_mod, "_stacks", lambda models, sources, *a: [
-        (range(len(sources)), [None for _ in models])])
-    monkeypatch.setattr(decode_mod, "_init_state", lambda *a: [()])
+        (range(len(sources)),
+         [SimpleNamespace(init_state=[None]) for _ in models])])
+    monkeypatch.setattr(model_mod, "_init_state", lambda *a: [()])
     monkeypatch.setattr(model_mod, "_block_step", fake_block)
 
 
@@ -283,6 +284,9 @@ def test_input_validation():
         beam_search(model, (1,), beam_size=0)
     with pytest.raises(ValueError, match="max_len"):
         beam_search(model, (1,), max_len=0)
+    for penalty in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="word_penalty"):
+            beam_search(model, (1,), word_penalty=penalty)
     with pytest.raises(ValueError, match="at least one"):
         beam_search([], (1,))
 
@@ -405,7 +409,10 @@ def test_stacked_steps_pack_the_rows_of_all_sentences(monkeypatch):
         if beam == 1:  # sentence end suppressed: every line runs to the cap
             model.tensors["softmax_b"][model.tgt_eos] = -40.0
         beam_search_all(model, lines, beam, 0.0, None, table)
-        shapes = [np.shape(args[1]) for args in steps]
+        # (S, B) of each step: its stack's sentences and their rows
+        shapes = [(len(args[4].init_state),
+                   np.size(args[1]) // len(args[4].init_state))
+                  for args in steps]
         rows = [args[2].size // args[2].shape[-1] for args in lstms
                 if args[0].ndim == 2]  # the encoder's weights are stacked
         assert rows == [-(-S * B // BLOCK_ROWS) * BLOCK_ROWS for S, B in shapes]

@@ -8,24 +8,19 @@ import sys
 
 import pytest
 
-import lexnmt
+from helpers import PACKAGE_DIR, package_modules
 
-PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
 REPO_ROOT = os.path.dirname(os.path.dirname(PACKAGE_DIR))
 
 
 def _imported_top_level_modules():
     names = set()
-    for dirpath, _, filenames in os.walk(PACKAGE_DIR):
-        for filename in sorted(f for f in filenames if f.endswith(".py")):
-            path = os.path.join(dirpath, filename)
-            with open(path, encoding="utf-8") as f:
-                tree = ast.parse(f.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    names.update(a.name.split(".")[0] for a in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names.add(node.module.split(".")[0])
+    for _, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
     return names
 
 

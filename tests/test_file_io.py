@@ -2,11 +2,8 @@
 writer, the checkpoint writer and reader, and the training log."""
 
 import ast
-import os
 
-import lexnmt
-
-PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+from helpers import package_modules
 
 FILE_OPENERS = {"read_lines", "write_lines", "save_checkpoint",
                 "load_checkpoint", "TrainLogWriter"}
@@ -30,14 +27,8 @@ def _open_calls(node, owners=()):
 
 
 def test_files_are_opened_only_by_the_shared_readers_and_writers():
-    stray = []
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if not filename.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE_DIR, filename)
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
-        stray += [f"{filename}:{line} in {'.'.join(owners) or 'module'}"
-                  for line, owners in _open_calls(tree)
-                  if not FILE_OPENERS.intersection(owners)]
+    stray = [f"{filename}:{line} in {'.'.join(owners) or 'module'}"
+             for filename, tree in package_modules()
+             for line, owners in _open_calls(tree)
+             if not FILE_OPENERS.intersection(owners)]
     assert stray == []

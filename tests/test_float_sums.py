@@ -8,11 +8,8 @@ sites add integers.
 """
 
 import ast
-import os
 
-import lexnmt
-
-PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+from helpers import package_modules
 
 # (file, enclosing function, the summed expression)
 ALLOWED = {
@@ -38,12 +35,6 @@ def _sum_calls(node, owner=None):
 
 
 def test_builtin_sum_only_at_listed_call_sites():
-    found = set()
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if not filename.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE_DIR, filename)
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
-        found |= {(filename, *site) for site in _sum_calls(tree)}
+    found = {(filename, *site) for filename, tree in package_modules()
+             for site in _sum_calls(tree)}
     assert found - ALLOWED == set()

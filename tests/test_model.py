@@ -344,7 +344,8 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
         rows = rng.integers(0, held, (S, B))
         state = DecoderState(*rng.uniform(-1, 1, (3, S * held,
                                                   params.dec_hid)))
-        block, step = _block_step(params, prev, state, rows, stack)
+        block, step = _block_step(params, prev, state, rows + np.arange(
+            0, S * held, held)[:, None], stack)  # sentence s's held rows
         assert len(block.hidden) == len(step.probs) == S * P
         pad = np.arange(per * BLOCK_ROWS) % B
         for s in range(S):

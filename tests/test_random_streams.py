@@ -7,7 +7,7 @@ in."""
 
 import ast
 
-from test_stack_names import _package_modules
+from helpers import package_modules
 
 GENERATOR_NAMES = {"default_rng", "Generator"}
 MAKERS = {("train.py", "_stream"), ("model.py", "init_params")}
@@ -32,7 +32,7 @@ def _named(tree, scope=None):
 
 
 def test_only_the_stream_helper_and_init_params_make_generators():
-    found = [(filename, *hit) for filename, tree in _package_modules()
+    found = [(filename, *hit) for filename, tree in package_modules()
              for hit in _named(tree)]
     stray = [f"{filename}:{line} names {name}"
              for filename, function, line, name in found

@@ -7,15 +7,14 @@ searches: no package module but the command line and the package root
 imports it."""
 
 import ast
-import os
 
-import lexnmt
-
-PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+from helpers import package_modules
 
 STACK_NAMES = {"_Stack", "_Run", "STACK_BYTES", "_step_bytes"}
-# what computing a stack state's rows per sentence takes
-STATE_LAYOUT_NAMES = {"repeat", "hidden", "cell", "context"}
+# what computing a stack state's rows per sentence, holding or stepping a
+# decoder state and dropping a sentence from a state or stack take
+STATE_LAYOUT_NAMES = {"repeat", "hidden", "cell", "context", "_init_state",
+                      "_block_step", "_ensemble_logp", "sentences"}
 DECODE_IMPORTERS = {"cli.py", "__init__.py"}
 
 
@@ -44,17 +43,8 @@ def _decode_imports(tree):
             yield node.lineno
 
 
-def _package_modules():
-    """(file name, syntax tree) of every module of the package."""
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if filename.endswith(".py"):
-            path = os.path.join(PACKAGE_DIR, filename)
-            with open(path, encoding="utf-8") as f:
-                yield filename, ast.parse(f.read(), path)
-
-
 def test_only_model_names_the_stack_builder():
-    trees = dict(_package_modules())
+    trees = dict(package_modules())
     stray = [f"{filename}:{line} names {name}"
              for filename, tree in trees.items() if filename != "model.py"
              for line, name in _names(tree) if name in STACK_NAMES]
@@ -64,9 +54,10 @@ def test_only_model_names_the_stack_builder():
 
 
 def test_decode_computes_no_state_layout():
-    # search drops finished sentences through the model's state and stack
-    # (``sentences``); it neither repeats masks over rows nor reads states
-    trees = dict(_package_modules())
+    # search only chooses the children of its rows: the model's walk
+    # (``model._walk``) holds and steps each member's state and drops
+    # finished sentences from it and from the stacks
+    trees = dict(package_modules())
     stray = [f"decode.py:{line} names {name}"
              for line, name in _names(trees["decode.py"])
              if name in STATE_LAYOUT_NAMES]
@@ -76,7 +67,7 @@ def test_decode_computes_no_state_layout():
 def test_only_the_command_line_and_package_root_import_decode():
     # training samples from the model's stacks; it does not reach into search
     stray = [f"{filename}:{line} imports decode"
-             for filename, tree in _package_modules()
+             for filename, tree in package_modules()
              if filename not in DECODE_IMPORTERS
              for line in _decode_imports(tree)]
     assert stray == []

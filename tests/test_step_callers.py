@@ -1,27 +1,18 @@
-"""One decoder step, two loops that call it: ``model._block_step`` is
-stepped only by the padded walk (``model._walk_stack``), which samples and
-teacher-forces for sampling, scoring and minimum-risk training, and by
-search (``model._ensemble_logp``).  Maximum likelihood's deferred walk
-steps the recurrence alone."""
+"""One decoder step, one loop that calls it: ``model._block_step`` is
+stepped only by the walk (``model._walk``), which search, sampling,
+teacher-forced scoring and minimum-risk training all step through.
+Maximum likelihood's deferred walk steps the recurrence alone."""
 
 import ast
-import os
 
-import lexnmt
-
-PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+from helpers import package_modules
 
 
 def _users(name):
     """(file name, enclosing top-level definition) of every use of ``name``
     in the package: a name, an attribute or an import, outside its own
     definition."""
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if not filename.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE_DIR, filename)
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
+    for filename, tree in package_modules():
         for top in tree.body:
             where = getattr(top, "name", "<module>")
             for node in ast.walk(top):
@@ -33,6 +24,5 @@ def _users(name):
                     yield filename, where
 
 
-def test_only_the_padded_walk_and_search_step_blocks():
-    assert sorted(set(_users("_block_step"))) == [
-        ("model.py", "_ensemble_logp"), ("model.py", "_walk_stack")]
+def test_only_the_walk_steps_blocks():
+    assert sorted(set(_users("_block_step"))) == [("model.py", "_walk")]

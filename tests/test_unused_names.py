@@ -7,11 +7,8 @@ Only names and imports count, not attribute names: ``text.translate`` in
 the corpus module would otherwise count as a use of ``decode.translate``."""
 
 import ast
-import os
 
-import lexnmt
-
-PACKAGE_DIR = os.path.dirname(lexnmt.__file__)
+from helpers import package_modules
 
 
 def _named(node):
@@ -26,13 +23,9 @@ def _named(node):
 
 
 def test_every_module_level_definition_is_named_by_the_package():
-    statements = []  # (file, top-level statement)
-    for filename in sorted(os.listdir(PACKAGE_DIR)):
-        if filename.endswith(".py"):
-            path = os.path.join(PACKAGE_DIR, filename)
-            with open(path, encoding="utf-8") as f:
-                tree = ast.parse(f.read(), path)
-            statements += [(filename, node) for node in tree.body]
+    # (file, top-level statement)
+    statements = [(filename, node) for filename, tree in package_modules()
+                  for node in tree.body]
     named = [(node, _named(node)) for _, node in statements]
     unnamed = [f"{filename}:{node.name}" for filename, node in statements
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
