@@ -88,15 +88,25 @@ def ibm1_train(pairs, iterations: int) -> LexiconTable:
     if not pairs:
         raise DataError("empty corpus")
 
-    # each co-occurring (f, e) type gets an index in first-occurrence order;
-    # ``row`` numbers the (pair, target position) of each link
-    index = {}
-    link = np.array([index.setdefault((f, e), len(index)) for p in pairs
-                     for e in p.target for f in p.source], dtype=np.int64)
-    row = np.repeat(np.arange(sum(len(p.target) for p in pairs)),
-                    [len(p.source) for p in pairs for _ in p.target])
-    f = np.array([f for f, _ in index], dtype=np.int64)
-    e = np.array([e for _, e in index], dtype=np.int64)
+    # ``row`` numbers the (pair, target position) of each link, and link k
+    # of a row reads its pair's source position k
+    src, tgt = (np.array([x for p in pairs for x in getattr(p, side)],
+                         dtype=np.int64) for side in ("source", "target"))
+    n_src, n_tgt = (np.array([len(getattr(p, side)) for p in pairs])
+                    for side in ("source", "target"))
+    width = np.repeat(n_src, n_tgt)  # the links of each row
+    row = np.repeat(np.arange(len(tgt)), width)
+    start = np.repeat(np.cumsum(n_src) - n_src, n_tgt)  # its first position
+    fl = src[np.arange(len(row))
+             + np.repeat(start - (np.cumsum(width) - width), width)]
+    el = tgt[row]
+    # each co-occurring (f, e) type gets an index in first-occurrence order
+    _, first, link = np.unique(fl * (int(el.max(initial=0)) + 1) + el,
+                               return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    link, f, e = rank[link], fl[first[order]], el[first[order]]
     _, src_of = np.unique(f, return_inverse=True)
     # uniform init over co-occurring targets
     t = 1.0 / np.bincount(src_of)[src_of]

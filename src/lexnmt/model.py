@@ -19,14 +19,16 @@ cut (under STACK_BYTES) into runs of one length, each part equal to encoding
 its sentence alone.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
 (8) rows for search, sampling and scoring: the rows of all sentences of a
 stack share packed blocks where a step reads only weights and a row's own
-values, and attend in blocks that each read one sentence; a stack's blocks
-share flat products against a weight only where the running BLAS gives
-every row the bits of its own block's product (:func:`_product`), so a row
-gets the bits it gets stepped alone and decode output is byte-identical to
-line-by-line search.  :func:`_walk`, the one walk that calls it, steps
-the rows of all sentences of a stack on every member of an ensemble for
-search, sampling and teacher forcing (:func:`_walk_stack`,
-:func:`_teacher_forced`), so scoring, sampling and search agree bit for bit.
+values, attention's row-local work runs on their live rows, and only the
+products against a sentence's own R and L_F take blocks that each read one
+sentence; a stack's blocks share flat products against a weight only where
+the running BLAS gives every row the bits of its own block's product
+(:func:`_product`), so a row gets the bits it gets stepped alone and
+decode output is byte-identical to line-by-line search.  :func:`_walk`, the
+one walk that calls it, steps the rows of all sentences of a stack on every
+member of an ensemble for search, sampling and teacher forcing
+(:func:`_walk_stack`, :func:`_teacher_forced`), so scoring, sampling and
+search agree bit for bit.
 Maximum likelihood's deferred walk (:func:`_lockstep`) steps only the
 recurrence and attention and runs the output layer once after it.
 :func:`_backward` derives exact gradients from either walk by a
@@ -295,7 +297,7 @@ class _Step(NamedTuple):
     row of the block, or per row-step of a walk."""
 
     lstm: tuple
-    attn: np.ndarray | None  # None: several runs or packed rows (_recurrence)
+    attn: np.ndarray | None  # None: several runs or packed rows (_attend)
     mlp: np.ndarray | None  # tanh activations of MLP attention
     out_in: np.ndarray  # [h; ctx]
     eta: np.ndarray | None  # None: the output layer has not run
@@ -597,32 +599,68 @@ def _by_row(x, M):
     return (shares @ M[:, None]).reshape(x.shape[:-1] + M.shape[-1:])
 
 
-def _add_by_row(x, A):
-    """Each row of ``x`` plus its sentence's entry of the (N, ...) ``A``,
-    rows read as in :func:`_by_row`; an entry broadcasts against the axes
-    of a row."""
-    if len(A) == 1 or x.ndim == A.ndim:
-        return x + A
-    shares = x.reshape(len(A), -1, *x.shape[1:])
-    total = shares + A[:, None, None]
-    return total.reshape(-1, *total.shape[2:])
+def _attend(params: ModelParams, h, enc: _Stack, *, bias: bool = False,
+            spread=None):
+    """Attention of the decoder rows ``h`` against the stack ``enc``: each
+    row's weights a, context R a, MLP tanh activations and, with ``bias``,
+    L_F a (None without L_F).  The rows are blocks of one sentence each
+    (read as in :func:`_by_row`) or, with ``spread`` = (B, back) from
+    :func:`_block_step`, packed blocks whose first S * B rows hold each
+    sentence's B rows in turn.
+
+    The MLP h-part product W1_h h runs over the blocks as they are; then,
+    run by run on each sentence's rows (the S * B live rows when packed),
+    the add of its projection W1_r R, the tanh, the score matvec with w2,
+    the pad mask and the softmax.  Only the products against a sentence's
+    own R and L_F (and the dot scores h R^T) take blocks of BLOCK_ROWS rows
+    of one sentence, padded with copies of its rows: packed rows are
+    gathered into them (a for MLP, h for dot attention), and ``back``
+    gathers their results to the packed rows.  The weights and tanh of
+    packed rows or of several runs are None."""
+    t, mlp, cols = params.tensors, params.attention == "mlp", None
+    x = _product(h, t["attn_W1"][:, :params.dec_hid]) if mlp else h
+    if spread is not None:  # the live rows, each sentence's B in turn
+        (B, back), S = spread, len(enc.init_state)
+        x = x.reshape(-1, x.shape[-1])[:S * B]
+        cols = np.arange(B + -B % BLOCK_ROWS) % B  # each sentence's block rows
+        if not mlp:  # the dot scores are a product against R
+            x, cols = _sentence_blocks(x.reshape(S, B, -1), cols), None
+    parts = []
+    for run, y in enc.runs_of(x):
+        S, n = run.pad.shape
+        if mlp:
+            m = np.tanh(y.reshape(S, -1, y.shape[-1], 1) + run.mlp_proj[:, None])
+            scores = m.swapaxes(-1, -2) @ t["attn_w2"]
+        else:
+            m, scores = None, _by_row(y, run.R)
+        # exp(-inf) = 0: padding weighs nothing
+        scores = scores.reshape(S, -1, n) + run.pad[:, None]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        a = e / e.sum(axis=-1, keepdims=True)
+        a = (a.reshape(*y.shape[:-1], n) if cols is None
+             else _sentence_blocks(a, cols))
+        parts.append((a, _by_row(a, run.R.swapaxes(-1, -2)), m,
+                      None if not bias or run.lexicon_matrix is None
+                      else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
+    a, ctx, m, lex = parts[0]
+    if len(parts) > 1:
+        _, ctxs, _, lexes = zip(*parts)
+        a = m = None
+        ctx = np.concatenate(ctxs)
+        lex = None if lex is None else np.concatenate(lexes)
+    if spread is not None:
+        a = m = None
+        ctx = _gather(ctx, back)
+        lex = None if lex is None else _gather(lex, back)
+    if m is not None:  # one row's activations per row of the block
+        m = m.reshape(*a.shape[:-1], *m.shape[-2:])
+    return a, ctx, m, lex
 
 
-def _attend(params: ModelParams, h, run: _Run):
-    """Attention weights, context vector and (MLP only) tanh activations of
-    a block or stack of rows ``h`` (see :func:`_by_row`)."""
-    if run.mlp_proj is None:
-        m = None
-        scores = _by_row(h, run.R)
-    else:
-        h_part = params.tensors["attn_W1"][:, :params.dec_hid]
-        m = np.tanh(_add_by_row(_product(h, h_part)[..., None], run.mlp_proj))
-        scores = m.swapaxes(-1, -2) @ params.tensors["attn_w2"]
-    # exp(-inf) = 0: padding weighs nothing
-    scores = _add_by_row(scores, run.pad)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
-    return a, _by_row(a, run.R.swapaxes(-1, -2)), m
+def _sentence_blocks(x, cols):
+    """The rows ``cols`` of each sentence's rows of the (S, B, k) ``x``, as
+    blocks of BLOCK_ROWS rows that each read one sentence."""
+    return np.take(x, cols, axis=1).reshape(-1, BLOCK_ROWS, x.shape[-1])
 
 
 def _init_state(enc: _Stack) -> DecoderState:
@@ -638,32 +676,15 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
     state rows): the new state, the first four fields of its
     :class:`_Step` and, with ``bias``, each row's L_F a (None without L_F).
 
-    The LSTM runs once over all blocks; the blocks attend (and take the L_F
-    product) run by run, the only parts of a step that read the source
-    length, so the attention fields of a stack of several runs are None.
-    With ``spread``, a pair of row indices (see :func:`_block_step`), the
-    rows attend in the blocks ``spread[0]`` gathers from them, each block
-    reading one sentence, and ``spread[1]`` gathers their context and L_F a
-    back; the attention fields are then None too."""
+    The LSTM runs once over all blocks; attention (:func:`_attend`) reads
+    them as they are laid out, in blocks of one sentence each or, with
+    ``spread``, packed (see :func:`_block_step`), and its fields are None
+    for packed rows and for a stack of several runs."""
     t = params.tensors
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
-    parts = []
-    for run, x in enc.runs_of(h if spread is None else _gather(h, spread[0])):
-        a, ctx, m = _attend(params, x, run)
-        parts.append((a, ctx, m, None if not bias or run.lexicon_matrix is None
-                      else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
-    a, ctx, m, lex = parts[0]
-    if len(parts) > 1:
-        _, ctxs, _, lexes = zip(*parts)
-        a = m = None
-        ctx = np.concatenate(ctxs)
-        lex = None if lex is None else np.concatenate(lexes)
-    if spread is not None:
-        a = m = None
-        ctx = _gather(ctx, spread[1])
-        lex = None if lex is None else _gather(lex, spread[1])
+    a, ctx, m, lex = _attend(params, h, enc, bias=bias, spread=spread)
     return (DecoderState(h, c, ctx),
             (lstm, a, m, np.concatenate([h, ctx], axis=-1)), lex)
 
@@ -700,23 +721,27 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     The S * B rows, sentence by sentence, are packed into blocks of exactly
     BLOCK_ROWS rows, the last padded with copies of the first, and stepped
     as one (K, BLOCK_ROWS) stack through the parts that read only shared
-    weights or a row's own values: the embedding, the LSTM, the output
-    layer and the bias log(L_F a + epsilon).  Attention and the L_F
-    product, which read a row's sentence, run on the rows gathered into
-    blocks of one sentence each, its rows padded with copies of its own,
-    and gathered back.  Where packing saves no block (one sentence, or B a
-    multiple of BLOCK_ROWS), every part runs on those per-sentence blocks
-    and nothing is gathered.  Returns (new state, :class:`_Step`) of S * P
-    rows, P per sentence: row j < B of sentence s is row s * P + j, where P
-    is B when packed and B rounded up to whole blocks otherwise; the
-    next-word distributions are the ``probs``.
+    weights or a row's own values: the embedding, the LSTM, MLP
+    attention's h-part product, the output layer and the bias log(L_F a +
+    epsilon).  The rest of MLP attention runs on the S * B live rows
+    themselves, run by run (:func:`_attend`); only the products against a
+    sentence's own R and L_F (and dot attention's scores) run on the rows
+    gathered into blocks of one sentence each, its rows padded with copies
+    of its own, and their results are gathered back.  Where packing saves
+    no block (one sentence, or B a multiple of BLOCK_ROWS), the rows are
+    laid out in those per-sentence blocks and nothing is gathered.  Returns
+    (new state, :class:`_Step`) of S * P rows, P per sentence: row j < B of
+    sentence s is row s * P + j, where P is B when packed and B rounded up
+    to whole blocks otherwise; the next-word distributions are the
+    ``probs``.
 
     A one-row product (gemv) rounds unlike a block (gemm), but a row of a
     fixed-size block depends neither on its position nor on the other rows,
     and a stack's products give each block the bits of its own product
-    (:func:`_product`).  So search, scoring, sampling, minimum-risk scoring
-    and the exhaustive-search oracle, which all step here, agree with ``==``
-    whichever rows and sentences share a block."""
+    (:func:`_product`); attention's row-local work gives a row the same
+    bits however many rows it runs on.  So search, scoring, sampling,
+    minimum-risk scoring and the exhaustive-search oracle, which all step
+    here, agree with ``==`` whichever rows and sentences share a block."""
     prev = np.asarray(prev_ids).reshape(len(enc.init_state), -1)
     S, B = prev.shape
     P = B + -B % BLOCK_ROWS
@@ -737,9 +762,8 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     if len(blocks) == 1:
         blocks = blocks[0]
     spread = None
-    if lay is not None:  # each sentence's padded rows among the packed ones
-        per = np.arange(0, S * B, B)[:, None] + pad
-        spread, P = (per.reshape(-1, BLOCK_ROWS), lay.reshape(blocks.shape)), B
+    if lay is not None:  # attention gathers each packed row back by lay
+        spread, P = (B, lay.reshape(blocks.shape)), B
     state, s, lex = _recurrence(params, prev.reshape(blocks.shape),
                                 state.take(blocks), enc, bias=True,
                                 spread=spread)

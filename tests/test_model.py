@@ -198,8 +198,9 @@ def test_attend_matches_oracle(attention):
     params = tiny_model(attention=attention, seed=6)
     rng = np.random.default_rng(6)
     h = rng.normal(size=params.dec_hid)
-    run = _source_context(params, [(1, 4, 2, 3, 0)], None).runs[0]
-    a, ctx, _ = _attend(params, h[None], run)  # a one-row block
+    enc = _source_context(params, [(1, 4, 2, 3, 0)], None)
+    run = enc.runs[0]
+    a, ctx, *_ = _attend(params, h[None], enc)  # a one-row block
     a, ctx = a[0], ctx[0]
     R = run.R[0]
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
@@ -370,6 +371,61 @@ def test_stacked_blocks_equal_blocks_stepped_alone(monkeypatch, attention,
                     "of each line alone, decode output == line-by-line "
                     "search), search score == sentence_logprob and MRT "
                     "scoring == sampling cannot hold")
+
+
+def test_packed_mlp_attention_runs_on_the_live_rows(monkeypatch):
+    # a count, not a clock: a packed step of two runs of 5 sentences with 5
+    # rows each takes the MLP attention's tanh over each run's S * B = 25
+    # live rows, not over S blocks of BLOCK_ROWS rows (40)
+    rng = np.random.default_rng(29)
+    params = init_params(30, 20, d_emb=16, d_hid=16, attention="mlp",
+                         attn_dim=12, use_lexicon=True, seed=29,
+                         init_scale=0.3)
+    table = random_lexicon(rng, 30, 20)
+    sources = [tuple(int(f) for f in rng.integers(0, 30, n))
+               for n in (4,) * 5 + (7,) * 5]
+    S, B = len(sources), 5
+    monkeypatch.setattr(model_mod, "STACK_BYTES", 1 << 40)  # one stack
+    (_, (stack,)), = _stacks([params], sources, B, table)
+    assert len(stack.runs) == 2 and -(-S * B // BLOCK_ROWS) < S  # packed
+    state = DecoderState(*rng.uniform(-1, 1, (3, S, params.dec_hid)))
+    prev = rng.integers(0, 20, (S, B))
+    rows = np.repeat(np.arange(S), B).reshape(S, B)
+    covered, tanh = [], np.tanh
+
+    def spy(x, *args, **kwargs):
+        if x.ndim > 2 and x.shape[-2] == params.attn_dim:  # (..., a, n)
+            covered.append((x.shape[-1], x.size // (x.shape[-2] * x.shape[-1])))
+        return tanh(x, *args, **kwargs)
+    monkeypatch.setattr(np, "tanh", spy)
+    _, step = _block_step(params, prev, state, rows, stack)
+    monkeypatch.undo()
+    assert len(step.probs) == S * B
+    # (source length, rows) of each run's tanh
+    assert covered == [(4, 5 * B), (7, 5 * B)]
+
+
+@pytest.mark.parametrize("a", [12, 32, 128])
+def test_stacked_score_matvec_gives_each_item_its_own_bits(a):
+    # MLP attention scores all rows of a run with one stacked matvec
+    # m.swapaxes(-1, -2) @ attn_w2, over as many items as the run has rows
+    # in the step: each item must get the bits of its matvec alone
+    params = init_params(30, 20, d_emb=16, d_hid=16, attention="mlp",
+                         attn_dim=a, seed=a, init_scale=0.3)
+    w2 = params.tensors["attn_w2"]
+    rng = np.random.default_rng(a)
+    for n in (1, 3, 8, 13, 33):
+        for items in range(1, 41):
+            m = np.tanh(rng.uniform(-2, 2, (items, a, n)))
+            stacked = m.swapaxes(-1, -2) @ w2
+            for i in range(items):
+                assert np.array_equal(stacked[i], m[i].swapaxes(-1, -2) @ w2), (
+                    f"item {i} of {items} stacked (a = {a}, n = {n}) differs "
+                    "from its matvec alone: on this numpy and BLAS a row's "
+                    "MLP attention scores depend on the rows stepped beside "
+                    "it, so the decode-identity contract (beam_search_all == "
+                    "beam_search of each line alone, decode output == "
+                    "line-by-line search; ROADMAP item 6) cannot hold")
 
 
 def _stacked_weights(V, d):
