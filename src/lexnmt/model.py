@@ -15,16 +15,18 @@ and read by every decoder step as one context type, a :class:`_Stack` of
 runs: training encodes N sentences as one padded run that keeps what the
 backward walks (:func:`_source_context`); everything stepped without a
 backward takes its stacks from :func:`_stacks`, the one place sentences are
-cut (under STACK_BYTES) into runs of one length, each part equal to encoding
-its sentence alone.  :func:`_block_step` steps fixed blocks of BLOCK_ROWS
-(8) rows for search, sampling and scoring: the rows of all sentences of a
-stack share packed blocks where a step reads only weights and a row's own
-values, attention's row-local work runs on their live rows, and only the
-products against a sentence's own R and L_F take blocks that each read one
-sentence; a stack's blocks share flat products against a weight only where
-the running BLAS gives every row the bits of its own block's product
-(:func:`_product`), so a row gets the bits it gets stepped alone and
-decode output is byte-identical to line-by-line search.  :func:`_walk`, the
+cut (under STACK_BYTES) into runs of one width class, each part equal to
+encoding its sentence alone.  Every context's source axis has the width that
+:func:`_width` gives its longest sentence, so a sentence is stepped at one
+width, that of its own length, wherever it runs.  :func:`_block_step` steps
+fixed blocks of BLOCK_ROWS (8) rows for search, sampling and scoring: the
+rows of all sentences of a stack share packed blocks where a step reads only
+weights and a row's own values, attention's row-local work runs on their
+live rows, and only the products against a sentence's own R and L_F take
+blocks that each read one sentence; a stack's blocks share flat products
+against a weight only where the running BLAS gives every row the bits of
+its own block's product (:func:`_product`), so a row gets the bits it gets
+stepped alone and decode output is byte-identical to line-by-line search.  :func:`_walk`, the
 one walk that calls it, steps the rows of all sentences of a stack on every
 member of an ensemble for search, sampling and teacher forcing
 (:func:`_walk_stack`, :func:`_teacher_forced`), so scoring, sampling and
@@ -229,10 +231,11 @@ class DecoderState:
 @dataclass
 class _Run:
     """A run of a :class:`_Stack`: the source context of N sentences for one
-    model, each zero past its end (``pad`` -inf there).  Row r of a block
-    reads sentence r, every row the one sentence of N = 1, and the blocks of
-    a stack fall in N equal shares, share s reading sentence s.  Every field
-    but ``chain`` is per sentence."""
+    model at the width n of its longest (:func:`_width`), each zero past its
+    end (``pad`` -inf there).  Row r of a block reads sentence r, every row
+    the one sentence of N = 1, and the blocks of a stack fall in N equal
+    shares, share s reading sentence s.  Every field but ``chain`` is per
+    sentence."""
 
     R: np.ndarray  # (N, D, n)
     init_state: np.ndarray  # (N, D): one row per sentence
@@ -263,8 +266,10 @@ class _Stack:
     """The context of a stack of sentences for one model, the one context
     every decoder step reads: its runs (:class:`_Run`), in stack order.
 
-    - A run is a block of sentences padded to its longest.
-    - :func:`_stacks` cuts runs of one length, so its runs have no padding.
+    - A run is a block of sentences padded to the width of its longest
+      (:func:`_width`).
+    - :func:`_stacks` cuts runs of one width class, so each of its
+      sentences has the width it has alone.
     - A training stack (:func:`_source_context`) is one padded run that
       holds the encoder activations.
 
@@ -461,7 +466,8 @@ def _encode_g(params: ModelParams, sources, *,
               alone: bool = False) -> _Run:
     """Run both encoder directions over the sentences of ``sources``, one
     stacked product per position; a sentence leaves after its end.  Returns
-    their padded run without the MLP projection and L_F.
+    their run without the MLP projection and L_F, R and ``pad`` at the
+    width of the longest sentence (:func:`_width`).
 
     By default the sentences are the rows of one block, and the run
     keeps each direction's LSTM activations for the backward pass.  With
@@ -499,20 +505,36 @@ def _encode_g(params: ModelParams, sources, *,
             acts.append(act)
         H[:, j, live] = h.reshape(2, -1, d)
     fwd, bwd = H
-    R = np.zeros((N, 2 * d, n))
+    R = np.zeros((N, 2 * d, _width(n)))
     init = np.empty((N, 2 * d))
     for r, m in enumerate(lengths.tolist()):
         R[r, :d, :m] = bwd[m - 1::-1, r].T
         R[r, d:, :m] = fwd[:m, r].T
         init[r] = np.concatenate([bwd[m, r], fwd[m, r]])
     return _Run(R, init, lengths, None if alone else (ids, acts),
-                np.where(np.arange(n) < lengths[:, None], 0.0, -np.inf))
+                np.where(np.arange(R.shape[-1]) < lengths[:, None], 0.0,
+                         -np.inf))
+
+
+def _width(n: int) -> int:
+    """The width of the source axis of a context whose longest sentence
+    has n words: n up to 8 words, else n rounded up to a multiple of 8.
+
+    Every context is built at this width (:func:`_encode_g`,
+    :func:`_lexicon_block`), so a sentence is stepped at the width of its
+    own length's class wherever it runs, and stacks cut runs by class
+    (:func:`_stacks`).  Zero columns can change the bits of the per-block
+    attention products, so a sentence must not be stepped at two widths;
+    padding 2-7-word sentences to 8 made toy decode slower, so they keep
+    their own width."""
+    return n if n <= 8 else n + -n % 8
 
 
 def _attach_mlp(params: ModelParams, run: _Run) -> _Run:
     """``run`` with the part of MLP attention that depends only on the
-    source, the projection W1_r R: one product at R's own width (a
-    projection cut from a wider one need not keep its bits)."""
+    source, the projection W1_r R: one product at the run's width
+    (:func:`_width`; a projection cut from a wider one need not keep its
+    bits)."""
     if params.attention == "mlp":
         run.mlp_proj = params.tensors["attn_W1"][:, params.dec_hid:] @ run.R
     return run
@@ -529,18 +551,25 @@ def _source_context(params: ModelParams, sources, lexicon) -> _Stack:
 
 def _step_bytes(params, n: int, rows: int, lexicon) -> int:
     """Estimated bytes of one decoder step of ``params`` for a sentence of
-    ``n`` source words with ``rows`` rows: the rows' LSTM and output
-    activations and their (rows, V) arrays, the attention of the rows
-    padded to whole blocks (see :func:`_block_step`), plus the sentence's
-    R, MLP projection and L_F."""
-    D, V = params.dec_hid, params.tgt_vocab_size
+    ``n`` source words with ``rows`` rows, as :func:`_block_step` steps
+    them: the rows' LSTM and output activations and their (rows, V)
+    arrays; attention's scores, weights and MLP tanh, on the rows for MLP
+    attention and on the rows padded to whole blocks for dot attention;
+    the weights gathered into those blocks and their contexts; plus the
+    sentence's R, MLP projection and L_F.  Everything along the source
+    axis is counted at the sentence's width (:func:`_width`)."""
+    D, V, w = params.dec_hid, params.tgt_vocab_size, _width(n)
     a = params.attn_dim if params.attention == "mlp" else 0
     L = 0 if lexicon is None else V
     lstm = params.d_emb + 11 * D  # [x; ctx; h], gates and states
-    attend = (3 + 2 * a) * n + D  # scores, weights, MLP tanh and context
+    scores = (3 + 2 * a) * w  # scores, weights, MLP tanh
     output = 3 * D + 5 * V + 2 * L  # [h; ctx], eta, softmax; L_F a, log
     blocked = rows + -rows % BLOCK_ROWS
-    return 8 * (rows * (lstm + output) + blocked * attend + (D + a + L) * n)
+    if a:  # on the live rows; the weights are gathered into blocks
+        attend = rows * scores + blocked * (w + D)
+    else:  # the dot scores are a product on the blocks
+        attend = blocked * (scores + D)
+    return 8 * (rows * (lstm + output) + attend + (D + a + L) * w)
 
 
 def _stacks(models, sources, rows: int, lexicon):
@@ -552,13 +581,15 @@ def _stacks(models, sources, rows: int, lexicon):
     built as it is reached, each member's :class:`_Stack` of it.
 
     Each member encodes a stack in one pass, each sentence its own one-row
-    product (:func:`_encode_g`), cut straight into runs of one length: a
-    run's R is copied at its own width, its MLP projection computed from
-    that, and its L_F built once for all members, so each sentence's part
-    is ``np.array_equal`` to ``_source_context(model, [F], lexicon)``.
-    Zero padding to a longer run's width would not keep that: at toy and
-    copy widths the 8-row products ``a @ R^T`` and ``a @ L_F^T`` change bits
-    once the source axis is padded to 32 positions or more."""
+    product (:func:`_encode_g`), cut straight into runs of one width class
+    (:func:`_width`: one run per length up to 8 words, then one per
+    multiple of 8): a run's R and ``pad`` are copied at its width, its MLP
+    projection computed from that, and its L_F built once for all members,
+    so each sentence's part is ``np.array_equal`` to
+    ``_source_context(model, [F], lexicon)``.  A wider run's width would
+    not keep that: at toy and copy widths the 8-row products ``a @ R^T``
+    and ``a @ L_F^T`` change bits once the source axis is padded to 32
+    positions or more."""
     stacks, size = [[]], 0
     for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
         cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
@@ -571,15 +602,15 @@ def _stacks(models, sources, rows: int, lexicon):
     for stack in filter(None, stacks):
         stacked = [sources[i] for i in stack]
         passes = [_encode_g(m, stacked, alone=True) for m in models]
-        lengths = passes[0].lengths.tolist()
-        cuts = [0, *np.flatnonzero(np.diff(lengths)) + 1, len(lengths)]
-        spans = [(a, b, lengths[a]) for a, b in zip(cuts, cuts[1:])]
+        widths = [_width(len(F)) for F in stacked]
+        cuts = [0, *np.flatnonzero(np.diff(widths)) + 1, len(widths)]
+        spans = [(a, b, widths[a]) for a, b in zip(cuts, cuts[1:])]
         lexes = [_lexicon_block(models, stacked[a:b], lexicon)
                  for a, b, _ in spans]
         yield stack, [_Stack(tuple(_attach_mlp(m, _Run(
-            enc.R[a:b, :, :n].copy(), enc.init_state[a:b], enc.lengths[a:b],
-            None, np.zeros((b - a, n)), lexicon_matrix=L))
-            for (a, b, n), L in zip(spans, lexes)), enc.init_state)
+            enc.R[a:b, :, :w].copy(), enc.init_state[a:b], enc.lengths[a:b],
+            None, enc.pad[a:b, :w], lexicon_matrix=L))
+            for (a, b, w), L in zip(spans, lexes)), enc.init_state)
             for m, enc in zip(models, passes)]
 
 
@@ -1150,8 +1181,9 @@ def _as_model_list(models) -> list[ModelParams]:
 
 
 def _lexicon_block(models, sources, lexicon):
-    """L_F of the sentences as one (N, V, n) block, zero past each one's end
-    (one :func:`build_lexicon_matrix`), shared by the models, or None without
+    """L_F of the sentences as one (N, V, n) block at the width n of the
+    longest (:func:`_width`), zero past each one's end (one
+    :func:`build_lexicon_matrix`), shared by the models, or None without
     a table.  A lexicon-trained model without a table (it would silently
     score unbiased) and a bias without a finite epsilon > 0 raise."""
     for params in models:
@@ -1164,7 +1196,8 @@ def _lexicon_block(models, sources, lexicon):
                 "probabilities from becoming -inf under the log")
     if lexicon is None:
         return None
-    ids = np.full((len(sources), max(map(len, sources))), -1)  # -1: no entries
+    ids = np.full((len(sources), _width(max(map(len, sources)))),
+                  -1)  # -1: no entries
     for r, F in enumerate(sources):
         ids[r, :len(F)] = F
     L = build_lexicon_matrix(ids.reshape(-1), lexicon, models[0].tgt_vocab_size)

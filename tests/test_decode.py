@@ -102,13 +102,15 @@ def test_search_score_equals_teacher_forced_score(attention, use_lexicon,
                                                   members):
     # search and teacher forcing step the same core in the same order, so
     # the score of the hypothesis found is the teacher-forced score bit for bit
-    for seed in range(10):
+    # sources of 1-4 words, then of 9, 17 and 26 (widths 16, 24 and 32)
+    for seed in range(13):
         rng = np.random.default_rng(seed)
         models = [tiny_model(d=4, attention=attention, seed=10 * seed + k,
                              use_lexicon=use_lexicon, init_scale=0.5)
                   for k in range(members)]
         table = random_lexicon(rng, 6, 7) if use_lexicon else None
-        F = tuple(int(x) for x in rng.integers(0, 6, int(rng.integers(1, 5))))
+        n = int(rng.integers(1, 5)) if seed < 10 else (9, 17, 26)[seed - 10]
+        F = tuple(int(x) for x in rng.integers(0, 6, n))
         # the penalty takes search past the bare sentence end, up to the cap
         hyp = beam_search(models, F, beam_size=3, word_penalty=2.0,
                           lexicon=table)
@@ -378,12 +380,15 @@ def test_stacked_search_equals_search_of_each_line_alone(
 
 @pytest.mark.parametrize("V", [2000, 20], ids=["wide", "toy"])
 def test_stack_cuts_keep_search_output(monkeypatch, V):
-    # the byte budget cuts 32 lines into several stacks at a wide vocabulary
+    # the byte budget cuts 38 lines into several stacks at a wide vocabulary
     # and into one at a toy one; either way each line gets what searching
-    # it alone gives
+    # it alone gives, lines of over 8 words (runs of width 16, 24 and 32)
+    # as well
     rng = np.random.default_rng(V)
     model = init_params(20, V, d_emb=8, d_hid=8, seed=V, init_scale=0.3)
-    lines = _mixed_lines(rng, 32, 20, 6)
+    lines = _mixed_lines(rng, 32, 20, 6) + [
+        tuple(int(f) for f in rng.integers(0, 20, n))
+        for n in (9, 12, 16, 17, 23, 26)]
     searches = count_calls(monkeypatch, decode_mod, "_search")
     got = beam_search_all(model, lines, 5, 0.0, 6)
     # a cut under the budget makes at least total / budget stacks, and two

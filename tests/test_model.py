@@ -180,6 +180,28 @@ def test_one_pass_contexts_equal_each_sentence_encoded_alone(
             assert np.shares_memory(a.lexicon_matrix, b.lexicon_matrix)
 
 
+def test_stacks_cut_runs_by_width_class(monkeypatch):
+    # a count, not a clock: one stack of lines of 8-20 words (the copy-long
+    # decode lines) steps 3 runs, of widths 8, 16 and 24, not one run per
+    # length; lines of up to 8 words keep one run per length, at their own
+    # width
+    params = tiny_model(seed=9)
+    rng = np.random.default_rng(9)
+    monkeypatch.setattr(model_mod, "STACK_BYTES", 1 << 40)  # one stack
+    for lengths, widths, sizes in [(range(8, 21), [8, 16, 24], [1, 8, 4]),
+                                   (range(1, 9), list(range(1, 9)), [1] * 8)]:
+        sources = [tuple(int(f) for f in rng.integers(0, 6, n))
+                   for n in reversed(lengths)]
+        (_, (stack,)), = _stacks([params], sources, 5, None)
+        assert [run.R.shape[-1] for run in stack.runs] == widths
+        assert [len(run.lengths) for run in stack.runs] == sizes
+        for run in stack.runs:  # -inf exactly past each sentence's end
+            n = run.R.shape[-1]
+            assert run.pad.shape == (len(run.lengths), n)
+            assert np.array_equal(run.pad == 0,
+                                  np.arange(n) < run.lengths[:, None])
+
+
 def test_init_decoder_state_zero_cell_and_context():
     params = tiny_model(seed=5)
     enc = _source_context(params, [(1, 2)], None)

@@ -243,7 +243,7 @@ def test_token_accuracy_counts_argmax_matches():
 @pytest.mark.parametrize("use_lexicon", [False, True])
 @pytest.mark.parametrize("attention", ["dot", "mlp"])
 def test_gradients_match_finite_differences_on_a_few_coordinates(
-        attention, use_lexicon):
+        monkeypatch, attention, use_lexicon):
     # the fast-tier counterpart of the acceptance gradient check: three
     # coordinates of every tensor, NLL and MRT, against central differences
     params = tiny_model(attention=attention, seed=60, use_lexicon=use_lexicon,
@@ -253,9 +253,12 @@ def test_gradients_match_finite_differences_on_a_few_coordinates(
     eos = params.tgt_eos
     F, E = (1, 4, 2), (3, 5, 1)
     samples = [(3, 5, 1, eos), (2, eos), (6, 6, 3, 1), (eos,)]
-    # one block of sentences with different source and target lengths
+    # one block of sentences with different source and target lengths, the
+    # longest of 11 words: the block is 16 source positions wide
     batch = [SentencePair(F, E), SentencePair((5,), (2, 6)),
-             SentencePair((3, 1, 4, 2, 5), (4,))]
+             SentencePair((3, 1, 4, 2, 5), (4,)),
+             SentencePair((2, 0, 4, 1, 5, 3, 3, 1, 0, 2, 4), (1, 3))]
+    backs = count_calls(monkeypatch, model_mod, "_encoder_backward")
     losses = {
         "nll": lambda: nll_loss(params, batch, table),
         "mrt": lambda: mrt_loss_frozen(params, F, E, samples, alpha=1.0,
@@ -266,6 +269,11 @@ def test_gradients_match_finite_differences_on_a_few_coordinates(
     for tag, loss_fn in losses.items():
         _, grads = loss_fn()
         assert set(grads) == set(params.tensors)
+        if tag == "nll":  # R's columns past each end get no gradient
+            _, run, dR, _, _ = backs[-1]
+            assert dR.shape[-1] == 16
+            for r, n in enumerate(run.lengths.tolist()):
+                assert not dR[r, :, n:].any()
         for name, arr in params.tensors.items():
             flat = arr.reshape(-1)
             for i in pick.choice(flat.size, min(3, flat.size), replace=False):
@@ -690,13 +698,15 @@ def test_expected_sampled_error_equals_encoding_each_sentence_alone(
 @pytest.mark.parametrize("budget", [None, 2], ids=["one-stack", "stacks-of-two"])
 @pytest.mark.parametrize("num_samples", [8, 20])
 @pytest.mark.parametrize("attention", ["mlp-lexicon", "dot"])
-@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("count", [1, 5, 9])
 def test_a_sentence_samples_alike_alone_and_in_a_stack(
         monkeypatch, budget, num_samples, attention, count):
     # each sentence draws from its own stream, so inside a stack stepped in
     # lockstep it draws the words, with the log-probabilities, that it
     # draws alone: one walk of its own, and sample_translations; at 20
-    # samples (3 blocks) sentences step with different numbers of blocks
+    # samples (3 blocks) sentences step with different numbers of blocks;
+    # 9 sentences add sources of 9-26 words, whose runs are padded to
+    # widths 16, 24 and 32
     if budget:  # each sentence costs one byte: stacks of two
         monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
         monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
@@ -707,7 +717,7 @@ def test_a_sentence_samples_alike_alone_and_in_a_stack(
              if params.use_lexicon else None)
     rng = np.random.default_rng(71)
     sources = [tuple(int(f) for f in rng.integers(0, 6, n))
-               for n in (3, 1, 6, 3, 2)[:count]]
+               for n in (3, 1, 6, 3, 2, 12, 9, 20, 26)[:count]]
     live, walk_stack = [], train_mod._walk_stack
 
     def spy(params, enc, n_rows, choose):
@@ -745,10 +755,11 @@ def test_a_drawn_sample_scores_alike_under_teacher_forcing():
                         init_scale=0.5)
     table = random_lexicon(np.random.default_rng(73), params.src_vocab_size,
                            params.tgt_vocab_size)
-    sources, E = [(1, 2, 3), (4,), (5, 0)], (3, 4)
+    sources = [(1, 2, 3), (4,), (5, 0), (1, 4, 2, 0, 5, 3, 3, 1, 0, 2, 4, 5)]
+    E = (3, 4)
     drawn = train_mod._sampled(params, sources, 8, None,
                                [np.random.default_rng([74, j])
-                                for j in range(3)], table)
+                                for j in range(len(sources))], table)
     for F, (samples, logp) in zip(sources, drawn):
         enc = _source_context(params, [F], table)
         assert (_logprobs(_teacher_forced(params, enc, samples)).tolist()
