@@ -14,11 +14,12 @@ projection W1_r R and L_F) is built by one encoder loop (:func:`_encode_g`)
 and read by every decoder step as one context type, a :class:`_Stack` of
 runs: training encodes N sentences as one padded run that keeps what the
 backward walks (:func:`_source_context`); everything stepped without a
-backward takes its stacks from :func:`_stacks`, the one place sentences are
-cut (under STACK_BYTES) into runs of one width class, each part equal to
-encoding its sentence alone.  Every context's source axis has the width that
-:func:`_width` gives its longest sentence, so a sentence is stepped at one
-width, that of its own length, wherever it runs.  :func:`_block_step` steps
+backward takes its stacks from :func:`_stacks`, which cuts runs of one
+width class, each part equal to encoding its sentence alone; one rule
+groups all sentences stepped together (:func:`_cuts`).  Every context's
+source axis has the width that :func:`_width` gives its longest sentence,
+so a sentence is stepped at one width, that of its own length, wherever it
+runs.  :func:`_block_step` steps
 fixed blocks of BLOCK_ROWS (8) rows for search, sampling and scoring: the
 rows of all sentences of a stack share packed blocks where a step reads only
 weights and a row's own values, attention's row-local work runs on their
@@ -253,11 +254,11 @@ class _Run:
             if f.name != "chain" and getattr(self, f.name) is not None})
 
 
-# The most estimated bytes of one member's decoder step of a stack
-# (:func:`_stacks`): the smallest power of two that stacks all 40 toy dev
-# lines (V = 12, d = 32) and two or three wide-vocabulary lines (V = 2000,
-# d = 128), whose flat products (:func:`_product`) run faster than one
-# product per block.
+# The most estimated bytes of one member's step of a cut (:func:`_cuts`):
+# the smallest power of two that stacks all 40 toy dev lines (V = 12, d =
+# 32) and two or three wide-vocabulary lines (V = 2000, d = 128), whose flat
+# products (:func:`_product`) run faster than one product per block.  At one
+# row each, a cut holds 88-307 toy or 6-23 wide sentences of 1-20 words.
 STACK_BYTES = 1 << 22
 
 
@@ -321,10 +322,10 @@ def _map_step(fn, step: _Step) -> _Step:
 
 
 def _stack(steps) -> _Step:
-    """The rows of the given :class:`_Step` blocks, one after another; a
-    field that any block lacks (a packed step's attention) is None."""
+    """The rows of the given :class:`_Step` blocks, one after another; each
+    field is one that every block holds or that every block lacks (None)."""
     def cat(*xs):
-        return None if any(x is None for x in xs) else np.concatenate(xs)
+        return None if xs[0] is None else np.concatenate(xs)
     return _Step(tuple(map(cat, *(s.lstm for s in steps))),
                  *map(cat, *(s[1:] for s in steps)))
 
@@ -572,13 +573,27 @@ def _step_bytes(params, n: int, rows: int, lexicon) -> int:
     return 8 * (rows * (lstm + output) + attend + (D + a + L) * w)
 
 
+def _cuts(models, sources, rows: int, lexicon) -> list[list[int]]:
+    """The positions of ``sources``, shortest first (a stable sort), cut
+    into neighbours whose steps of ``rows`` rows each (the largest member's
+    :func:`_step_bytes`) sum to at most STACK_BYTES, one over it alone: all
+    groups stepped together (:func:`_stacks`; maximum likelihood: rows 1)."""
+    cuts, size = [], math.inf
+    for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
+        cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
+                   for m in models)
+        if size + cost > STACK_BYTES:
+            cuts.append([])
+            size = 0
+        cuts[-1].append(i)
+        size += cost
+    return cuts
+
+
 def _stacks(models, sources, rows: int, lexicon):
-    """The one way to get a :class:`_Stack`: the sentences shortest first
-    (a stable sort), cut into stacks of neighbours whose estimated step of
-    the largest member with ``rows`` rows per sentence (:func:`_step_bytes`:
-    packed, as :func:`_block_step` packs them) fits in STACK_BYTES, a
-    sentence over it alone.  Yields each stack's input positions and,
-    built as it is reached, each member's :class:`_Stack` of it.
+    """The one way to get a :class:`_Stack`: one stack per cut of
+    :func:`_cuts`.  Yields each stack's input positions and, built as it is
+    reached, each member's :class:`_Stack` of it.
 
     Each member encodes a stack in one pass, each sentence its own one-row
     product (:func:`_encode_g`), cut straight into runs of one width class
@@ -590,16 +605,7 @@ def _stacks(models, sources, rows: int, lexicon):
     not keep that: at toy and copy widths the 8-row products ``a @ R^T``
     and ``a @ L_F^T`` change bits once the source axis is padded to 32
     positions or more."""
-    stacks, size = [[]], 0
-    for i in sorted(range(len(sources)), key=lambda i: len(sources[i])):
-        cost = max(_step_bytes(m, len(sources[i]), rows, lexicon)
-                   for m in models)
-        if stacks[-1] and size + cost > STACK_BYTES:
-            stacks.append([])
-            size = 0
-        stacks[-1].append(i)
-        size += cost
-    for stack in filter(None, stacks):
+    for stack in _cuts(models, sources, rows, lexicon):
         stacked = [sources[i] for i in stack]
         passes = [_encode_g(m, stacked, alone=True) for m in models]
         widths = [_width(len(F)) for F in stacked]
@@ -630,11 +636,10 @@ def _by_row(x, M):
     return (shares @ M[:, None]).reshape(x.shape[:-1] + M.shape[-1:])
 
 
-def _attend(params: ModelParams, h, enc: _Stack, *, bias: bool = False,
-            spread=None):
+def _attend(params: ModelParams, h, enc: _Stack, *, spread=None):
     """Attention of the decoder rows ``h`` against the stack ``enc``: each
-    row's weights a, context R a, MLP tanh activations and, with ``bias``,
-    L_F a (None without L_F).  The rows are blocks of one sentence each
+    row's weights a, context R a, MLP tanh activations and L_F a (None where
+    the runs hold no L_F).  The rows are blocks of one sentence each
     (read as in :func:`_by_row`) or, with ``spread`` = (B, back) from
     :func:`_block_step`, packed blocks whose first S * B rows hold each
     sentence's B rows in turn.
@@ -671,7 +676,7 @@ def _attend(params: ModelParams, h, enc: _Stack, *, bias: bool = False,
         a = (a.reshape(*y.shape[:-1], n) if cols is None
              else _sentence_blocks(a, cols))
         parts.append((a, _by_row(a, run.R.swapaxes(-1, -2)), m,
-                      None if not bias or run.lexicon_matrix is None
+                      None if run.lexicon_matrix is None
                       else _by_row(a, run.lexicon_matrix.swapaxes(1, 2))))
     a, ctx, m, lex = parts[0]
     if len(parts) > 1:
@@ -701,11 +706,11 @@ def _init_state(enc: _Stack) -> DecoderState:
 
 
 def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
-                *, bias: bool = False, spread=None):
+                *, spread=None):
     """The LSTM and attention of one decoder step of a block of B rows ((B,)
     ids, a (B, D) state) or a stack of blocks ((K, BLOCK_ROWS) ids and
     state rows): the new state, the first four fields of its
-    :class:`_Step` and, with ``bias``, each row's L_F a (None without L_F).
+    :class:`_Step` and each row's L_F a (None without L_F).
 
     The LSTM runs once over all blocks; attention (:func:`_attend`) reads
     them as they are laid out, in blocks of one sentence each or, with
@@ -715,7 +720,7 @@ def _recurrence(params: ModelParams, prev, state: DecoderState, enc: _Stack,
     u = np.concatenate([t["tgt_emb"][prev], state.context, state.hidden],
                        axis=-1)
     h, c, lstm = _lstm(t["dec_W"], t["dec_b"], u, state.cell)
-    a, ctx, m, lex = _attend(params, h, enc, bias=bias, spread=spread)
+    a, ctx, m, lex = _attend(params, h, enc, spread=spread)
     return (DecoderState(h, c, ctx),
             (lstm, a, m, np.concatenate([h, ctx], axis=-1)), lex)
 
@@ -796,8 +801,7 @@ def _block_step(params: ModelParams, prev_ids, state: DecoderState, rows,
     if lay is not None:  # attention gathers each packed row back by lay
         spread, P = (B, lay.reshape(blocks.shape)), B
     state, s, lex = _recurrence(params, prev.reshape(blocks.shape),
-                                state.take(blocks), enc, bias=True,
-                                spread=spread)
+                                state.take(blocks), enc, spread=spread)
     step = _Step(*s, *_output_layer(params, s[3], lex))
     if blocks.ndim == 1 and spread is None:
         return state, step
@@ -939,7 +943,10 @@ def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
     sentence's (words, log p) of its rows, in stack order, keeping only each
     row-step's word and log-probability term; with ``keep``, the
     :class:`_Walk` of all rows, with the :class:`_Step` of every row-step
-    for the backward pass (:func:`_backward`)."""
+    for the backward pass (:func:`_backward`), which reads one sentence's
+    unpacked steps: a kept stack of more sentences raises ValueError."""
+    if keep and len(enc.init_state) > 1:
+        raise ValueError("a kept walk steps one sentence")
     total = len(enc.init_state) * n_rows
     live, chosen, kept = np.arange(total), [], []
 
@@ -969,13 +976,11 @@ def _walk_stack(params: ModelParams, enc: _Stack, n_rows: int, choose, *,
 
 
 def _teacher_forced(params: ModelParams, enc: _Stack, targets) -> _Walk:
-    """The walk (:func:`_walk_stack`) that feeds each row its own
-    target, with its steps, share i of the targets the rows of sentence i:
-    a sequence scores what it scored as drawn, as search scored it."""
+    """The walk (:func:`_walk_stack`) of the one sentence of ``enc`` that
+    feeds each row its own target, with its steps: a sequence scores what
+    it scored as drawn, as search scored it."""
     ids, lengths = _target_ids(params, targets)
-    if len(targets) % len(enc.init_state):
-        raise ValueError("every sentence of the stack needs as many targets")
-    return _walk_stack(params, enc, len(targets) // len(enc.init_state),
+    return _walk_stack(params, enc, len(targets),
                        lambda t, rows, *_: (ids[rows, t],
                                             lengths[rows] > t + 1),
                        keep=True)

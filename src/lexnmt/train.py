@@ -10,8 +10,9 @@ translations, with sample probabilities sharpened by ``alpha`` and
 renormalized over the sample set.
 
 Both losses take their gradients from the model's backward
-(:func:`lexnmt.model._backward`): maximum likelihood walks the blocks of a
-minibatch back with -1 per sentence (:func:`_ml_blocks`), minimum risk the
+(:func:`lexnmt.model._backward`): maximum likelihood walks each cut of a
+minibatch (:func:`lexnmt.model._cuts`, which groups all sentences stepped
+together) back with -1 per sentence (:func:`_ml_blocks`), minimum risk the
 distinct samples of a sentence, drawn in lockstep (:func:`mrt_loss`), each
 seeded with the derivative of the expected error by its log-probability
 (Shen et al. 2016).  A training run fills one gradient buffer, zeroed
@@ -39,9 +40,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .metrics import mrt_error
-from .model import (BLOCK_ROWS, ModelParams, _backward, _length_cap,
-                    _lockstep, _logprobs, _source_context, _stacks,
-                    _teacher_forced, _walk_stack, save_checkpoint)
+from .model import (ModelParams, _backward, _cuts, _length_cap, _lockstep,
+                    _logprobs, _source_context, _stacks, _teacher_forced,
+                    _walk_stack, save_checkpoint)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -177,13 +178,13 @@ def _target_with_eos(params: ModelParams, pair) -> tuple[int, ...]:
 
 
 def _ml_blocks(params: ModelParams, pairs, lexicon):
-    """The teacher-forced walks of ``pairs`` as the rows of blocks of at
-    most BLOCK_ROWS rows, longest target first (ties in the given order),
-    on the deferred walk (:func:`lexnmt.model._lockstep`): (training
-    stack, walk) per block."""
-    pairs = sorted(pairs, key=lambda p: -len(p.target))
-    for i in range(0, len(pairs), BLOCK_ROWS):
-        block = pairs[i:i + BLOCK_ROWS]
+    """(training stack, deferred walk (:func:`lexnmt.model._lockstep`)) of
+    each cut of ``pairs`` at one row per sentence (:func:`lexnmt.model._cuts`),
+    its rows longest target first, ties in the given order."""
+    pairs = list(pairs)
+    for cut in _cuts([params], [p.source for p in pairs], 1, lexicon):
+        block = [pairs[i] for i in sorted(
+            cut, key=lambda i: (-len(pairs[i].target), i))]
         enc = _source_context(params, [p.source for p in block], lexicon)
         yield enc, _lockstep(
             params, enc, [_target_with_eos(params, p) for p in block])
@@ -409,30 +410,26 @@ def mrt_loss(params: ModelParams, F, E_ref, num_samples: int = 20,
 # ---------------------------------------------------------------------------
 
 class TrainLogWriter:
-    """Append-only JSONL log; one record per dev check (or MRT epoch)."""
+    """Append-only JSONL log; one record per dev check (or MRT epoch).
+    Each write opens the file and closes it again, so no handle outlives a
+    write, however training ends."""
 
     def __init__(self, run_dir=None, header: dict | None = None):
         self.records: list[dict] = []
-        self._fh = None
+        self._path = None
         if run_dir is not None:
             os.makedirs(run_dir, exist_ok=True)
-            self._fh = open(os.path.join(run_dir, "trainlog.jsonl"), "w",
-                            encoding="utf-8")
-            if header is not None:
-                self._fh.write(json.dumps({"header": header}, sort_keys=True)
-                               + "\n")
-                self._fh.flush()
+            self._path = os.path.join(run_dir, "trainlog.jsonl")
+            with open(self._path, "w", encoding="utf-8") as fh:
+                if header is not None:
+                    fh.write(json.dumps({"header": header}, sort_keys=True)
+                             + "\n")
 
     def append(self, record: dict):
         self.records.append(record)
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._path is not None:
+            with open(self._path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _config_header(config: TrainConfig, extra: dict | None = None) -> dict:
@@ -515,7 +512,6 @@ def train_ml(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
         epoch += 1
     if since_check > 0 and not stop:
         dev_check()
-    log.close()
     return best, log.records
 
 
@@ -600,5 +596,4 @@ def train_mrt(params: ModelParams, train_pairs, dev_pairs, config: TrainConfig,
                     "dev_expected_error": dev_err,
                     "num_samples": mrt.num_samples,
                     "alpha": mrt.alpha})
-    log.close()
     return best, log.records

@@ -733,20 +733,24 @@ def test_a_model_and_its_reload_clip_alike(tmp_path):
         assert gradient_norm(got) == gradient_norm(want), seed
 
 
-def test_both_walks_teacher_force_a_context_of_several_sentences():
-    # on a training stack of two sentences, row r of either walk reads
-    # sentence r and walks to its own targets: the deferred walk of
-    # maximum likelihood and the padded walk, whose rows read only their
-    # own sentence's share of the targets
+def test_only_the_deferred_walk_teacher_forces_a_context_of_several_sentences():
+    # on a training stack of two sentences, row r of the deferred walk of
+    # maximum likelihood reads sentence r and walks to its own targets, as
+    # the padded walk scores each sentence alone; the padded walk keeps the
+    # steps of one sentence only, the steps the backward pass reads, and
+    # refuses a stack of several
     params = tiny_model(seed=3)
-    enc = _source_context(params, [(1, 2), (3, 4, 5)], None)
+    sources = [(1, 2), (3, 4, 5)]
+    enc = _source_context(params, sources, None)
     targets = [(2, params.tgt_eos), (3, 4, params.tgt_eos)]
     deferred = _lockstep(params, enc, targets)
-    padded = _teacher_forced(params, enc, targets)
-    assert deferred.words == padded.words == targets
-    assert _logprobs(padded) == pytest.approx(_logprobs(deferred), rel=1e-12)
-    with pytest.raises(ValueError, match="as many targets"):
-        _teacher_forced(params, enc, targets + [(2, params.tgt_eos)])
+    alone = [_logprobs(_teacher_forced(
+        params, _source_context(params, [F], None), [E]))[0]
+        for F, E in zip(sources, targets)]
+    assert deferred.words == targets
+    assert alone == pytest.approx(_logprobs(deferred), rel=1e-12)
+    with pytest.raises(ValueError, match="one sentence"):
+        _teacher_forced(params, enc, targets)
 
 
 def test_checkpoint_round_trip(tmp_path):

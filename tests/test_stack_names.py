@@ -1,16 +1,18 @@
 """Stacks of sentences are cut and built in one module: the model defines
-them (``_Stack``, of ``_Run``s) and cuts them under its byte budget
-(``STACK_BYTES``, ``_step_bytes``) in its one generator of stacks
-(``_stacks``), which search, sampling and scoring take their contexts from;
-the layout of a stack's decoder state is the model's too.  Decode only
-searches: no package module but the command line and the package root
-imports it."""
+them (``_Stack``, of ``_Run``s) and cuts every group of sentences stepped
+together under its byte budget (``STACK_BYTES``, ``_step_bytes``), in one
+rule (``_cuts``) that its one generator of stacks (``_stacks``), which
+search, sampling and scoring take their contexts from, and maximum
+likelihood's walks follow; no other module groups sentences by the rows of
+the model's step blocks (``BLOCK_ROWS``).  The layout of a stack's decoder
+state is the model's too.  Decode only searches: no package module but the
+command line and the package root imports it."""
 
 import ast
 
 from helpers import package_modules
 
-STACK_NAMES = {"_Stack", "_Run", "STACK_BYTES", "_step_bytes"}
+STACK_NAMES = {"_Stack", "_Run", "STACK_BYTES", "_step_bytes", "BLOCK_ROWS"}
 # what computing a stack state's rows per sentence, holding or stepping a
 # decoder state and dropping a sentence from a state or stack take
 STATE_LAYOUT_NAMES = {"repeat", "hidden", "cell", "context", "_init_state",

@@ -1,7 +1,9 @@
 """Optimizer, losses, minimum-risk machinery, and training-loop tests."""
 
+import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,27 +173,73 @@ def test_gradient_steps_reduce_loss():
     assert loss < first
 
 
-def test_ml_steps_each_block_to_its_longest_target(monkeypatch):
-    # the sentences step as the rows of blocks of at most BLOCK_ROWS rows,
-    # longest target first, each block encoded once: the decoder recurrence
-    # runs once per step of each block's longest target, where one sentence
-    # at a time would run once per target word
+@pytest.mark.parametrize("budget", [None, 2])
+def test_ml_steps_each_cut_to_its_longest_target(monkeypatch, budget):
+    # the sentences step as the rows of the model's cuts (model._cuts, one
+    # row per sentence), longest target first (ties in input order), each
+    # cut encoded once: the decoder recurrence runs once per step of each
+    # cut's longest target, where one sentence at a time would run once per
+    # target word.  Eleven small sentences are one cut; at one byte each
+    # under a budget of two they are cut in twos, shortest source first
     params = tiny_model(seed=37)
     rng = np.random.default_rng(37)
     pairs = [SentencePair(tuple(int(x) for x in rng.integers(1, 6, n)),
                           tuple(int(x) for x in rng.integers(1, 7, m)))
-             for n, m in rng.integers(1, 7, (BLOCK_ROWS + 3, 2))]
-    lengths = sorted((len(p.target) + 1 for p in pairs), reverse=True)
-    blocks = [lengths[i:i + BLOCK_ROWS]
-              for i in range(0, len(lengths), BLOCK_ROWS)]
-    assert len(blocks) == 2 and len(set(lengths)) > 1
+             for n, m in rng.integers(1, 7, (11, 2))]
+    order = sorted(range(len(pairs)), key=lambda i: len(pairs[i].source))
+    size = budget or len(pairs)
+    cuts = [sorted(order[i:i + size], key=lambda i: (-len(pairs[i].target), i))
+            for i in range(0, len(order), size)]
+    targets = [[tuple(pairs[i].target) + (params.tgt_eos,) for i in cut]
+               for cut in cuts]
+    assert len(set(map(len, targets[0]))) > 1
     for loss in (nll_loss, corpus_nll):
+        if budget:
+            monkeypatch.setattr(model_mod, "_step_bytes", lambda *a: 1)
+            monkeypatch.setattr(model_mod, "STACK_BYTES", budget)
         steps = count_calls(monkeypatch, model_mod, "_recurrence")
         encodes = count_calls(monkeypatch, model_mod, "_encode_g")
+        walks = count_calls(monkeypatch, model_mod, "_lockstep")
         loss(params, pairs)
-        assert len(steps) == sum(block[0] for block in blocks) < sum(lengths)
-        assert len(encodes) == len(blocks)
+        assert [list(w[2]) for w in walks] == targets
+        assert len(encodes) == len(cuts)
+        assert len(steps) == sum(len(cut[0]) for cut in targets) < sum(
+            len(E) for cut in targets for E in cut)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("attention, use_lexicon", [("mlp", True),
+                                                    ("dot", False)])
+def test_nll_gradients_of_a_cut_of_many_sentences(monkeypatch, attention,
+                                                  use_lexicon):
+    # one walk and one backward over ten rows, more than a block of 8, with
+    # uneven targets and a 9-word source (a run 16 positions wide): three
+    # coordinates of every tensor against central differences
+    params = tiny_model(attention=attention, seed=62, use_lexicon=use_lexicon,
+                        epsilon=1e-3, init_scale=0.8)
+    rng = np.random.default_rng(62)
+    table = (random_lexicon(rng, params.src_vocab_size, params.tgt_vocab_size)
+             if use_lexicon else None)
+    batch = [SentencePair(tuple(int(x) for x in rng.integers(0, 6, n)),
+                          tuple(int(x) for x in rng.integers(1, 7, m)))
+             for n, m in zip((9, 1, 3, 2, 5, 1, 4, 2, 6, 3),
+                             (2, 5, 1, 3, 4, 1, 6, 2, 1, 3))]
+    backs = count_calls(monkeypatch, model_mod, "_encoder_backward")
+    _, grads = nll_loss(params, batch, table)
+    assert len(backs) == 1 and len(backs[0][1].lengths) == len(batch)
+    h = 1e-5
+    pick = np.random.default_rng(63)
+    for name, arr in params.tensors.items():
+        flat = arr.reshape(-1)
+        for i in pick.choice(flat.size, min(3, flat.size), replace=False):
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = nll_loss(params, batch, table)
+            flat[i] = orig - h
+            down, _ = nll_loss(params, batch, table)
+            flat[i] = orig
+            assert grads[name].reshape(-1)[i] == pytest.approx(
+                (up - down) / (2 * h), rel=1e-5, abs=1e-9), (name, i)
 
 
 def test_corpus_nll_is_token_averaged():
@@ -590,6 +638,43 @@ def test_train_mrt_raises_on_nonfinite_loss(monkeypatch):
     with pytest.raises(NumericalError, match="non-finite loss on sentence 0"):
         train_mrt(params, pairs, pairs,
                   TrainConfig(mrt=MrtSettings(num_samples=2, epochs=1)))
+
+
+def _log_after_a_raise(run, run_dir):
+    """Run ``run`` to its NumericalError and collect what it left: the
+    ResourceWarnings raised, and the records of its train log."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            run()
+        gc.collect()
+    lines = (run_dir / "trainlog.jsonl").read_text().splitlines(keepends=True)
+    assert all(line.endswith("\n") for line in lines)
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    return [json.loads(line) for line in lines[1:]]
+
+
+def test_train_log_is_closed_when_training_raises(monkeypatch, tmp_path):
+    # a non-finite loss after a few dev checks, or after an MRT epoch,
+    # leaves no train log open, and the records written before it whole
+    params = tiny_model(seed=45)
+    pairs = [SentencePair((1,), (2,)), SentencePair((3, 1), (4,))]
+    losses = iter([1.0, 2.0, 3.0, float("nan")])
+    monkeypatch.setattr(train_mod, "nll_loss", lambda params, *a, **k: (
+        next(losses), params.tensors.like()))
+    config = TrainConfig(word_budget=1, dev_check_interval=1, max_epochs=2)
+    records = _log_after_a_raise(lambda: train_ml(
+        params, pairs, pairs, config, run_dir=str(tmp_path / "ml")),
+        tmp_path / "ml")
+    assert [r["train_loss"] for r in records] == [0.5, 1.0, 1.5]
+    losses = iter([0.5, 0.25, float("nan")])
+    monkeypatch.setattr(train_mod, "mrt_loss", lambda params, *a, **k: (
+        next(losses), params.tensors.like()))
+    config = TrainConfig(mrt=MrtSettings(num_samples=2, epochs=2))
+    records = _log_after_a_raise(lambda: train_mrt(
+        params, pairs, pairs, config, run_dir=str(tmp_path / "mrt")),
+        tmp_path / "mrt")
+    assert [r["expected_error"] for r in records] == [0.375]
 
 
 def test_train_ml_log_file_is_deterministic(tmp_path):
